@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 from .ambient import AmbientSet
 from .errors import AssertionFailed
+from .geometry import hull_membership
 from .points import Point, PointMultiset, add, scale
 
 RawWeights = tuple[tuple[int, Fraction], ...]
@@ -82,7 +83,10 @@ def verify_certificate(
         fail("partition_mismatch", f"{len(cert.parts)} parts against m={cert.m}")
     if len(cert.proofs) != len(cert.parts):
         fail("bad_coefficients", f"{len(cert.proofs)} proofs for {len(cert.parts)} parts")
-    if _multiset_union(cert.parts, source.dim) != source:
+    misfits = [k for k, part in enumerate(cert.parts) if part.dim != source.dim]
+    for k in misfits:
+        fail("partition_mismatch", f"part {k} has dimension {cert.parts[k].dim}, source {source.dim}")
+    if not misfits and _multiset_union(cert.parts, source.dim) != source:
         fail("partition_mismatch", "parts do not reassemble the source multiset")
     for k, part in enumerate(cert.parts):
         if part.size == 0:
@@ -103,7 +107,7 @@ def verify_certificate(
         if total != 1:
             fail("bad_coefficients", f"part {k}: weights sum to {total}")
             bad = True
-        if bad or part.size == 0:
+        if bad or part.size == 0 or part.dim != source.dim:
             continue
         combo = tuple(Fraction(0) for _ in range(source.dim))
         for idx, w in proof:
@@ -161,8 +165,6 @@ def peel_by_multiplicity(
     having depth >= m, which guarantees exactly that.  Returns None when
     the multiplicity is too low for this route.
     """
-    from .geometry import hull_membership
-
     mu = points.multiplicity(p)
     if mu < m - 1:
         return None

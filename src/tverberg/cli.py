@@ -8,6 +8,8 @@ write result documents to stdout, and report through exit codes:
      none was claimed, or a search completed empty-handed
   2  usage error, malformed document, or violated precondition
   3  an enumeration budget ran out before the answer was settled
+  4  internal fault: a guaranteed fact failed or an unexpected exception
+     escaped, so no answer was reached
 
 Documents are exact (rationals as strings) and byte-stable for fixed
 inputs and seeds, so they pipe cleanly between subcommands.
@@ -18,10 +20,10 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 
 from . import documents as docs
 from .ambient import AmbientSet, FiniteSet, Lattice, MixedLattice, RealSpace
+from .certificates import verify_certificate
 from .depth import (
     depth_value,
     finite_set_centerpoint,
@@ -173,8 +175,6 @@ def cmd_tverberg(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .certificates import verify_certificate
-
     cert = docs.certificate_from_doc(docs.loads(_read_text(args.input)))
     if args.source is not None:
         source, _ = docs.point_file_from_doc(docs.loads(_read_text(args.source)))
@@ -326,13 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default="-",
             help="point or certificate document; - reads stdin (default)",
         )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker cap; this build computes in-process, so any "
-            "value >= 1 behaves the same",
-        )
         if ambient:
             p.add_argument(
                 "--ambient",
@@ -426,8 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     try:
         return args.func(args)
     except BudgetExceeded as exc:
@@ -446,6 +437,9 @@ def main(argv=None) -> int:
     except (NotFound, SearchExhausted, Infeasible) as exc:
         print(f"tverberg: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault must not read as a negative result
+        print(f"tverberg: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

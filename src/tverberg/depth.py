@@ -107,9 +107,7 @@ def _normal_direction(sub: list[tuple[int, ...]], dim: int) -> tuple[int, ...] |
     basis = nullspace(rows, dim)
     if len(basis) != 1:
         return None
-    denom = 1
-    for v in basis[0]:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
+    denom = _lcm_of_denominators(basis[0])
     return tuple(int(v * denom) for v in basis[0])
 
 
@@ -212,22 +210,36 @@ def _min_halfspace_count(
     return best, best_phi
 
 
-def _scaled_instances(points: Iterable[Point], dim: int) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+def _lcm_of_denominators(coords: Iterable[Fraction], start: int = 1) -> int:
+    scale = start
+    for c in coords:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    return scale
+
+
+def _scaled_instances(points: PointMultiset) -> tuple[list[tuple[tuple[int, ...], int]], int]:
     """Integer-scaled entry coordinates with multiplicities, and the scale."""
-    entries = list(points)
-    scale = 1
-    for p, _ in entries:
-        for c in p:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-    scaled = [(tuple(int(c * scale) for c in p), mult) for p, mult in entries]
+    scale = _lcm_of_denominators(c for p, _ in points.entries for c in p)
+    scaled = [(tuple(int(c * scale) for c in p), mult) for p, mult in points.entries]
     return scaled, scale
 
 
 def _difference_profile(
-    scaled: list[tuple[tuple[int, ...], int]], origin: tuple[int, ...]
-) -> tuple[dict[tuple[int, ...], int], int]:
-    """Primitive difference directions with merged weights, plus the
-    multiplicity sitting exactly at the origin."""
+    scaled: list[tuple[tuple[int, ...], int]], scale: int, q: Point
+) -> tuple[list[tuple[int, ...]], list[int], int]:
+    """Primitive difference directions around q with merged weights, plus
+    the multiplicity sitting exactly at q.
+
+    Instances and q are first brought to one integer grid: the instance
+    scale grows to the lcm of itself and q's denominators.  Differences
+    are reduced to primitive vectors, so the grid never shows in the
+    result.
+    """
+    grow = _lcm_of_denominators(q, scale) // scale
+    if grow != 1:
+        scaled = [(tuple(v * grow for v in p), mult) for p, mult in scaled]
+        scale *= grow
+    origin = tuple(int(c * scale) for c in q)
     at_origin = 0
     profile: dict[tuple[int, ...], int] = {}
     for p, mult in scaled:
@@ -237,7 +249,7 @@ def _difference_profile(
             continue
         key = _reduce_int(v)
         profile[key] = profile.get(key, 0) + mult
-    return profile, at_origin
+    return list(profile), list(profile.values()), at_origin
 
 
 @dataclass(frozen=True)
@@ -257,17 +269,7 @@ def depth_value(q: Point, points: PointMultiset) -> int:
     """Exact half-space depth of q in the multiset, without a witness."""
     if len(q) != points.dim:
         raise DimensionMismatch("query dimension differs from multiset dimension")
-    scaled, scale = _scaled_instances(points.entries, points.dim)
-    denom = 1
-    for c in q:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    if scale % denom != 0:
-        scaled = [(tuple(v * denom for v in p), m) for p, m in scaled]
-        scale *= denom
-    origin = tuple(int(c * scale) for c in q)
-    profile, at_origin = _difference_profile(scaled, origin)
-    vecs = list(profile.keys())
-    ws = [profile[v] for v in vecs]
+    vecs, ws, at_origin = _difference_profile(*_scaled_instances(points), q)
     count, _ = _min_halfspace_count(vecs, ws, None, False)
     return at_origin + count
 
@@ -282,17 +284,7 @@ def halfspace_depth(q: Point, points: PointMultiset) -> DepthWitness:
     if not points.entries:
         normal = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(points.dim))
         return DepthWitness(q, 0, HalfSpace(normal, dot(normal, q)))
-    scaled, scale = _scaled_instances(points.entries, points.dim)
-    denom = 1
-    for c in q:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    if scale % denom != 0:
-        scaled = [(tuple(v * denom for v in p), m) for p, m in scaled]
-        scale *= denom
-    origin = tuple(int(c * scale) for c in q)
-    profile, at_origin = _difference_profile(scaled, origin)
-    vecs = list(profile.keys())
-    ws = [profile[v] for v in vecs]
+    vecs, ws, at_origin = _difference_profile(*_scaled_instances(points), q)
     count, phi = _min_halfspace_count(vecs, ws, None, True)
     depth = at_origin + count
     if phi is None:
@@ -337,27 +329,14 @@ def _best_candidate(
     m: int,
 ) -> tuple[Point | None, int]:
     """Deepest candidate of depth >= m, earliest on ties, with its depth."""
-    scaled, scale = _scaled_instances(points.entries, points.dim)
+    scaled, scale = _scaled_instances(points)
     mult_at: dict[Point, int] = {p: mult for p, mult in points.entries}
     best_depth = m - 1
     best_point: Point | None = None
     for cand in candidates:
-        denom = 1
-        for c in cand:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        if scale % denom == 0:
-            local, local_scale = scaled, scale
-        else:
-            f = denom // gcd(scale, denom)
-            local = [(tuple(v * f for v in p), mult) for p, mult in scaled]
-            local_scale = scale * f
-        origin = tuple(int(c * local_scale) for c in cand)
-        profile, at_origin = _difference_profile(local, origin)
-        base = mult_at.get(cand, 0)
-        if base != at_origin:
+        vecs, ws, at_origin = _difference_profile(scaled, scale, cand)
+        if mult_at.get(cand, 0) != at_origin:
             raise AssertionFailed("multiplicity bookkeeping out of step")
-        vecs = list(profile.keys())
-        ws = [profile[v] for v in vecs]
         count, _ = _min_halfspace_count(vecs, ws, best_depth - at_origin, False)
         depth = at_origin + count
         if depth > best_depth:

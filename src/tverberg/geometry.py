@@ -1,10 +1,24 @@
 """Exact convex-hull primitives.
 
-Four operations carry the whole geometric load of the library:
+Every geometric question the library asks ends in one exact system,
+built by ``convex_system(hulls, pin)``: one nonnegative weight per
+support entry of each hull, with rows in this fixed order
+
+  1. pins: the first len(pin) coordinates of hull 0's combination
+     equal pin (a full query point, or the integer prefix of a fiber);
+  2. one sum-to-one row per hull;
+  3. hull 0's combination minus hull i's, one row per coordinate, for
+     every i >= 1.
+
+The phase-1 simplex decides it once.  Bland's rule breaks ties by row
+order, so the order is part of the answer.  Pins come first because
+one pinned hull is then exactly the classical membership system
+(coordinates, then the sum), so membership weights and fiber lifts are
+the canonical basic solutions of that system.
 
 * ``hull_membership``: is q a convex combination of a multiset's points?
-  Decided as an exact feasibility system (weights >= 0, summing to 1,
-  combining to q) by the phase-1 simplex; returns the weights or None.
+  q pins all coordinates of one hull; returns the weights or None.
+  ``membership_gap`` returns the same system's infeasibility mass.
 
 * ``caratheodory_reduce``: shrink membership weights to an affinely
   independent support of at most d+1 points with strictly positive
@@ -12,12 +26,12 @@ Four operations carry the whole geometric load of the library:
   support is minimal: no proper subset's hull contains the point.
 
 * ``polytope_intersection_point``: one exact common point of several
-  hulls, as the joint convex-combination system.
+  hulls, the system without pins.
 
 * ``lattice_points_in_intersection``: all points of a discrete ambient
   set inside an intersection of hulls (bounding-box scan for Z^d, filter
-  for finite sets, integer-prefix enumeration plus real fiber
-  feasibility for Z^j x R^k).
+  for finite sets, integer-prefix enumeration plus the system with the
+  prefix pinned for Z^j x R^k).
 
 Degenerate hulls (segments, repeated points, lower-dimensional inputs)
 need no special casing anywhere: the feasibility formulation covers them
@@ -31,14 +45,53 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .ambient import AmbientSet, FiniteSet, Lattice, MixedLattice, RealSpace
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    PreconditionViolated,
-    UnsupportedAmbient,
-)
+from .errors import DimensionMismatch, InputError, UnsupportedAmbient
 from .linprog import nullspace, solve_phase1
-from .points import ConvexCoefficients, Point, PointMultiset, add, scale
+from .points import ConvexCoefficients, Point, PointMultiset
+
+
+def convex_system(
+    hulls: Sequence[PointMultiset], pin: Sequence[Fraction | int] = ()
+) -> tuple[Fraction, tuple[ConvexCoefficients, ...] | None]:
+    """Solve the joint convex-combination system of nonempty hulls.
+
+    Rows are the pins over hull 0, one sum-to-one row per hull, then
+    hull 0 minus hull i per coordinate (see the module docstring).
+    Returns (gap, weights): gap is the exact phase-1 infeasibility mass,
+    and weights holds one set per hull when gap is zero, else None.
+    The common point is ``weights[0].combination(hulls[0])``.
+    """
+    supports = [h.support() for h in hulls]
+    offsets = [0]
+    for sup in supports:
+        offsets.append(offsets[-1] + len(sup))
+    width = offsets[-1]
+    zero, one = Fraction(0), Fraction(1)
+
+    def row(idx: int, entries: list[Fraction]) -> list[Fraction]:
+        return [zero] * offsets[idx] + entries + [zero] * (width - offsets[idx + 1])
+
+    first = supports[0]
+    rows = [row(0, [p[c] for p in first]) for c in range(len(pin))]
+    rhs = list(pin)
+    for idx, sup in enumerate(supports):
+        rows.append(row(idx, [one] * len(sup)))
+        rhs.append(one)
+    for idx in range(1, len(hulls)):
+        for c in range(hulls[0].dim):
+            diff = row(idx, [-p[c] for p in supports[idx]])
+            diff[: len(first)] = [p[c] for p in first]
+            rows.append(diff)
+            rhs.append(zero)
+    gap, x = solve_phase1(rows, rhs)
+    if gap != 0:
+        return gap, None
+    return gap, tuple(
+        ConvexCoefficients(
+            (j, x[offsets[idx] + j]) for j in range(len(sup)) if x[offsets[idx] + j] != 0
+        )
+        for idx, sup in enumerate(supports)
+    )
 
 
 def hull_membership(q: Point, hull: PointMultiset) -> ConvexCoefficients | None:
@@ -49,21 +102,10 @@ def hull_membership(q: Point, hull: PointMultiset) -> ConvexCoefficients | None:
     """
     if len(q) != hull.dim:
         raise DimensionMismatch(f"point of dimension {len(q)} against hull of dimension {hull.dim}")
-    support = hull.support()
-    if not support:
+    if not hull.entries:
         return None
-    d = hull.dim
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for c in range(d):
-        rows.append([p[c] for p in support])
-        rhs.append(q[c])
-    rows.append([Fraction(1)] * len(support))
-    rhs.append(Fraction(1))
-    gap, x = solve_phase1(rows, rhs)
-    if gap != 0:
-        return None
-    return ConvexCoefficients((i, w) for i, w in enumerate(x) if w != 0)
+    _, coeffs = convex_system((hull,), q)
+    return None if coeffs is None else coeffs[0]
 
 
 def membership_gap(q: Point, hull: PointMultiset) -> Fraction:
@@ -73,14 +115,9 @@ def membership_gap(q: Point, hull: PointMultiset) -> Fraction:
     """
     if len(q) != hull.dim:
         raise DimensionMismatch("dimension mismatch in membership gap")
-    support = hull.support()
-    if not support:
+    if not hull.entries:
         return Fraction(1)
-    d = hull.dim
-    rows = [[p[c] for p in support] for c in range(d)]
-    rows.append([Fraction(1)] * len(support))
-    rhs = [q[c] for c in range(d)] + [Fraction(1)]
-    gap, _ = solve_phase1(rows, rhs)
+    gap, _ = convex_system((hull,), q)
     return gap
 
 
@@ -152,45 +189,8 @@ def polytope_intersection_point(
             raise DimensionMismatch("hulls of mixed dimension")
         if not h.entries:
             return None
-    supports = [h.support() for h in hulls]
-    offsets = [0]
-    for sup in supports:
-        offsets.append(offsets[-1] + len(sup))
-    nvars = offsets[-1]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for idx in range(len(hulls)):
-        row = [Fraction(0)] * nvars
-        for j in range(len(supports[idx])):
-            row[offsets[idx] + j] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-    for idx in range(1, len(hulls)):
-        for c in range(d):
-            row = [Fraction(0)] * nvars
-            for j, p in enumerate(supports[0]):
-                row[offsets[0] + j] = p[c]
-            for j, p in enumerate(supports[idx]):
-                row[offsets[idx] + j] = -p[c]
-            rows.append(row)
-            rhs.append(Fraction(0))
-    gap, x = solve_phase1(rows, rhs)
-    if gap != 0:
-        return None
-    coeffs = []
-    for idx in range(len(hulls)):
-        coeffs.append(
-            ConvexCoefficients(
-                (j, x[offsets[idx] + j])
-                for j in range(len(supports[idx]))
-                if x[offsets[idx] + j] != 0
-            )
-        )
-    pt = tuple(Fraction(0) for _ in range(d))
-    for j, p in enumerate(supports[0]):
-        if x[j] != 0:
-            pt = add(pt, scale(x[j], p))
-    return pt, tuple(coeffs)
+    _, coeffs = convex_system(hulls)
+    return None if coeffs is None else (coeffs[0].combination(hulls[0]), coeffs)
 
 
 def _integer_box(hulls: Sequence[PointMultiset], coords: range) -> list[range] | None:
@@ -212,49 +212,6 @@ def _integer_box(hulls: Sequence[PointMultiset], coords: range) -> list[range] |
     return ranges
 
 
-def _mixed_fiber_point(
-    hulls: Sequence[PointMultiset], prefix: tuple[int, ...], j: int
-) -> Point | None:
-    """A common point of the hulls whose first j coordinates equal prefix."""
-    d = hulls[0].dim
-    supports = [h.support() for h in hulls]
-    offsets = [0]
-    for sup in supports:
-        offsets.append(offsets[-1] + len(sup))
-    nvars = offsets[-1]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for idx in range(len(hulls)):
-        row = [Fraction(0)] * nvars
-        for jj in range(len(supports[idx])):
-            row[offsets[idx] + jj] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-    for idx in range(1, len(hulls)):
-        for c in range(d):
-            row = [Fraction(0)] * nvars
-            for jj, p in enumerate(supports[0]):
-                row[jj] = p[c]
-            for jj, p in enumerate(supports[idx]):
-                row[offsets[idx] + jj] = -p[c]
-            rows.append(row)
-            rhs.append(Fraction(0))
-    for c in range(j):
-        row = [Fraction(0)] * nvars
-        for jj, p in enumerate(supports[0]):
-            row[jj] = p[c]
-        rows.append(row)
-        rhs.append(Fraction(prefix[c]))
-    gap, x = solve_phase1(rows, rhs)
-    if gap != 0:
-        return None
-    pt = tuple(Fraction(0) for _ in range(d))
-    for jj, p in enumerate(supports[0]):
-        if x[jj] != 0:
-            pt = add(pt, scale(x[jj], p))
-    return pt
-
-
 def iter_common_ambient_points(
     hulls: Sequence[PointMultiset], ambient: AmbientSet
 ) -> Iterator[Point]:
@@ -264,6 +221,8 @@ def iter_common_ambient_points(
     d = hulls[0].dim
     if ambient.dim != d:
         raise DimensionMismatch("ambient dimension differs from hull dimension")
+    if any(h.dim != d for h in hulls):
+        raise DimensionMismatch("hulls of mixed dimension")
     for h in hulls:
         if not h.entries:
             return
@@ -286,9 +245,9 @@ def iter_common_ambient_points(
         if box is None:
             return
         for prefix in itertools.product(*box):
-            pt = _mixed_fiber_point(hulls, prefix, ambient.j)
-            if pt is not None:
-                yield pt
+            _, coeffs = convex_system(hulls, prefix)
+            if coeffs is not None:
+                yield coeffs[0].combination(hulls[0])
         return
     if isinstance(ambient, RealSpace):
         raise UnsupportedAmbient("R^d has no lattice to enumerate; use polytope_intersection_point")

@@ -29,7 +29,9 @@ from .errors import (
     UnsupportedAmbient,
 )
 from .geometry import iter_common_ambient_points, polytope_intersection_point
+from .planar import plane_tverberg
 from .points import Point, PointMultiset
+from .witnesses import convex_lowerbound_witness
 
 CountVector = tuple[int, ...]
 
@@ -160,8 +162,6 @@ def _admits(
     if any(mult >= m for _, mult in points.entries):
         return True
     if ambient.dim == 2 and points.size >= 2:
-        from .planar import plane_tverberg
-
         try:
             plane_tverberg(points, m, ambient)
             return True
@@ -191,8 +191,6 @@ def exact_tverberg_number(
     if n_max < 1:
         raise InputError("need n_max >= 1")
     if hard_example is None and ambient.dim == 2:
-        from .witnesses import convex_lowerbound_witness
-
         hard_example = convex_lowerbound_witness(ambient, m)
     for n in range(1, n_max + 1):
         if n < m:

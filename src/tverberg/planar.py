@@ -514,6 +514,7 @@ def helly3_tverberg(
             proofs.append(weights_of(coeffs))
         return assemble_certificate(m, q, parts, proofs, ambient, points)
 
+    # Imported here: product imports oracle, which imports planar.
     from .product import real_tverberg_bruteforce
 
     real_cert = real_tverberg_bruteforce(points, m)

@@ -36,10 +36,11 @@ from .errors import (
     PreconditionViolated,
     UnsupportedAmbient,
 )
-from .geometry import hull_membership, polytope_intersection_point
-from .linprog import solve_phase1
+from .geometry import convex_system, hull_membership, polytope_intersection_point
 from .oracle import iter_multiset_partitions
-from .points import ConvexCoefficients, Point, PointMultiset, add, scale
+from .planar import plane_tverberg
+from .points import ConvexCoefficients, Point, PointMultiset
+from .space3 import z3_tverberg
 
 
 def real_tverberg_bruteforce(points: PointMultiset, m: int) -> TverbergCertificate:
@@ -94,27 +95,14 @@ def fiber_lift(
     Solves the convex-combination system with the prefix pinned; raises
     Infeasible when the prefix misses the projected hull.
     """
-    j = len(prefix)
-    if j >= part.dim:
+    if len(prefix) >= part.dim:
         raise DimensionMismatch("prefix must be shorter than the point dimension")
-    support = part.support()
-    if not support:
+    if not part.entries:
         raise Infeasible("empty part cannot be lifted")
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for c in range(j):
-        rows.append([p[c] for p in support])
-        rhs.append(Fraction(prefix[c]))
-    rows.append([Fraction(1)] * len(support))
-    rhs.append(Fraction(1))
-    gap, x = solve_phase1(rows, rhs)
-    if gap != 0:
+    _, coeffs = convex_system((part,), prefix)
+    if coeffs is None:
         raise Infeasible("prefix lies outside the projected hull")
-    coeffs = ConvexCoefficients((i, w) for i, w in enumerate(x) if w != 0)
-    pt = tuple(Fraction(0) for _ in range(part.dim))
-    for i, w in coeffs.weights:
-        pt = add(pt, scale(w, support[i]))
-    return pt, coeffs
+    return coeffs[0].combination(part), coeffs[0]
 
 
 def _line_base(
@@ -187,12 +175,8 @@ def product_tverberg(
     else:
         proj_ms = PointMultiset.from_points(proj_instances, dim=j)
         if j == 2:
-            from .planar import plane_tverberg
-
             base_cert = plane_tverberg(proj_ms, t, Lattice(2))
         else:
-            from .space3 import z3_tverberg
-
             base_cert = z3_tverberg(proj_ms, t, seed=seed)
         base_q = base_cert.point
         groups_idx = _match_projected_parts(proj_instances, base_cert.parts)

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .geometry import hull_membership
 from .linprog import pivot_columns, solve_linear
+from .planar import radial_order
 from .points import Point, PointMultiset, dot, sub
 
 
@@ -149,20 +150,11 @@ def transversal_property_verify(
 
 def _angular_stream(instances: list[Point], q: Point) -> list[Point]:
     """Instances ordered clockwise around q (d = 2); copies of q lead."""
-    from .planar import _clockwise_key
-    from .points import primitive
-
     at_q = [p for p in instances if p == q]
     rest = [p for p in instances if p != q]
     if not rest:
         return at_q
-    data = []
-    for p in rest:
-        v = sub(p, q)
-        data.append((primitive(v), v[0] * v[0] + v[1] * v[1], p))
-    start = min(d for d, _, _ in data)
-    data.sort(key=_clockwise_key(start))
-    return at_q + [p for _, _, p in data]
+    return at_q + list(radial_order(PointMultiset.from_points(rest, dim=2), q).sequence)
 
 
 def _try_greedy(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .ambient import FiniteSet
 from .errors import PreconditionViolated
+from .planar import helly_number
 from .points import PointMultiset, point
 
 
@@ -47,7 +48,5 @@ def convex_lowerbound_witness(ambient: FiniteSet, m: int) -> PointMultiset:
     """
     if m < 2:
         raise PreconditionViolated("partitions need m >= 2")
-    from .planar import helly_number
-
     wit = helly_number(ambient)
     return PointMultiset(((p, m - 1) for p in wit.points), dim=ambient.dim)

@@ -65,6 +65,14 @@ def test_foreign_points_are_partition_mismatch():
     assert "partition_mismatch" in report.failures
 
 
+def test_part_of_another_dimension_is_partition_mismatch():
+    cert, source = _radon_square()
+    parts = (cert.parts[0], PointMultiset.from_points([point(0, 2, 0), point(2, 0, 0)]))
+    report = verify_certificate(dataclasses.replace(cert, parts=parts), source)
+    assert not report.ok
+    assert "partition_mismatch" in report.failures
+
+
 def test_corrupted_weight_is_bad_coefficients():
     cert, source = _radon_square()
     half = Fraction(1, 2)

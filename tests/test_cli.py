@@ -3,11 +3,10 @@ from __future__ import annotations
 import io
 import json
 
-import pytest
-
 from tverberg.ambient import Lattice, MixedLattice
 from tverberg.cli import main
 from tverberg.documents import dumps, point_file_to_doc
+from tverberg.errors import AssertionFailed
 from tverberg.points import PointMultiset, point
 
 
@@ -216,12 +215,13 @@ def test_usage_errors(monkeypatch, capsys):
     assert "cannot read" in err
 
 
-def test_jobs_must_be_positive(monkeypatch, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(
-            monkeypatch,
-            capsys,
-            ["tvnumber", "--m", "2", "--jobs", "0"],
-            _square_doc(),
-        )
-    assert exc.value.code == 2
+def test_internal_fault_exit_code(monkeypatch, capsys):
+    def broken(points, m, ambient):
+        raise AssertionFailed("construction lost its common point")
+
+    monkeypatch.setattr("tverberg.cli.plane_tverberg", broken)
+    code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", "2"], _grid_doc())
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "AssertionFailed" in err and "lost its common point" in err

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from tverberg.ambient import FiniteSet, Lattice, MixedLattice
-from tverberg.errors import UnsupportedAmbient
+from tverberg.errors import DimensionMismatch, UnsupportedAmbient
 from tverberg.geometry import (
     caratheodory_reduce,
     hull_membership,
@@ -101,7 +102,7 @@ def test_iter_common_points_finite_ambient():
     assert got == [point(1, 1)]
 
 
-def test_iter_common_points_mixed_fibers():
+def test_iter_common_points_mixed_fibers(rng):
     # two triangles in Z x R overlapping over integer first coordinates 1..2
     a = PointMultiset.from_points(
         [point(0, 0), point(3, 0), point(1, 4)]
@@ -118,6 +119,32 @@ def test_iter_common_points_mixed_fibers():
         assert hull_membership(p, b) is not None
     # one witness per integer fiber, no duplicates
     assert len({p[0] for p in got}) == len(got)
+
+    # random hulls in [-3, 3]^3: a prefix is feasible iff the hulls meet
+    # the slab {prefix} x [-3, 3]^k, a check with no pinned rows
+    negative_prefixes = 0
+    for amb in (MixedLattice(2, 1), MixedLattice(1, 2)):
+        for _ in range(6):
+            hulls = [random_lattice_multiset(rng, 5, 3, 3) for _ in range(2)]
+            got = list(iter_common_ambient_points(hulls, amb))
+            prefixes = [p[: amb.j] for p in got]
+            assert len(set(prefixes)) == len(prefixes)
+            for p in got:
+                assert all(c.denominator == 1 for c in p[: amb.j])
+                assert all(hull_membership(p, h) is not None for h in hulls)
+            negative_prefixes += sum(1 for pre in prefixes if min(pre) < 0)
+            box = (Fraction(-3), Fraction(3))
+            for pre in itertools.product(map(Fraction, range(-3, 4)), repeat=amb.j):
+                slab = PointMultiset.from_points(
+                    [pre + corner for corner in itertools.product(box, repeat=amb.k)]
+                )
+                feasible = polytope_intersection_point(hulls + [slab]) is not None
+                assert feasible == (pre in prefixes), (amb, pre)
+    assert negative_prefixes > 0
+    # a hull of another dimension is an error, not a silently cut system
+    lifted = PointMultiset.from_points([point(0, 0, 5), point(3, 0, 5)])
+    with pytest.raises(DimensionMismatch):
+        list(iter_common_ambient_points((a, lifted), MixedLattice(1, 1)))
 
 
 def test_iter_common_points_real_ambient_rejected():
