@@ -20,6 +20,7 @@ from .depth import (
     DepthWitness,
     depth_value,
     finite_set_centerpoint,
+    first_deep_point,
     halfspace_depth,
     integer_centerpoint,
 )
@@ -129,6 +130,7 @@ __all__ = [
     "exact_tverberg_number",
     "fiber_lift",
     "finite_set_centerpoint",
+    "first_deep_point",
     "format_rational",
     "fraction_selection",
     "halfspace_depth",

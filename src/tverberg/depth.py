@@ -24,10 +24,24 @@ u0's strict signs dominate.
 
 The centerpoint searches scan candidate points and reuse the recursion
 with an abort threshold: a scan candidate is abandoned as soon as some
-half-space already caps its depth below the best found.  The integer
-scan is restricted to the box between the m-th smallest and m-th
-largest instance value per coordinate, outside of which an axis
-half-space alone refutes depth m.
+half-space already caps its depth below the threshold.  Over Z^d the
+candidates are the integer points of the box between the m-th smallest
+and m-th largest instance value per coordinate, outside of which an
+axis half-space alone refutes depth m; over a finite ambient set they
+are its points.  One scan yields each candidate deeper than all earlier
+ones, starting from depth m, and serves two searches:
+
+  deepest       ``integer_centerpoint`` and ``finite_set_centerpoint``
+                take the last candidate yielded, so the threshold rises
+                with the best depth found; the box is visited in
+                lexicographic order and ties go to the earliest point.
+  deep enough   ``first_deep_point`` takes the first candidate of depth
+                >= m, with the threshold fixed at m - 1.  Box points are
+                visited centre-out, shell by shell in the L1 distance of
+                2x to lo + hi per coordinate and lexicographically
+                within a shell, because deep points sit near the middle.
+                The constructive drivers use this search: they need
+                depth m, not the maximum.
 """
 
 from __future__ import annotations
@@ -36,15 +50,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .ambient import FiniteSet
+from .ambient import AmbientSet, FiniteSet, Lattice
 from .errors import (
     AssertionFailed,
     CenterpointNotFound,
     DimensionMismatch,
     InputError,
     PreconditionViolated,
+    UnsupportedAmbient,
 )
 from .linprog import nullspace
 from .points import HalfSpace, Point, PointMultiset, dot
@@ -323,35 +338,8 @@ def _coordinate_order_statistics(points: PointMultiset, m: int) -> list[tuple[in
     return box
 
 
-def _best_candidate(
-    points: PointMultiset,
-    candidates: Iterable[Point],
-    m: int,
-) -> tuple[Point | None, int]:
-    """Deepest candidate of depth >= m, earliest on ties, with its depth."""
-    scaled, scale = _scaled_instances(points)
-    mult_at: dict[Point, int] = {p: mult for p, mult in points.entries}
-    best_depth = m - 1
-    best_point: Point | None = None
-    for cand in candidates:
-        vecs, ws, at_origin = _difference_profile(scaled, scale, cand)
-        if mult_at.get(cand, 0) != at_origin:
-            raise AssertionFailed("multiplicity bookkeeping out of step")
-        count, _ = _min_halfspace_count(vecs, ws, best_depth - at_origin, False)
-        depth = at_origin + count
-        if depth > best_depth:
-            best_depth = depth
-            best_point = cand
-    return best_point, best_depth
-
-
-def integer_centerpoint(points: PointMultiset, m: int) -> Point:
-    """Lexicographically first deepest integer point of depth >= m.
-
-    Scans the integer box between the m-th order statistics of each
-    coordinate; raises CenterpointNotFound when no integer point reaches
-    depth m.  All instances must themselves be integral.
-    """
+def _integer_box(points: PointMultiset, m: int) -> list[tuple[int, int]]:
+    """The order-statistic box of an integral multiset for depth target m."""
     if m < 1:
         raise PreconditionViolated("depth target must be at least 1")
     if not points.entries:
@@ -363,11 +351,92 @@ def integer_centerpoint(points: PointMultiset, m: int) -> Point:
     box = _coordinate_order_statistics(points, m)
     if box is None:
         raise CenterpointNotFound(f"no integer point of depth {m}: order-statistic box is empty")
-    ranges = [range(lo, hi + 1) for lo, hi in box]
-    candidates = (
-        tuple(Fraction(v) for v in tup) for tup in itertools.product(*ranges)
-    )
-    best_point, _ = _best_candidate(points, candidates, m)
+    return box
+
+
+def _centre_out_order(box: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+    """Integer points of the box by the L1 distance of 2x to lo + hi, then
+    lexicographically, generated shell by shell.
+
+    Coordinate c reaches the distances near[c], near[c] + 2, ..., far[c]
+    and no others, so a shell's distance splits into per-coordinate
+    distances exactly when each prefix leaves a remainder between the
+    suffix sums of near and far; the generator never hits a dead end.
+    """
+    dim = len(box)
+    mids = [lo + hi for lo, hi in box]
+    near = [s % 2 for s in mids]
+    far = [hi - lo for lo, hi in box]
+    near_rest = [sum(near[c:]) for c in range(dim + 1)]
+    far_rest = [sum(far[c:]) for c in range(dim + 1)]
+
+    def shell(c: int, left: int) -> Iterator[tuple[int, ...]]:
+        if c == dim:
+            yield ()
+            return
+        s = mids[c]
+        k_lo = max(near[c], left - far_rest[c + 1])
+        k_hi = min(far[c], left - near_rest[c + 1])
+        # 2x in [s - k_hi, s - k_lo], then in [s + max(k_lo, 1), s + k_hi]
+        below = range(-((k_hi - s) // 2), (s - k_lo) // 2 + 1)
+        above = range(-((-s - max(k_lo, 1)) // 2), (s + k_hi) // 2 + 1)
+        for x in itertools.chain(below, above):
+            for rest in shell(c + 1, left - abs(2 * x - s)):
+                yield (x,) + rest
+
+    for radius in range(near_rest[0], far_rest[0] + 1, 2):
+        yield from shell(0, radius)
+
+
+def _deeper_candidates(
+    points: PointMultiset,
+    candidates: Iterable[Sequence[int | Fraction]],
+    m: int,
+) -> Iterator[Point]:
+    """Each candidate deeper than every earlier one, from depth m upwards.
+
+    A candidate is abandoned as soon as some half-space caps its depth at
+    the running threshold, so every yielded candidate's depth is exact.
+    """
+    scaled, scale = _scaled_instances(points)
+    mult_at: dict[Point, int] = {p: mult for p, mult in points.entries}
+    best_depth = m - 1
+    for raw in candidates:
+        cand = tuple(Fraction(v) for v in raw)
+        vecs, ws, at_origin = _difference_profile(scaled, scale, cand)
+        if mult_at.get(cand, 0) != at_origin:
+            raise AssertionFailed("multiplicity bookkeeping out of step")
+        count, _ = _min_halfspace_count(vecs, ws, best_depth - at_origin, False)
+        depth = at_origin + count
+        if depth > best_depth:
+            best_depth = depth
+            yield cand
+
+
+def _last(found: Iterator[Point]) -> Point | None:
+    last = None
+    for last in found:
+        pass
+    return last
+
+
+def _finite_set_check(points: PointMultiset, ambient: FiniteSet, m: int) -> None:
+    if m < 1:
+        raise PreconditionViolated("depth target must be at least 1")
+    if ambient.dim != points.dim:
+        raise DimensionMismatch("ambient dimension differs from multiset dimension")
+
+
+def integer_centerpoint(points: PointMultiset, m: int) -> Point:
+    """Lexicographically first deepest integer point of depth >= m.
+
+    Scans the integer box between the m-th order statistics of each
+    coordinate; raises CenterpointNotFound when no integer point reaches
+    depth m.  All instances must themselves be integral.
+    """
+    box = _integer_box(points, m)
+    lex_order = itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+    best_point = _last(_deeper_candidates(points, lex_order, m))
     if best_point is None:
         raise CenterpointNotFound(f"no integer point of depth {m} in the scan box")
     return best_point
@@ -375,11 +444,32 @@ def integer_centerpoint(points: PointMultiset, m: int) -> Point:
 
 def finite_set_centerpoint(points: PointMultiset, ambient: FiniteSet, m: int) -> Point:
     """Lexicographically first deepest ambient-set point of depth >= m."""
-    if m < 1:
-        raise PreconditionViolated("depth target must be at least 1")
-    if ambient.dim != points.dim:
-        raise DimensionMismatch("ambient dimension differs from multiset dimension")
-    best_point, _ = _best_candidate(points, ambient.points, m)
+    _finite_set_check(points, ambient, m)
+    best_point = _last(_deeper_candidates(points, ambient.points, m))
     if best_point is None:
         raise CenterpointNotFound(f"no ambient point of depth {m}")
     return best_point
+
+
+def first_deep_point(points: PointMultiset, ambient: AmbientSet, m: int) -> Point:
+    """The first ambient point of depth >= m in scan order.
+
+    Over Z^d the order-statistic box is scanned centre-out (see the
+    module docstring) under the same preconditions as
+    ``integer_centerpoint``; over a finite set its points are scanned in
+    stored order.  Raises CenterpointNotFound exactly when the deepest
+    search would.
+    """
+    if isinstance(ambient, Lattice):
+        if ambient.d != points.dim:
+            raise DimensionMismatch("ambient dimension differs from multiset dimension")
+        candidates: Iterable[Sequence[int | Fraction]] = _centre_out_order(_integer_box(points, m))
+    elif isinstance(ambient, FiniteSet):
+        _finite_set_check(points, ambient, m)
+        candidates = ambient.points
+    else:
+        raise UnsupportedAmbient(f"no deep-point scan over {ambient.describe()}")
+    found = next(_deeper_candidates(points, candidates, m), None)
+    if found is None:
+        raise CenterpointNotFound(f"no point of {ambient.describe()} has depth {m}")
+    return found

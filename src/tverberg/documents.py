@@ -3,9 +3,10 @@
 A point file carries a dimension, an ambient descriptor, and a list of
 entries {coords, mult}.  Ambient kinds are "Zd" (integer lattice),
 "ZjRk" (integer-by-real product), "Rd", and "finite" (explicit point
-list).  All rationals are lowest-terms strings ("3", "-2/3"), never
-floats; serialization is canonical (sorted keys, two-space indent,
-trailing newline), so equal objects produce byte-identical files.
+list).  All rationals are strings "a" or "a/b" ("3", "-2/3"), never
+floats, and are written in lowest terms; serialization is canonical
+(sorted keys, two-space indent, trailing newline), so equal objects
+produce byte-identical files.
 
 Certificate proofs parse leniently: weights are kept as raw
 (index, weight) pairs and only judged by the verifier, so a corrupted

@@ -41,12 +41,7 @@ from .certificates import (
     singleton_part,
     weights_of,
 )
-from .depth import (
-    DepthWitness,
-    finite_set_centerpoint,
-    halfspace_depth,
-    integer_centerpoint,
-)
+from .depth import DepthWitness, first_deep_point, halfspace_depth
 from .errors import (
     AssertionFailed,
     DimensionMismatch,
@@ -357,12 +352,7 @@ def plane_tverberg(
             if not is_integral(p):
                 raise PreconditionViolated(f"instance {p} is not an integer point")
         needed = 6 if m == 2 else 4 * m - 3
-        if n < needed:
-            raise PreconditionViolated(f"need at least {needed} instances for m={m}, got {n}")
-        center = integer_centerpoint(points, m)
-        parts, proofs = _labeled_parts(points, center, m)
-        return assemble_certificate(m, center, parts, proofs, ambient, points)
-    if isinstance(ambient, FiniteSet):
+    elif isinstance(ambient, FiniteSet):
         if ambient.dim != 2:
             raise DimensionMismatch("planar driver requires a planar ambient set")
         for p, _ in points.entries:
@@ -372,12 +362,13 @@ def plane_tverberg(
         if he.number <= 3:
             return helly3_tverberg(points, m, ambient)
         needed = he.number * (m - 1) + 1 + (1 if m == 2 else 0)
-        if n < needed:
-            raise PreconditionViolated(f"need at least {needed} instances for m={m}, got {n}")
-        center = finite_set_centerpoint(points, ambient, m)
-        parts, proofs = _labeled_parts(points, center, m)
-        return assemble_certificate(m, center, parts, proofs, ambient, points)
-    raise UnsupportedAmbient(f"planar driver does not handle {ambient.describe()}")
+    else:
+        raise UnsupportedAmbient(f"planar driver does not handle {ambient.describe()}")
+    if n < needed:
+        raise PreconditionViolated(f"need at least {needed} instances for m={m}, got {n}")
+    center = first_deep_point(points, ambient, m)
+    parts, proofs = _labeled_parts(points, center, m)
+    return assemble_certificate(m, center, parts, proofs, ambient, points)
 
 
 @dataclass(frozen=True)

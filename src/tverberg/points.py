@@ -23,6 +23,7 @@ decision paths of the library) uses floating point.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence
@@ -34,17 +35,27 @@ Point = tuple[Fraction, ...]
 Rationalish = int | str | Fraction
 
 
+_RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def rational(value: Rationalish) -> Fraction:
-    """Parse a rational from an int, a Fraction, or a string 'a' / 'a/b'."""
+    """Parse a rational from an int, a Fraction, or a string 'a' / 'a/b'.
+
+    Strings follow the document grammar exactly: an optional minus sign,
+    ASCII digits, and optionally a slash and a nonzero digit string.
+    Decimals, exponents, spaces, underscores and bools are rejected.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL_STRING.fullmatch(value):
+            raise InputError(f"bad rational string: {value!r}; expected 'a' or 'a/b'")
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational string: {value!r}") from exc
+            return Fraction(value)
+        except ZeroDivisionError as exc:
+            raise InputError(f"bad rational string: {value!r} has a zero denominator") from exc
     raise InputError(f"cannot interpret {value!r} as a rational")
 
 

@@ -40,7 +40,7 @@ from .certificates import (
     singleton_part,
     weights_of,
 )
-from .depth import depth_value, integer_centerpoint
+from .depth import depth_value, first_deep_point
 from .errors import (
     AssertionFailed,
     DimensionMismatch,
@@ -308,7 +308,7 @@ def z3_tverberg(
     needed = 24 * m - 31
     if n < needed:
         raise PreconditionViolated(f"need at least {needed} instances for m={m}, got {n}")
-    center = integer_centerpoint(points, 3 * m - 3)
+    center = first_deep_point(points, Lattice(3), 3 * m - 3)
     direct = peel_by_multiplicity(points, center, m)
     if direct is not None:
         parts, proofs = direct

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from tverberg.certificates import (
     verify_certificate,
 )
 from tverberg.errors import AssertionFailed
+from tverberg.planar import plane_tverberg
 from tverberg.points import PointMultiset, point
 
 
@@ -155,3 +157,27 @@ def test_peel_by_multiplicity_routes():
     assert len(proofs[2]) > 1
     # too few copies: not this route's job
     assert peel_by_multiplicity(hull_route, p, 4) is None
+
+
+def test_multiplicity_mutations_are_partition_mismatch():
+    # criterion-11 style: driver certificates over Z^2, one entry of one
+    # part gains or loses copies; the verifier names the clause, never raises
+    rng = random.Random(12)
+    for i in range(300):
+        m = 2 + i % 3
+        n = 6 if m == 2 else 4 * m - 3 + rng.randint(0, 2)
+        source = PointMultiset.from_points(
+            [point(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(n)]
+        )
+        cert = plane_tverberg(source, m, Lattice(2))
+        k = rng.randrange(m)
+        entries = list(cert.parts[k].entries)
+        e = rng.randrange(len(entries))
+        p, mult = entries[e]
+        delta = rng.choice([d for d in (-mult, -1, 1, 2) if d != 0])
+        entries[e] = (p, mult + delta)
+        part = PointMultiset(entries, dim=2)
+        mutated = dataclasses.replace(cert, parts=cert.parts[:k] + (part,) + cert.parts[k + 1 :])
+        report = verify_certificate(mutated, source)
+        assert not report.ok
+        assert "partition_mismatch" in report.failures, (delta, report.failures)

@@ -225,3 +225,15 @@ def test_internal_fault_exit_code(monkeypatch, capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert "AssertionFailed" in err and "lost its common point" in err
+
+
+def test_rational_grammar_violations_exit_2(monkeypatch, capsys):
+    code, _, err = run(monkeypatch, capsys, ["depth", "--point", "0.5,1"], _grid_doc())
+    assert code == 2
+    assert "0.5" in err
+    doc = json.loads(_grid_doc())
+    for bad in (True, "1e3", " 1 "):
+        doc["points"][0]["coords"][0] = bad
+        code, out, err = run(monkeypatch, capsys, ["depth", "--point", "1,1"], json.dumps(doc))
+        assert code == 2, bad
+        assert out == ""

@@ -1,19 +1,25 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from tverberg.ambient import FiniteSet
+from tverberg.ambient import FiniteSet, Lattice
+from tverberg.certificates import verify_certificate
 from tverberg.depth import (
+    _centre_out_order,
     depth_value,
     finite_set_centerpoint,
+    first_deep_point,
     halfspace_depth,
     integer_centerpoint,
 )
 from tverberg.errors import CenterpointNotFound, PreconditionViolated
+from tverberg.planar import plane_tverberg
 from tverberg.points import PointMultiset, point
+from tverberg.space3 import z3_tverberg
 
 from conftest import random_lattice_multiset
 from depth_oracles import oracle_depth
@@ -131,3 +137,109 @@ def test_finite_set_centerpoint_picks_member():
     c = finite_set_centerpoint(pts, amb, 2)
     assert amb.contains(c)
     assert depth_value(c, pts) >= 2
+
+
+def _sorted_centre_out(box):
+    """The centre-out order by definition: sort the whole box by the L1
+    distance to its midpoint, ties lexicographically."""
+    full = itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+    return sorted(
+        full,
+        key=lambda x: (sum(abs(Fraction(2 * v - lo - hi, 2)) for v, (lo, hi) in zip(x, box)), x),
+    )
+
+
+def _order_statistic_box(pts, m):
+    box = []
+    for c in range(pts.dim):
+        vals = sorted(p[c] for p in pts.instances())
+        box.append((int(vals[m - 1]), int(vals[pts.size - m])))
+    return box
+
+
+def test_centre_out_order_is_the_sorted_box():
+    rng = random.Random(31)
+    for _ in range(400):
+        d = rng.randint(1, 3)
+        box = []
+        for _ in range(d):
+            lo = rng.randint(-5, 5)
+            box.append((lo, lo + rng.randint(0, 5)))
+        assert list(_centre_out_order(box)) == _sorted_centre_out(box), box
+
+
+def test_first_deep_point_is_the_first_deep_candidate_centre_out():
+    rng = random.Random(32)
+    for trial in range(60):
+        d = 2 if trial % 3 else 3
+        m = rng.choice([2, 3])
+        n = 2**d * (m - 1) + 1 + rng.randint(0, 3)
+        pts = random_lattice_multiset(rng, n, d, 4 if d == 2 else 3)
+        c = first_deep_point(pts, Lattice(d), m)
+        assert all(x.denominator == 1 for x in c)
+        assert oracle_depth(c, pts) >= m
+        order = _sorted_centre_out(_order_statistic_box(pts, m))
+        earlier = order[: order.index(c)]
+        assert all(oracle_depth(tuple(map(Fraction, x)), pts) < m for x in earlier)
+
+
+def test_first_deep_point_fails_exactly_when_the_deepest_scan_fails():
+    rng = random.Random(33)
+    outcomes = set()
+    for _ in range(150):
+        d = rng.choice([2, 3])
+        pts = random_lattice_multiset(rng, rng.randint(2, 9), d, 4)
+        m = rng.randint(1, 5)
+        try:
+            deepest = integer_centerpoint(pts, m)
+        except CenterpointNotFound:
+            deepest = None
+        try:
+            first = first_deep_point(pts, Lattice(d), m)
+        except CenterpointNotFound:
+            first = None
+        assert (deepest is None) == (first is None)
+        if first is not None:
+            assert depth_value(deepest, pts) >= depth_value(first, pts) >= m
+        outcomes.add(first is None)
+    assert outcomes == {True, False}
+
+
+def test_first_deep_point_rejects_fractional_input():
+    pts = PointMultiset.from_points([(Fraction(1, 2), Fraction(0)), point(1, 1)])
+    with pytest.raises(PreconditionViolated):
+        first_deep_point(pts, Lattice(2), 1)
+
+
+def test_first_deep_point_over_a_finite_set_keeps_stored_order():
+    rng = random.Random(34)
+    for _ in range(60):
+        amb = FiniteSet(
+            tuple({point(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(8)}), 2
+        )
+        pts = PointMultiset.from_points(
+            [rng.choice(amb.points) for _ in range(rng.randint(3, 9))]
+        )
+        m = rng.randint(1, 3)
+        deep = [p for p in amb.points if oracle_depth(p, pts) >= m]
+        if not deep:
+            with pytest.raises(CenterpointNotFound):
+                first_deep_point(pts, amb, m)
+            continue
+        assert first_deep_point(pts, amb, m) == deep[0]
+
+
+def test_driver_centres_are_deep_enough_and_certificates_verify():
+    rng = random.Random(35)
+    for m in (2, 3, 4, 5):
+        for _ in range(6):
+            n = (6 if m == 2 else 4 * m - 3) + rng.randint(0, 3)
+            pts = random_lattice_multiset(rng, n, 2, 6)
+            cert = plane_tverberg(pts, m, Lattice(2))
+            assert oracle_depth(cert.point, pts) >= m
+            assert verify_certificate(cert, pts).ok
+    for _ in range(4):
+        pts = random_lattice_multiset(rng, 17 + rng.randint(0, 3), 3, 6)
+        cert = z3_tverberg(pts, 2)
+        assert oracle_depth(cert.point, pts) >= 3
+        assert verify_certificate(cert, pts).ok

@@ -21,11 +21,24 @@ from tverberg.points import (
 def test_rational_parsing():
     assert rational("3") == 3
     assert rational("-2/3") == Fraction(-2, 3)
-    assert rational("  4/6 ") == Fraction(2, 3)
+    assert rational("4/6") == Fraction(2, 3)
     assert rational(Fraction(5, 7)) == Fraction(5, 7)
     assert rational(9) == 9
-    assert rational("1.5") == Fraction(3, 2)  # decimal strings stay exact
-    for bad in ("", "2/0", "a/b", "1/2/3", None, 0.5):
+    for bad in ("", "2/0", "a/b", "1/2/3", None, 0.5, "1.5", "  4/6 "):
+        with pytest.raises(InputError):
+            rational(bad)
+
+
+def test_rational_follows_the_document_grammar():
+    assert rational("-2/3") == Fraction(-2, 3)
+    assert rational("4") == 4
+    assert rational("-0") == 0
+    for bad in (
+        True, False,                     # JSON true/false are not numbers here
+        "0.5", "1e3", " 7 ", "7\n", "1_000",
+        "+3", "-2/-3", "2/+3", "1/0", "-5/0", "/3", "3/", "--1",
+        "\u0663",                        # a non-ASCII digit
+    ):
         with pytest.raises(InputError):
             rational(bad)
 
