@@ -58,7 +58,12 @@ class Infeasible(TverbergError):
 
 
 class BudgetExceeded(TverbergError):
-    """An enumeration hit its check budget; carries the remaining count."""
+    """An enumeration hit its check budget.
+
+    ``remaining`` is a lower bound on the checks never made (at least 1
+    when set), not an exact count: counting them would mean running the
+    enumeration the budget was there to stop.
+    """
 
     def __init__(self, message: str, remaining: int | None = None):
         super().__init__(message)

@@ -1,20 +1,35 @@
 """Exact linear algebra and an exact-pivot phase-1 simplex.
 
-Everything here runs over ``fractions.Fraction``.  The simplex solves
-only feasibility systems (find x >= 0 with Ax = b), which is all the
-geometry layer ever needs: convex-hull membership, joint intersection
-points, and fiber feasibility are all convex-combination systems.  The
-phase-1 optimum doubles as an exact infeasibility gap for search scoring.
+Inputs and outputs are rational (ints and ``fractions.Fraction``).  The
+linear algebra (``rref`` and what is built on it) runs over Fraction.
+The simplex solves only feasibility systems (find x >= 0 with Ax = b),
+which is all the geometry layer ever needs: convex-hull membership,
+joint intersection points, and fiber feasibility are all
+convex-combination systems.  The phase-1 optimum doubles as an exact
+infeasibility gap for search scoring.
 
 Pivoting uses Bland's rule (lowest-index entering variable, lowest-index
 leaving variable among minimum ratios), which guarantees termination and
 makes every answer deterministic for a given system, independent of any
 hashing or iteration-order accidents.
+
+The simplex is integer inside (integer-preserving pivoting: Bareiss,
+Math. Comp. 1968, as in Avis's lrs).  The system is scaled once by
+the lcm of its denominators, and the tableau holds integers over one
+common denominator ``det``, the previous pivot, so the true entries are
+the stored ones divided by ``det``.  A pivot on entry ``piv`` maps every
+other row v, with entering entry f, to (v*piv - f*w) // det, where w is
+the pivot row; the division is exact because ``det`` times the inverse
+basis is an integer matrix, and ``piv`` becomes the new ``det``.
+Positive scalings change no ratio and no reduced-cost sign, so the
+pivots are exactly Bland's pivots on the rational tableau, and the gap
+and solution, turned back into Fractions at the end, are the same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
@@ -95,33 +110,35 @@ def solve_phase1(
 
     Returns (gap, x): gap == 0 means the system is feasible and x is an
     exact basic feasible solution; gap > 0 is the exact l1 distance to
-    feasibility of the right-hand side (and x is None).
+    feasibility of the right-hand side (and x is None).  Entries are
+    ints or Fractions.
     """
     m = len(a)
-    n = len(a[0]) if m else 0
-    rows: Matrix = []
-    rhs: list[Fraction] = []
+    if m == 0:
+        return Fraction(0), []
+    n = len(a[0])
+    scale = lcm(*{v.denominator for row in a for v in row}, *{v.denominator for v in b})
+
+    # Tableau columns: n original variables, m artificials, then the rhs,
+    # all of the system scaled by `scale`; each row is sign-normalised.
+    total_cols = n + m
+    tableau: list[list[int]] = []
     for i in range(m):
-        r = [Fraction(v) for v in a[i]]
-        bv = Fraction(b[i])
+        r = [v.numerator * (scale // v.denominator) for v in a[i]]
+        bv = b[i].numerator * (scale // b[i].denominator)
         if bv < 0:
             r = [-v for v in r]
             bv = -bv
-        rows.append(r)
-        rhs.append(bv)
-    if m == 0:
-        return Fraction(0), [Fraction(0)] * n
-
-    # Tableau columns: n original variables then m artificials.
-    tableau = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]] for i in range(m)]
+        r += [0] * m + [bv]
+        r[n + i] = 1
+        tableau.append(r)
     basis = [n + i for i in range(m)]
-    # Reduced costs for minimizing the artificial sum.
-    cost = [Fraction(0)] * (n + m + 1)
-    for j in range(n):
-        cost[j] = -sum(tableau[i][j] for i in range(m))
-    cost[n + m] = -sum(rhs)  # negative of current objective value
+    # Reduced costs for minimizing the artificial sum; cost[total_cols] is
+    # the negative of the current objective value.
+    cost = [-sum(col) for col in zip(*tableau)]
+    cost[n:total_cols] = [0] * m
+    det = 1
 
-    total_cols = n + m
     while True:
         enter = -1
         for j in range(total_cols):
@@ -131,35 +148,39 @@ def solve_phase1(
         if enter < 0:
             break
         leave = -1
-        best_ratio: Fraction | None = None
         for i in range(m):
-            coeff = tableau[i][enter]
-            if coeff > 0:
-                ratio = tableau[i][total_cols] / coeff
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[leave]
-                ):
-                    best_ratio = ratio
+            coef = tableau[i][enter]
+            if coef > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                # rhs_i / coef against rhs_leave / coef_leave, both coefs > 0
+                cand = tableau[i][total_cols] * tableau[leave][enter]
+                best = tableau[leave][total_cols] * coef
+                if cand < best or (cand == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             # Unbounded phase-1 cannot happen (objective bounded below by 0).
             raise ArithmeticError("phase-1 simplex detected unboundedness")
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
+        prow = tableau[leave]
+        piv = prow[enter]
         for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [v - f * w for v, w in zip(tableau[i], tableau[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [v - f * w for v, w in zip(cost, tableau[leave])]
+            if i != leave:
+                row = tableau[i]
+                f = row[enter]
+                if f:
+                    tableau[i] = [(v * piv - f * w) // det for v, w in zip(row, prow)]
+                else:
+                    tableau[i] = [v * piv // det for v in row]
+        f = cost[enter]
+        cost = [(v * piv - f * w) // det for v, w in zip(cost, prow)]
+        det = piv
         basis[leave] = enter
 
-    gap = -cost[n + m]
-    if gap != 0:
-        return gap, None
+    if cost[total_cols] != 0:
+        return Fraction(-cost[total_cols], det * scale), None
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tableau[i][total_cols]
+            x[basis[i]] = Fraction(tableau[i][total_cols], det)
     return Fraction(0), x

@@ -125,19 +125,16 @@ def search_partition(
 ) -> tuple[tuple[PointMultiset, ...], Point] | None:
     """First admitting partition in canonical order, with a witness point.
 
-    The budget counts partition checks; exhausting it raises
-    BudgetExceeded carrying how many partitions were never examined.
+    The budget counts partition checks; a partition beyond it raises
+    BudgetExceeded at once, without enumerating the rest, so its
+    ``remaining`` is the lower bound 1 on the partitions never examined.
     """
     support = points.support()
     counts = tuple(mult for _, mult in points.entries)
     checked = 0
-    it = iter_multiset_partitions(counts, m)
-    for parts in it:
+    for parts in iter_multiset_partitions(counts, m):
         if budget is not None and checked >= budget:
-            rest = sum(1 for _ in it)
-            raise BudgetExceeded(
-                f"partition budget {budget} exhausted", remaining=rest + 1
-            )
+            raise BudgetExceeded(f"partition budget {budget} exhausted", remaining=1)
         checked += 1
         hulls = _parts_to_multisets(support, parts, points.dim)
         witness = _partition_admits(hulls, ambient)

@@ -30,6 +30,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .ambient import Lattice
 from .certificates import (
@@ -49,8 +50,9 @@ from .errors import (
     SearchExhausted,
 )
 from .geometry import caratheodory_reduce, hull_membership, membership_gap
-from .linprog import solve_linear
-from .points import Point, PointMultiset, is_integral, sub
+from .points import Point, PointMultiset, dot, is_integral, sub
+
+IntPoint = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -70,32 +72,45 @@ def _cross3(u, v):
     )
 
 
-def _on_segment(p: Point, a: Point, b: Point) -> bool:
+def _on_grid(support: tuple[Point, ...], p: Point) -> tuple[list[IntPoint], IntPoint]:
+    """The support and p as int tuples, all scaled by one positive integer.
+
+    Segment and triangle containment are invariant under the scaling.
+    """
+    scale = lcm(*{c.denominator for q in support for c in q}, *(c.denominator for c in p))
+
+    def snap(q: Point) -> IntPoint:
+        return tuple(c.numerator * (scale // c.denominator) for c in q)
+
+    return [snap(q) for q in support], snap(p)
+
+
+def _on_segment(p: IntPoint, a: IntPoint, b: IntPoint) -> bool:
     """p on the closed segment ab, exactly."""
     u = sub(p, a)
     v = sub(b, a)
     if _cross3(u, v) != (0, 0, 0):
         return False
-    num = sum(x * y for x, y in zip(u, v))
-    den = sum(y * y for y in v)
+    num = dot(u, v)
+    den = dot(v, v)
     if den == 0:
         return all(x == 0 for x in u)
     return 0 <= num <= den
 
 
-def _in_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
-    """p in the closed triangle abc, abc affinely independent."""
-    u = sub(b, a)
-    v = sub(c, a)
-    if _cross3(u, v) == (0, 0, 0):
+def _in_triangle(p: IntPoint, a: IntPoint, b: IntPoint, c: IntPoint) -> bool:
+    """p in the closed triangle abc, abc affinely independent.
+
+    With normal n = (b-a) x (c-a), p must lie in the plane (n.(p-a) = 0)
+    and on the inner side of every edge: each n.(edge x (p - edge start))
+    is a nonnegative multiple of one barycentric coordinate of p.
+    """
+    n = _cross3(sub(b, a), sub(c, a))
+    if n == (0, 0, 0) or dot(n, sub(p, a)) != 0:
         return False
-    w = sub(p, a)
-    rows = [[u[i], v[i]] for i in range(3)]
-    sol = solve_linear([[Fraction(x) for x in r] for r in rows], [Fraction(x) for x in w])
-    if sol is None:
-        return False
-    s, t = sol
-    return s >= 0 and t >= 0 and s + t <= 1
+    return all(
+        dot(n, _cross3(sub(y, x), sub(p, x))) >= 0 for x, y in ((a, b), (b, c), (c, a))
+    )
 
 
 def _minimal_subset(points: PointMultiset, p: Point) -> PointMultiset:
@@ -103,11 +118,12 @@ def _minimal_subset(points: PointMultiset, p: Point) -> PointMultiset:
     support = points.support()
     if p in points:
         return singleton_part(p)
+    grid, q = _on_grid(support, p)
     for i, j in itertools.combinations(range(len(support)), 2):
-        if _on_segment(p, support[i], support[j]):
+        if _on_segment(q, grid[i], grid[j]):
             return PointMultiset.from_points([support[i], support[j]], dim=3)
     for i, j, k in itertools.combinations(range(len(support)), 3):
-        if _in_triangle(p, support[i], support[j], support[k]):
+        if _in_triangle(q, grid[i], grid[j], grid[k]):
             return PointMultiset.from_points(
                 [support[i], support[j], support[k]], dim=3
             )
@@ -196,8 +212,9 @@ def bipartition_search(
         return first, rest
 
     support = points.support()
+    grid, q = _on_grid(support, p)
     for i, j in itertools.combinations(range(len(support)), 2):
-        if _on_segment(p, support[i], support[j]):
+        if _on_segment(q, grid[i], grid[j]):
             first = PointMultiset.from_points([support[i], support[j]], dim=3)
             rest = _split_by_entries(points, first)
             if hull_membership(p, rest) is None:

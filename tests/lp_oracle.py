@@ -1,0 +1,91 @@
+"""Reference phase-1 simplex over a ``fractions.Fraction`` tableau.
+
+The textbook form of ``tverberg.linprog.solve_phase1``: every entry is a
+Fraction and every pivot divides.  The library pivots an integer tableau
+instead; the tests check that both return the same (gap, x) on the same
+systems, so this copy shares no code with the library.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+Matrix = list[list[Fraction]]
+
+
+def solve_phase1(
+    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> tuple[Fraction, list[Fraction] | None]:
+    """Minimize the total artificial mass of Ax = b, x >= 0.
+
+    Returns (gap, x): gap == 0 means the system is feasible and x is an
+    exact basic feasible solution; gap > 0 is the exact l1 distance to
+    feasibility of the right-hand side (and x is None).
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rows: Matrix = []
+    rhs: list[Fraction] = []
+    for i in range(m):
+        r = [Fraction(v) for v in a[i]]
+        bv = Fraction(b[i])
+        if bv < 0:
+            r = [-v for v in r]
+            bv = -bv
+        rows.append(r)
+        rhs.append(bv)
+    if m == 0:
+        return Fraction(0), [Fraction(0)] * n
+
+    # Tableau columns: n original variables then m artificials.
+    tableau = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    # Reduced costs for minimizing the artificial sum.
+    cost = [Fraction(0)] * (n + m + 1)
+    for j in range(n):
+        cost[j] = -sum(tableau[i][j] for i in range(m))
+    cost[n + m] = -sum(rhs)  # negative of current objective value
+
+    total_cols = n + m
+    while True:
+        enter = -1
+        for j in range(total_cols):
+            if cost[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best_ratio: Fraction | None = None
+        for i in range(m):
+            coeff = tableau[i][enter]
+            if coeff > 0:
+                ratio = tableau[i][total_cols] / coeff
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[i] < basis[leave]
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            # Unbounded phase-1 cannot happen (objective bounded below by 0).
+            raise ArithmeticError("phase-1 simplex detected unboundedness")
+        piv = tableau[leave][enter]
+        tableau[leave] = [v / piv for v in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [v - f * w for v, w in zip(tableau[i], tableau[leave])]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [v - f * w for v, w in zip(cost, tableau[leave])]
+        basis[leave] = enter
+
+    gap = -cost[n + m]
+    if gap != 0:
+        return gap, None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tableau[i][total_cols]
+    return Fraction(0), x

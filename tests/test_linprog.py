@@ -3,7 +3,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from tverberg import geometry
 from tverberg.linprog import nullspace, pivot_columns, rref, solve_linear, solve_phase1
+from tverberg.points import PointMultiset
+
+from conftest import random_lattice_multiset, random_rational
+from lp_oracle import solve_phase1 as oracle_phase1
 
 
 def F(x):
@@ -89,3 +94,66 @@ def test_phase1_gap_is_exact_distance_witness():
         if gap == 0:
             assert [sum(c * v for c, v in zip(row, x)) for row in a] == b
             assert all(v >= 0 for v in x)
+
+
+def _same_answer(a, b):
+    got = solve_phase1(a, b)
+    assert got == oracle_phase1(a, b), (a, b)
+    gap, x = got
+    assert type(gap) is Fraction
+    assert x is None or all(type(v) is Fraction for v in x)
+
+
+def _random_entry(rng, as_fraction):
+    if not as_fraction:
+        return rng.randint(-5, 5)
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+
+
+def test_phase1_matches_fraction_oracle_on_random_systems():
+    # int and Fraction entries, denominators up to 6, right-hand sides of
+    # both signs, duplicate columns and zero rows (ties for Bland's rule)
+    rng = random.Random(2024)
+    for trial in range(2000):
+        as_fraction = trial % 2 == 1
+        rows_n = rng.randint(1, 5)
+        cols_n = rng.randint(1, 6)
+        a = [[_random_entry(rng, as_fraction) for _ in range(cols_n)] for _ in range(rows_n)]
+        if rng.random() < 0.3:
+            col = rng.randrange(cols_n)
+            for row in a:
+                row.append(row[col])
+        if rng.random() < 0.2:
+            a[rng.randrange(rows_n)] = [0] * len(a[0])
+        if rng.random() < 0.3:
+            a.append([1] * len(a[0]))
+        b = [_random_entry(rng, as_fraction) for _ in a]
+        _same_answer(a, b)
+    _same_answer([], [])
+
+
+def test_phase1_matches_fraction_oracle_on_convex_systems(monkeypatch):
+    # every system convex_system builds: random hulls, with and without pins
+    seen = []
+
+    def checked(a, b):
+        _same_answer(a, b)
+        seen.append(len(a))
+        return solve_phase1(a, b)
+
+    monkeypatch.setattr(geometry, "solve_phase1", checked)
+    rng = random.Random(77)
+    for trial in range(300):
+        d = rng.randint(1, 3)
+        hulls = [
+            random_lattice_multiset(rng, rng.randint(1, 5), d, 3)
+            for _ in range(rng.randint(1, 3))
+        ]
+        if trial % 3 == 0:
+            hulls[0] = PointMultiset.from_points(
+                [tuple(random_rational(rng, 3, 6) for _ in range(d)) for _ in range(3)]
+            )
+        geometry.convex_system(hulls)
+        pin = [random_rational(rng, 3, 6) for _ in range(rng.randint(1, d))]
+        geometry.convex_system(hulls, pin)
+    assert len(seen) == 600

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tverberg import oracle
 from tverberg.ambient import FiniteSet, Lattice, RealSpace
 from tverberg.errors import BudgetExceeded, NotFound
 from tverberg.geometry import hull_membership
@@ -117,6 +118,26 @@ def test_search_partition_budget():
     with pytest.raises(BudgetExceeded) as info:
         search_partition(pts, 2, Lattice(2), budget=3)
     assert info.value.remaining is not None and info.value.remaining > 0
+
+
+def test_search_partition_budget_stops_enumerating(monkeypatch):
+    # 14 distinct points have S(14, 3) ~ 8e5 three-part partitions; a
+    # budget of one check must not walk them to count what is left
+    pulls = 0
+
+    def counted(counts, m):
+        nonlocal pulls
+        for parts in iter_multiset_partitions(counts, m):
+            pulls += 1
+            yield parts
+
+    monkeypatch.setattr(oracle, "iter_multiset_partitions", counted)
+    pts = PointMultiset.from_points([point(i, i * i % 7) for i in range(14)])
+    assert len(pts.entries) == 14
+    with pytest.raises(BudgetExceeded) as info:
+        search_partition(pts, 3, Lattice(2), budget=1)
+    assert info.value.remaining >= 1
+    assert pulls <= 2
 
 
 def test_real_ambient_partition_search():

@@ -8,8 +8,16 @@ from tverberg.certificates import verify_certificate
 from tverberg.depth import depth_value, integer_centerpoint
 from tverberg.errors import PreconditionViolated
 from tverberg.geometry import hull_membership
-from tverberg.points import PointMultiset, point
-from tverberg.space3 import bipartition_search, peel_caratheodory_sets, z3_tverberg
+from tverberg.linprog import solve_linear
+from tverberg.points import PointMultiset, point, sub
+from tverberg.space3 import (
+    _cross3,
+    _in_triangle,
+    _on_grid,
+    bipartition_search,
+    peel_caratheodory_sets,
+    z3_tverberg,
+)
 
 from conftest import random_lattice_multiset
 
@@ -95,3 +103,66 @@ def test_peel_caratheodory_sets(rng):
         # each peel costs at most two units of depth
         assert depth_value(p, record.remainder) >= 7 - 2 * 2
         hits += 1
+
+
+def _fraction_in_triangle(p, a, b, c):
+    """p in the closed triangle abc by solving p - a = s(b - a) + t(c - a)."""
+    u = sub(b, a)
+    v = sub(c, a)
+    if _cross3(u, v) == (0, 0, 0):
+        return False
+    rows = [[Fraction(u[i]), Fraction(v[i])] for i in range(3)]
+    sol = solve_linear(rows, [Fraction(x) for x in sub(p, a)])
+    if sol is None:
+        return False
+    s, t = sol
+    return s >= 0 and t >= 0 and s + t <= 1
+
+
+def test_in_triangle_matches_fraction_solve():
+    rng = __import__("random").Random(31)
+
+    def rand_point(box):
+        return tuple(rng.randint(-box, box) for _ in range(3))
+
+    cases = []
+    for _ in range(3000):
+        # small boxes make collinear and repeated corners common
+        cases.append(tuple(rand_point(2) for _ in range(4)))
+    for _ in range(1500):
+        # weights i, j, k >= 0 put p on a vertex, an edge or inside;
+        # a negative weight puts it outside in the plane
+        a, b, c = (rand_point(4) for _ in range(3))
+        i, j, k = (rng.randint(-1, 2) for _ in range(3))
+        if i + j + k <= 0:
+            continue
+        total = i + j + k
+        p = tuple(i * x + j * y + k * z for x, y, z in zip(a, b, c))
+        scaled = [tuple(total * v for v in q) for q in (a, b, c)]
+        cases.append((p, *scaled))
+    b = (0, 0, 0)
+    cases.append(((1, 1, 1), b, (2, 2, 2), (4, 4, 4)))  # collinear corners
+    cases.append(((0, 0, 0), b, b, (1, 0, 0)))  # repeated corner
+    inside = sum(_fraction_in_triangle(*case) for case in cases)
+    assert inside > 300
+    for p, a, b, c in cases:
+        assert _in_triangle(p, a, b, c) == _fraction_in_triangle(p, a, b, c), (p, a, b, c)
+    # rational corners and query points go through one common scaling
+    hits = 0
+    for _ in range(500):
+        corners = [
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3))
+            for _ in range(3)
+        ]
+        weights = [rng.randint(-1, 3) for _ in range(3)]
+        if sum(weights) <= 0:
+            continue
+        p = tuple(
+            sum(w * q[i] for w, q in zip(weights, corners)) / sum(weights) for i in range(3)
+        )
+        grid, q = _on_grid(tuple(corners), p)
+        assert all(type(v) is int for v in q)
+        inside = _fraction_in_triangle(p, *corners)
+        assert _in_triangle(q, *grid) == inside
+        hits += inside
+    assert hits > 100
