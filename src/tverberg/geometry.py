@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .ambient import AmbientSet, FiniteSet, Lattice, MixedLattice, RealSpace
 from .errors import DimensionMismatch, InputError, UnsupportedAmbient
@@ -194,28 +194,42 @@ def polytope_intersection_point(
 
 
 def _integer_box(hulls: Sequence[PointMultiset], coords: range) -> list[range] | None:
-    """Integer ranges of the intersection of the hulls' bounding boxes."""
+    """Integer ranges of the intersection of the hulls' bounding boxes.
+
+    Per coordinate the box is [max_h min_p x, min_h max_p x] and its
+    integer range runs from the ceiling of the low end to the floor of
+    the high end.  Ceiling and floor are monotone, so they commute with
+    min and max: ceil(max_h min_p x) = max_h min_p ceil(x), and likewise
+    for floor.  Rounding each coordinate first gives the same ranges from
+    int comparisons alone.
+    """
     ranges: list[range] = []
     for c in coords:
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        for h in hulls:
-            vals = [p[c] for p in h.support()]
-            hmin, hmax = min(vals), max(vals)
-            lo = hmin if lo is None or hmin > lo else lo
-            hi = hmax if hi is None or hmax < hi else hi
-        lo_i = -((-lo.numerator) // lo.denominator)  # ceil
-        hi_i = hi.numerator // hi.denominator  # floor
-        if lo_i > hi_i:
+        lo = max(min(-(-p[c].numerator // p[c].denominator) for p, _ in h.entries) for h in hulls)
+        hi = min(max(p[c].numerator // p[c].denominator for p, _ in h.entries) for h in hulls)
+        if lo > hi:
             return None
-        ranges.append(range(lo_i, hi_i + 1))
+        ranges.append(range(lo, hi + 1))
     return ranges
 
 
+def _in_hull(q: Point, hull: PointMultiset) -> bool:
+    return hull_membership(q, hull) is not None
+
+
 def iter_common_ambient_points(
-    hulls: Sequence[PointMultiset], ambient: AmbientSet
+    hulls: Sequence[PointMultiset],
+    ambient: AmbientSet,
+    contains: Callable[[Point, PointMultiset], bool] = _in_hull,
 ) -> Iterator[Point]:
-    """Lazily yield ambient-set points lying in every hull, in canonical order."""
+    """Lazily yield ambient-set points lying in every hull, in canonical order.
+
+    Over Z^d and finite sets each candidate point is tested against each
+    hull by ``contains(point, hull)``, one membership system per test by
+    default; a caller that meets the same hulls again can pass a test
+    that remembers its verdicts.  Z^j x R^k solves the joint system per
+    integer prefix and does not use it.
+    """
     if not hulls:
         raise InputError("need at least one hull")
     d = hulls[0].dim
@@ -228,7 +242,7 @@ def iter_common_ambient_points(
             return
     if isinstance(ambient, FiniteSet):
         for s in ambient.points:
-            if all(hull_membership(s, h) is not None for h in hulls):
+            if all(contains(s, h) for h in hulls):
                 yield s
         return
     if isinstance(ambient, Lattice):
@@ -237,7 +251,7 @@ def iter_common_ambient_points(
             return
         for tup in itertools.product(*box):
             p = tuple(Fraction(v) for v in tup)
-            if all(hull_membership(p, h) is not None for h in hulls):
+            if all(contains(p, h) for h in hulls):
                 yield p
         return
     if isinstance(ambient, MixedLattice):

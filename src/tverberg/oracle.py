@@ -6,6 +6,21 @@ over the support and listing parts in non-increasing lexicographic
 order; a partition admits a witness point when some ambient-set point
 lies in every part hull.
 
+The enumeration visits only branches that can finish.  The last part
+is the remainder itself, kept when it is lex <= the part before it.
+Every other part leaves at least one point for each part still to
+come, and, with i the first index the remainder still holds, takes at
+least ceil(remaining[i] / parts_left) copies of point i: no later part
+may be lex-larger, so none holds more of them.  Only dead branches are
+cut, so the partitions and their order are those of the plain
+enumeration.
+
+``search_partition`` keeps one part table per call: each distinct part
+vector gets its hull once, and over Z^d and finite sets each (point,
+part) membership is decided by one LP per search, however many
+partitions share the part.  The table is dropped when the call
+returns.
+
 ``exact_tverberg_number`` grows n until every n-point multiset over the
 set admits an m-partition.  Candidate multisets that are sub-multisets
 of a known hard example are tried first, and cheap positive routes
@@ -28,7 +43,11 @@ from .errors import (
     PreconditionViolated,
     UnsupportedAmbient,
 )
-from .geometry import iter_common_ambient_points, polytope_intersection_point
+from .geometry import (
+    hull_membership,
+    iter_common_ambient_points,
+    polytope_intersection_point,
+)
 from .planar import plane_tverberg
 from .points import Point, PointMultiset
 from .witnesses import convex_lowerbound_witness
@@ -37,25 +56,31 @@ CountVector = tuple[int, ...]
 
 
 def _candidate_parts(
-    remaining: CountVector, bound: CountVector | None
+    remaining: CountVector, bound: CountVector | None, parts_left: int, total: int
 ) -> Iterator[CountVector]:
-    """Nonzero part vectors <= remaining, lex-decreasing, capped by bound."""
+    """Part vectors that can open a partition of remaining into parts_left
+    parts, lex-decreasing: nonzero, <= remaining, lex <= bound, leaving at
+    least parts_left - 1 points, and at the first index i of remaining's
+    support at least ceil(remaining[i] / parts_left) copies."""
     k = len(remaining)
+    first = next(i for i, r in enumerate(remaining) if r)
+    least = -(-remaining[first] // parts_left)
+    cand = [0] * k
 
-    def digits(i: int, tight: bool) -> Iterator[tuple[int, ...]]:
-        if i == k:
-            yield ()
+    def digits(i: int, tight: bool, room: int) -> Iterator[CountVector]:
+        if i == k or room == 0:
+            yield tuple(cand)
             return
-        hi = remaining[i]
+        hi = remaining[i] if remaining[i] < room else room
         if tight and bound[i] < hi:
             hi = bound[i]
-        for d in range(hi, -1, -1):
-            for rest in digits(i + 1, tight and d == bound[i]):
-                yield (d,) + rest
+        for d in range(hi, least - 1 if i == first else -1, -1):
+            cand[i] = d
+            yield from digits(i + 1, tight and d == bound[i], room - d)
+        cand[i] = 0
 
-    for cand in digits(0, bound is not None):
-        if any(cand):
-            yield cand
+    tight = bound is not None and not any(bound[:first])
+    return digits(first, tight, total - parts_left + 1)
 
 
 def iter_multiset_partitions(
@@ -77,13 +102,13 @@ def iter_multiset_partitions(
         remaining: CountVector, parts_left: int, bound: CountVector | None
     ) -> Iterator[tuple[CountVector, ...]]:
         total = sum(remaining)
-        if parts_left == 0:
-            if total == 0:
-                yield ()
-            return
         if total < parts_left:
             return
-        for cand in _candidate_parts(remaining, bound):
+        if parts_left == 1:
+            if bound is None or remaining <= bound:
+                yield (remaining,)
+            return
+        for cand in _candidate_parts(remaining, bound, parts_left, total):
             rest = tuple(r - c for r, c in zip(remaining, cand))
             for tail in rec(rest, parts_left - 1, cand):
                 yield (cand,) + tail
@@ -95,31 +120,6 @@ def count_multiset_partitions(counts: Sequence[int], m: int) -> int:
     return sum(1 for _ in iter_multiset_partitions(counts, m))
 
 
-def _parts_to_multisets(
-    support: Sequence[Point], parts: Sequence[CountVector], dim: int
-) -> list[PointMultiset]:
-    out = []
-    for vec in parts:
-        out.append(
-            PointMultiset(
-                ((support[i], c) for i, c in enumerate(vec) if c), dim=dim
-            )
-        )
-    return out
-
-
-def _partition_admits(
-    hulls: Sequence[PointMultiset], ambient: AmbientSet
-) -> Point | None:
-    """Some ambient point common to all hulls, or None."""
-    if isinstance(ambient, RealSpace):
-        found = polytope_intersection_point(hulls)
-        return None if found is None else found[0]
-    for p in iter_common_ambient_points(hulls, ambient):
-        return p
-    return None
-
-
 def search_partition(
     points: PointMultiset, m: int, ambient: AmbientSet, budget: int | None = None
 ) -> tuple[tuple[PointMultiset, ...], Point] | None:
@@ -129,17 +129,46 @@ def search_partition(
     BudgetExceeded at once, without enumerating the rest, so its
     ``remaining`` is the lower bound 1 on the partitions never examined.
     """
+    if ambient.dim != points.dim:
+        raise DimensionMismatch(
+            f"points of dimension {points.dim} in an ambient set of dimension {ambient.dim}"
+        )
     support = points.support()
     counts = tuple(mult for _, mult in points.entries)
+    # The part table: one hull per part vector, and one membership verdict
+    # per (hull id, point); the table keeps every hull alive, so no id is
+    # reused while the verdicts are keyed by it.
+    hulls_by_part: dict[CountVector, PointMultiset] = {}
+    verdicts: dict[tuple[int, Point], bool] = {}
+
+    def hull_of(vec: CountVector) -> PointMultiset:
+        hull = hulls_by_part.get(vec)
+        if hull is None:
+            hull = hulls_by_part[vec] = PointMultiset(
+                ((support[i], c) for i, c in enumerate(vec) if c), dim=points.dim
+            )
+        return hull
+
+    def contains(p: Point, hull: PointMultiset) -> bool:
+        key = (id(hull), p)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = hull_membership(p, hull) is not None
+        return verdict
+
     checked = 0
     for parts in iter_multiset_partitions(counts, m):
         if budget is not None and checked >= budget:
             raise BudgetExceeded(f"partition budget {budget} exhausted", remaining=1)
         checked += 1
-        hulls = _parts_to_multisets(support, parts, points.dim)
-        witness = _partition_admits(hulls, ambient)
+        hulls = tuple(hull_of(vec) for vec in parts)
+        if isinstance(ambient, RealSpace):
+            found = polytope_intersection_point(hulls)
+            witness = None if found is None else found[0]
+        else:
+            witness = next(iter_common_ambient_points(hulls, ambient, contains), None)
         if witness is not None:
-            return tuple(hulls), witness
+            return hulls, witness
     return None
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from tverberg.ambient import FiniteSet, Lattice, MixedLattice
 from tverberg.errors import DimensionMismatch, UnsupportedAmbient
 from tverberg.geometry import (
+    _integer_box,
     caratheodory_reduce,
     hull_membership,
     iter_common_ambient_points,
@@ -18,7 +20,7 @@ from tverberg.geometry import (
 )
 from tverberg.points import PointMultiset, point
 
-from conftest import random_lattice_multiset
+from conftest import random_lattice_multiset, random_rational
 
 
 def test_hull_membership_triangle():
@@ -171,3 +173,34 @@ def test_random_agreement_between_scan_and_joint_lp(rng):
                 assert hull_membership(p, b) is not None
         if joint is None:
             assert not scan
+
+
+def _fraction_box(hulls, coords):
+    """The box from Fraction min/max over each hull, rounded once."""
+    ranges = []
+    for c in coords:
+        lo = max(min(p[c] for p in h.support()) for h in hulls)
+        hi = min(max(p[c] for p in h.support()) for h in hulls)
+        lo_i, hi_i = math.ceil(lo), math.floor(hi)
+        if lo_i > hi_i:
+            return None
+        ranges.append(range(lo_i, hi_i + 1))
+    return ranges
+
+
+def test_integer_box_matches_fraction_box(rng):
+    # rational vertices of both signs, so rounding each vertex first must
+    # agree with rounding the Fraction extremes
+    empty = 0
+    for _ in range(400):
+        d = rng.randint(1, 3)
+        hulls = [
+            PointMultiset.from_points(
+                [tuple(random_rational(rng, 3, 4) for _ in range(d)) for _ in range(rng.randint(1, 4))]
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        want = _fraction_box(hulls, range(d))
+        assert _integer_box(hulls, range(d)) == want
+        empty += want is None
+    assert 0 < empty < 400

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
+import partition_oracle
 import pytest
 
-from tverberg import oracle
-from tverberg.ambient import FiniteSet, Lattice, RealSpace
-from tverberg.errors import BudgetExceeded, NotFound
+from tverberg import geometry, oracle
+from tverberg.ambient import FiniteSet, Lattice, MixedLattice, RealSpace
+from tverberg.errors import BudgetExceeded, DimensionMismatch, NotFound
 from tverberg.geometry import hull_membership
 from tverberg.oracle import (
     count_multiset_partitions,
@@ -17,7 +19,7 @@ from tverberg.oracle import (
     verify_no_partition,
 )
 from tverberg.points import PointMultiset, point
-from tverberg.witnesses import onn_witness
+from tverberg.witnesses import doignon_witness, onn_witness
 
 
 def _stirling2(n, k):
@@ -86,6 +88,123 @@ def test_partition_enumeration_no_duplicates():
     parts = list(iter_multiset_partitions((2, 2, 2), 3))
     canon = {tuple(sorted(p, reverse=True)) for p in parts}
     assert len(parts) == len(canon)
+
+
+def _same_partitions(counts, m):
+    want = list(partition_oracle.iter_multiset_partitions(counts, m))
+    assert list(iter_multiset_partitions(counts, m)) == want, (counts, m)
+
+
+def test_pruned_enumeration_matches_reference_on_small_vectors():
+    # every count vector of length <= 5 with entries 0-2, the empty and
+    # all-zero vectors among them
+    for k in range(6):
+        for counts in itertools.product(range(3), repeat=k):
+            for m in range(1, 6):
+                _same_partitions(counts, m)
+
+
+def test_pruned_enumeration_matches_reference_on_distinct_points():
+    for k in range(1, 10):
+        for m in range(1, 5):
+            _same_partitions((1,) * k, m)
+
+
+def test_pruned_enumeration_matches_reference_with_multiplicity_three():
+    for counts in [(3,), (3, 3), (3, 1, 2), (1, 3, 0, 3), (3, 2, 1, 1), (2, 3, 3)]:
+        for m in range(1, 6):
+            _same_partitions(counts, m)
+
+
+def _outcome(search, points, m, ambient, budget):
+    try:
+        return search(points, m, ambient, budget)
+    except BudgetExceeded as exc:
+        return ("budget", str(exc), exc.remaining)
+
+
+def _random_rational(rng, box):
+    return Fraction(rng.randint(-box * 3, box * 3), rng.randint(1, 3))
+
+
+def _search_instances(rng):
+    """Seeded (points, m, ambient, budget) over Z^2, Z^3, a finite set,
+    Z^1 x R^1 and R^2, some of them with budgets."""
+    finite = FiniteSet(
+        tuple(point(x, y) for x, y in [(0, 0), (2, 0), (0, 2), (1, 1), (2, 2), (1, 0), (3, 1)]),
+        2,
+    )
+    for _ in range(70):
+        n, m = rng.choice([(5, 2), (6, 2), (7, 3), (8, 3)])
+        pts = [point(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+        yield PointMultiset.from_points(pts), m, Lattice(2)
+    for _ in range(60):
+        n, m = rng.choice([(5, 2), (6, 2), (7, 2), (7, 3)])
+        pts = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(3)) for _ in range(n)]
+        yield PointMultiset.from_points(pts), m, Lattice(3)
+    for _ in range(60):
+        n, m = rng.choice([(4, 2), (5, 2), (6, 3), (7, 3)])
+        yield PointMultiset.from_points(rng.choices(finite.points, k=n)), m, finite
+    for _ in range(60):
+        n, m = rng.choice([(3, 2), (5, 2), (6, 2), (7, 3)])
+        pts = [(Fraction(rng.randint(-3, 3)), _random_rational(rng, 3)) for _ in range(n)]
+        yield PointMultiset.from_points(pts), m, MixedLattice(1, 1)
+    for _ in range(60):
+        n, m = rng.choice([(3, 2), (4, 2), (5, 2), (6, 3)])
+        pts = [(_random_rational(rng, 3), _random_rational(rng, 3)) for _ in range(n)]
+        yield PointMultiset.from_points(pts), m, RealSpace(2)
+
+
+def test_search_partition_matches_reference():
+    rng = random.Random(0x7E5)
+    cases = list(_search_instances(rng))
+    assert len(cases) >= 300
+    outcomes = set()
+    for points, m, ambient in cases:
+        budget = rng.choice([None, None, None, 1, 3, 30])
+        want = _outcome(partition_oracle.search_partition, points, m, ambient, budget)
+        got = _outcome(search_partition, points, m, ambient, budget)
+        assert got == want, (points.entries, m, ambient, budget)
+        outcomes.add("budget" if isinstance(want, tuple) and want[0] == "budget" else want is None)
+    assert outcomes == {"budget", True, False}
+
+
+def test_search_partition_decides_each_membership_once(monkeypatch):
+    decided = []
+
+    def counted(q, hull):
+        decided.append((q, hull.entries))
+        return hull_membership(q, hull)
+
+    monkeypatch.setattr(geometry, "hull_membership", counted)
+    monkeypatch.setattr(oracle, "hull_membership", counted)
+    assert partition_oracle.search_partition(doignon_witness(3), 3, Lattice(2)) is None
+    reference = set(decided)
+    assert len(decided) > len(reference)
+    decided.clear()
+
+    scans = 0
+    scan = oracle.iter_common_ambient_points
+
+    def counted_scan(*args):
+        nonlocal scans
+        scans += 1
+        return scan(*args)
+
+    monkeypatch.setattr(oracle, "iter_common_ambient_points", counted_scan)
+    assert verify_no_partition(doignon_witness(3), 3, Lattice(2))
+    assert len(decided) == len(set(decided))
+    assert set(decided) == reference
+    assert scans == 966
+
+
+def test_search_partition_checks_the_ambient_dimension():
+    space_points = PointMultiset.from_points([point(0, 0, 0), point(1, 2, 3)])
+    with pytest.raises(DimensionMismatch):
+        verify_no_partition(space_points, 3, Lattice(2))
+    line_points = PointMultiset.from_points([point(0), point(1), point(2)])
+    with pytest.raises(DimensionMismatch):
+        verify_no_partition(line_points, 2, RealSpace(2))
 
 
 def test_search_partition_witness_is_sound():
