@@ -13,14 +13,27 @@ lower-dimensional subproblem.  Concretely, with V the nonzero
 difference vectors and l = dim span(V):
 
   l = 1: the minimum of the two one-sided counts;
-  l >= 2: over each (l-1)-subset of V with a one-dimensional orthogonal
+  l = 2: over the normals +-u0 of each line through a vector of V, the
+         strict count of u0 plus the lighter of the two rays on the
+         line, all read off one angular sweep (Rousseeuw & Ruts,
+         "Bivariate location depth", 1996): the directions are sorted
+         once clockwise by integer cross-product signs, and the weight
+         strictly clockwise of each direction is a contiguous run found
+         by two pointers over the doubled order and summed by prefix
+         sums, so the level costs O(n log n);
+  l >= 3: over each (l-1)-subset of V with a one-dimensional orthogonal
           complement +-u0 in span(V), the strict count of u0 plus the
           recursive minimum over {v : u0.v = 0}.
 
 Working coordinates are the restriction to pivot columns of span(V), so
 integer inputs stay integer all the way down.  A witness functional is
 reassembled on the way up as N*u0 + u_inner with N large enough that
-u0's strict signs dominate.
+u0's strict signs dominate.  Witnesses are stable because every level
+visits its candidates in one fixed order, u0 (sign made canonical, first
+nonzero coordinate positive) before -u0, lines and subsets in the order
+of the difference profile, and keeps the first strictly smallest count;
+the sweep scores the candidates the l >= 2 enumeration used to visit in
+that same order, so it returns the same count and functional.
 
 The centerpoint searches scan candidate points and reuse the recursion
 with an abort threshold: a scan candidate is abandoned as soon as some
@@ -49,7 +62,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .ambient import AmbientSet, FiniteSet, Lattice
@@ -62,7 +75,7 @@ from .errors import (
     UnsupportedAmbient,
 )
 from .linprog import nullspace
-from .points import HalfSpace, Point, PointMultiset, dot
+from .points import HalfSpace, Point, PointMultiset, clockwise_key, cross2, dot
 
 
 def _dot_int(u: Sequence[int], v: Sequence[int]) -> int:
@@ -70,9 +83,7 @@ def _dot_int(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def _reduce_int(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
+    g = gcd(*vec)
     return tuple(v // g for v in vec)
 
 
@@ -103,15 +114,9 @@ def _int_pivot_columns(vecs: Sequence[Sequence[int]], dim: int) -> list[int]:
 
 
 def _normal_direction(sub: list[tuple[int, ...]], dim: int) -> tuple[int, ...] | None:
-    """A nonzero integer direction orthogonal to all of sub, unique up to
-    sign when sub spans a hyperplane of the dim-space; None otherwise."""
-    if dim == 1:
-        return (1,) if not sub else None
-    if dim == 2:
-        (a, b) = sub[0]
-        if a == 0 and b == 0:
-            return None
-        return (-b, a)
+    """A nonzero integer direction orthogonal to all of sub (dim >= 3),
+    unique up to sign when sub spans a hyperplane of the dim-space; None
+    otherwise."""
     if dim == 3:
         (a1, a2, a3), (b1, b2, b3) = sub[0], sub[1]
         c = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
@@ -131,6 +136,91 @@ def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
         if v != 0:
             return vec if v > 0 else tuple(-x for x in vec)
     return vec
+
+
+def _planar_candidates(
+    coords: list[tuple[int, ...]], weights: list[int]
+) -> Iterator[tuple[int, tuple[int, tuple[int, ...], int, int]]]:
+    """The enumeration's l = 2 candidates in its order, each counted in
+    O(1) after one angular sort.
+
+    For each line through some coords[i], in order of first appearance,
+    its canonical normal u0 and then -u0 are scored by the weight
+    strictly on their side plus the lighter ray on the line.  The
+    directions strictly clockwise of a direction d form a contiguous run
+    after d in the clockwise order; two pointers over the doubled order
+    find each run and prefix sums weigh it.  Yields (count, (sign, u0,
+    pivot, inner sign)), from which ``_planar_min`` builds the functional.
+    """
+    prim = [_reduce_int(c) for c in coords]
+    merged: dict[tuple[int, ...], int] = {}
+    for d, w in zip(prim, weights):
+        merged[d] = merged.get(d, 0) + w
+    order = sorted(merged.items(), key=clockwise_key(prim[0]))
+    k = len(order)
+    dirs = [d for d, _ in order]
+    prefix = list(itertools.accumulate((w for _, w in order * 2), initial=0))
+    total = prefix[k]
+    cw: dict[tuple[int, ...], int] = {}
+    back: dict[tuple[int, ...], int] = {}
+    j = 1
+    for i, d in enumerate(dirs):
+        j = max(j, i + 1)
+        while j < i + k and cross2(d, dirs[j % k]) < 0:
+            j += 1
+        cw[d] = prefix[j] - prefix[i + 1]
+        back[d] = order[j % k][1] if j < i + k and cross2(d, dirs[j % k]) == 0 else 0
+
+    seen: set[tuple[int, ...]] = set()
+    for d in prim:
+        # u0 is the canonical sign of (-d1, d0), which is positive on
+        # exactly the directions counter-clockwise of d
+        if d[1] < 0 or (d[1] == 0 and d[0] > 0):
+            u0, ccw_first = (-d[1], d[0]), True
+        else:
+            u0, ccw_first = (d[1], -d[0]), False
+        if u0 in seen:
+            continue
+        seen.add(u0)
+        ray, opp = merged[d], back[d]
+        ccw = total - ray - opp - cw[d]
+        # the inner level counts the line along its pivot coordinate and
+        # keeps the lighter side, the positive one on a tie
+        pivot = 0 if d[0] != 0 else 1
+        along, against = (ray, opp) if d[pivot] > 0 else (opp, ray)
+        inner = min(along, against)
+        inner_sign = 1 if along <= against else -1
+        first, second = (ccw, cw[d]) if ccw_first else (cw[d], ccw)
+        yield first + inner, (1, u0, pivot, inner_sign)
+        yield second + inner, (-1, u0, pivot, inner_sign)
+
+
+def _planar_min(
+    coords: list[tuple[int, ...]],
+    weights: list[int],
+    abort_at: int | None,
+    want_witness: bool,
+) -> tuple[int, tuple[int, ...] | None]:
+    """The l = 2 level of ``_min_halfspace_count``, by an angular sweep.
+
+    The first strictly best candidate wins, as in the enumeration, and
+    its functional is assembled the same way, bound * (+-u0) plus the
+    inner functional, so count and functional equal the enumeration's.
+    """
+    candidates = _planar_candidates(coords, weights)
+    best, choice = next(candidates)
+    for count, cand in candidates:
+        if abort_at is not None and best <= abort_at:
+            break
+        if count < best:
+            best, choice = count, cand
+    if not want_witness:
+        return best, None
+    sgn, u0, pivot, inner_sign = choice
+    bound = 1 + max(abs(c[pivot]) for c in coords)
+    phi = [bound * sgn * x for x in u0]
+    phi[pivot] += inner_sign
+    return best, tuple(phi)
 
 
 def _min_halfspace_count(
@@ -163,6 +253,8 @@ def _min_halfspace_count(
             best, best_phi = pos, (1,)
         else:
             best, best_phi = neg, (-1,)
+    elif ell == 2:
+        best, best_phi = _planar_min(coords, weights, abort_at, want_witness)
     else:
         seen: set[tuple[int, ...]] = set()
         done = False
@@ -226,35 +318,40 @@ def _min_halfspace_count(
 
 
 def _lcm_of_denominators(coords: Iterable[Fraction], start: int = 1) -> int:
-    scale = start
-    for c in coords:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    return scale
+    return lcm(start, *(c.denominator for c in coords))
 
 
 def _scaled_instances(points: PointMultiset) -> tuple[list[tuple[tuple[int, ...], int]], int]:
     """Integer-scaled entry coordinates with multiplicities, and the scale."""
     scale = _lcm_of_denominators(c for p, _ in points.entries for c in p)
-    scaled = [(tuple(int(c * scale) for c in p), mult) for p, mult in points.entries]
+    scaled = [
+        (tuple(c.numerator * (scale // c.denominator) for c in p), mult)
+        for p, mult in points.entries
+    ]
     return scaled, scale
 
 
-def _difference_profile(
+def _common_grid(
     scaled: list[tuple[tuple[int, ...], int]], scale: int, q: Point
-) -> tuple[list[tuple[int, ...]], list[int], int]:
-    """Primitive difference directions around q with merged weights, plus
-    the multiplicity sitting exactly at q.
-
-    Instances and q are first brought to one integer grid: the instance
-    scale grows to the lcm of itself and q's denominators.  Differences
-    are reduced to primitive vectors, so the grid never shows in the
-    result.
-    """
+) -> tuple[list[tuple[tuple[int, ...], int]], tuple[int, ...]]:
+    """The scaled instances and q on one integer grid: the instance scale
+    grows to the lcm of itself and q's denominators."""
     grow = _lcm_of_denominators(q, scale) // scale
     if grow != 1:
         scaled = [(tuple(v * grow for v in p), mult) for p, mult in scaled]
         scale *= grow
-    origin = tuple(int(c * scale) for c in q)
+    return scaled, tuple(c.numerator * (scale // c.denominator) for c in q)
+
+
+def _difference_profile(
+    scaled: list[tuple[tuple[int, ...], int]], origin: tuple[int, ...]
+) -> tuple[list[tuple[int, ...]], list[int], int]:
+    """Primitive difference directions around the origin with merged
+    weights, plus the multiplicity sitting exactly at the origin.
+
+    Differences are reduced to primitive vectors, so the grid never
+    shows in the result.
+    """
     at_origin = 0
     profile: dict[tuple[int, ...], int] = {}
     for p, mult in scaled:
@@ -284,7 +381,7 @@ def depth_value(q: Point, points: PointMultiset) -> int:
     """Exact half-space depth of q in the multiset, without a witness."""
     if len(q) != points.dim:
         raise DimensionMismatch("query dimension differs from multiset dimension")
-    vecs, ws, at_origin = _difference_profile(*_scaled_instances(points), q)
+    vecs, ws, at_origin = _difference_profile(*_common_grid(*_scaled_instances(points), q))
     count, _ = _min_halfspace_count(vecs, ws, None, False)
     return at_origin + count
 
@@ -292,26 +389,30 @@ def depth_value(q: Point, points: PointMultiset) -> int:
 def halfspace_depth(q: Point, points: PointMultiset) -> DepthWitness:
     """Exact depth of q with a minimising closed half-space through q.
 
-    The witness is recounted against the raw multiset before returning.
+    The witness is recounted against every entry of the multiset, with
+    its multiplicity, before returning.
     """
     if len(q) != points.dim:
         raise DimensionMismatch("query dimension differs from multiset dimension")
     if not points.entries:
         normal = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(points.dim))
         return DepthWitness(q, 0, HalfSpace(normal, dot(normal, q)))
-    vecs, ws, at_origin = _difference_profile(*_scaled_instances(points), q)
+    scaled, origin = _common_grid(*_scaled_instances(points), q)
+    vecs, ws, at_origin = _difference_profile(scaled, origin)
     count, phi = _min_halfspace_count(vecs, ws, None, True)
     depth = at_origin + count
     if phi is None:
         phi = tuple(1 if i == 0 else 0 for i in range(points.dim))
-    normal = tuple(Fraction(v) for v in phi)
-    witness = HalfSpace(normal, dot(normal, q))
-    check = sum(m for p, m in points.entries if witness.contains(p))
+    # The grid is a positive multiple of the input, so phi.(p - q) >= 0
+    # holds on the grid exactly when it holds for the rational entry.
+    level = _dot_int(phi, origin)
+    check = sum(mult for p, mult in scaled if _dot_int(phi, p) >= level)
     if check != depth:
         raise AssertionFailed(
             f"witness half-space counts {check} instances, claimed depth {depth}"
         )
-    return DepthWitness(q, depth, witness)
+    normal = tuple(Fraction(v) for v in phi)
+    return DepthWitness(q, depth, HalfSpace(normal, dot(normal, q)))
 
 
 def _coordinate_order_statistics(points: PointMultiset, m: int) -> list[tuple[int, int]] | None:
@@ -403,7 +504,7 @@ def _deeper_candidates(
     best_depth = m - 1
     for raw in candidates:
         cand = tuple(Fraction(v) for v in raw)
-        vecs, ws, at_origin = _difference_profile(scaled, scale, cand)
+        vecs, ws, at_origin = _difference_profile(*_common_grid(scaled, scale, cand))
         if mult_at.get(cand, 0) != at_origin:
             raise AssertionFailed("multiplicity bookkeeping out of step")
         count, _ = _min_halfspace_count(vecs, ws, best_depth - at_origin, False)

@@ -50,11 +50,7 @@ from .errors import (
     UnsupportedAmbient,
 )
 from .geometry import hull_membership
-from .points import Point, PointMultiset, is_integral, primitive, sub
-
-
-def _cross(u: Sequence, v: Sequence):
-    return u[0] * v[1] - u[1] * v[0]
+from .points import Point, PointMultiset, clockwise_key, cross2, is_integral, primitive, sub
 
 
 @dataclass(frozen=True)
@@ -71,32 +67,6 @@ class RadialOrder:
     sequence: tuple[Point, ...]
     directions: tuple[tuple[int, int], ...]
     rays: tuple[tuple[int, ...], ...]
-
-
-def _clockwise_key(start: tuple[int, int]):
-    """Sort key factory: clockwise sweep position from the start direction."""
-
-    def bucket(direction: tuple[int, int]) -> int:
-        c = _cross(start, direction)
-        if c == 0:
-            s = start[0] * direction[0] + start[1] * direction[1]
-            return 0 if s > 0 else 2
-        return 1 if c < 0 else 3
-
-    def compare(a, b) -> int:
-        # a, b: (direction, dist2, point)
-        ba, bb = bucket(a[0]), bucket(b[0])
-        if ba != bb:
-            return -1 if ba < bb else 1
-        if a[0] != b[0]:
-            c = _cross(a[0], b[0])
-            if c != 0:
-                return -1 if c < 0 else 1
-        if a[1] != b[1]:
-            return -1 if a[1] < b[1] else 1
-        return 0
-
-    return functools.cmp_to_key(compare)
 
 
 def _instance_data(points: PointMultiset, center: Point):
@@ -121,7 +91,7 @@ def radial_order(points: PointMultiset, center: Point) -> RadialOrder:
         raise InputError("cannot order an empty multiset")
     data = _instance_data(points, center)
     start = min(d for d, _, _ in data)
-    data.sort(key=_clockwise_key(start))
+    data.sort(key=clockwise_key(start))
     sequence = tuple(p for _, _, p in data)
     directions = tuple(d for d, _, _ in data)
     rays: list[tuple[int, ...]] = []
@@ -162,7 +132,7 @@ def _arc_positions(order: RadialOrder, witness: DepthWitness) -> tuple[list[int]
     for i in range(len(order.sequence)):
         v = sub(order.sequence[i], order.center)
         enriched.append((order.directions[i], v[0] * v[0] + v[1] * v[1], i))
-    enriched.sort(key=_clockwise_key(w0))
+    enriched.sort(key=clockwise_key(w0))
     perm = [i for _, _, i in enriched]
     arc_len = 0
     c = witness.halfspace.offset
@@ -431,12 +401,12 @@ def _convex_hull_ccw(pts: Sequence[Point]) -> list[Point]:
         return unique
     lower: list[Point] = []
     for p in unique:
-        while len(lower) >= 2 and _cross(sub(lower[-1], lower[-2]), sub(p, lower[-2])) <= 0:
+        while len(lower) >= 2 and cross2(sub(lower[-1], lower[-2]), sub(p, lower[-2])) <= 0:
             lower.pop()
         lower.append(p)
     upper: list[Point] = []
     for p in reversed(unique):
-        while len(upper) >= 2 and _cross(sub(upper[-1], upper[-2]), sub(p, upper[-2])) <= 0:
+        while len(upper) >= 2 and cross2(sub(upper[-1], upper[-2]), sub(p, upper[-2])) <= 0:
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
@@ -454,10 +424,10 @@ def _hull_edges(pts: Sequence[Point]) -> list[tuple[Point, Point]]:
 def _line_intersection(a: Point, b: Point, c: Point, d: Point) -> Point | None:
     r = sub(b, a)
     s = sub(d, c)
-    denom = _cross(r, s)
+    denom = cross2(r, s)
     if denom == 0:
         return None
-    t = _cross(sub(c, a), s) / denom
+    t = cross2(sub(c, a), s) / denom
     return (a[0] + t * r[0], a[1] + t * r[1])
 
 

@@ -89,6 +89,56 @@ def dot(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(p, q, strict=True)), Fraction(0))
 
 
+def cross2(u: Sequence, v: Sequence):
+    """The planar cross product u x v; positive when v is counter-clockwise of u."""
+    return u[0] * v[1] - u[1] * v[0]
+
+
+class _ClockwiseKey:
+    """Sort key of one item: its half-turn bucket around the start, then
+    cross-product order inside the bucket, then rank."""
+
+    __slots__ = ("bucket", "direction", "rank")
+
+    def __init__(self, bucket: int, direction: tuple[int, int], rank):
+        self.bucket = bucket
+        self.direction = direction
+        self.rank = rank
+
+    def __lt__(self, other: "_ClockwiseKey") -> bool:
+        if self.bucket != other.bucket:
+            return self.bucket < other.bucket
+        if self.direction != other.direction:
+            c = cross2(self.direction, other.direction)
+            if c != 0:
+                return c < 0
+        return self.rank < other.rank
+
+
+def clockwise_key(start: tuple[int, int]):
+    """Sort key factory for items (direction, rank, ...): the clockwise
+    sweep position of the integer direction from ``start``, ties between
+    equal or positively parallel directions broken by rank.
+
+    Bucket 0 is the ray of ``start``, 1 the open half-plane clockwise of
+    it, 2 the opposite ray and 3 the rest; inside the open half-planes
+    the cross product orders directions exactly, so the order is decided
+    by integer signs alone.
+    """
+
+    def key(item) -> _ClockwiseKey:
+        direction = item[0]
+        c = cross2(start, direction)
+        if c == 0:
+            s = start[0] * direction[0] + start[1] * direction[1]
+            bucket = 0 if s > 0 else 2
+        else:
+            bucket = 1 if c < 0 else 3
+        return _ClockwiseKey(bucket, direction, item[1])
+
+    return key
+
+
 def is_integral(p: Point) -> bool:
     return all(c.denominator == 1 for c in p)
 

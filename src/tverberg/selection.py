@@ -320,14 +320,11 @@ def depth_partition_search(
         tuple(Fraction(v) for v in tup) for tup in itertools.product(*box_ranges)
     ]
     candidates.extend(p for p, _ in points.entries)
-    deep: list[Point] = []
-    seen: set[Point] = set()
+    depth_of: dict[Point, int] = {}
     for cand in candidates:
-        if cand in seen:
-            continue
-        seen.add(cand)
-        if Fraction(depth_value(cand, points)) >= threshold:
-            deep.append(cand)
+        if cand not in depth_of:
+            depth_of[cand] = depth_value(cand, points)
+    deep = [z for z, depth in depth_of.items() if depth >= threshold]
     instances = points.instances()
 
     def groups_ok(groups: list[list[Point]]) -> bool:
@@ -347,7 +344,7 @@ def depth_partition_search(
             raise PreconditionViolated("cannot form r nonempty groups")
         return tuple(PointMultiset.from_points(g, dim=d) for g in groups)
 
-    anchor = max(deep, key=lambda z: (depth_value(z, points), tuple(-c for c in z)))
+    anchor = max(deep, key=lambda z: (depth_of[z], tuple(-c for c in z)))
     stream = _angular_stream(instances, anchor) if d == 2 else instances
     attempts = 0
     for offset in range(n):

@@ -54,6 +54,9 @@ from .points import Point, PointMultiset, dot, is_integral, sub
 
 IntPoint = tuple[int, ...]
 
+# Local-search evaluations before a bipartition falls back to enumeration.
+_MAX_EVALS = 4000
+
 
 @dataclass(frozen=True)
 class PeelRecord:
@@ -156,6 +159,11 @@ def peel_caratheodory_sets(
         raise PreconditionViolated(
             f"peeling {count} subsets needs depth at least {3 * count + 3}"
         )
+    return _peel(points, p, count)
+
+
+def _peel(points: PointMultiset, p: Point, count: int) -> PeelRecord:
+    """``peel_caratheodory_sets`` after its checks."""
     current = points
     subsets: list[PointMultiset] = []
     for _ in range(count):
@@ -179,7 +187,7 @@ def bipartition_search(
     points: PointMultiset,
     p: Point,
     seed: int = 0,
-    max_evals: int = 4000,
+    max_evals: int = _MAX_EVALS,
 ) -> tuple[PointMultiset, PointMultiset]:
     """Two nonempty parts of the multiset, both hulls holding p.
 
@@ -195,6 +203,13 @@ def bipartition_search(
         raise PreconditionViolated(f"need at least 17 instances, got {points.size}")
     if depth_value(p, points) < 3:
         raise PreconditionViolated("bipartition needs a point of depth at least 3")
+    return _bipartition(points, p, seed, max_evals)
+
+
+def _bipartition(
+    points: PointMultiset, p: Point, seed: int, max_evals: int
+) -> tuple[PointMultiset, PointMultiset]:
+    """``bipartition_search`` after its checks."""
 
     def settled(a: PointMultiset, b: PointMultiset) -> bool:
         return (
@@ -333,13 +348,15 @@ def z3_tverberg(
     mu = points.multiplicity(center)
     body = points.remove(center, mu) if mu else points
     target = m - mu
-    record = peel_caratheodory_sets(body, center, target - 2)
+    # The scan proved depth(center, points) >= 3m-3, so the body has depth
+    # >= 3m-3-mu >= 3(target-2)+3: peeling's precondition holds already.
+    record = _peel(body, center, target - 2)
     remainder = record.remainder
     if remainder.size < 17:
         raise AssertionFailed("size bookkeeping guarantees at least 17 remaining")
     if depth_value(center, remainder) < 3:
         raise AssertionFailed("peeling cannot push the center below depth 3")
-    b1, b2 = bipartition_search(remainder, center, seed=seed)
+    b1, b2 = _bipartition(remainder, center, seed, _MAX_EVALS)
     parts = [singleton_part(center) for _ in range(mu)]
     parts.extend(record.subsets)
     parts.extend([b1, b2])

@@ -20,12 +20,30 @@ The minimum over all directions is attained on a finite candidate set:
          problem handled by the d = 2 candidate set.
 
 Lower-rank difference sets reduce to the spanned subspace first.
+
+``_min_halfspace_count`` below is the library's previous minimiser,
+kept verbatim as the reference for the angular sweep that replaced its
+two-dimensional level: it enumerates one candidate normal per
+(l-1)-subset of the profile at every level.  It shares the library's
+small integer helpers (pivot columns, gcd reduction, sign
+normalisation), which the sweep does not change.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
+
+from tverberg.depth import (
+    _canonical_sign,
+    _dot_int,
+    _int_pivot_columns,
+    _lcm_of_denominators,
+    _reduce_int,
+)
+from tverberg.errors import AssertionFailed
+from tverberg.linprog import nullspace
 
 
 def _scaled_differences(q, points):
@@ -177,3 +195,122 @@ def oracle_depth(q, points):
     if dim == 3:
         return at_q + _depth_3d(diffs)
     raise ValueError(f"oracle handles dimensions 1..3, got {dim}")
+
+
+# -- reference minimiser (the library's previous enumeration) ---------------
+
+
+def _normal_direction(sub: list[tuple[int, ...]], dim: int) -> tuple[int, ...] | None:
+    """A nonzero integer direction orthogonal to all of sub, unique up to
+    sign when sub spans a hyperplane of the dim-space; None otherwise."""
+    if dim == 1:
+        return (1,) if not sub else None
+    if dim == 2:
+        (a, b) = sub[0]
+        if a == 0 and b == 0:
+            return None
+        return (-b, a)
+    if dim == 3:
+        (a1, a2, a3), (b1, b2, b3) = sub[0], sub[1]
+        c = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+        if c == (0, 0, 0):
+            return None
+        return c
+    rows = [[Fraction(v) for v in s] for s in sub]
+    basis = nullspace(rows, dim)
+    if len(basis) != 1:
+        return None
+    denom = _lcm_of_denominators(basis[0])
+    return tuple(int(v * denom) for v in basis[0])
+
+
+def _min_halfspace_count(
+    vecs: list[tuple[int, ...]],
+    weights: list[int],
+    abort_at: int | None,
+    want_witness: bool,
+) -> tuple[int, tuple[int, ...] | None]:
+    """Minimum over nonzero u of the weighted count of v with u.v >= 0.
+
+    Returns (count, functional); the functional is in the coordinates of
+    the input vectors and attains the count, or None when not requested
+    (or when vecs is empty).  With abort_at set, the search stops once
+    the running minimum is <= abort_at; the returned count is then still
+    an upper bound achieved by an actual direction.
+    """
+    if not vecs:
+        return 0, None
+    dim = len(vecs[0])
+    pivots = _int_pivot_columns(vecs, dim)
+    ell = len(pivots)
+    coords = [tuple(v[p] for p in pivots) for v in vecs]
+
+    best: int | None = None
+    best_phi: tuple[int, ...] | None = None
+    if ell == 1:
+        pos = sum(w for c, w in zip(coords, weights) if c[0] > 0)
+        neg = sum(w for c, w in zip(coords, weights) if c[0] < 0)
+        if pos <= neg:
+            best, best_phi = pos, (1,)
+        else:
+            best, best_phi = neg, (-1,)
+    else:
+        seen: set[tuple[int, ...]] = set()
+        done = False
+        for subset in itertools.combinations(range(len(coords)), ell - 1):
+            u0 = _normal_direction([coords[i] for i in subset], ell)
+            if u0 is None:
+                continue
+            u0 = _canonical_sign(_reduce_int(u0))
+            if u0 in seen:
+                continue
+            seen.add(u0)
+            for sgn in (1, -1):
+                u = u0 if sgn == 1 else tuple(-x for x in u0)
+                strict = 0
+                inner_idx: list[int] = []
+                for i, c in enumerate(coords):
+                    s = _dot_int(u, c)
+                    if s > 0:
+                        strict += weights[i]
+                    elif s == 0:
+                        inner_idx.append(i)
+                if best is not None and strict >= best:
+                    continue
+                inner_vecs = [coords[i] for i in inner_idx]
+                inner_w = [weights[i] for i in inner_idx]
+                # the inner threshold is residual: strict instances are
+                # already committed, so only abort_at - strict remains
+                inner_abort = None
+                if abort_at is not None and not want_witness:
+                    inner_abort = abort_at - strict
+                inner_count, inner_phi = _min_halfspace_count(
+                    inner_vecs, inner_w, inner_abort, want_witness
+                )
+                cand = strict + inner_count
+                if best is None or cand < best:
+                    best = cand
+                    if want_witness:
+                        if inner_phi is None:
+                            best_phi = u
+                        else:
+                            bound = 1 + max(abs(_dot_int(inner_phi, c)) for c in coords)
+                            best_phi = tuple(
+                                bound * a + b for a, b in zip(u, inner_phi)
+                            )
+                    if abort_at is not None and best <= abort_at:
+                        done = True
+                        break
+            if done:
+                break
+        if best is None:
+            # Vectors span ell >= 2 but every subset was degenerate; cannot
+            # happen, since some ell-1 of them are linearly independent.
+            raise AssertionFailed("no admissible direction found")
+
+    if best_phi is not None:
+        lifted = [0] * dim
+        for t, p in enumerate(pivots):
+            lifted[p] = best_phi[t]
+        best_phi = tuple(lifted)
+    return best, best_phi

@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
 from tverberg.ambient import Lattice, MixedLattice
 from tverberg.cli import main
 from tverberg.documents import dumps, point_file_to_doc
@@ -124,6 +126,150 @@ def test_depth_reports_witness_halfspace(monkeypatch, capsys):
     # plus the center itself on the closed side
     assert doc["depth"] == 5
     assert "witness" in doc and "normal" in doc["witness"]
+
+
+_DEPTH_CASES = {
+    # name: (instances, query, stdout of `tverberg depth`)
+    "z2": (
+        [(0, 0), (3, 1), (1, 4), (-2, 2), (-1, -3), (2, -2), (4, 3), (0, 1)],
+        "1,1",
+        (
+            '{\n'
+            '  "depth": 3,\n'
+            '  "point": [\n'
+            '    "1",\n'
+            '    "1"\n'
+            '  ],\n'
+            '  "type": "depth",\n'
+            '  "witness": {\n'
+            '    "normal": [\n'
+            '      "5",\n'
+            '      "12"\n'
+            '    ],\n'
+            '    "offset": "17"\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    "z3": (
+        [(0, 0, 0), (2, 1, 0), (0, 2, 1), (1, 0, 2), (-1, -1, 1), (2, 2, 2), (-2, 1, -1),
+         (1, -2, 0), (0, 0, 3)],
+        "0,1,1",
+        (
+            '{\n'
+            '  "depth": 2,\n'
+            '  "point": [\n'
+            '    "0",\n'
+            '    "1",\n'
+            '    "1"\n'
+            '  ],\n'
+            '  "type": "depth",\n'
+            '  "witness": {\n'
+            '    "normal": [\n'
+            '      "-11",\n'
+            '      "8",\n'
+            '      "12"\n'
+            '    ],\n'
+            '    "offset": "20"\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    "rational_q": (
+        [(0, 0), (4, 0), (0, 4), (4, 4), (2, 1), (1, 3)],
+        "5/3,3/2",
+        (
+            '{\n'
+            '  "depth": 2,\n'
+            '  "point": [\n'
+            '    "5/3",\n'
+            '    "3/2"\n'
+            '  ],\n'
+            '  "type": "depth",\n'
+            '  "witness": {\n'
+            '    "normal": [\n'
+            '      "408",\n'
+            '      "-450"\n'
+            '    ],\n'
+            '    "offset": "5"\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    "q_in_multiset": (
+        [(1, 1), (1, 1), (0, 0), (2, 0), (0, 2), (2, 2), (3, 1)],
+        "1,1",
+        (
+            '{\n'
+            '  "depth": 4,\n'
+            '  "point": [\n'
+            '    "1",\n'
+            '    "1"\n'
+            '  ],\n'
+            '  "type": "depth",\n'
+            '  "witness": {\n'
+            '    "normal": [\n'
+            '      "-1",\n'
+            '      "2"\n'
+            '    ],\n'
+            '    "offset": "1"\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    "collinear": (
+        [(-2, -4), (-1, -2), (0, 0), (1, 2), (1, 2), (3, 6)],
+        "1,2",
+        (
+            '{\n'
+            '  "depth": 3,\n'
+            '  "point": [\n'
+            '    "1",\n'
+            '    "2"\n'
+            '  ],\n'
+            '  "type": "depth",\n'
+            '  "witness": {\n'
+            '    "normal": [\n'
+            '      "1",\n'
+            '      "0"\n'
+            '    ],\n'
+            '    "offset": "1"\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    "empty": (
+        [],
+        "0,0",
+        (
+            '{\n'
+            '  "depth": 0,\n'
+            '  "point": [\n'
+            '    "0",\n'
+            '    "0"\n'
+            '  ],\n'
+            '  "type": "depth",\n'
+            '  "witness": {\n'
+            '    "normal": [\n'
+            '      "1",\n'
+            '      "0"\n'
+            '    ],\n'
+            '    "offset": "0"\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+}
+@pytest.mark.parametrize("name", sorted(_DEPTH_CASES))
+def test_depth_stdout_is_pinned(monkeypatch, capsys, name):
+    """Byte-exact `depth` output on fixed inputs: a change to the depth
+    engine that moves a witness half-space fails here."""
+    instances, query, expected = _DEPTH_CASES[name]
+    dim = len(query.split(","))
+    pts = PointMultiset.from_points([point(*p) for p in instances], dim=dim)
+    doc = dumps(point_file_to_doc(pts, Lattice(dim)))
+    code, out, err = run(monkeypatch, capsys, ["depth", "--point=" + query], doc)
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_centerpoint_found_and_missing(monkeypatch, capsys):

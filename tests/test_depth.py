@@ -8,20 +8,26 @@ import pytest
 
 from tverberg.ambient import FiniteSet, Lattice
 from tverberg.certificates import verify_certificate
+from tverberg import depth as depth_module
 from tverberg.depth import (
     _centre_out_order,
+    _common_grid,
+    _difference_profile,
+    _min_halfspace_count,
+    _scaled_instances,
     depth_value,
     finite_set_centerpoint,
     first_deep_point,
     halfspace_depth,
     integer_centerpoint,
 )
-from tverberg.errors import CenterpointNotFound, PreconditionViolated
+from tverberg.errors import AssertionFailed, CenterpointNotFound, PreconditionViolated
 from tverberg.planar import plane_tverberg
 from tverberg.points import PointMultiset, point
 from tverberg.space3 import z3_tverberg
 
 from conftest import random_lattice_multiset
+from depth_oracles import _min_halfspace_count as reference_min_count
 from depth_oracles import oracle_depth
 
 
@@ -74,6 +80,71 @@ def test_depth_matches_direction_enumeration_oracle(rng):
         else:
             q = tuple(Fraction(rng.randint(-6, 6)) for _ in range(d))
         assert halfspace_depth(q, pts).depth == oracle_depth(q, pts)
+
+
+def _random_profile_instance(rng, d):
+    """A multiset and query mixing the degenerate shapes the minimiser
+    must handle: repeated points, points at q, rational q, opposite
+    directions, and collinear or coplanar supports."""
+    n = rng.randint(1, 14 if d < 3 else 10)
+    shape = rng.randrange(5)
+    q = tuple(Fraction(rng.randint(-3, 3)) for _ in range(d))
+    if shape == 1:
+        q = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d))
+    raw = []
+    for _ in range(n):
+        if shape == 2:  # collinear through q, both senses
+            t = Fraction(rng.randint(-4, 4), rng.choice([1, 2]))
+            raw.append(tuple(c + t * v for c, v in zip(q, (1, -2, 1)[:d])))
+        elif shape == 3 and d >= 2:  # coplanar through q
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            raw.append(tuple(c + s * a + t * b for c, a, b in zip(q, (1, 0, 2), (0, 1, -1))))
+        elif shape == 4:  # point reflections: opposite directions around q
+            v = tuple(rng.randint(-3, 3) for _ in range(d))
+            raw.append(tuple(c + a for c, a in zip(q, v)))
+            raw.append(tuple(c - rng.randint(1, 2) * a for c, a in zip(q, v)))
+        else:
+            raw.append(tuple(Fraction(rng.randint(-4, 4)) for _ in range(d)))
+    raw += [rng.choice(raw) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.3:
+        raw += [q] * rng.randint(1, 2)
+    return PointMultiset.from_points(raw, dim=d), q
+
+
+def test_min_halfspace_count_matches_the_enumeration(rng):
+    """The sweep at l = 2 returns the enumeration's count and functional
+    at every level, and keeps the abort contract."""
+    profiles = 0
+    while profiles < 2400:
+        d = (1, 2, 2, 3)[profiles % 4]
+        pts, q = _random_profile_instance(rng, d)
+        vecs, ws, _ = _difference_profile(*_common_grid(*_scaled_instances(pts), q))
+        if not vecs:
+            continue
+        profiles += 1
+        for want in (False, True):
+            expected = reference_min_count(vecs, ws, None, want)
+            assert _min_halfspace_count(vecs, ws, None, want) == expected
+        exact = expected[0]
+        abort_at = rng.randint(-1, exact + 1)
+        for want in (False, True):
+            count, _ = _min_halfspace_count(vecs, ws, abort_at, want)
+            ref_count, _ = reference_min_count(vecs, ws, abort_at, want)
+            assert (count <= abort_at) == (ref_count <= abort_at) == (exact <= abort_at)
+            assert count >= exact
+            if exact > abort_at:
+                assert count == ref_count == exact
+
+
+def test_witness_recount_guards_the_answer(monkeypatch):
+    pts = PointMultiset.from_points(
+        [point(0, 0), point(2, 0), point(0, 2), point(2, 2), point(1, 1)]
+    )
+    assert halfspace_depth(point(1, 1), pts).depth == 3
+    # the true count with a wrong functional: x + y >= 2 keeps 4 instances
+    monkeypatch.setattr(depth_module, "_min_halfspace_count", lambda *a: (2, (1, 1)))
+    with pytest.raises(AssertionFailed):
+        halfspace_depth(point(1, 1), pts)
 
 
 def test_depth_translation_equivariance(rng):
