@@ -14,6 +14,7 @@ from .certificates import (
     TverbergCertificate,
     VerificationReport,
     assemble_certificate,
+    line_tverberg,
     verify_certificate,
 )
 from .depth import (
@@ -77,6 +78,7 @@ from .product import (
     fiber_lift,
     product_tverberg,
     real_tverberg_bruteforce,
+    tverberg_partition,
 )
 from .selection import (
     SelectionResult,
@@ -139,6 +141,7 @@ __all__ = [
     "integer_centerpoint",
     "iter_multiset_partitions",
     "lattice_points_in_intersection",
+    "line_tverberg",
     "onn_witness",
     "peel_caratheodory_sets",
     "plane_tverberg",
@@ -151,6 +154,7 @@ __all__ = [
     "search_partition",
     "transversal_property_verify",
     "tverberg_labeling",
+    "tverberg_partition",
     "verify_certificate",
     "verify_no_partition",
     "z3_tverberg",

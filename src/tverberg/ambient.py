@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InputError
-from .points import Point, PointMultiset, is_integral
+from .points import Point, is_integral
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,6 @@ class FiniteSet:
 
     def contains(self, p: Point) -> bool:
         return p in self.points
-
-    def as_multiset(self) -> PointMultiset:
-        return PointMultiset.from_points(self.points, dim=self.d)
 
     def describe(self) -> str:
         return f"finite set of {len(self.points)} points in Q^{self.d}"

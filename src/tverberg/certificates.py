@@ -24,9 +24,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .ambient import AmbientSet
-from .errors import AssertionFailed
+from .errors import AssertionFailed, DimensionMismatch, PreconditionViolated
 from .geometry import hull_membership
-from .points import Point, PointMultiset, add, scale
+from .points import Point, PointMultiset, add, scale, sub
 
 RawWeights = tuple[tuple[int, Fraction], ...]
 
@@ -45,9 +45,6 @@ class TverbergCertificate:
     proofs: tuple[RawWeights, ...]
     ambient: AmbientSet
 
-    def part_sizes(self) -> tuple[int, ...]:
-        return tuple(part.size for part in self.parts)
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -57,14 +54,6 @@ class VerificationReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _multiset_union(parts: Sequence[PointMultiset], dim: int) -> PointMultiset:
-    acc: dict[Point, int] = {}
-    for part in parts:
-        for p, mult in part.entries:
-            acc[p] = acc.get(p, 0) + mult
-    return PointMultiset(acc.items(), dim=dim)
 
 
 def verify_certificate(
@@ -86,7 +75,8 @@ def verify_certificate(
     misfits = [k for k, part in enumerate(cert.parts) if part.dim != source.dim]
     for k in misfits:
         fail("partition_mismatch", f"part {k} has dimension {cert.parts[k].dim}, source {source.dim}")
-    if not misfits and _multiset_union(cert.parts, source.dim) != source:
+    union = (entry for part in cert.parts for entry in part.entries)
+    if not misfits and PointMultiset(union, dim=source.dim) != source:
         fail("partition_mismatch", "parts do not reassemble the source multiset")
     for k, part in enumerate(cert.parts):
         if part.size == 0:
@@ -182,3 +172,52 @@ def peel_by_multiplicity(
         proofs.append(weights_of(coeffs))
     parts.append(rest)
     return parts, proofs
+
+
+def line_gate(m: int) -> int:
+    """Instances the median construction needs for m parts."""
+    return 2 * m - 1
+
+
+def median_groups(n: int, t: int) -> list[list[int]]:
+    """The median construction on n >= 2t-1 instances in order along a
+    line: the pairs [i, n-1-i] for i < t-1 and the middle run t-1 .. n-t,
+    each holding instance t-1 in its hull."""
+    return [[i, n - 1 - i] for i in range(t - 1)] + [list(range(t - 1, n - t + 1))]
+
+
+def line_tverberg(
+    points: PointMultiset, m: int, ambient: AmbientSet
+) -> TverbergCertificate:
+    """A verified m-part partition of at least 2m-1 collinear instances by
+    the median groups: lexicographic order runs along the line, and the
+    median instance is their common point in the ambient set.  The driver
+    of Z^1, of 1-D finite sets and of planar ones of Helly number 2.
+    """
+    if m < 2:
+        raise PreconditionViolated("partitions need m >= 2")
+    if points.dim != ambient.dim:
+        raise DimensionMismatch(f"points of dimension {points.dim} do not lie in {ambient.describe()}")
+    for p, _ in points.entries:
+        if not ambient.contains(p):
+            raise PreconditionViolated(f"instance {p} lies outside {ambient.describe()}")
+    n = points.size
+    if n < line_gate(m):
+        raise PreconditionViolated(f"need at least {line_gate(m)} instances for m={m}, got {n}")
+    first = points.entries[0][0]
+    u = sub(points.entries[-1][0], first)
+    for p, _ in points.entries:
+        w = sub(p, first)
+        if any(u[a] * w[b] != u[b] * w[a] for a in range(points.dim) for b in range(a)):
+            raise PreconditionViolated("the median construction needs collinear instances")
+    instances = points.instances()
+    q = instances[m - 1]
+    parts: list[PointMultiset] = []
+    proofs: list[RawWeights] = []
+    for group in median_groups(n, m):
+        parts.append(PointMultiset.from_points([instances[i] for i in group], dim=points.dim))
+        coeffs = hull_membership(q, parts[-1])
+        if coeffs is None:
+            raise AssertionFailed("median point escaped a nested pair")
+        proofs.append(weights_of(coeffs))
+    return assemble_certificate(m, q, parts, proofs, ambient, points)

@@ -41,11 +41,10 @@ from .errors import (
     UnsupportedAmbient,
 )
 from .oracle import exact_tverberg_number, search_partition
-from .planar import helly_number, plane_tverberg
+from .planar import helly_number
 from .points import Point, PointMultiset, rational
-from .product import double_witness, product_tverberg, real_tverberg_bruteforce
+from .product import double_witness, tverberg_partition
 from .selection import depth_partition_search, fraction_selection
-from .space3 import z3_tverberg
 from .witnesses import convex_lowerbound_witness, doignon_witness, onn_witness
 
 _MIXED_FORM = re.compile(r"^Z(\d+)R(\d+)$")
@@ -158,19 +157,7 @@ def cmd_centerpoint(args) -> int:
 def cmd_tverberg(args) -> int:
     points, declared = _load_point_file(args)
     ambient = _resolve_ambient(args.ambient, points.dim, declared)
-    if isinstance(ambient, Lattice) and ambient.d == 2:
-        cert = plane_tverberg(points, args.m, ambient)
-    elif isinstance(ambient, Lattice) and ambient.d == 3:
-        cert = z3_tverberg(points, args.m, seed=args.seed)
-    elif isinstance(ambient, FiniteSet):
-        cert = plane_tverberg(points, args.m, ambient)
-    elif isinstance(ambient, MixedLattice):
-        cert, _ = product_tverberg(points, args.m, ambient, seed=args.seed)
-    elif isinstance(ambient, RealSpace):
-        cert = real_tverberg_bruteforce(points, args.m)
-    else:
-        raise UnsupportedAmbient(f"no driver for {ambient.describe()}")
-    _emit(docs.certificate_to_doc(cert))
+    _emit(docs.certificate_to_doc(tverberg_partition(points, args.m, ambient, seed=args.seed)))
     return 0
 
 
@@ -179,11 +166,8 @@ def cmd_verify(args) -> int:
     if args.source is not None:
         source, _ = docs.point_file_from_doc(docs.loads(_read_text(args.source)))
     else:
-        acc: dict[Point, int] = {}
-        for part in cert.parts:
-            for p, mult in part.entries:
-                acc[p] = acc.get(p, 0) + mult
-        source = PointMultiset(acc.items(), dim=len(cert.point))
+        entries = (entry for part in cert.parts for entry in part.entries)
+        source = PointMultiset(entries, dim=len(cert.point))
     report = verify_certificate(cert, source)
     _emit(
         {

@@ -15,11 +15,11 @@ may be lex-larger, so none holds more of them.  Only dead branches are
 cut, so the partitions and their order are those of the plain
 enumeration.
 
-``search_partition`` keeps one part table per call: each distinct part
-vector gets its hull once, and over Z^d and finite sets each (point,
-part) membership is decided by one LP per search, however many
-partitions share the part.  The table is dropped when the call
-returns.
+``iter_partition_hulls`` builds each distinct part's hull once per
+enumeration, for ``search_partition`` and the real brute force in
+``product``; over Z^d and finite sets the search also decides each
+(point, part) membership by one LP per call, however many partitions
+share the part.
 
 ``exact_tverberg_number`` grows n until every n-point multiset over the
 set admits an m-partition.  Candidate multisets that are sub-multisets
@@ -120,6 +120,23 @@ def count_multiset_partitions(counts: Sequence[int], m: int) -> int:
     return sum(1 for _ in iter_multiset_partitions(counts, m))
 
 
+def iter_partition_hulls(
+    points: PointMultiset, m: int
+) -> Iterator[tuple[PointMultiset, ...]]:
+    """The part hulls of every m-partition, in the order of
+    ``iter_multiset_partitions``, from one part table that builds each
+    distinct part's hull once and keeps it until the iteration ends."""
+    support = points.support()
+    table: dict[CountVector, PointMultiset] = {}
+    for parts in iter_multiset_partitions(tuple(mult for _, mult in points.entries), m):
+        for vec in parts:
+            if vec not in table:
+                table[vec] = PointMultiset(
+                    ((support[i], c) for i, c in enumerate(vec) if c), dim=points.dim
+                )
+        yield tuple(table[vec] for vec in parts)
+
+
 def search_partition(
     points: PointMultiset, m: int, ambient: AmbientSet, budget: int | None = None
 ) -> tuple[tuple[PointMultiset, ...], Point] | None:
@@ -133,21 +150,10 @@ def search_partition(
         raise DimensionMismatch(
             f"points of dimension {points.dim} in an ambient set of dimension {ambient.dim}"
         )
-    support = points.support()
-    counts = tuple(mult for _, mult in points.entries)
-    # The part table: one hull per part vector, and one membership verdict
-    # per (hull id, point); the table keeps every hull alive, so no id is
-    # reused while the verdicts are keyed by it.
-    hulls_by_part: dict[CountVector, PointMultiset] = {}
+    # One membership verdict per (hull id, point); the part table keeps
+    # every hull alive while the search runs, so no id is reused while
+    # the verdicts are keyed by it.
     verdicts: dict[tuple[int, Point], bool] = {}
-
-    def hull_of(vec: CountVector) -> PointMultiset:
-        hull = hulls_by_part.get(vec)
-        if hull is None:
-            hull = hulls_by_part[vec] = PointMultiset(
-                ((support[i], c) for i, c in enumerate(vec) if c), dim=points.dim
-            )
-        return hull
 
     def contains(p: Point, hull: PointMultiset) -> bool:
         key = (id(hull), p)
@@ -157,11 +163,10 @@ def search_partition(
         return verdict
 
     checked = 0
-    for parts in iter_multiset_partitions(counts, m):
+    for hulls in iter_partition_hulls(points, m):
         if budget is not None and checked >= budget:
             raise BudgetExceeded(f"partition budget {budget} exhausted", remaining=1)
         checked += 1
-        hulls = tuple(hull_of(vec) for vec in parts)
         if isinstance(ambient, RealSpace):
             found = polytope_intersection_point(hulls)
             witness = None if found is None else found[0]

@@ -3,7 +3,8 @@
 The Z^2 driver finds an integer point p of half-space depth >= m, peels
 off copies of p sitting in the multiset, and labels the remaining
 instances in radial order around p so that every label class captures p
-in its hull.  Two labelings cover all remaining cases:
+in its hull.  Two labelings cover all remaining cases, and each returns
+its label classes with their membership proofs:
 
 * ``tverberg_labeling`` (m >= 3): with n = qm + r, 0 <= r < q, and
   e = ceil(r/q), instances in clockwise order receive blocks 1..m
@@ -18,7 +19,8 @@ in its hull.  Two labelings cover all remaining cases:
   the doubled start 1,1,2,1,2,... (depth >= 3) or the arc-anchored
   2,1,1,2,1,2,... (depth exactly 2).
 
-Finite ambient sets go through the Helly number of the set: He <= 3
+Finite ambient sets go through the Helly number of the set: He = 2 is a
+collinear set, split by ``certificates.line_tverberg``; He <= 3 otherwise
 reduces to a real partition whose intersection polygon has its
 lexicographically least vertex inside the set, and He >= 4 admits a
 set-valued centerpoint deep enough for the radial machinery above.
@@ -37,6 +39,7 @@ from .certificates import (
     RawWeights,
     TverbergCertificate,
     assemble_certificate,
+    line_tverberg,
     peel_by_multiplicity,
     singleton_part,
     weights_of,
@@ -170,13 +173,9 @@ def _coverage_proofs(
 
 def tverberg_labeling(
     order: RadialOrder, m: int, witness: DepthWitness
-) -> tuple[tuple[int, ...], LabelingState]:
-    """Labels 1..m for the ordered instances so every class hull holds the center."""
-    labels, state, _, _ = _tverberg_labeling_full(order, m, witness)
-    return labels, state
-
-
-def _tverberg_labeling_full(order: RadialOrder, m: int, witness: DepthWitness):
+) -> tuple[tuple[int, ...], LabelingState, list[PointMultiset], list[RawWeights]]:
+    """Labels 1..m for the ordered instances so every class hull holds the
+    center, with the labeling state, the label classes and their proofs."""
     n = len(order.sequence)
     if m < 3:
         raise PreconditionViolated("circular labeling needs m >= 3")
@@ -239,13 +238,9 @@ def _tverberg_labeling_full(order: RadialOrder, m: int, witness: DepthWitness):
 
 def radon_labeling(
     order: RadialOrder, witness: DepthWitness
-) -> tuple[int, ...]:
-    """Two labels for the ordered instances so both class hulls hold the center."""
-    labels, _, _ = _radon_labeling_full(order, witness)
-    return labels
-
-
-def _radon_labeling_full(order: RadialOrder, witness: DepthWitness):
+) -> tuple[tuple[int, ...], list[PointMultiset], list[RawWeights]]:
+    """Two labels for the ordered instances so both class hulls hold the
+    center, with the two label classes and their proofs."""
     n = len(order.sequence)
     if n < 6:
         raise PreconditionViolated(f"two-part labeling needs at least 6 instances, got {n}")
@@ -292,12 +287,17 @@ def _labeled_parts(
     order = radial_order(rest, p)
     witness = halfspace_depth(p, rest)
     if target == 2:
-        _, classes, proofs = _radon_labeling_full(order, witness)
+        _, classes, proofs = radon_labeling(order, witness)
     else:
-        _, _, classes, proofs = _tverberg_labeling_full(order, target, witness)
+        _, _, classes, proofs = tverberg_labeling(order, target, witness)
     parts = [singleton_part(p) for _ in range(mu)] + classes
     all_proofs: list[RawWeights] = [((0, Fraction(1)),) for _ in range(mu)] + proofs
     return parts, all_proofs
+
+
+def z2_gate(m: int) -> int:
+    """Instances the Z^2 driver needs for m parts: 6 for m = 2, else 4m-3."""
+    return 6 if m == 2 else 4 * m - 3
 
 
 def plane_tverberg(
@@ -305,7 +305,7 @@ def plane_tverberg(
 ) -> TverbergCertificate:
     """A verified m-part partition of a planar discrete multiset.
 
-    Over Z^2 the size gates are 6 (m = 2) and 4m-3 (m >= 3).  Over a
+    Over Z^2 the size gate is ``z2_gate(m)``.  Over a
     finite ambient set the gate is He(m-1)+1, one more for m = 2 when
     He >= 4, and Helly numbers up to 3 take the intersection-vertex
     route instead of the radial one.
@@ -321,7 +321,7 @@ def plane_tverberg(
         for p, _ in points.entries:
             if not is_integral(p):
                 raise PreconditionViolated(f"instance {p} is not an integer point")
-        needed = 6 if m == 2 else 4 * m - 3
+        needed = z2_gate(m)
     elif isinstance(ambient, FiniteSet):
         if ambient.dim != 2:
             raise DimensionMismatch("planar driver requires a planar ambient set")
@@ -461,47 +461,32 @@ def helly3_tverberg(
         return assemble_certificate(m, q, parts, proofs, ambient, points)
 
     if he.number == 2:
-        inst = sorted(points.instances())
-        q = inst[m - 1]
-        parts = []
-        for i in range(m - 1):
-            parts.append(PointMultiset.from_points([inst[i], inst[n - 1 - i]], dim=2))
-        parts.append(PointMultiset.from_points(inst[m - 1 : n - m + 1], dim=2))
-        proofs = []
-        for part in parts:
-            coeffs = hull_membership(q, part)
-            if coeffs is None:
-                raise AssertionFailed("median point escaped a nested pair")
-            proofs.append(weights_of(coeffs))
-        return assemble_certificate(m, q, parts, proofs, ambient, points)
+        return line_tverberg(points, m, ambient)
 
     # Imported here: product imports oracle, which imports planar.
     from .product import real_tverberg_bruteforce
 
     real_cert = real_tverberg_bruteforce(points, m)
-    part_supports = [part.support() for part in real_cert.parts]
     candidates: set[Point] = set(points.support())
-    edge_lists = [_hull_edges(sup) for sup in part_supports]
+    edge_lists = [_hull_edges(part.support()) for part in real_cert.parts]
     for i, j in itertools.combinations(range(m), 2):
         for a, b in edge_lists[i]:
             for c, d in edge_lists[j]:
                 x = _line_intersection(a, b, c, d)
                 if x is not None:
                     candidates.add(x)
-    feasible: list[tuple[Point, tuple]] = []
-    for cand in sorted(candidates):
-        coeff_list = []
+    # Sorted scan: the first candidate in every part hull is the lex-min vertex.
+    for q in sorted(candidates):
+        coeffs = []
         for part in real_cert.parts:
-            cc = hull_membership(cand, part)
+            cc = hull_membership(q, part)
             if cc is None:
                 break
-            coeff_list.append(cc)
+            coeffs.append(cc)
         else:
-            feasible.append((cand, tuple(coeff_list)))
-            break  # sorted scan: the first feasible candidate is the lex-min vertex
-    if not feasible:
+            break
+    else:
         raise AssertionFailed("real partition produced an empty intersection")
-    q, coeffs = feasible[0]
     if not ambient.contains(q):
         raise AssertionFailed(
             "least intersection vertex escaped an ambient set of Helly number <= 3"

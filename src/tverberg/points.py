@@ -69,10 +69,6 @@ def point(*coords: Rationalish) -> Point:
     return tuple(rational(c) for c in coords)
 
 
-def point_from(coords: Sequence[Rationalish]) -> Point:
-    return tuple(rational(c) for c in coords)
-
-
 def add(p: Point, q: Point) -> Point:
     return tuple(a + b for a, b in zip(p, q, strict=True))
 
@@ -235,25 +231,6 @@ class PointMultiset:
         if m > count:
             entries.append((p, m - count))
         return PointMultiset(entries, dim=self.dim)
-
-    def union(self, other: "PointMultiset") -> "PointMultiset":
-        if other.dim != self.dim:
-            raise DimensionMismatch("union of multisets of different dimension")
-        return PointMultiset(self.entries + other.entries, dim=self.dim)
-
-    def bounding_box(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Per-coordinate (min, max); error on an empty multiset."""
-        if not self.entries:
-            raise InputError("bounding box of an empty multiset")
-        los = list(self.entries[0][0])
-        his = list(self.entries[0][0])
-        for p, _ in self.entries[1:]:
-            for i, c in enumerate(p):
-                if c < los[i]:
-                    los[i] = c
-                if c > his[i]:
-                    his[i] = c
-        return tuple(zip(los, his))
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,9 +1,14 @@
-"""Partitions over product spaces Z^j x R^k by lifting a base partition.
+"""The ambient->driver table, and partitions over Z^j x R^k by lifting a
+base partition.
+
+``DRIVERS`` is the one place that says which driver serves which
+ambient set and, for Z^1, Z^2 and Z^3, how many points it needs;
+``tverberg_partition`` looks it up.
 
 The reduction: to split a multiset in Z^j x R^k into m parts with a
 common product point, first split the projections to Z^j into
 t = (m-1)(k+1)+1 parts sharing an integer point q (the planar or
-spatial driver, or the median construction on a line).  Each base part
+spatial driver, or the median groups on a line).  Each base part
 lifts to a point of its hull with exact prefix q; the t lifted points
 live in the fiber {q} x R^k, a copy of R^k, where the classical
 Tverberg theorem applies: they split into m groups with a common real
@@ -20,12 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .ambient import Lattice, MixedLattice, RealSpace
+from .ambient import AmbientSet, FiniteSet, Lattice, MixedLattice, RealSpace
 from .certificates import (
     RawWeights,
     TverbergCertificate,
     assemble_certificate,
+    line_gate,
+    line_tverberg,
+    median_groups,
     weights_of,
 )
 from .errors import (
@@ -37,10 +46,10 @@ from .errors import (
     UnsupportedAmbient,
 )
 from .geometry import convex_system, hull_membership, polytope_intersection_point
-from .oracle import iter_multiset_partitions
-from .planar import plane_tverberg
+from .oracle import iter_partition_hulls
+from .planar import plane_tverberg, z2_gate
 from .points import ConvexCoefficients, Point, PointMultiset
-from .space3 import z3_tverberg
+from .space3 import z3_gate, z3_tverberg
 
 
 def real_tverberg_bruteforce(points: PointMultiset, m: int) -> TverbergCertificate:
@@ -57,13 +66,7 @@ def real_tverberg_bruteforce(points: PointMultiset, m: int) -> TverbergCertifica
     needed = (m - 1) * (d + 1) + 1
     if n < needed:
         raise PreconditionViolated(f"need at least {needed} points for m={m} in R^{d}, got {n}")
-    support = points.support()
-    counts = tuple(mult for _, mult in points.entries)
-    for parts in iter_multiset_partitions(counts, m):
-        hulls = [
-            PointMultiset(((support[i], c) for i, c in enumerate(vec) if c), dim=d)
-            for vec in parts
-        ]
+    for hulls in iter_partition_hulls(points, m):
         found = polytope_intersection_point(hulls)
         if found is None:
             continue
@@ -71,6 +74,32 @@ def real_tverberg_bruteforce(points: PointMultiset, m: int) -> TverbergCertifica
         proofs = [weights_of(c) for c in coeffs]
         return assemble_certificate(m, point, hulls, proofs, RealSpace(d), points)
     raise InternalError("no partition admitted a common point; the real theorem forbids this")
+
+
+# The one ambient->driver table, keyed by the ambient's type and
+# dimension (None: every dimension without a row of its own).  A row is
+# (size gate at m, where the driver has one; driver); the lambdas read
+# the driver names when called, so a replaced binding is the one used.
+DRIVERS = {
+    (Lattice, 1): (line_gate, lambda pts, m, amb, seed: line_tverberg(pts, m, amb)),
+    (Lattice, 2): (z2_gate, lambda pts, m, amb, seed: plane_tverberg(pts, m, amb)),
+    (Lattice, 3): (z3_gate, lambda pts, m, amb, seed: z3_tverberg(pts, m, seed=seed)),
+    (FiniteSet, 1): (line_gate, lambda pts, m, amb, seed: line_tverberg(pts, m, amb)),
+    (FiniteSet, None): (None, lambda pts, m, amb, seed: plane_tverberg(pts, m, amb)),
+    (MixedLattice, None): (None, lambda pts, m, amb, seed: product_tverberg(pts, m, amb, seed)[0]),
+    (RealSpace, None): (None, lambda pts, m, amb, seed: real_tverberg_bruteforce(pts, m)),
+}
+
+
+def tverberg_partition(
+    points: PointMultiset, m: int, ambient: AmbientSet, seed: int = 0
+) -> TverbergCertificate:
+    """A verified m-part partition by the table's driver for the ambient
+    set; ``seed`` reaches the drivers that search."""
+    row = DRIVERS.get((type(ambient), ambient.dim)) or DRIVERS.get((type(ambient), None))
+    if row is None:
+        raise UnsupportedAmbient(f"no driver for {ambient.describe()}")
+    return row[1](points, m, ambient, seed)
 
 
 @dataclass(frozen=True)
@@ -105,38 +134,24 @@ def fiber_lift(
     return coeffs[0].combination(part), coeffs[0]
 
 
-def _line_base(
-    instances: list[Point], t: int
-) -> tuple[tuple[int, ...], list[list[int]]]:
-    """Median construction on the first coordinate: t nested parts."""
-    n = len(instances)
-    order = sorted(range(n), key=lambda i: (instances[i][0], instances[i]))
-    q = instances[order[t - 1]][0]
-    groups: list[list[int]] = []
-    for i in range(t - 1):
-        groups.append([order[i], order[n - 1 - i]])
-    groups.append(order[t - 1 : n - t + 1])
-    return (int(q),), groups
-
-
-def _match_projected_parts(
-    proj_instances: list[Point], base_parts: tuple[PointMultiset, ...]
-) -> list[list[int]]:
-    """Assign instance indices to base parts matching projected multiplicities."""
+def _match_instances(
+    values: list[Point], parts: Sequence[PointMultiset]
+) -> list[tuple[int, ...]]:
+    """Indices of values split into the parts: each part takes the lowest
+    unused indices of its points."""
     pool: dict[Point, list[int]] = {}
-    for i, pp in enumerate(proj_instances):
-        pool.setdefault(pp, []).append(i)
-    groups: list[list[int]] = []
-    for part in base_parts:
+    for i, v in enumerate(values):
+        pool.setdefault(v, []).append(i)
+    groups: list[tuple[int, ...]] = []
+    for part in parts:
         chosen: list[int] = []
-        for pp, mult in part.entries:
-            bucket = pool.get(pp)
+        for v, mult in part.entries:
+            bucket = pool.get(v)
             if bucket is None or len(bucket) < mult:
-                raise AssertionFailed("projected parts do not match the projected multiset")
+                raise AssertionFailed("parts do not match the instances they split")
             chosen.extend(bucket[:mult])
             del bucket[:mult]
-        chosen.sort()
-        groups.append(chosen)
+        groups.append(tuple(sorted(chosen)))
     return groups
 
 
@@ -146,8 +161,8 @@ def product_tverberg(
     """A verified m-part partition over Z^j x R^k, j <= 3, with the lift
     bookkeeping that produced it.
 
-    Size gates come from the base drivers at the inflated count
-    t = (m-1)(k+1)+1: 2t-1 on a line, 4t-3 in the plane, 24t-31 in space.
+    The size gate is the Z^j row's gate at the inflated count
+    t = (m-1)(k+1)+1.
     """
     if m < 2:
         raise PreconditionViolated("partitions need m >= 2")
@@ -157,29 +172,28 @@ def product_tverberg(
         if not ambient.contains(p):
             raise PreconditionViolated(f"instance {p} has a non-integer leading block")
     j, k = ambient.j, ambient.k
-    if j > 3:
+    if (Lattice, j) not in DRIVERS:
         raise UnsupportedAmbient("no base driver beyond Z^3")
+    gate, base_driver = DRIVERS[(Lattice, j)]
     t = (m - 1) * (k + 1) + 1
     n = points.size
-    gates = {1: 2 * t - 1, 2: 4 * t - 3, 3: 24 * t - 31}
-    if n < gates[j]:
+    needed = gate(t)
+    if n < needed:
         raise PreconditionViolated(
-            f"need at least {gates[j]} instances for m={m} over {ambient.describe()}, got {n}"
+            f"need at least {needed} instances for m={m} over {ambient.describe()}, got {n}"
         )
     instances = points.instances()
-    proj_instances = [p[:j] for p in instances]
-
     if j == 1:
-        base_point, groups_idx = _line_base(instances, t)
-        base_q: Point = (Fraction(base_point[0]),)
+        # Instances come in lexicographic order, so their first coordinates
+        # are sorted and the median groups split the base without a search.
+        groups_idx = median_groups(n, t)
+        base_q: Point = instances[t - 1][:1]
     else:
+        proj_instances = [p[:j] for p in instances]
         proj_ms = PointMultiset.from_points(proj_instances, dim=j)
-        if j == 2:
-            base_cert = plane_tverberg(proj_ms, t, Lattice(2))
-        else:
-            base_cert = z3_tverberg(proj_ms, t, seed=seed)
+        base_cert = base_driver(proj_ms, t, Lattice(j), seed)
         base_q = base_cert.point
-        groups_idx = _match_projected_parts(proj_instances, base_cert.parts)
+        groups_idx = _match_instances(proj_instances, base_cert.parts)
 
     lifted: list[Point] = []
     for group in groups_idx:
@@ -190,24 +204,9 @@ def product_tverberg(
     fibers = [pt[j:] for pt in lifted]
     fiber_ms = PointMultiset.from_points(fibers, dim=k)
     fiber_cert = real_tverberg_bruteforce(fiber_ms, m)
-    fiber_point = fiber_cert.point
+    merged_groups = _match_instances(fibers, fiber_cert.parts)
 
-    pool: dict[Point, list[int]] = {}
-    for b, f in enumerate(fibers):
-        pool.setdefault(f, []).append(b)
-    merged_groups: list[tuple[int, ...]] = []
-    for part in fiber_cert.parts:
-        chosen: list[int] = []
-        for f, mult in part.entries:
-            bucket = pool.get(f)
-            if bucket is None or len(bucket) < mult:
-                raise AssertionFailed("fiber parts do not match the lifted points")
-            chosen.extend(bucket[:mult])
-            del bucket[:mult]
-        chosen.sort()
-        merged_groups.append(tuple(chosen))
-
-    final_point = tuple(base_q) + tuple(fiber_point)
+    final_point = tuple(base_q) + tuple(fiber_cert.point)
     parts: list[PointMultiset] = []
     proofs: list[RawWeights] = []
     for group in merged_groups:

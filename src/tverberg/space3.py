@@ -325,6 +325,11 @@ def _bipartition(
     )
 
 
+def z3_gate(m: int) -> int:
+    """Instances the Z^3 driver needs for m parts: 24m-31."""
+    return 24 * m - 31
+
+
 def z3_tverberg(
     points: PointMultiset, m: int, seed: int = 0
 ) -> TverbergCertificate:
@@ -337,7 +342,7 @@ def z3_tverberg(
         if not is_integral(q):
             raise PreconditionViolated(f"instance {q} is not an integer point")
     n = points.size
-    needed = 24 * m - 31
+    needed = z3_gate(m)
     if n < needed:
         raise PreconditionViolated(f"need at least {needed} instances for m={m}, got {n}")
     center = first_deep_point(points, Lattice(3), 3 * m - 3)

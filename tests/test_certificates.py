@@ -10,11 +10,12 @@ from tverberg.ambient import FiniteSet, Lattice
 from tverberg.certificates import (
     TverbergCertificate,
     assemble_certificate,
+    line_tverberg,
     peel_by_multiplicity,
     singleton_part,
     verify_certificate,
 )
-from tverberg.errors import AssertionFailed
+from tverberg.errors import AssertionFailed, PreconditionViolated
 from tverberg.planar import plane_tverberg
 from tverberg.points import PointMultiset, point
 
@@ -181,3 +182,38 @@ def test_multiplicity_mutations_are_partition_mismatch():
         report = verify_certificate(mutated, source)
         assert not report.ok
         assert "partition_mismatch" in report.failures, (delta, report.failures)
+
+
+def test_line_tverberg_on_z1_and_finite_lines():
+    """The median construction over Z^1, 1-D finite sets and collinear
+    planar finite sets, with repeated points: every certificate verifies
+    at an input instance, and one instance short of 2m-1 is refused."""
+    rng = random.Random(71)
+    for m in range(2, 7):
+        for n in range(2 * m - 2, 2 * m + 4):
+            for _ in range(4):
+                xs = [rng.randint(-4, 4) for _ in range(n)]
+                line = PointMultiset.from_points([point(x) for x in xs])
+                plane = PointMultiset.from_points([point(x, 3 - 2 * x) for x in xs])
+                cases = [
+                    (line, Lattice(1)),
+                    (line, FiniteSet(line.support() + (point(9),), 1)),
+                    (plane, FiniteSet(plane.support(), 2)),
+                ]
+                for pts, ambient in cases:
+                    if n < 2 * m - 1:
+                        with pytest.raises(PreconditionViolated):
+                            line_tverberg(pts, m, ambient)
+                        continue
+                    cert = line_tverberg(pts, m, ambient)
+                    assert verify_certificate(cert, pts).ok
+                    assert cert.m == m and cert.point in pts
+
+
+def test_line_tverberg_refuses_points_off_a_line():
+    pts = PointMultiset.from_points([point(0, 0), point(1, 0), point(0, 1), point(2, 2), point(3, 1)])
+    for ambient in (Lattice(2), FiniteSet(pts.support(), 2)):
+        with pytest.raises(PreconditionViolated):
+            line_tverberg(pts, 2, ambient)
+    with pytest.raises(PreconditionViolated):
+        line_tverberg(PointMultiset.from_points([point(Fraction(1, 2))] * 3), 2, Lattice(1))

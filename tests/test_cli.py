@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import io
 import json
+import pathlib
+import random
+from fractions import Fraction
 
 import pytest
 
-from tverberg.ambient import Lattice, MixedLattice
+from tverberg.ambient import FiniteSet, Lattice, MixedLattice, RealSpace
 from tverberg.cli import main
 from tverberg.documents import dumps, point_file_to_doc
 from tverberg.errors import AssertionFailed
@@ -272,6 +275,89 @@ def test_depth_stdout_is_pinned(monkeypatch, capsys, name):
     assert (code, out, err) == (0, expected, "")
 
 
+# name: (instances, ambient, m), one input per driver route of `tverberg`
+_GRID = [(x, y) for x in range(3) for y in range(3)]
+_FAN = [(0, 0), (8, 0), (0, 8), (1, 1), (2, 2), (3, 3), (4, 4)]
+_TVERBERG_CASES = {
+    "z2_m2": ([(0, 0), (3, 1), (1, 4), (-2, 2), (-1, -3), (2, -2)], Lattice(2), 2),
+    "z2_m3": ([(0, 0), (3, 1), (1, 4), (-2, 2), (-1, -3), (2, -2), (4, 3), (0, 1), (1, 1)],
+              Lattice(2), 3),
+    "z3_m2": ([(0, 0, 0), (2, 1, 0), (0, 2, 1), (1, 0, 2), (-1, -1, 1), (2, 2, 2), (-2, 1, -1),
+               (1, -2, 0), (0, 0, 3), (1, 1, 1), (-1, 2, 0), (2, -1, 1), (0, -2, -1), (1, 1, -2),
+               (-2, 0, 2), (0, 1, 1), (3, 0, 0)], Lattice(3), 2),
+    "finite_he4": ([(0, 0), (2, 2), (1, 0), (0, 2), (2, 0), (1, 1), (2, 1)],
+                   FiniteSet([point(*p) for p in _GRID], 2), 2),
+    "finite_he3": ([(0, 0), (8, 0), (0, 8), (1, 1), (2, 2), (3, 3), (0, 0)],
+                   FiniteSet([point(*p) for p in _FAN], 2), 3),
+    "collinear_he2": ([(0, 0), (3, 3), (1, 1), (1, 1), (2, 2), (0, 0), (3, 3)],
+                      FiniteSet([point(i, i) for i in range(4)], 2), 3),
+    "he1": ([(1, 1)] * 5, FiniteSet([point(1, 1)], 2), 3),
+    "z1r1_ties": ([(0, 3), (0, 1), (1, 2), (1, -1), (2, 0), (2, 5), (3, 1), (0, 0)],
+                  MixedLattice(1, 1), 2),
+    "z1r2": ([(0, 0, 1), (1, 2, 0), (2, 1, 1), (3, 3, -1), (4, 0, 2), (5, 2, 2), (6, 1, 0)],
+             MixedLattice(1, 2), 2),
+    "z2r1": ([(0, 0, 1), (1, 2, 0), (2, 1, 1), (3, 3, -1), (0, 2, 2), (2, 0, 2), (1, 1, 0),
+              (3, 0, 1), (0, 3, 5)], MixedLattice(2, 1), 2),
+    "r2": ([(0, 0), (4, 1), (1, 5), ("1/2", 2), (3, 3), (-2, 1), (2, -3)], RealSpace(2), 3),
+}
+_TVERBERG_STDOUT = json.loads(
+    (pathlib.Path(__file__).parent / "tverberg_stdout.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("name", sorted(_TVERBERG_CASES))
+def test_tverberg_stdout_is_pinned(monkeypatch, capsys, name):
+    """Byte-exact `tverberg` certificates, one input per driver route: a
+    change that moves a centre, a part or a proof weight fails here."""
+    instances, ambient, m = _TVERBERG_CASES[name]
+    pts = PointMultiset.from_points([point(*p) for p in instances])
+    doc = dumps(point_file_to_doc(pts, ambient))
+    code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", str(m)], doc)
+    assert (code, out, err) == (0, _TVERBERG_STDOUT[name], "")
+
+
+def test_tverberg_on_z1_then_verify(monkeypatch, capsys, tmp_path):
+    pts = PointMultiset.from_points([point(x) for x in (4, -1, 0, 0, 7, 2, 2)])
+    src = tmp_path / "z1.json"
+    src.write_text(dumps(point_file_to_doc(pts, Lattice(1))))
+    code, cert_text, err = run(monkeypatch, capsys, ["tverberg", "--m", "2", "--input", str(src)])
+    assert (code, err) == (0, "")
+    code, out, _ = run(monkeypatch, capsys, ["verify", "--source", str(src)], cert_text)
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+_AMBIENT_FORMS = {
+    # --ambient value: dimension of its input file
+    "Z1": 1, "Z2": 2, "Z3": 3, "Z4": 4, "R1": 1, "R2": 2, "Z1R1": 2, "Z2R1": 3,
+    "Z3R1": 4, "Z4R1": 5, "finite1": 1, "finite2": 2, "finite3": 3,
+}
+
+
+@pytest.mark.parametrize("form", sorted(_AMBIENT_FORMS))
+def test_tverberg_exit_contract_over_every_ambient_form(monkeypatch, capsys, form):
+    """Every ambient the flag accepts reaches a driver or a refusal: exit
+    0 with a verifying certificate, or 1/2 with one stderr line, never 4."""
+    rng = random.Random(form)
+    dim = _AMBIENT_FORMS[form]
+    for n, d in ((7, dim), (7, 2)):
+        pts = PointMultiset.from_points(
+            [tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)) for _ in range(n)]
+        )
+        if form.startswith("finite"):
+            declared, flag = FiniteSet(pts.support(), d), "finite"
+        else:
+            declared, flag = None, form
+        doc = dumps(point_file_to_doc(pts, declared))
+        code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", "2", "--ambient", flag], doc)
+        assert code in (0, 1, 2), (form, d, err)
+        if code == 0:
+            assert err == "" and json.loads(out)["type"] == "tverberg_certificate"
+            code, out, _ = run(monkeypatch, capsys, ["verify"], out)
+            assert code == 0
+        else:
+            assert out == "" and err.count("\n") == 1 and err.startswith("tverberg: ")
+
+
 def test_centerpoint_found_and_missing(monkeypatch, capsys):
     code, out, _ = run(
         monkeypatch, capsys, ["centerpoint", "--m", "3"], _grid_doc()
@@ -365,7 +451,7 @@ def test_internal_fault_exit_code(monkeypatch, capsys):
     def broken(points, m, ambient):
         raise AssertionFailed("construction lost its common point")
 
-    monkeypatch.setattr("tverberg.cli.plane_tverberg", broken)
+    monkeypatch.setattr("tverberg.product.plane_tverberg", broken)
     code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", "2"], _grid_doc())
     assert code == 4
     assert out == ""
