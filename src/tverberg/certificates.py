@@ -210,11 +210,20 @@ def line_tverberg(
         w = sub(p, first)
         if any(u[a] * w[b] != u[b] * w[a] for a in range(points.dim) for b in range(a)):
             raise PreconditionViolated("the median construction needs collinear instances")
+    return median_certificate(points, m, ambient)
+
+
+def median_certificate(
+    points: PointMultiset, m: int, ambient: AmbientSet
+) -> TverbergCertificate:
+    """The median groups of ``line_tverberg`` with their certificate, for
+    a caller that has already checked what it checks: m >= 2, at least
+    2m-1 collinear instances, every one of them in the ambient set."""
     instances = points.instances()
     q = instances[m - 1]
     parts: list[PointMultiset] = []
     proofs: list[RawWeights] = []
-    for group in median_groups(n, m):
+    for group in median_groups(points.size, m):
         parts.append(PointMultiset.from_points([instances[i] for i in group], dim=points.dim))
         coeffs = hull_membership(q, parts[-1])
         if coeffs is None:

@@ -94,8 +94,11 @@ def convex_system(
     )
 
 
-def hull_membership(q: Point, hull: PointMultiset) -> ConvexCoefficients | None:
+def hull_membership(
+    q: Sequence[Fraction | int], hull: PointMultiset
+) -> ConvexCoefficients | None:
     """Exact convex weights expressing q over hull's entries, or None.
+    q may hold ints, as the integer candidates of a lattice scan do.
 
     Identical inputs give identical outputs: the multiset is canonically
     ordered and the simplex pivots by Bland's rule.
@@ -193,42 +196,47 @@ def polytope_intersection_point(
     return None if coeffs is None else (coeffs[0].combination(hulls[0]), coeffs)
 
 
-def _integer_box(hulls: Sequence[PointMultiset], coords: range) -> list[range] | None:
-    """Integer ranges of the intersection of the hulls' bounding boxes.
+def _integer_box(hulls: Sequence[PointMultiset], k: int) -> list[range] | None:
+    """Integer ranges of the intersection of the hulls' bounding boxes
+    over the first k coordinates, or None when one of them is empty.
 
     Per coordinate the box is [max_h min_p x, min_h max_p x] and its
     integer range runs from the ceiling of the low end to the floor of
     the high end.  Ceiling and floor are monotone, so they commute with
     min and max: ceil(max_h min_p x) = max_h min_p ceil(x), and likewise
-    for floor.  Rounding each coordinate first gives the same ranges from
-    int comparisons alone.
+    for floor.  So each hull's rounded ranges (``integer_ranges``, kept
+    by the hull) meet by int comparisons alone.
     """
+    lows, highs = zip(*[h.integer_ranges() for h in hulls])
     ranges: list[range] = []
-    for c in coords:
-        lo = max(min(-(-p[c].numerator // p[c].denominator) for p, _ in h.entries) for h in hulls)
-        hi = min(max(p[c].numerator // p[c].denominator for p, _ in h.entries) for h in hulls)
+    # zip transposes the per-hull tuples to per-coordinate ones, and
+    # range(k) stops the walk after the first k coordinates
+    for _, lo, hi in zip(range(k), map(max, zip(*lows)), map(min, zip(*highs))):
         if lo > hi:
             return None
         ranges.append(range(lo, hi + 1))
     return ranges
 
 
-def _in_hull(q: Point, hull: PointMultiset) -> bool:
+def _in_hull(q: Sequence[Fraction | int], hull: PointMultiset) -> bool:
     return hull_membership(q, hull) is not None
 
 
 def iter_common_ambient_points(
     hulls: Sequence[PointMultiset],
     ambient: AmbientSet,
-    contains: Callable[[Point, PointMultiset], bool] = _in_hull,
+    contains: Callable[[Sequence[Fraction | int], PointMultiset], bool] = _in_hull,
 ) -> Iterator[Point]:
     """Lazily yield ambient-set points lying in every hull, in canonical order.
 
     Over Z^d and finite sets each candidate point is tested against each
     hull by ``contains(point, hull)``, one membership system per test by
     default; a caller that meets the same hulls again can pass a test
-    that remembers its verdicts.  Z^j x R^k solves the joint system per
-    integer prefix and does not use it.
+    that remembers its verdicts.  Over Z^d the candidates are the int
+    tuples of the integer box and ``contains`` gets them as they are;
+    only a point that lies in every hull becomes a Fraction tuple.
+    Z^j x R^k solves the joint system per integer prefix and does not
+    use it.
     """
     if not hulls:
         raise InputError("need at least one hull")
@@ -246,16 +254,15 @@ def iter_common_ambient_points(
                 yield s
         return
     if isinstance(ambient, Lattice):
-        box = _integer_box(hulls, range(d))
+        box = _integer_box(hulls, d)
         if box is None:
             return
-        for tup in itertools.product(*box):
-            p = tuple(Fraction(v) for v in tup)
-            if all(contains(p, h) for h in hulls):
-                yield p
+        for cand in itertools.product(*box):
+            if all(contains(cand, h) for h in hulls):
+                yield tuple(map(Fraction, cand))
         return
     if isinstance(ambient, MixedLattice):
-        box = _integer_box(hulls, range(ambient.j))
+        box = _integer_box(hulls, ambient.j)
         if box is None:
             return
         for prefix in itertools.product(*box):

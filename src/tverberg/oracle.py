@@ -15,11 +15,17 @@ may be lex-larger, so none holds more of them.  Only dead branches are
 cut, so the partitions and their order are those of the plain
 enumeration.
 
-``iter_partition_hulls`` builds each distinct part's hull once per
-enumeration, for ``search_partition`` and the real brute force in
-``product``; over Z^d and finite sets the search also decides each
-(point, part) membership by one LP per call, however many partitions
-share the part.
+``iter_partition_hulls`` keeps one part table per enumeration, for
+``search_partition`` and the real brute force in ``product``: each
+distinct part's hull is built once, straight from the multiset's
+canonical entries (``PointMultiset.sub_multiset``), and lives until the
+enumeration ends.  A hull rounds its bounding box to integer ranges the
+first time a scan asks (``PointMultiset.integer_ranges``) and keeps
+them, so over Z^d and Z^j x R^k each partition's candidate box is a few
+int comparisons.  Over Z^d and finite sets the search also decides each
+(candidate, part) membership by one LP per call, however many
+partitions share the part; Z^d candidates are int tuples, and only a
+witness becomes a Fraction point.
 
 ``exact_tverberg_number`` grows n until every n-point multiset over the
 set admits an m-partition.  Candidate multisets that are sub-multisets
@@ -126,14 +132,11 @@ def iter_partition_hulls(
     """The part hulls of every m-partition, in the order of
     ``iter_multiset_partitions``, from one part table that builds each
     distinct part's hull once and keeps it until the iteration ends."""
-    support = points.support()
     table: dict[CountVector, PointMultiset] = {}
     for parts in iter_multiset_partitions(tuple(mult for _, mult in points.entries), m):
         for vec in parts:
             if vec not in table:
-                table[vec] = PointMultiset(
-                    ((support[i], c) for i, c in enumerate(vec) if c), dim=points.dim
-                )
+                table[vec] = points.sub_multiset(vec)
         yield tuple(table[vec] for vec in parts)
 
 
@@ -150,12 +153,13 @@ def search_partition(
         raise DimensionMismatch(
             f"points of dimension {points.dim} in an ambient set of dimension {ambient.dim}"
         )
-    # One membership verdict per (hull id, point); the part table keeps
-    # every hull alive while the search runs, so no id is reused while
-    # the verdicts are keyed by it.
-    verdicts: dict[tuple[int, Point], bool] = {}
+    # One membership verdict per (hull id, candidate); the part table
+    # keeps every hull alive while the search runs, so no id is reused
+    # while the verdicts are keyed by it.  Over Z^d the candidates are
+    # int tuples, which hash and compare without Fraction arithmetic.
+    verdicts: dict[tuple[int, tuple], bool] = {}
 
-    def contains(p: Point, hull: PointMultiset) -> bool:
+    def contains(p: tuple, hull: PointMultiset) -> bool:
         key = (id(hull), p)
         verdict = verdicts.get(key)
         if verdict is None:

@@ -19,8 +19,9 @@ its label classes with their membership proofs:
   the doubled start 1,1,2,1,2,... (depth >= 3) or the arc-anchored
   2,1,1,2,1,2,... (depth exactly 2).
 
-Finite ambient sets go through the Helly number of the set: He = 2 is a
-collinear set, split by ``certificates.line_tverberg``; He <= 3 otherwise
+Finite ambient sets go through the Helly number of the set and its gate
+``finite_gate``, checked once: He = 2 is a collinear set, split by the
+median groups of ``certificates.line_tverberg``; He <= 3 otherwise
 reduces to a real partition whose intersection polygon has its
 lexicographically least vertex inside the set, and He >= 4 admits a
 set-valued centerpoint deep enough for the radial machinery above.
@@ -39,7 +40,7 @@ from .certificates import (
     RawWeights,
     TverbergCertificate,
     assemble_certificate,
-    line_tverberg,
+    median_certificate,
     peel_by_multiplicity,
     singleton_part,
     weights_of,
@@ -300,21 +301,27 @@ def z2_gate(m: int) -> int:
     return 6 if m == 2 else 4 * m - 3
 
 
+def finite_gate(he: int, m: int) -> int:
+    """Instances the finite-set driver needs for m parts over a set of
+    Helly number he: He(m-1)+1, one more for m = 2 when He >= 4."""
+    return he * (m - 1) + 1 + (1 if m == 2 and he >= 4 else 0)
+
+
 def plane_tverberg(
     points: PointMultiset, m: int, ambient: AmbientSet
 ) -> TverbergCertificate:
     """A verified m-part partition of a planar discrete multiset.
 
-    Over Z^2 the size gate is ``z2_gate(m)``.  Over a
-    finite ambient set the gate is He(m-1)+1, one more for m = 2 when
-    He >= 4, and Helly numbers up to 3 take the intersection-vertex
-    route instead of the radial one.
+    Over Z^2 the size gate is ``z2_gate(m)``.  Over a finite ambient set
+    it is ``finite_gate(He, m)``, and Helly numbers up to 3 take the
+    routes of ``helly3_tverberg`` instead of the radial one.
     """
     if m < 2:
         raise PreconditionViolated("partitions need m >= 2")
     if points.dim != 2:
         raise DimensionMismatch("planar driver requires dimension 2")
     n = points.size
+    he = None
     if isinstance(ambient, Lattice):
         if ambient.d != 2:
             raise DimensionMismatch("planar driver requires Z^2")
@@ -328,14 +335,14 @@ def plane_tverberg(
         for p, _ in points.entries:
             if not ambient.contains(p):
                 raise PreconditionViolated(f"instance {p} lies outside the ambient set")
-        he = helly_number(ambient)
-        if he.number <= 3:
-            return helly3_tverberg(points, m, ambient)
-        needed = he.number * (m - 1) + 1 + (1 if m == 2 else 0)
+        he = helly_number(ambient).number
+        needed = finite_gate(he, m)
     else:
         raise UnsupportedAmbient(f"planar driver does not handle {ambient.describe()}")
     if n < needed:
         raise PreconditionViolated(f"need at least {needed} instances for m={m}, got {n}")
+    if he is not None and he <= 3:
+        return _small_helly_partition(points, m, ambient, he)
     center = first_deep_point(points, ambient, m)
     parts, proofs = _labeled_parts(points, center, m)
     return assemble_certificate(m, center, parts, proofs, ambient, points)
@@ -436,7 +443,7 @@ def helly3_tverberg(
 ) -> TverbergCertificate:
     """Partition over a finite planar set of Helly number at most 3.
 
-    A real partition always exists at the He(m-1)+1 gate; the
+    A real partition always exists at the ``finite_gate`` He(m-1)+1; the
     lexicographically least vertex of the intersection of the part hulls
     is then a point of the ambient set and certifies the partition.
     """
@@ -447,21 +454,29 @@ def helly3_tverberg(
     for p, _ in points.entries:
         if not ambient.contains(p):
             raise PreconditionViolated(f"instance {p} lies outside the ambient set")
-    he = helly_number(ambient)
-    if he.number > 3:
-        raise PreconditionViolated(f"ambient set has Helly number {he.number} > 3")
+    he = helly_number(ambient).number
+    if he > 3:
+        raise PreconditionViolated(f"ambient set has Helly number {he} > 3")
     n = points.size
-    needed = he.number * (m - 1) + 1
+    needed = finite_gate(he, m)
     if n < needed:
         raise PreconditionViolated(f"need at least {needed} instances for m={m}, got {n}")
+    return _small_helly_partition(points, m, ambient, he)
 
-    if he.number == 1:
+
+def _small_helly_partition(
+    points: PointMultiset, m: int, ambient: FiniteSet, he: int
+) -> TverbergCertificate:
+    """The body of ``helly3_tverberg`` for checked inputs: m >= 2, planar
+    instances in the set, Helly number he <= 3, at least the gate."""
+    if he == 1:
         q = ambient.points[0]
         parts, proofs = peel_by_multiplicity(points, q, m)
         return assemble_certificate(m, q, parts, proofs, ambient, points)
 
-    if he.number == 2:
-        return line_tverberg(points, m, ambient)
+    if he == 2:
+        # Helly number 2 is a collinear set, so the instances lie on its line.
+        return median_certificate(points, m, ambient)
 
     # Imported here: product imports oracle, which imports planar.
     from .product import real_tverberg_bruteforce

@@ -163,7 +163,7 @@ class PointMultiset:
     instances, ``support_size`` counts distinct points.
     """
 
-    __slots__ = ("entries", "dim")
+    __slots__ = ("entries", "dim", "_ranges")
 
     def __init__(self, entries: Iterable[tuple[Point, int]], dim: int | None = None):
         merged: dict[Point, int] = {}
@@ -201,6 +201,42 @@ class PointMultiset:
 
     def support(self) -> tuple[Point, ...]:
         return tuple(p for p, _ in self.entries)
+
+    def sub_multiset(self, counts: Sequence[int]) -> "PointMultiset":
+        """The multiset holding counts[i] copies of entry i.  Entry order
+        is already canonical, so nothing is merged or sorted again."""
+        if len(counts) != len(self.entries):
+            raise InputError("one count per entry")
+        entries = []
+        for (p, mult), c in zip(self.entries, counts):
+            if not 0 <= c <= mult:
+                raise InputError(f"{c} copies of {p} requested; {mult} present")
+            if c:
+                entries.append((p, c))
+        sub = object.__new__(PointMultiset)
+        object.__setattr__(sub, "entries", tuple(entries))
+        object.__setattr__(sub, "dim", self.dim)
+        return sub
+
+    def integer_ranges(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(lows, highs): per coordinate, the ceiling of the least and the
+        floor of the greatest entry coordinate, so the integers of the
+        bounding box run from lows[c] to highs[c].  Defined for nonempty
+        multisets; computed on first use and kept, as the multiset is
+        immutable."""
+        try:
+            return self._ranges
+        except AttributeError:
+            pass
+        lows: list[int] = []
+        highs: list[int] = []
+        for column in zip(*[p for p, _ in self.entries]):
+            ratios = [x.as_integer_ratio() for x in column]
+            lows.append(min([-(-n // d) for n, d in ratios]))
+            highs.append(max([n // d for n, d in ratios]))
+        ranges = (tuple(lows), tuple(highs))
+        object.__setattr__(self, "_ranges", ranges)
+        return ranges
 
     def instances(self) -> list[Point]:
         """Instance list in canonical order (entry order, copies adjacent)."""

@@ -87,8 +87,17 @@ DRIVERS = {
     (FiniteSet, 1): (line_gate, lambda pts, m, amb, seed: line_tverberg(pts, m, amb)),
     (FiniteSet, None): (None, lambda pts, m, amb, seed: plane_tverberg(pts, m, amb)),
     (MixedLattice, None): (None, lambda pts, m, amb, seed: product_tverberg(pts, m, amb, seed)[0]),
-    (RealSpace, None): (None, lambda pts, m, amb, seed: real_tverberg_bruteforce(pts, m)),
+    (RealSpace, None): (None, lambda pts, m, amb, seed: _real_row(pts, m, amb)),
 }
+
+
+def _real_row(points: PointMultiset, m: int, ambient: RealSpace) -> TverbergCertificate:
+    """The R^d row: the real brute force, over the requested dimension only."""
+    if ambient.dim != points.dim:
+        raise DimensionMismatch(
+            f"points of dimension {points.dim} in an ambient set of dimension {ambient.dim}"
+        )
+    return real_tverberg_bruteforce(points, m)
 
 
 def tverberg_partition(

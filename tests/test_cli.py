@@ -316,6 +316,40 @@ def test_tverberg_stdout_is_pinned(monkeypatch, capsys, name):
     assert (code, out, err) == (0, _TVERBERG_STDOUT[name], "")
 
 
+# name: (instances, declared ambient, refute arguments): refutations over
+# Z^2, Z^1 x R^1 and a budget exit, and hits over Z^2, Z^3, rational
+# points over Z^2 and a finite set
+_REFUTE_CASES = {
+    "onn_m2": ([(0, 0), (0, 1), (2, 0), (1, 2), (3, 2)], Lattice(2), ["--m", "2"]),
+    "doignon_m3": ([(-1, -1), (-1, 2), (0, 0), (0, 1), (1, 1), (1, 0), (2, 2), (2, -1)],
+                   Lattice(2), ["--m", "3"]),
+    "doubled_z1r1": ([(0, 0), (0, 1), (1, 0), (1, 1)], MixedLattice(1, 1), ["--m", "2"]),
+    "z2_six_hit": ([(0, 0), (7, 1), (2, 9), (-4, 3), (-1, -6), (5, -5)], Lattice(2), ["--m", "2"]),
+    "z3_hit": ([(0, 0, 0), (4, 1, 0), (1, 4, 1), (0, 1, 4), (3, 3, 3), (-2, 1, 1), (2, -2, 1)],
+               Lattice(3), ["--m", "2"]),
+    "z2_rational_hit": ([("1/2", 0), ("5/2", "1/3"), (1, "7/3"), ("-1/2", "3/2"), (2, "-3/2"),
+                         ("4/3", 1)], None, ["--m", "2", "--ambient", "Zd"]),
+    "finite_hit": ([(0, 0), (2, 0), (0, 2), (2, 2), (1, 0), (0, 1)],
+                   FiniteSet([point(*p) for p in _GRID], 2), ["--m", "2"]),
+    "onn_budget": ([(0, 0), (0, 1), (2, 0), (1, 2), (3, 2)], Lattice(2),
+                   ["--m", "2", "--budget", "3"]),
+}
+_REFUTE_STDOUT = json.loads(
+    (pathlib.Path(__file__).parent / "refute_stdout.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("name", sorted(_REFUTE_CASES))
+def test_refute_stdout_is_pinned(monkeypatch, capsys, name):
+    """Byte-exact `refute` output and exit code: a change to the search
+    that moves a partition, a witness or a budget exit fails here."""
+    instances, ambient, args = _REFUTE_CASES[name]
+    pts = PointMultiset.from_points([point(*p) for p in instances])
+    doc = dumps(point_file_to_doc(pts, ambient))
+    code, out, err = run(monkeypatch, capsys, ["refute"] + args, doc)
+    assert [code, out, err] == _REFUTE_STDOUT[name]
+
+
 def test_tverberg_on_z1_then_verify(monkeypatch, capsys, tmp_path):
     pts = PointMultiset.from_points([point(x) for x in (4, -1, 0, 0, 7, 2, 2)])
     src = tmp_path / "z1.json"
@@ -356,6 +390,20 @@ def test_tverberg_exit_contract_over_every_ambient_form(monkeypatch, capsys, for
             assert code == 0
         else:
             assert out == "" and err.count("\n") == 1 and err.startswith("tverberg: ")
+
+
+def test_tverberg_over_rd_keeps_the_requested_dimension(monkeypatch, capsys):
+    pts = PointMultiset.from_points([point(0, 0), point(4, 0), point(0, 4), point(1, 1)])
+    doc = dumps(point_file_to_doc(pts, None))
+    for flag, d in (("R1", 1), ("R3", 3)):
+        code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", "2", "--ambient", flag], doc)
+        assert (code, out) == (2, "")
+        assert err == f"tverberg: points of dimension 2 in an ambient set of dimension {d}\n"
+        refute = run(monkeypatch, capsys, ["refute", "--m", "2", "--ambient", flag], doc)
+        assert refute == (code, out, err)
+    for flag in ("R2", "Rd"):
+        code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", "2", "--ambient", flag], doc)
+        assert (code, err) == (0, "") and json.loads(out)["ambient"] == {"d": 2, "kind": "Rd"}
 
 
 def test_centerpoint_found_and_missing(monkeypatch, capsys):

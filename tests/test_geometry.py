@@ -201,6 +201,24 @@ def test_integer_box_matches_fraction_box(rng):
             for _ in range(rng.randint(1, 3))
         ]
         want = _fraction_box(hulls, range(d))
-        assert _integer_box(hulls, range(d)) == want
+        assert _integer_box(hulls, d) == want
+        # a second call reads the ranges each hull kept
+        assert _integer_box(hulls, d) == want
         empty += want is None
     assert 0 < empty < 400
+
+
+def test_integer_box_over_shared_hulls(rng):
+    # one pool of hulls met again and again, in other company and over
+    # fewer coordinates, as a partition search meets its parts
+    for d in (1, 2, 3):
+        pool = [
+            PointMultiset.from_points(
+                [tuple(random_rational(rng, 3, 4) for _ in range(d)) for _ in range(rng.randint(1, 4))]
+            )
+            for _ in range(6)
+        ]
+        for _ in range(150):
+            hulls = rng.sample(pool, rng.randint(1, 3))
+            k = rng.randint(1, d)
+            assert _integer_box(hulls, k) == _fraction_box(hulls, range(k))

@@ -153,12 +153,35 @@ def _search_instances(rng):
         n, m = rng.choice([(3, 2), (4, 2), (5, 2), (6, 3)])
         pts = [(_random_rational(rng, 3), _random_rational(rng, 3)) for _ in range(n)]
         yield PointMultiset.from_points(pts), m, RealSpace(2)
+    # off-lattice points over Z^d, so each hull rounds its own box
+    for _ in range(40):
+        n, m = rng.choice([(5, 2), (6, 2), (7, 3)])
+        pts = [tuple(_off_lattice(rng, 3) for _ in range(2)) for _ in range(n)]
+        yield PointMultiset.from_points(pts), m, Lattice(2)
+    for _ in range(25):
+        n, m = rng.choice([(6, 2), (7, 2), (8, 2)])
+        pts = [tuple(_off_lattice(rng, 3) for _ in range(3)) for _ in range(n)]
+        yield PointMultiset.from_points(pts), m, Lattice(3)
+    rational_set = FiniteSet(
+        tuple(point(x, y) for x, y in [(0, 0), ("1/2", 0), (0, "1/3"), ("1/2", "1/3"),
+                                       ("3/2", "2/3"), ("-1/3", "1/2"), (1, 1)]),
+        2,
+    )
+    for _ in range(30):
+        n, m = rng.choice([(4, 2), (5, 2), (6, 3), (7, 3)])
+        yield PointMultiset.from_points(rng.choices(rational_set.points, k=n)), m, rational_set
+
+
+def _off_lattice(rng, box):
+    """A coordinate in (1/2)Z or (1/3)Z, integral now and then."""
+    den = rng.choice([2, 3])
+    return Fraction(rng.randint(-box * den, box * den), den)
 
 
 def test_search_partition_matches_reference():
     rng = random.Random(0x7E5)
     cases = list(_search_instances(rng))
-    assert len(cases) >= 300
+    assert len(cases) >= 400
     outcomes = set()
     for points, m, ambient in cases:
         budget = rng.choice([None, None, None, 1, 3, 30])
@@ -196,6 +219,54 @@ def test_search_partition_decides_each_membership_once(monkeypatch):
     assert len(decided) == len(set(decided))
     assert set(decided) == reference
     assert scans == 966
+
+
+def test_search_partition_rounds_each_part_once(monkeypatch):
+    computed = []
+    ranges = PointMultiset.integer_ranges
+
+    def counted(self):
+        if not hasattr(self, "_ranges"):
+            computed.append(self.entries)
+        return ranges(self)
+
+    monkeypatch.setattr(PointMultiset, "integer_ranges", counted)
+    scans = 0
+    scan = oracle.iter_common_ambient_points
+
+    def counted_scan(*args):
+        nonlocal scans
+        scans += 1
+        return scan(*args)
+
+    monkeypatch.setattr(oracle, "iter_common_ambient_points", counted_scan)
+    assert verify_no_partition(doignon_witness(3), 3, Lattice(2))
+    assert scans == 966
+    parts = {vec for partition in iter_multiset_partitions((1,) * 8, 3) for vec in partition}
+    assert len(computed) == len(set(computed)) == len(parts)
+
+
+def test_witnesses_are_fraction_points():
+    grid = FiniteSet(tuple(point(x, y) for x in range(3) for y in range(3)), 2)
+    z1r1 = PointMultiset.from_points([point(0, 0), point(0, 3), point(2, 1), point(2, 2), point(1, 5)])
+    cases = [
+        (PointMultiset.from_points([point(0, 0), point(4, 0), point(0, 4), point(1, 1), point(3, 3)]),
+         Lattice(2)),
+        (PointMultiset.from_points([point("1/2", 0), point("5/2", "1/3"), point(1, "7/3"),
+                                    point("-1/2", "3/2"), point(2, "-3/2"), point("4/3", 1)]),
+         Lattice(2)),
+        (PointMultiset.from_points([point(0, 0, 0), point(4, 1, 0), point(1, 4, 1), point(0, 1, 4),
+                                    point(3, 3, 3), point(-2, 1, 1), point(2, -2, 1)]), Lattice(3)),
+        (PointMultiset.from_points([point(0, 0), point(2, 2), point(2, 0), point(0, 2)]), grid),
+        (z1r1, MixedLattice(1, 1)),
+    ]
+    for points, ambient in cases:
+        found = search_partition(points, 2, ambient)
+        assert found is not None, ambient
+        hulls, witness = found
+        assert type(witness) is tuple and all(type(c) is Fraction for c in witness)
+        for got in geometry.lattice_points_in_intersection(hulls, ambient):
+            assert type(got) is tuple and all(type(c) is Fraction for c in got)
 
 
 def test_search_partition_checks_the_ambient_dimension():

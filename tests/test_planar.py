@@ -10,7 +10,9 @@ from tverberg.certificates import verify_certificate
 from tverberg.depth import halfspace_depth, integer_centerpoint
 from tverberg.errors import DimensionMismatch, PreconditionViolated
 from tverberg.geometry import hull_membership
+from tverberg import planar
 from tverberg.planar import (
+    finite_gate,
     helly3_tverberg,
     helly_number,
     plane_tverberg,
@@ -207,6 +209,53 @@ def test_plane_tverberg_finite_ambient_random(rng, triangle_fan_set):
         )
         cert = plane_tverberg(pts, 3, triangle_fan_set)
         assert verify_certificate(cert, pts).ok
+
+
+def test_finite_gate():
+    # He(m-1)+1, and one more for m = 2 once He >= 4
+    assert [finite_gate(he, 2) for he in (1, 2, 3, 4, 5)] == [2, 3, 4, 6, 7]
+    assert [finite_gate(he, 3) for he in (1, 2, 3, 4, 5)] == [3, 5, 7, 9, 11]
+
+
+def test_plane_tverberg_checks_a_finite_set_once(monkeypatch, triangle_fan_set):
+    """Each instance is looked up in the set once, and the Helly number
+    asked for once, on every Helly number route."""
+    lookups = []
+    helly_calls = 0
+    helly = planar.helly_number
+
+    class Counted(FiniteSet):
+        __slots__ = ()
+
+        def contains(self, p):
+            lookups.append(p)
+            return super().contains(p)
+
+    def counted_helly(ambient):
+        nonlocal helly_calls
+        helly_calls += 1
+        return helly(ambient)
+
+    monkeypatch.setattr(planar, "helly_number", counted_helly)
+    line = [point(i, i) for i in range(4)]
+    cases = [
+        ([point(1, 1)] * 5, [point(1, 1)], 3),
+        ([line[0], line[3], line[1], line[1], line[2], line[0], line[3]], line, 3),
+        ([point(0, 0), point(8, 0), point(0, 8), point(1, 1), point(2, 2), point(3, 3), point(0, 0)],
+         list(triangle_fan_set.points), 3),
+        ([point(x, y) for x, y in [(0, 0), (2, 2), (1, 0), (0, 2), (2, 0), (1, 1), (2, 1)]],
+         [point(x, y) for x in range(3) for y in range(3)], 2),
+    ]
+    for instances, support, m in cases:
+        pts = PointMultiset.from_points(instances)
+        ambient = Counted(support, 2)
+        lookups.clear()
+        helly_calls = 0
+        cert = plane_tverberg(pts, m, ambient)
+        assert verify_certificate(cert, pts).ok
+        assert helly_calls == 1
+        checked = [p for p in lookups if p != cert.point]
+        assert sorted(checked) == sorted(p for p in pts.support() if p != cert.point)
 
 
 def test_deep_center_multiplicity_path(rng):

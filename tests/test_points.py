@@ -95,6 +95,21 @@ def test_multiset_instances_order():
     assert ms.instances() == [point(0, 0), point(2, 0), point(2, 0)]
 
 
+def test_sub_multiset_and_integer_ranges():
+    ms = PointMultiset(
+        [(point(-1, "5/2"), 2), (point(0, 0), 1), (point("3/2", "-1/3"), 3)], dim=2
+    )
+    part = ms.sub_multiset((1, 0, 2))
+    assert part == PointMultiset([(point("3/2", "-1/3"), 2), (point(-1, "5/2"), 1)], dim=2)
+    assert part.integer_ranges() == ((-1, 0), (1, 2))
+    assert part.integer_ranges() is part.integer_ranges()
+    assert ms.sub_multiset((0, 1, 0)).integer_ranges() == ((0, 0), (0, 0))
+    assert ms.sub_multiset((0, 0, 3)).integer_ranges() == ((2, 0), (1, -1))
+    for bad in ((1, 0), (3, 0, 0), (0, -1, 1)):
+        with pytest.raises(InputError):
+            ms.sub_multiset(bad)
+
+
 def test_primitive():
     assert primitive(point(4, -6)) == (2, -3)
     assert primitive(point(0, 5)) == (0, 1)
