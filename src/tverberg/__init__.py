@@ -44,6 +44,7 @@ from .errors import (
 from .geometry import (
     caratheodory_reduce,
     hull_membership,
+    in_hull,
     lattice_points_in_intersection,
     polytope_intersection_point,
 )
@@ -138,6 +139,7 @@ __all__ = [
     "halfspace_depth",
     "helly_number",
     "hull_membership",
+    "in_hull",
     "integer_centerpoint",
     "iter_multiset_partitions",
     "lattice_points_in_intersection",

@@ -10,8 +10,15 @@ support entry of each hull, with rows in this fixed order
   3. hull 0's combination minus hull i's, one row per coordinate, for
      every i >= 1.
 
-The phase-1 simplex decides it once.  Bland's rule breaks ties by row
-order, so the order is part of the answer.  Pins come first because
+The rows are ints.  Each hull keeps its entries' coordinates scaled
+to integers by its own scale (``PointMultiset.integer_coordinates``),
+and the system takes one positive scale for all of its rows, the lcm
+of the hulls' scales and the pin's denominators, never one per row: a
+row scale would change the reduced costs and so the pivots.  The
+phase-1 simplex decides the integer system once, as it is.  Bland's
+rule breaks ties by row order, so the order is part of the answer;
+with one scale the pivots, the weights and the gaps (divided back by
+the scale) are those of the rational system.  Pins come first because
 one pinned hull is then exactly the classical membership system
 (coordinates, then the sum), so membership weights and fiber lifts are
 the canonical basic solutions of that system.
@@ -19,6 +26,10 @@ the canonical basic solutions of that system.
 * ``hull_membership``: is q a convex combination of a multiset's points?
   q pins all coordinates of one hull; returns the weights or None.
   ``membership_gap`` returns the same system's infeasibility mass.
+
+* ``in_hull``: the same verdict as a bool, for callers that throw the
+  weights away: a q equal to an entry is in at once, any other q is
+  one solve of the membership system that builds no weights.
 
 * ``caratheodory_reduce``: shrink membership weights to an affinely
   independent support of at most d+1 points with strictly positive
@@ -42,12 +53,47 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, Sequence
 
 from .ambient import AmbientSet, FiniteSet, Lattice, MixedLattice, RealSpace
 from .errors import DimensionMismatch, InputError, UnsupportedAmbient
 from .linprog import nullspace, solve_phase1
 from .points import ConvexCoefficients, Point, PointMultiset
+
+
+def _integer_system(
+    hulls: Sequence[PointMultiset], pin: Sequence[Fraction | int]
+) -> tuple[list[list[int]], list[int], int]:
+    """(rows, rhs, scale): ``convex_system``'s system in ints, all of it
+    multiplied by one positive scale, the lcm of the hulls' scales and
+    the pin's denominators.  Each hull's integer coordinates are read
+    as the hull keeps them, times scale over the hull's own scale."""
+    coords = [h.integer_coordinates() for h in hulls]
+    scale = lcm(*[s for s, _, _ in coords], *[v.denominator for v in pin])
+    columns = [
+        cols if s == scale else [[x * (scale // s) for x in col] for col in cols]
+        for s, cols, _ in coords
+    ]
+    offsets = list(itertools.accumulate([len(h.entries) for h in hulls], initial=0))
+    width = offsets[-1]
+
+    def row(idx: int, entries: list[int]) -> list[int]:
+        return [0] * offsets[idx] + entries + [0] * (width - offsets[idx + 1])
+
+    first = columns[0]
+    rows = [row(0, list(first[c])) for c in range(len(pin))]
+    rhs = [v.numerator * (scale // v.denominator) for v in pin]
+    for idx, h in enumerate(hulls):
+        rows.append(row(idx, [scale] * len(h.entries)))
+        rhs.append(scale)
+    for idx in range(1, len(hulls)):
+        for c in range(hulls[0].dim):
+            diff = row(idx, [-x for x in columns[idx][c]])
+            diff[: offsets[1]] = first[c]
+            rows.append(diff)
+            rhs.append(0)
+    return rows, rhs, scale
 
 
 def convex_system(
@@ -61,37 +107,36 @@ def convex_system(
     and weights holds one set per hull when gap is zero, else None.
     The common point is ``weights[0].combination(hulls[0])``.
     """
-    supports = [h.support() for h in hulls]
-    offsets = [0]
-    for sup in supports:
-        offsets.append(offsets[-1] + len(sup))
-    width = offsets[-1]
-    zero, one = Fraction(0), Fraction(1)
-
-    def row(idx: int, entries: list[Fraction]) -> list[Fraction]:
-        return [zero] * offsets[idx] + entries + [zero] * (width - offsets[idx + 1])
-
-    first = supports[0]
-    rows = [row(0, [p[c] for p in first]) for c in range(len(pin))]
-    rhs = list(pin)
-    for idx, sup in enumerate(supports):
-        rows.append(row(idx, [one] * len(sup)))
-        rhs.append(one)
-    for idx in range(1, len(hulls)):
-        for c in range(hulls[0].dim):
-            diff = row(idx, [-p[c] for p in supports[idx]])
-            diff[: len(first)] = [p[c] for p in first]
-            rows.append(diff)
-            rhs.append(zero)
-    gap, x = solve_phase1(rows, rhs)
+    gap, x = solve_phase1(*_integer_system(hulls, pin))
     if gap != 0:
         return gap, None
+    offsets = itertools.accumulate([len(h.entries) for h in hulls], initial=0)
     return gap, tuple(
-        ConvexCoefficients(
-            (j, x[offsets[idx] + j]) for j in range(len(sup)) if x[offsets[idx] + j] != 0
-        )
-        for idx, sup in enumerate(supports)
+        ConvexCoefficients((j, w) for j, w in enumerate(x[lo:hi]) if w != 0)
+        for lo, hi in itertools.pairwise(offsets)
     )
+
+
+def in_hull(q: Sequence[Fraction | int], hull: PointMultiset) -> bool:
+    """Whether q is a convex combination of hull's entries: the verdict
+    of ``hull_membership(q, hull) is not None`` without the weights.
+
+    A q equal to an entry is in at once.  Otherwise the membership
+    system is solved as ``hull_membership`` solves it, and only its
+    feasibility is read.  q may hold ints.
+    """
+    if len(q) != hull.dim:
+        raise DimensionMismatch(f"point of dimension {len(q)} against hull of dimension {hull.dim}")
+    if not hull.entries:
+        return False
+    # q is an entry iff q times the hull's scale is an entry's scaled
+    # point: a product that is not integral matches none, and ints
+    # compare equal to integral Fractions
+    scale, _, points = hull.integer_coordinates()
+    if tuple([v * scale for v in q]) in points:
+        return True
+    gap, _ = solve_phase1(*_integer_system((hull,), q), solution=False)
+    return gap == 0
 
 
 def hull_membership(
@@ -218,23 +263,21 @@ def _integer_box(hulls: Sequence[PointMultiset], k: int) -> list[range] | None:
     return ranges
 
 
-def _in_hull(q: Sequence[Fraction | int], hull: PointMultiset) -> bool:
-    return hull_membership(q, hull) is not None
-
-
 def iter_common_ambient_points(
     hulls: Sequence[PointMultiset],
     ambient: AmbientSet,
-    contains: Callable[[Sequence[Fraction | int], PointMultiset], bool] = _in_hull,
+    contains: Callable[[Sequence[Fraction | int], PointMultiset], bool] = in_hull,
 ) -> Iterator[Point]:
     """Lazily yield ambient-set points lying in every hull, in canonical order.
 
     Over Z^d and finite sets each candidate point is tested against each
-    hull by ``contains(point, hull)``, one membership system per test by
-    default; a caller that meets the same hulls again can pass a test
-    that remembers its verdicts.  Over Z^d the candidates are the int
-    tuples of the integer box and ``contains`` gets them as they are;
-    only a point that lies in every hull becomes a Fraction tuple.
+    hull by ``contains(point, hull)``, by default ``in_hull``: an entry
+    of the hull is in at once, any other candidate is one membership
+    system, and no weights are built.  A caller that meets the same
+    hulls again can pass a test that remembers its verdicts.  Over Z^d
+    the candidates are the int tuples of the integer box and
+    ``contains`` gets them as they are; only a point that lies in every
+    hull becomes a Fraction tuple.
     Z^j x R^k solves the joint system per integer prefix and does not
     use it.
     """

@@ -1,7 +1,8 @@
 """Exact linear algebra and an exact-pivot phase-1 simplex.
 
 Inputs and outputs are rational (ints and ``fractions.Fraction``).  The
-linear algebra (``rref`` and what is built on it) runs over Fraction.
+linear algebra (``rref`` and what is built on it) runs over Fraction;
+the simplex takes an integer system and answers in Fractions.
 The simplex solves only feasibility systems (find x >= 0 with Ax = b),
 which is all the geometry layer ever needs: convex-hull membership,
 joint intersection points, and fiber feasibility are all
@@ -13,26 +14,30 @@ leaving variable among minimum ratios), which guarantees termination and
 makes every answer deterministic for a given system, independent of any
 hashing or iteration-order accidents.
 
-The simplex is integer inside (integer-preserving pivoting: Bareiss,
-Math. Comp. 1968, as in Avis's lrs).  The system is scaled once by
-the lcm of its denominators, and the tableau holds integers over one
-common denominator ``det``, the previous pivot, so the true entries are
-the stored ones divided by ``det``.  A pivot on entry ``piv`` maps every
-other row v, with entering entry f, to (v*piv - f*w) // det, where w is
-the pivot row; the division is exact because ``det`` times the inverse
-basis is an integer matrix, and ``piv`` becomes the new ``det``.
-Positive scalings change no ratio and no reduced-cost sign, so the
-pivots are exactly Bland's pivots on the rational tableau, and the gap
-and solution, turned back into Fractions at the end, are the same.
+The simplex is integer throughout (integer-preserving pivoting:
+Bareiss, Math. Comp. 1968, as in Avis's lrs).  Its caller hands it the
+system in ints with one positive scale for the whole system (the
+geometry layer builds its rows that way), and the tableau holds
+integers over one common denominator ``det``, the previous pivot, so
+the true entries are the stored ones divided by ``det``.  A pivot on
+entry ``piv`` maps every other row v, with entering entry f, to
+(v*piv - f*w) // det, where w is the pivot row; the division is exact
+because ``det`` times the inverse basis is an integer matrix, and
+``piv`` becomes the new ``det``.  Positive scalings of the whole system
+change no ratio and no reduced-cost sign, so the pivots are exactly
+Bland's pivots on the rational tableau, and the gap (divided back by
+the scale) and the solution, turned into Fractions at the end, are the
+same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
+
+_ZERO = Fraction(0)
 
 
 def rref(rows: Sequence[Sequence[Fraction]], width: int | None = None) -> tuple[Matrix, list[int]]:
@@ -104,28 +109,32 @@ def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
 
 
 def solve_phase1(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    a: Sequence[Sequence[int]], b: Sequence[int], scale: int = 1, solution: bool = True
 ) -> tuple[Fraction, list[Fraction] | None]:
-    """Minimize the total artificial mass of Ax = b, x >= 0.
+    """Minimize the total artificial mass of (a/scale) x = b/scale, x >= 0.
 
-    Returns (gap, x): gap == 0 means the system is feasible and x is an
-    exact basic feasible solution; gap > 0 is the exact l1 distance to
-    feasibility of the right-hand side (and x is None).  Entries are
-    ints or Fractions.
+    a and b hold ints and scale is a positive int: the system is given
+    already in integers, scaled once as a whole (a scale per row would
+    change the reduced costs and so the pivots), and it is pivoted as
+    it is.  Returns (gap, x): gap == 0 means the system is feasible and
+    x is an exact basic feasible solution, which a caller that reads
+    only feasibility skips with ``solution=False`` (x is then None);
+    gap > 0 is the exact l1 distance to feasibility of the right-hand
+    side b/scale (and x is None).  The scale changes neither the pivots
+    nor x.
     """
     m = len(a)
     if m == 0:
-        return Fraction(0), []
+        return _ZERO, [] if solution else None
     n = len(a[0])
-    scale = lcm(*{v.denominator for row in a for v in row}, *{v.denominator for v in b})
 
-    # Tableau columns: n original variables, m artificials, then the rhs,
-    # all of the system scaled by `scale`; each row is sign-normalised.
+    # Tableau columns: n original variables, m artificials, then the rhs;
+    # each row is sign-normalised.
     total_cols = n + m
     tableau: list[list[int]] = []
     for i in range(m):
-        r = [v.numerator * (scale // v.denominator) for v in a[i]]
-        bv = b[i].numerator * (scale // b[i].denominator)
+        r = list(a[i])
+        bv = b[i]
         if bv < 0:
             r = [-v for v in r]
             bv = -bv
@@ -179,8 +188,10 @@ def solve_phase1(
 
     if cost[total_cols] != 0:
         return Fraction(-cost[total_cols], det * scale), None
-    x = [Fraction(0)] * n
+    if not solution:
+        return _ZERO, None
+    x = [_ZERO] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = Fraction(tableau[i][total_cols], det)
-    return Fraction(0), x
+    return _ZERO, x

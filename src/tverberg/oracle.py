@@ -23,9 +23,10 @@ enumeration ends.  A hull rounds its bounding box to integer ranges the
 first time a scan asks (``PointMultiset.integer_ranges``) and keeps
 them, so over Z^d and Z^j x R^k each partition's candidate box is a few
 int comparisons.  Over Z^d and finite sets the search also decides each
-(candidate, part) membership by one LP per call, however many
-partitions share the part; Z^d candidates are int tuples, and only a
-witness becomes a Fraction point.
+(candidate, part) membership once per call, however many partitions
+share the part, by ``in_hull``: an entry of the part is in at once, any
+other candidate is one integer LP that builds no weights.  Z^d
+candidates are int tuples, and only a witness becomes a Fraction point.
 
 ``exact_tverberg_number`` grows n until every n-point multiset over the
 set admits an m-partition.  Candidate multisets that are sub-multisets
@@ -49,11 +50,7 @@ from .errors import (
     PreconditionViolated,
     UnsupportedAmbient,
 )
-from .geometry import (
-    hull_membership,
-    iter_common_ambient_points,
-    polytope_intersection_point,
-)
+from .geometry import in_hull, iter_common_ambient_points, polytope_intersection_point
 from .planar import plane_tverberg
 from .points import Point, PointMultiset
 from .witnesses import convex_lowerbound_witness
@@ -163,7 +160,7 @@ def search_partition(
         key = (id(hull), p)
         verdict = verdicts.get(key)
         if verdict is None:
-            verdict = verdicts[key] = hull_membership(p, hull) is not None
+            verdict = verdicts[key] = in_hull(p, hull)
         return verdict
 
     checked = 0

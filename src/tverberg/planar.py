@@ -53,7 +53,7 @@ from .errors import (
     PreconditionViolated,
     UnsupportedAmbient,
 )
-from .geometry import hull_membership
+from .geometry import hull_membership, in_hull
 from .points import Point, PointMultiset, clockwise_key, cross2, is_integral, primitive, sub
 
 
@@ -364,14 +364,13 @@ def _qualifies(subset: tuple[Point, ...], ambient: FiniteSet) -> bool:
     ms = PointMultiset.from_points(subset, dim=ambient.dim)
     for p in subset:
         rest = ms.remove(p)
-        if rest.size and hull_membership(p, rest) is not None:
+        if rest.size and in_hull(p, rest):
             return False
-    for s in ambient.points:
-        if s in ms:
-            continue
-        if hull_membership(s, ms) is not None:
-            return False
-    return True
+    # the subset's own points are set points in its hull (in_hull's
+    # entry test), so the hull meets the set in the subset alone iff it
+    # holds no more than len(subset) set points
+    inside = (s for s in ambient.points if in_hull(s, ms))
+    return sum(1 for _ in itertools.islice(inside, len(subset) + 1)) == len(subset)
 
 
 @functools.lru_cache(maxsize=256)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, InputError
@@ -163,7 +163,7 @@ class PointMultiset:
     instances, ``support_size`` counts distinct points.
     """
 
-    __slots__ = ("entries", "dim", "_ranges")
+    __slots__ = ("entries", "dim", "_ranges", "_integer")
 
     def __init__(self, entries: Iterable[tuple[Point, int]], dim: int | None = None):
         merged: dict[Point, int] = {}
@@ -218,23 +218,41 @@ class PointMultiset:
         object.__setattr__(sub, "dim", self.dim)
         return sub
 
+    def integer_coordinates(
+        self,
+    ) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(scale, columns, points) of the entries in integers: scale is
+        the least positive int that makes every entry coordinate integral
+        (the lcm of their denominators), points[j] is entry j's point
+        times scale and columns[c][j] its coordinate c.  Defined for
+        nonempty multisets; computed on first use and kept, as the
+        multiset is immutable."""
+        try:
+            return self._integer
+        except AttributeError:
+            pass
+        support = self.support()
+        scale = lcm(*{x.denominator for p in support for x in p})
+        points = tuple([tuple([x.numerator * (scale // x.denominator) for x in p]) for p in support])
+        integer = (scale, tuple(zip(*points)), points)
+        object.__setattr__(self, "_integer", integer)
+        return integer
+
     def integer_ranges(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(lows, highs): per coordinate, the ceiling of the least and the
         floor of the greatest entry coordinate, so the integers of the
-        bounding box run from lows[c] to highs[c].  Defined for nonempty
-        multisets; computed on first use and kept, as the multiset is
-        immutable."""
+        bounding box run from lows[c] to highs[c].  Read off the integer
+        coordinates; defined for nonempty multisets; computed on first use
+        and kept."""
         try:
             return self._ranges
         except AttributeError:
             pass
-        lows: list[int] = []
-        highs: list[int] = []
-        for column in zip(*[p for p, _ in self.entries]):
-            ratios = [x.as_integer_ratio() for x in column]
-            lows.append(min([-(-n // d) for n, d in ratios]))
-            highs.append(max([n // d for n, d in ratios]))
-        ranges = (tuple(lows), tuple(highs))
+        scale, columns, _ = self.integer_coordinates()
+        ranges = (
+            tuple([-(-min(column) // scale) for column in columns]),
+            tuple([max(column) // scale for column in columns]),
+        )
         object.__setattr__(self, "_ranges", ranges)
         return ranges
 

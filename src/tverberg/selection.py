@@ -37,7 +37,7 @@ from .errors import (
     PreconditionViolated,
     SelectionNotFound,
 )
-from .geometry import hull_membership
+from .geometry import in_hull
 from .linprog import pivot_columns, solve_linear
 from .planar import radial_order
 from .points import Point, PointMultiset, dot, sub
@@ -97,7 +97,7 @@ def _direct_violation(parts: Sequence[PointMultiset], q: Point) -> bool:
     supports = [part.support() for part in parts]
     for choice in itertools.product(*supports):
         ms = PointMultiset.from_points(choice, dim=len(q))
-        if hull_membership(q, ms) is None:
+        if not in_hull(q, ms):
             return True
     return False
 
@@ -171,7 +171,7 @@ def _try_greedy(
             others = [groups[h] for h in range(len(groups)) if h != g]
             for choice in itertools.product(*others):
                 ms = PointMultiset.from_points((x,) + choice, dim=dim)
-                if hull_membership(q, ms) is None:
+                if not in_hull(q, ms):
                     ok = False
                     break
             if ok:
@@ -252,7 +252,7 @@ def fraction_selection(
             continue
         tried.add(combo)
         ms = PointMultiset.from_points([stream[i] for i in combo], dim=d)
-        if hull_membership(q, ms) is None:
+        if not in_hull(q, ms):
             continue
         seeds_tried += 1
         groups = _try_greedy(stream, combo, q, d)

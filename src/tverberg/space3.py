@@ -49,7 +49,7 @@ from .errors import (
     PreconditionViolated,
     SearchExhausted,
 )
-from .geometry import caratheodory_reduce, hull_membership, membership_gap
+from .geometry import caratheodory_reduce, hull_membership, in_hull, membership_gap
 from .points import Point, PointMultiset, dot, is_integral, sub
 
 IntPoint = tuple[int, ...]
@@ -212,17 +212,12 @@ def _bipartition(
     """``bipartition_search`` after its checks."""
 
     def settled(a: PointMultiset, b: PointMultiset) -> bool:
-        return (
-            a.size > 0
-            and b.size > 0
-            and hull_membership(p, a) is not None
-            and hull_membership(p, b) is not None
-        )
+        return a.size > 0 and b.size > 0 and in_hull(p, a) and in_hull(p, b)
 
     if p in points:
         first = singleton_part(p)
         rest = points.remove(p)
-        if hull_membership(p, rest) is None:
+        if not in_hull(p, rest):
             raise AssertionFailed("depth 3 leaves the complement of one copy nonempty in every half-space")
         return first, rest
 
@@ -232,13 +227,13 @@ def _bipartition(
         if _on_segment(q, grid[i], grid[j]):
             first = PointMultiset.from_points([support[i], support[j]], dim=3)
             rest = _split_by_entries(points, first)
-            if hull_membership(p, rest) is None:
+            if not in_hull(p, rest):
                 raise AssertionFailed("segment through p must leave depth >= 1 behind")
             return first, rest
 
     x = _minimal_subset(points, p)
     rest = _split_by_entries(points, x)
-    if rest.size and hull_membership(p, rest) is not None:
+    if rest.size and in_hull(p, rest):
         return x, rest
 
     instances = points.instances()
@@ -312,12 +307,12 @@ def _bipartition(
             a = PointMultiset.from_points(
                 [instances[i] for i in range(n) if chosen[i]], dim=3
             )
-            if hull_membership(p, a) is None:
+            if not in_hull(p, a):
                 continue
             b = PointMultiset.from_points(
                 [instances[i] for i in range(n) if not chosen[i]], dim=3
             )
-            if hull_membership(p, b) is not None:
+            if in_hull(p, b):
                 return a, b
     raise SearchExhausted(
         "no bipartition found",

@@ -4,6 +4,10 @@ The textbook form of ``tverberg.linprog.solve_phase1``: every entry is a
 Fraction and every pivot divides.  The library pivots an integer tableau
 instead; the tests check that both return the same (gap, x) on the same
 systems, so this copy shares no code with the library.
+
+``convex_rows`` builds the geometry layer's convex-combination system
+in Fractions, row for row, so the tests can ask this simplex every
+question the geometry layer answers with its own integer rows.
 """
 
 from __future__ import annotations
@@ -89,3 +93,52 @@ def solve_phase1(
         if basis[i] < n:
             x[basis[i]] = tableau[i][total_cols]
     return Fraction(0), x
+
+
+def convex_rows(hulls, pin=()) -> tuple[Matrix, list[Fraction]]:
+    """The system of ``tverberg.geometry.convex_system`` in Fractions and
+    in its row order: the pins over hull 0's entries, one sum-to-one row
+    per hull, then hull 0 minus hull i, one row per coordinate, for every
+    i >= 1.  Columns are the hulls' entries, hull by hull."""
+    supports = [[p for p, _ in h.entries] for h in hulls]
+    width = sum(len(sup) for sup in supports)
+
+    def row(idx, entries):
+        before = sum(len(sup) for sup in supports[:idx])
+        return [Fraction(0)] * before + entries + [Fraction(0)] * (width - before - len(entries))
+
+    rows = [row(0, [Fraction(p[c]) for p in supports[0]]) for c in range(len(pin))]
+    rhs = [Fraction(v) for v in pin]
+    for idx, sup in enumerate(supports):
+        rows.append(row(idx, [Fraction(1)] * len(sup)))
+        rhs.append(Fraction(1))
+    for idx in range(1, len(hulls)):
+        for c in range(hulls[0].dim):
+            first = row(0, [Fraction(p[c]) for p in supports[0]])
+            other = row(idx, [Fraction(p[c]) for p in supports[idx]])
+            rows.append([u - v for u, v in zip(first, other)])
+            rhs.append(Fraction(0))
+    return rows, rhs
+
+
+def convex_solution(hulls, pin=()):
+    """(gap, weights) of this module's simplex on ``convex_rows``: weights
+    holds, per hull, the (entry index, weight) pairs of its nonzero
+    weights, or is None when the gap is positive."""
+    gap, x = solve_phase1(*convex_rows(hulls, pin))
+    if gap != 0:
+        return gap, None
+    weights = []
+    offset = 0
+    for h in hulls:
+        size = len(h.entries)
+        weights.append(tuple((j, x[offset + j]) for j in range(size) if x[offset + j] != 0))
+        offset += size
+    return gap, tuple(weights)
+
+
+def combination(weights, hull) -> tuple[Fraction, ...]:
+    """The point the (entry index, weight) pairs combine over hull's entries."""
+    return tuple(
+        sum((w * hull.entries[j][0][c] for j, w in weights), Fraction(0)) for c in range(hull.dim)
+    )

@@ -3,21 +3,28 @@
 The textbook forms of ``tverberg.oracle.iter_multiset_partitions`` and
 ``tverberg.oracle.search_partition``: every nonzero part vector below
 the remainder is tried at every level, and every partition builds its
-own hulls and asks ``iter_common_ambient_points`` afresh, which decides
-each membership with its own LP.  The library prunes dead branches and
-shares one part table per search instead; the tests check that both
-yield the same partitions in the same order and return the same
-``(hulls, witness)``, so this copy shares no enumeration code with the
-library.
+own hulls and scans afresh.  The scan is this module's own: Z^d
+candidates come from a Fraction bounding box rounded once, and every
+membership, every Z^j x R^k prefix and every R^d intersection is one
+Fraction system in the geometry layer's row order, solved by
+``lp_oracle.solve_phase1``; no candidate is settled by being an entry.
+The library prunes dead branches, shares one part table per search,
+rounds integer boxes and decides in integers instead; the tests check
+that both yield the same partitions in the same order and return the
+same ``(hulls, witness)``, so this copy shares no enumeration, box or
+membership code with the library.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from fractions import Fraction
 from typing import Iterator, Sequence
 
-from tverberg.ambient import AmbientSet, RealSpace
+import lp_oracle
+from tverberg.ambient import AmbientSet, FiniteSet, Lattice, MixedLattice, RealSpace
 from tverberg.errors import BudgetExceeded, InputError
-from tverberg.geometry import iter_common_ambient_points, polytope_intersection_point
 from tverberg.points import Point, PointMultiset
 
 CountVector = tuple[int, ...]
@@ -91,15 +98,60 @@ def _parts_to_multisets(
     return out
 
 
+def fraction_box(hulls: Sequence[PointMultiset], k: int) -> list[range] | None:
+    """Integer ranges of the intersection of the hulls' bounding boxes
+    over the first k coordinates, from Fraction extremes rounded once, or
+    None when the box holds no integer point."""
+    ranges = []
+    for c in range(k):
+        lo = max(min(p[c] for p, _ in h.entries) for h in hulls)
+        hi = min(max(p[c] for p, _ in h.entries) for h in hulls)
+        lo_i, hi_i = math.ceil(lo), math.floor(hi)
+        if lo_i > hi_i:
+            return None
+        ranges.append(range(lo_i, hi_i + 1))
+    return ranges
+
+
+def member(q: Sequence[Fraction], hull: PointMultiset) -> bool:
+    """Whether q is in hull, by the Fraction simplex alone."""
+    gap, _ = lp_oracle.convex_solution((hull,), q)
+    return gap == 0
+
+
+def _common_point(hulls: Sequence[PointMultiset], pin: Sequence[Fraction] = ()) -> Point | None:
+    _, weights = lp_oracle.convex_solution(hulls, pin)
+    return None if weights is None else lp_oracle.combination(weights[0], hulls[0])
+
+
 def _partition_admits(
     hulls: Sequence[PointMultiset], ambient: AmbientSet
 ) -> Point | None:
-    """Some ambient point common to all hulls, or None."""
+    """The first ambient point common to all hulls in canonical order,
+    or None."""
     if isinstance(ambient, RealSpace):
-        found = polytope_intersection_point(hulls)
-        return None if found is None else found[0]
-    for p in iter_common_ambient_points(hulls, ambient):
-        return p
+        return _common_point(hulls)
+    if isinstance(ambient, FiniteSet):
+        candidates = iter(ambient.points)
+    elif isinstance(ambient, Lattice):
+        box = fraction_box(hulls, ambient.dim)
+        if box is None:
+            return None
+        candidates = (tuple(map(Fraction, c)) for c in itertools.product(*box))
+    elif isinstance(ambient, MixedLattice):
+        box = fraction_box(hulls, ambient.j)
+        if box is None:
+            return None
+        for prefix in itertools.product(*box):
+            found = _common_point(hulls, tuple(map(Fraction, prefix)))
+            if found is not None:
+                return found
+        return None
+    else:
+        raise TypeError(f"no reference scan for {ambient!r}")
+    for q in candidates:
+        if all(member(q, h) for h in hulls):
+            return q
     return None
 
 

@@ -1,26 +1,30 @@
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from tverberg.ambient import FiniteSet, Lattice, MixedLattice
-from tverberg.errors import DimensionMismatch, UnsupportedAmbient
+from tverberg.errors import DimensionMismatch, Infeasible, UnsupportedAmbient
 from tverberg.geometry import (
     _integer_box,
     caratheodory_reduce,
+    convex_system,
     hull_membership,
+    in_hull,
     iter_common_ambient_points,
     lattice_points_in_intersection,
     membership_gap,
     polytope_intersection_point,
 )
 from tverberg.points import PointMultiset, point
+from tverberg.product import fiber_lift
 
+import lp_oracle
 from conftest import random_lattice_multiset, random_rational
+from partition_oracle import fraction_box
 
 
 def test_hull_membership_triangle():
@@ -175,19 +179,6 @@ def test_random_agreement_between_scan_and_joint_lp(rng):
             assert not scan
 
 
-def _fraction_box(hulls, coords):
-    """The box from Fraction min/max over each hull, rounded once."""
-    ranges = []
-    for c in coords:
-        lo = max(min(p[c] for p in h.support()) for h in hulls)
-        hi = min(max(p[c] for p in h.support()) for h in hulls)
-        lo_i, hi_i = math.ceil(lo), math.floor(hi)
-        if lo_i > hi_i:
-            return None
-        ranges.append(range(lo_i, hi_i + 1))
-    return ranges
-
-
 def test_integer_box_matches_fraction_box(rng):
     # rational vertices of both signs, so rounding each vertex first must
     # agree with rounding the Fraction extremes
@@ -200,7 +191,7 @@ def test_integer_box_matches_fraction_box(rng):
             )
             for _ in range(rng.randint(1, 3))
         ]
-        want = _fraction_box(hulls, range(d))
+        want = fraction_box(hulls, d)
         assert _integer_box(hulls, d) == want
         # a second call reads the ranges each hull kept
         assert _integer_box(hulls, d) == want
@@ -221,4 +212,106 @@ def test_integer_box_over_shared_hulls(rng):
         for _ in range(150):
             hulls = rng.sample(pool, rng.randint(1, 3))
             k = rng.randint(1, d)
-            assert _integer_box(hulls, k) == _fraction_box(hulls, range(k))
+            assert _integer_box(hulls, k) == fraction_box(hulls, k)
+
+
+def _mixed_rational(rng, box=3):
+    return Fraction(rng.randint(-box * 6, box * 6), rng.choice([1, 2, 3, 4, 5, 6]))
+
+
+def _property_hull(rng, d):
+    """A small hull of one of the shapes the integer rows must get right."""
+    kind = rng.choice(["integer", "rational", "repeated", "flat", "single"])
+    if kind == "integer":
+        pts = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(d)) for _ in range(rng.randint(1, 5))]
+    elif kind == "rational":
+        pts = [tuple(_mixed_rational(rng) for _ in range(d)) for _ in range(rng.randint(1, 5))]
+    elif kind == "repeated":
+        base = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)) for _ in range(rng.randint(1, 3))]
+        pts = base + rng.choices(base, k=rng.randint(1, 3))
+    elif kind == "flat":
+        # collinear points, or coplanar ones in space
+        origin = tuple(_mixed_rational(rng, 2) for _ in range(d))
+        spans = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)) for _ in range(1 if d < 3 else rng.randint(1, 2))]
+        pts = [
+            tuple(o + sum(t * u[c] for t, u in zip(ts, spans)) for c, o in enumerate(origin))
+            for ts in ([_mixed_rational(rng, 1) for _ in spans] for _ in range(rng.randint(2, 5)))
+        ]
+    else:
+        pts = [tuple(_mixed_rational(rng) for _ in range(d))]
+    return PointMultiset.from_points(pts, dim=d)
+
+
+def _property_query(rng, hull, d):
+    """An entry, a point on an edge, an inside point or a stray point."""
+    support = hull.support()
+    kind = rng.choice(["entry", "edge", "inside", "stray", "stray_int"])
+    if kind == "entry":
+        q = rng.choice(support)
+    elif kind == "edge":
+        a, b = rng.choice(support), rng.choice(support)
+        t = Fraction(rng.randint(0, 4), 4)
+        q = tuple(t * x + (1 - t) * y for x, y in zip(a, b))
+    elif kind == "inside":
+        weights = [rng.randint(0, 3) for _ in support]
+        weights[0] += 1
+        q = tuple(sum(w * p[c] for w, p in zip(weights, support)) / sum(weights) for c in range(d))
+    elif kind == "stray":
+        q = tuple(_mixed_rational(rng, 4) for _ in range(d))
+    else:
+        q = tuple(Fraction(rng.randint(-4, 4)) for _ in range(d))
+    if all(c.denominator == 1 for c in q) and rng.random() < 0.5:
+        q = tuple(int(c) for c in q)  # as a lattice scan hands it over
+    return q
+
+
+def _fraction_valued(values):
+    return all(type(v) is Fraction for v in values)
+
+
+def test_integer_systems_match_the_fraction_oracle():
+    # in_hull, membership weights and gaps, fiber lifts, intersection
+    # points and pinned joint systems, each against the Fraction simplex
+    # on the Fraction system in the same row order
+    rng = random.Random(0x1A7)
+    verdicts = set()
+    for _ in range(1200):
+        d = rng.randint(1, 3)
+        hull = _property_hull(rng, d)
+        q = _property_query(rng, hull, d)
+        gap, weights = lp_oracle.convex_solution((hull,), q)
+        coeffs = hull_membership(q, hull)
+        assert (None if coeffs is None else coeffs.weights) == (None if weights is None else weights[0])
+        assert coeffs is None or _fraction_valued(w for _, w in coeffs.weights)
+        assert in_hull(q, hull) == (coeffs is not None)
+        got_gap = membership_gap(q, hull)
+        assert got_gap == gap and type(got_gap) is Fraction
+        verdicts.add((coeffs is not None, type(q[0])))
+
+        if d > 1:
+            prefix = q[: rng.randint(1, d - 1)]
+            gap, weights = lp_oracle.convex_solution((hull,), prefix)
+            if weights is None:
+                with pytest.raises(Infeasible):
+                    fiber_lift(hull, prefix)
+            else:
+                lifted, lift_coeffs = fiber_lift(hull, prefix)
+                assert lift_coeffs.weights == weights[0]
+                assert lifted == lp_oracle.combination(weights[0], hull)
+                assert _fraction_valued(lifted) and _fraction_valued(w for _, w in lift_coeffs.weights)
+
+        hulls = [hull] + [_property_hull(rng, d) for _ in range(rng.randint(1, 2))]
+        gap, weights = lp_oracle.convex_solution(hulls)
+        found = polytope_intersection_point(hulls)
+        if weights is None:
+            assert found is None
+        else:
+            common, proofs = found
+            assert common == lp_oracle.combination(weights[0], hulls[0]) and _fraction_valued(common)
+            assert tuple(c.weights for c in proofs) == weights
+        pin = q[: rng.randint(0, d)]
+        want = lp_oracle.convex_solution(hulls, pin)
+        got_gap, got = convex_system(hulls, pin)
+        assert type(got_gap) is Fraction
+        assert (got_gap, None if got is None else tuple(c.weights for c in got)) == want
+    assert verdicts == {(True, int), (False, int), (True, Fraction), (False, Fraction)}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from tverberg import geometry
 from tverberg.linprog import nullspace, pivot_columns, rref, solve_linear, solve_phase1
@@ -13,6 +14,17 @@ from lp_oracle import solve_phase1 as oracle_phase1
 
 def F(x):
     return Fraction(x)
+
+
+def _integer_system(a, b):
+    """(rows, rhs, scale): a and b times one common scale, the lcm of
+    their denominators, as solve_phase1 takes them."""
+    scale = lcm(*[Fraction(v).denominator for row in a for v in row], *[Fraction(v).denominator for v in b])
+    return (
+        [[int(Fraction(v) * scale) for v in row] for row in a],
+        [int(Fraction(v) * scale) for v in b],
+        scale,
+    )
 
 
 def test_rref_identity():
@@ -66,7 +78,7 @@ def test_phase1_feasible_by_construction():
         a = [[F(rng.randint(-5, 5)) for _ in range(cols_n)] for _ in range(rows_n)]
         hidden = [F(rng.randint(0, 4)) for _ in range(cols_n)]
         b = [sum(c * x for c, x in zip(row, hidden)) for row in a]
-        gap, x = solve_phase1(a, b)
+        gap, x = solve_phase1(*_integer_system(a, b))
         assert gap == 0
         assert all(v >= 0 for v in x)
         assert [sum(c * v for c, v in zip(row, x)) for row in a] == b
@@ -74,10 +86,10 @@ def test_phase1_feasible_by_construction():
 
 def test_phase1_infeasible():
     # x1 + x2 = -1 has no nonnegative solution
-    gap, _ = solve_phase1([[F(1), F(1)]], [F(-1)])
+    gap, _ = solve_phase1([[1, 1]], [-1])
     assert gap > 0
     # x1 - x2 = 3 and x1 + x2 = 1 forces x1 = 2, x2 = -1
-    gap, _ = solve_phase1([[F(1), F(-1)], [F(1), F(1)]], [F(3), F(1)])
+    gap, _ = solve_phase1([[1, -1], [1, 1]], [3, 1])
     assert gap > 0
 
 
@@ -89,7 +101,7 @@ def test_phase1_gap_is_exact_distance_witness():
         cols_n = rng.randint(1, 4)
         a = [[F(rng.randint(-3, 3)) for _ in range(cols_n)] for _ in range(rows_n)]
         b = [F(rng.randint(-6, 6)) for _ in range(rows_n)]
-        gap, x = solve_phase1(a, b)
+        gap, x = solve_phase1(*_integer_system(a, b))
         assert gap >= 0
         if gap == 0:
             assert [sum(c * v for c, v in zip(row, x)) for row in a] == b
@@ -97,11 +109,16 @@ def test_phase1_gap_is_exact_distance_witness():
 
 
 def _same_answer(a, b):
-    got = solve_phase1(a, b)
+    rows, rhs, scale = _integer_system(a, b)
+    got = solve_phase1(rows, rhs, scale)
     assert got == oracle_phase1(a, b), (a, b)
     gap, x = got
     assert type(gap) is Fraction
     assert x is None or all(type(v) is Fraction for v in x)
+    # any one positive scale of the whole system gives the same answer,
+    # and a feasibility-only solve reads the same gap
+    assert solve_phase1([[3 * v for v in r] for r in rows], [3 * v for v in rhs], 3 * scale) == got
+    assert solve_phase1(rows, rhs, scale, solution=False) == (gap, None)
 
 
 def _random_entry(rng, as_fraction):
@@ -136,10 +153,11 @@ def test_phase1_matches_fraction_oracle_on_convex_systems(monkeypatch):
     # every system convex_system builds: random hulls, with and without pins
     seen = []
 
-    def checked(a, b):
-        _same_answer(a, b)
+    def checked(a, b, scale=1, solution=True):
+        assert all(type(v) is int for row in a for v in row) and all(type(v) is int for v in b)
+        _same_answer([[Fraction(v, scale) for v in row] for row in a], [Fraction(v, scale) for v in b])
         seen.append(len(a))
-        return solve_phase1(a, b)
+        return solve_phase1(a, b, scale, solution)
 
     monkeypatch.setattr(geometry, "solve_phase1", checked)
     rng = random.Random(77)

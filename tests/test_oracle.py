@@ -10,7 +10,7 @@ import pytest
 from tverberg import geometry, oracle
 from tverberg.ambient import FiniteSet, Lattice, MixedLattice, RealSpace
 from tverberg.errors import BudgetExceeded, DimensionMismatch, NotFound
-from tverberg.geometry import hull_membership
+from tverberg.geometry import hull_membership, in_hull
 from tverberg.oracle import (
     count_multiset_partitions,
     exact_tverberg_number,
@@ -194,18 +194,24 @@ def test_search_partition_matches_reference():
 
 def test_search_partition_decides_each_membership_once(monkeypatch):
     decided = []
+    member = partition_oracle.member
 
-    def counted(q, hull):
+    def counted_reference(q, hull):
         decided.append((q, hull.entries))
-        return hull_membership(q, hull)
+        return member(q, hull)
 
-    monkeypatch.setattr(geometry, "hull_membership", counted)
-    monkeypatch.setattr(oracle, "hull_membership", counted)
+    monkeypatch.setattr(partition_oracle, "member", counted_reference)
     assert partition_oracle.search_partition(doignon_witness(3), 3, Lattice(2)) is None
     reference = set(decided)
     assert len(decided) > len(reference)
     decided.clear()
 
+    def counted(q, hull):
+        decided.append((q, hull.entries))
+        return in_hull(q, hull)
+
+    monkeypatch.setattr(geometry, "in_hull", counted)
+    monkeypatch.setattr(oracle, "in_hull", counted)
     scans = 0
     scan = oracle.iter_common_ambient_points
 
@@ -219,6 +225,31 @@ def test_search_partition_decides_each_membership_once(monkeypatch):
     assert len(decided) == len(set(decided))
     assert set(decided) == reference
     assert scans == 966
+
+
+def test_search_partition_solves_one_lp_per_non_entry_decision(monkeypatch):
+    # an entry of its part is in at once; every other distinct
+    # (candidate, part) decision costs exactly one LP
+    decided = []
+
+    def counted(q, hull):
+        decided.append((q, hull.entries))
+        return in_hull(q, hull)
+
+    solves = 0
+    solve = geometry.solve_phase1
+
+    def counted_solve(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "in_hull", counted)
+    monkeypatch.setattr(geometry, "solve_phase1", counted_solve)
+    assert verify_no_partition(doignon_witness(3), 3, Lattice(2))
+    entries = sum(1 for q, part in decided if any(p == q for p, _ in part))
+    assert (len(decided), entries) == (299, 72)
+    assert solves == len(decided) - entries
 
 
 def test_search_partition_rounds_each_part_once(monkeypatch):

@@ -103,6 +103,9 @@ def test_sub_multiset_and_integer_ranges():
     assert part == PointMultiset([(point("3/2", "-1/3"), 2), (point(-1, "5/2"), 1)], dim=2)
     assert part.integer_ranges() == ((-1, 0), (1, 2))
     assert part.integer_ranges() is part.integer_ranges()
+    assert ms.integer_coordinates() == (6, ((-6, 0, 9), (15, 0, -2)), ((-6, 15), (0, 0), (9, -2)))
+    assert ms.integer_coordinates() is ms.integer_coordinates()
+    assert ms.sub_multiset((0, 1, 0)).integer_coordinates() == (1, ((0,), (0,)), ((0, 0),))
     assert ms.sub_multiset((0, 1, 0)).integer_ranges() == ((0, 0), (0, 0))
     assert ms.sub_multiset((0, 0, 3)).integer_ranges() == ((2, 0), (1, -1))
     for bad in ((1, 0), (3, 0, 0), (0, -1, 1)):
