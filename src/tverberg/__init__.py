@@ -14,6 +14,7 @@ from .certificates import (
     TverbergCertificate,
     VerificationReport,
     assemble_certificate,
+    certify,
     line_tverberg,
     verify_certificate,
 )
@@ -124,6 +125,7 @@ __all__ = [
     "assemble_certificate",
     "bipartition_search",
     "caratheodory_reduce",
+    "certify",
     "convex_lowerbound_witness",
     "count_multiset_partitions",
     "depth_partition_search",

@@ -6,6 +6,13 @@ set of convex weights per part as proof.  The verifier re-derives every
 claim from scratch; in particular the proof weights are revalidated
 here, so corrupted certificates read back from disk are still caught.
 
+``certify`` is the one proof writer.  Every driver hands it the parts it
+built and their common point; it writes each part's proof and calls
+``assemble_certificate`` once, so each answer is built and verified
+once, whatever inner partitions the driver went through.  Only the
+real brute force in ``product`` hands its joint LP weights to
+``assemble_certificate`` itself.
+
 Failures are reported as clause names so callers can tell what broke:
 
   partition_mismatch   parts do not reassemble the source multiset,
@@ -130,48 +137,50 @@ def assemble_certificate(
     return cert
 
 
-def weights_of(coeffs) -> RawWeights:
-    """Raw (index, weight) pairs of validated convex coefficients."""
-    return tuple(coeffs.weights)
+def certify(
+    m: int,
+    point: Point,
+    parts: Sequence[PointMultiset],
+    ambient: AmbientSet,
+    source: PointMultiset,
+) -> TverbergCertificate:
+    """The verified certificate that the parts all hold the point: the
+    one proof writer of the drivers.
+
+    A part with the point as an entry is proved by weight 1 on that
+    entry; any other part by its ``hull_membership`` weights.  A part
+    with no weights (it misses the point, or is empty) is an internal
+    fault and raises AssertionFailed naming it.
+    """
+    proofs: list[RawWeights] = []
+    for k, part in enumerate(parts):
+        index = next((i for i, (p, _) in enumerate(part.entries) if p == point), None)
+        if index is not None:
+            proofs.append(((index, Fraction(1)),))
+            continue
+        coeffs = hull_membership(point, part)
+        if coeffs is None:
+            raise AssertionFailed(f"part {k} {part!r} does not hold {point}")
+        proofs.append(coeffs.weights)
+    return assemble_certificate(m, point, parts, proofs, ambient, source)
 
 
 def singleton_part(p: Point) -> PointMultiset:
     return PointMultiset(((p, 1),), dim=len(p))
 
 
-def entry_index(part: PointMultiset, p: Point) -> int:
-    for i, (q, _) in enumerate(part.entries):
-        if q == p:
-            return i
-    raise AssertionFailed("expected point missing from part")
-
-
 def peel_by_multiplicity(
     points: PointMultiset, p: Point, m: int
-) -> tuple[list[PointMultiset], list[RawWeights]] | None:
+) -> list[PointMultiset] | None:
     """m-1 singleton copies of p plus the rest, when p occurs >= m-1 times.
 
-    The rest must still capture p in its hull; any caller relies on p
-    having depth >= m, which guarantees exactly that.  Returns None when
-    the multiplicity is too low for this route.
+    The rest holds p in its hull whenever p has depth >= m, which any
+    caller guarantees.  Returns None when the multiplicity is too low
+    for this route.
     """
-    mu = points.multiplicity(p)
-    if mu < m - 1:
+    if points.multiplicity(p) < m - 1:
         return None
-    parts = [singleton_part(p) for _ in range(m - 1)]
-    rest = points.remove(p, m - 1)
-    proofs: list[RawWeights] = [((0, Fraction(1)),) for _ in range(m - 1)]
-    if mu >= m:
-        proofs.append(((entry_index(rest, p), Fraction(1)),))
-    else:
-        coeffs = hull_membership(p, rest)
-        if coeffs is None:
-            raise AssertionFailed(
-                "depth at least m guarantees the last part captures the point"
-            )
-        proofs.append(weights_of(coeffs))
-    parts.append(rest)
-    return parts, proofs
+    return [singleton_part(p) for _ in range(m - 1)] + [points.remove(p, m - 1)]
 
 
 def line_gate(m: int) -> int:
@@ -220,13 +229,8 @@ def median_certificate(
     a caller that has already checked what it checks: m >= 2, at least
     2m-1 collinear instances, every one of them in the ambient set."""
     instances = points.instances()
-    q = instances[m - 1]
-    parts: list[PointMultiset] = []
-    proofs: list[RawWeights] = []
-    for group in median_groups(points.size, m):
-        parts.append(PointMultiset.from_points([instances[i] for i in group], dim=points.dim))
-        coeffs = hull_membership(q, parts[-1])
-        if coeffs is None:
-            raise AssertionFailed("median point escaped a nested pair")
-        proofs.append(weights_of(coeffs))
-    return assemble_certificate(m, q, parts, proofs, ambient, points)
+    parts = [
+        PointMultiset.from_points([instances[i] for i in group], dim=points.dim)
+        for group in median_groups(points.size, m)
+    ]
+    return certify(m, instances[m - 1], parts, ambient, points)

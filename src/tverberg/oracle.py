@@ -16,7 +16,9 @@ cut, so the partitions and their order are those of the plain
 enumeration.
 
 ``iter_partition_hulls`` keeps one part table per enumeration, for
-``search_partition`` and the real brute force in ``product``: each
+``search_partition`` and ``product.real_partition`` (the real brute
+force, the fiber step of ``product_tverberg`` and planar's He <= 3
+route): each
 distinct part's hull is built once, straight from the multiset's
 canonical entries (``PointMultiset.sub_multiset``), and lives until the
 enumeration ends.  A hull rounds its bounding box to integer ranges the

@@ -3,8 +3,10 @@
 The Z^2 driver finds an integer point p of half-space depth >= m, peels
 off copies of p sitting in the multiset, and labels the remaining
 instances in radial order around p so that every label class captures p
-in its hull.  Two labelings cover all remaining cases, and each returns
-its label classes with their membership proofs:
+in its hull.  Two labelings cover all remaining cases.  Each returns
+labels only: the driver builds the label classes from them and hands
+every part to ``certificates.certify``, which writes the proofs (a
+class that missed p would be an internal fault, exit 4):
 
 * ``tverberg_labeling`` (m >= 3): with n = qm + r, 0 <= r < q, and
   e = ceil(r/q), instances in clockwise order receive blocks 1..m
@@ -22,9 +24,10 @@ its label classes with their membership proofs:
 Finite ambient sets go through the Helly number of the set and its gate
 ``finite_gate``, checked once: He = 2 is a collinear set, split by the
 median groups of ``certificates.line_tverberg``; He <= 3 otherwise
-reduces to a real partition whose intersection polygon has its
-lexicographically least vertex inside the set, and He >= 4 admits a
-set-valued centerpoint deep enough for the radial machinery above.
+reduces to a real partition (``product.real_partition``, its parts
+only) whose intersection polygon has its lexicographically least
+vertex inside the set, and He >= 4 admits a set-valued centerpoint
+deep enough for the radial machinery above.
 """
 
 from __future__ import annotations
@@ -32,18 +35,15 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .ambient import AmbientSet, FiniteSet, Lattice
 from .certificates import (
-    RawWeights,
     TverbergCertificate,
-    assemble_certificate,
+    certify,
     median_certificate,
     peel_by_multiplicity,
     singleton_part,
-    weights_of,
 )
 from .depth import DepthWitness, first_deep_point, halfspace_depth
 from .errors import (
@@ -53,7 +53,7 @@ from .errors import (
     PreconditionViolated,
     UnsupportedAmbient,
 )
-from .geometry import hull_membership, in_hull
+from .geometry import in_hull
 from .points import Point, PointMultiset, clockwise_key, cross2, is_integral, primitive, sub
 
 
@@ -152,31 +152,11 @@ def _arc_positions(order: RadialOrder, witness: DepthWitness) -> tuple[list[int]
     return perm, arc_len
 
 
-def _coverage_proofs(
-    order: RadialOrder, labels: Sequence[int], m: int
-) -> tuple[list[PointMultiset], list[RawWeights]]:
-    classes: list[PointMultiset] = []
-    proofs: list[RawWeights] = []
-    for label in range(1, m + 1):
-        members = [order.sequence[i] for i in range(len(labels)) if labels[i] == label]
-        if not members:
-            raise PreconditionViolated(f"label {label} received no instances")
-        part = PointMultiset.from_points(members, dim=2)
-        coeffs = hull_membership(order.center, part)
-        if coeffs is None:
-            raise PreconditionViolated(
-                f"label class {label} does not capture the center in its hull"
-            )
-        classes.append(part)
-        proofs.append(weights_of(coeffs))
-    return classes, proofs
-
-
 def tverberg_labeling(
     order: RadialOrder, m: int, witness: DepthWitness
-) -> tuple[tuple[int, ...], LabelingState, list[PointMultiset], list[RawWeights]]:
+) -> tuple[tuple[int, ...], LabelingState]:
     """Labels 1..m for the ordered instances so every class hull holds the
-    center, with the labeling state, the label classes and their proofs."""
+    center, with the labeling state."""
     n = len(order.sequence)
     if m < 3:
         raise PreconditionViolated("circular labeling needs m >= 3")
@@ -233,15 +213,14 @@ def tverberg_labeling(
             else:
                 labels[i] = (pos - m - 1) % m + 1
         state = LabelingState(quot, rem, e, rem, shallow=True)
-    classes, proofs = _coverage_proofs(order, labels, m)
-    return tuple(labels), state, classes, proofs
+    return tuple(labels), state
 
 
 def radon_labeling(
     order: RadialOrder, witness: DepthWitness
-) -> tuple[tuple[int, ...], list[PointMultiset], list[RawWeights]]:
+) -> tuple[int, ...]:
     """Two labels for the ordered instances so both class hulls hold the
-    center, with the two label classes and their proofs."""
+    center."""
     n = len(order.sequence)
     if n < 6:
         raise PreconditionViolated(f"two-part labeling needs at least 6 instances, got {n}")
@@ -271,14 +250,12 @@ def radon_labeling(
                 labels[i] = head[pos - 1]
             else:
                 labels[i] = 1 if pos % 2 == 1 else 2
-    classes, proofs = _coverage_proofs(order, labels, 2)
-    return tuple(labels), classes, proofs
+    return tuple(labels)
 
 
-def _labeled_parts(
-    points: PointMultiset, p: Point, m: int
-) -> tuple[list[PointMultiset], list[RawWeights]]:
-    """Peel the p-copies, label the remainder radially, return all parts."""
+def _labeled_parts(points: PointMultiset, p: Point, m: int) -> list[PointMultiset]:
+    """Peel the p-copies, label the remainder radially, return all parts:
+    the singleton copies of p, then the label classes 1..m-mu."""
     direct = peel_by_multiplicity(points, p, m)
     if direct is not None:
         return direct
@@ -288,12 +265,16 @@ def _labeled_parts(
     order = radial_order(rest, p)
     witness = halfspace_depth(p, rest)
     if target == 2:
-        _, classes, proofs = radon_labeling(order, witness)
+        labels = radon_labeling(order, witness)
     else:
-        _, _, classes, proofs = tverberg_labeling(order, target, witness)
-    parts = [singleton_part(p) for _ in range(mu)] + classes
-    all_proofs: list[RawWeights] = [((0, Fraction(1)),) for _ in range(mu)] + proofs
-    return parts, all_proofs
+        labels, _ = tverberg_labeling(order, target, witness)
+    classes = [
+        PointMultiset.from_points(
+            [q for q, label in zip(order.sequence, labels) if label == k], dim=2
+        )
+        for k in range(1, target + 1)
+    ]
+    return [singleton_part(p) for _ in range(mu)] + classes
 
 
 def z2_gate(m: int) -> int:
@@ -344,8 +325,7 @@ def plane_tverberg(
     if he is not None and he <= 3:
         return _small_helly_partition(points, m, ambient, he)
     center = first_deep_point(points, ambient, m)
-    parts, proofs = _labeled_parts(points, center, m)
-    return assemble_certificate(m, center, parts, proofs, ambient, points)
+    return certify(m, center, _labeled_parts(points, center, m), ambient, points)
 
 
 @dataclass(frozen=True)
@@ -470,19 +450,18 @@ def _small_helly_partition(
     instances in the set, Helly number he <= 3, at least the gate."""
     if he == 1:
         q = ambient.points[0]
-        parts, proofs = peel_by_multiplicity(points, q, m)
-        return assemble_certificate(m, q, parts, proofs, ambient, points)
+        return certify(m, q, peel_by_multiplicity(points, q, m), ambient, points)
 
     if he == 2:
         # Helly number 2 is a collinear set, so the instances lie on its line.
         return median_certificate(points, m, ambient)
 
     # Imported here: product imports oracle, which imports planar.
-    from .product import real_tverberg_bruteforce
+    from .product import real_partition
 
-    real_cert = real_tverberg_bruteforce(points, m)
+    parts, _, _ = real_partition(points, m)
     candidates: set[Point] = set(points.support())
-    edge_lists = [_hull_edges(part.support()) for part in real_cert.parts]
+    edge_lists = [_hull_edges(part.support()) for part in parts]
     for i, j in itertools.combinations(range(m), 2):
         for a, b in edge_lists[i]:
             for c, d in edge_lists[j]:
@@ -490,20 +469,11 @@ def _small_helly_partition(
                 if x is not None:
                     candidates.add(x)
     # Sorted scan: the first candidate in every part hull is the lex-min vertex.
-    for q in sorted(candidates):
-        coeffs = []
-        for part in real_cert.parts:
-            cc = hull_membership(q, part)
-            if cc is None:
-                break
-            coeffs.append(cc)
-        else:
-            break
-    else:
+    q = next((q for q in sorted(candidates) if all(in_hull(q, part) for part in parts)), None)
+    if q is None:
         raise AssertionFailed("real partition produced an empty intersection")
     if not ambient.contains(q):
         raise AssertionFailed(
             "least intersection vertex escaped an ambient set of Helly number <= 3"
         )
-    proofs = [weights_of(c) for c in coeffs]
-    return assemble_certificate(m, q, list(real_cert.parts), proofs, ambient, points)
+    return certify(m, q, parts, ambient, points)

@@ -366,9 +366,7 @@ class ConvexCoefficients:
     __slots__ = ("weights",)
 
     def __init__(self, weights: Iterable[tuple[int, Fraction]]):
-        cleaned = tuple(
-            (int(i), Fraction(w)) for i, w in sorted(weights) if Fraction(w) != 0
-        )
+        cleaned = tuple((int(i), f) for i, w in sorted(weights) if (f := Fraction(w)) != 0)
         for i, w in cleaned:
             if i < 0:
                 raise InputError("negative entry index in coefficients")

@@ -13,12 +13,19 @@ lifts to a point of its hull with exact prefix q; the t lifted points
 live in the fiber {q} x R^k, a copy of R^k, where the classical
 Tverberg theorem applies: they split into m groups with a common real
 point.  Merging the base parts along those groups gives the final
-partition, and the common point is q extended by the fiber point.
+partition, and the common point is q extended by the fiber point; only
+that final partition is certified (``certificates.certify``).
 
-``real_tverberg_bruteforce`` here is the certified form of the real
-theorem: partition enumeration plus an exact joint feasibility system
-per candidate.  It is exponential and meant for the small fiber counts
-this reduction produces, and doubles as the reference oracle elsewhere.
+``real_partition`` is the real theorem by brute force: partition
+enumeration (``oracle.iter_partition_hulls``) plus an exact joint
+feasibility system per candidate, returning the first partition's
+parts, common point and joint weights and building no certificate.
+The fiber step takes its parts and point, as does planar's He <= 3
+route.  ``real_tverberg_bruteforce`` is its certified form over R^d:
+the size gate, then ``real_partition``, then a certificate that carries
+the joint weights as proofs.  It is exponential and meant for the small
+fiber counts this reduction produces, and doubles as the reference
+oracle elsewhere.
 """
 
 from __future__ import annotations
@@ -29,13 +36,12 @@ from typing import Sequence
 
 from .ambient import AmbientSet, FiniteSet, Lattice, MixedLattice, RealSpace
 from .certificates import (
-    RawWeights,
     TverbergCertificate,
     assemble_certificate,
+    certify,
     line_gate,
     line_tverberg,
     median_groups,
-    weights_of,
 )
 from .errors import (
     AssertionFailed,
@@ -45,7 +51,7 @@ from .errors import (
     PreconditionViolated,
     UnsupportedAmbient,
 )
-from .geometry import convex_system, hull_membership, polytope_intersection_point
+from .geometry import convex_system, polytope_intersection_point
 from .oracle import iter_partition_hulls
 from .planar import plane_tverberg, z2_gate
 from .points import ConvexCoefficients, Point, PointMultiset
@@ -66,13 +72,23 @@ def real_tverberg_bruteforce(points: PointMultiset, m: int) -> TverbergCertifica
     needed = (m - 1) * (d + 1) + 1
     if n < needed:
         raise PreconditionViolated(f"need at least {needed} points for m={m} in R^{d}, got {n}")
+    parts, point, coeffs = real_partition(points, m)
+    proofs = [c.weights for c in coeffs]
+    return assemble_certificate(m, point, parts, proofs, RealSpace(d), points)
+
+
+def real_partition(
+    points: PointMultiset, m: int
+) -> tuple[tuple[PointMultiset, ...], Point, tuple[ConvexCoefficients, ...]]:
+    """The first m-partition in canonical order whose part hulls meet:
+    the parts, their common point and the joint weights of the system
+    that found it.  The caller guarantees (m-1)(d+1)+1 or more points,
+    where the real theorem says such a partition exists; no certificate
+    is built."""
     for hulls in iter_partition_hulls(points, m):
         found = polytope_intersection_point(hulls)
-        if found is None:
-            continue
-        point, coeffs = found
-        proofs = [weights_of(c) for c in coeffs]
-        return assemble_certificate(m, point, hulls, proofs, RealSpace(d), points)
+        if found is not None:
+            return hulls, found[0], found[1]
     raise InternalError("no partition admitted a common point; the real theorem forbids this")
 
 
@@ -212,23 +228,17 @@ def product_tverberg(
 
     fibers = [pt[j:] for pt in lifted]
     fiber_ms = PointMultiset.from_points(fibers, dim=k)
-    fiber_cert = real_tverberg_bruteforce(fiber_ms, m)
-    merged_groups = _match_instances(fibers, fiber_cert.parts)
+    fiber_parts, fiber_point, _ = real_partition(fiber_ms, m)
+    merged_groups = _match_instances(fibers, fiber_parts)
 
-    final_point = tuple(base_q) + tuple(fiber_cert.point)
-    parts: list[PointMultiset] = []
-    proofs: list[RawWeights] = []
-    for group in merged_groups:
-        members: list[Point] = []
-        for b in group:
-            members.extend(instances[i] for i in groups_idx[b])
-        part_ms = PointMultiset.from_points(members, dim=points.dim)
-        coeffs = hull_membership(final_point, part_ms)
-        if coeffs is None:
-            raise AssertionFailed("merged part lost the lifted common point")
-        parts.append(part_ms)
-        proofs.append(weights_of(coeffs))
-    cert = assemble_certificate(m, final_point, parts, proofs, ambient, points)
+    final_point = tuple(base_q) + tuple(fiber_point)
+    parts = [
+        PointMultiset.from_points(
+            [instances[i] for b in group for i in groups_idx[b]], dim=points.dim
+        )
+        for group in merged_groups
+    ]
+    cert = certify(m, final_point, parts, ambient, points)
     record = LiftRecord(base_q, tuple(lifted), tuple(merged_groups))
     return cert, record
 

@@ -309,13 +309,8 @@ def depth_partition_search(
     lo, hi = n // (2 * r), -(-2 * n) // r
     threshold = alpha * n
 
-    box_ranges = []
-    for c in range(d):
-        vals = [p[c] for p, _ in points.entries]
-        lo_c, hi_c = min(vals), max(vals)
-        box_ranges.append(
-            range(-((-lo_c.numerator) // lo_c.denominator), hi_c.numerator // hi_c.denominator + 1)
-        )
+    lows, highs = points.integer_ranges()
+    box_ranges = [range(low, high + 1) for low, high in zip(lows, highs)]
     candidates: list[Point] = [
         tuple(Fraction(v) for v in tup) for tup in itertools.product(*box_ranges)
     ]

@@ -33,14 +33,7 @@ from fractions import Fraction
 from math import lcm
 
 from .ambient import Lattice
-from .certificates import (
-    RawWeights,
-    TverbergCertificate,
-    assemble_certificate,
-    peel_by_multiplicity,
-    singleton_part,
-    weights_of,
-)
+from .certificates import TverbergCertificate, certify, peel_by_multiplicity, singleton_part
 from .depth import depth_value, first_deep_point
 from .errors import (
     AssertionFailed,
@@ -343,8 +336,7 @@ def z3_tverberg(
     center = first_deep_point(points, Lattice(3), 3 * m - 3)
     direct = peel_by_multiplicity(points, center, m)
     if direct is not None:
-        parts, proofs = direct
-        return assemble_certificate(m, center, parts, proofs, Lattice(3), points)
+        return certify(m, center, direct, Lattice(3), points)
     mu = points.multiplicity(center)
     body = points.remove(center, mu) if mu else points
     target = m - mu
@@ -357,13 +349,5 @@ def z3_tverberg(
     if depth_value(center, remainder) < 3:
         raise AssertionFailed("peeling cannot push the center below depth 3")
     b1, b2 = _bipartition(remainder, center, seed, _MAX_EVALS)
-    parts = [singleton_part(center) for _ in range(mu)]
-    parts.extend(record.subsets)
-    parts.extend([b1, b2])
-    proofs: list[RawWeights] = [((0, Fraction(1)),) for _ in range(mu)]
-    for part in list(record.subsets) + [b1, b2]:
-        coeffs = hull_membership(center, part)
-        if coeffs is None:
-            raise AssertionFailed("constructed part lost the center")
-        proofs.append(weights_of(coeffs))
-    return assemble_certificate(m, center, parts, proofs, Lattice(3), points)
+    parts = [singleton_part(center) for _ in range(mu)] + list(record.subsets) + [b1, b2]
+    return certify(m, center, parts, Lattice(3), points)

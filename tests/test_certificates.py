@@ -6,18 +6,24 @@ from fractions import Fraction
 
 import pytest
 
-from tverberg.ambient import FiniteSet, Lattice
+from tverberg.ambient import FiniteSet, Lattice, MixedLattice, RealSpace
 from tverberg.certificates import (
     TverbergCertificate,
     assemble_certificate,
+    certify,
     line_tverberg,
     peel_by_multiplicity,
     singleton_part,
     verify_certificate,
 )
 from tverberg.errors import AssertionFailed, PreconditionViolated
+from tverberg.geometry import hull_membership
 from tverberg.planar import plane_tverberg
 from tverberg.points import PointMultiset, point
+from tverberg.product import product_tverberg
+from tverberg.space3 import z3_tverberg
+
+from conftest import random_lattice_multiset, random_rational
 
 
 def _radon_square():
@@ -140,24 +146,128 @@ def test_peel_by_multiplicity_routes():
     pts = PointMultiset.from_points(
         [p, p, p, point(0, 0), point(2, 0), point(1, 3)]
     )
-    peeled = peel_by_multiplicity(pts, p, 3)
-    assert peeled is not None
-    parts, proofs = peeled
-    assert len(parts) == 3 and len(proofs) == 3
-    assert parts[0] == singleton_part(p) and parts[1] == singleton_part(p)
-    # rest still holds one copy of p, so its proof is a vertex proof
+    parts = peel_by_multiplicity(pts, p, 3)
+    assert parts == [singleton_part(p), singleton_part(p), pts.remove(p, 2)]
+    # the rest still holds one copy of p
     assert parts[2].multiplicity(p) == 1
-    # multiplicity m-1 with p inside the rest's hull takes the hull route
+    # multiplicity m-1: the rest holds p in its hull only
     hull_route = PointMultiset.from_points(
         [p, p, point(0, 0), point(2, 0), point(1, 3)]
     )
-    peeled = peel_by_multiplicity(hull_route, p, 3)
-    assert peeled is not None
-    parts, proofs = peeled
+    parts = peel_by_multiplicity(hull_route, p, 3)
+    assert parts == [singleton_part(p), singleton_part(p), hull_route.remove(p, 2)]
     assert parts[2].multiplicity(p) == 0
-    assert len(proofs[2]) > 1
     # too few copies: not this route's job
     assert peel_by_multiplicity(hull_route, p, 4) is None
+
+
+def test_certify_proves_peeled_parts_by_entry_and_by_hull():
+    p = point(1, 1)
+    pts = PointMultiset.from_points(
+        [p, p, p, point(0, 0), point(2, 0), point(1, 3)]
+    )
+    cert = certify(3, p, peel_by_multiplicity(pts, p, 3), Lattice(2), pts)
+    # the rest still holds one copy of p, so its proof is an entry proof
+    rest_index = cert.parts[2].support().index(p)
+    assert cert.proofs == (((0, 1),), ((0, 1),), ((rest_index, 1),))
+    hull_route = PointMultiset.from_points(
+        [p, p, point(0, 0), point(2, 0), point(1, 3)]
+    )
+    cert = certify(3, p, peel_by_multiplicity(hull_route, p, 3), Lattice(2), hull_route)
+    assert len(cert.proofs[2]) > 1
+    assert cert.proofs[2] == hull_membership(p, cert.parts[2]).weights
+
+
+def test_entry_proof_is_the_hull_membership_proof():
+    """Weight 1 on the entry is what the membership LP returns for an
+    entry: rational hulls in d = 1..4 with repeated points, and half the
+    time the point is an interior entry (a positive combination of the
+    others)."""
+    rng = random.Random(1009)
+    for i in range(2000):
+        d = 1 + i % 4
+        corners = [
+            tuple(random_rational(rng, 4, 6) for _ in range(d))
+            for _ in range(rng.randint(1, d + 3))
+        ]
+        entries = list(corners)
+        if len(corners) > 1 and rng.random() < 0.5:
+            ws = [rng.randint(1, 5) for _ in corners]
+            entries.append(
+                tuple(
+                    sum(w * c[a] for w, c in zip(ws, corners)) / sum(ws) for a in range(d)
+                )
+            )
+        hull = PointMultiset([(q, rng.randint(1, 3)) for q in entries], dim=d)
+        q = entries[-1] if rng.random() < 0.5 else rng.choice(entries)
+        cert = certify(1, q, [hull], RealSpace(d), hull)
+        assert cert.proofs[0] == hull_membership(q, hull).weights, (hull, q)
+
+
+def test_certify_names_a_part_that_misses_the_point():
+    cert, source = _radon_square()
+    # part 0 holds (0, 0) as an entry; part 1, the other diagonal, misses it
+    with pytest.raises(AssertionFailed, match="part 1 .* does not hold"):
+        certify(2, point(0, 0), cert.parts, Lattice(2), source)
+    empty = PointMultiset((), dim=2)
+    with pytest.raises(AssertionFailed, match="part 1 .* does not hold"):
+        certify(2, point(1, 1), (source, empty), Lattice(2), source)
+
+
+def test_an_empty_label_class_is_an_internal_fault(monkeypatch):
+    """A labeling that leaves a class empty reaches certify, which names
+    the empty part, instead of passing for a precondition failure."""
+    hexagon = PointMultiset.from_points(
+        [point(2, 0), point(1, 2), point(-1, 2), point(-2, 0), point(-1, -2), point(1, -2)]
+    )
+    monkeypatch.setattr(
+        "tverberg.planar.radon_labeling", lambda order, witness: (1,) * len(order.sequence)
+    )
+    with pytest.raises(AssertionFailed, match=r"part 1 PointMultiset\[\] does not hold"):
+        plane_tverberg(hexagon, 2, Lattice(2))
+
+
+def _assert_hull_membership_proofs(cert):
+    for part, proof in zip(cert.parts, cert.proofs, strict=True):
+        assert proof == hull_membership(cert.point, part).weights
+
+
+def test_driver_proofs_are_hull_membership_proofs(triangle_fan_set):
+    """Every proof certify writes for the drivers, planar (radial and
+    Helly number 3), Z^3, median and Z^j x R^k, is the membership LP's
+    weights at the certified point."""
+    rng = random.Random(4242)
+    for _ in range(40):
+        m = rng.choice([2, 3, 4])
+        n = (6 if m == 2 else 4 * m - 3) + rng.randint(0, 3)
+        pts = random_lattice_multiset(rng, n, 2, rng.choice([1, 3, 8]))
+        _assert_hull_membership_proofs(plane_tverberg(pts, m, Lattice(2)))
+    for _ in range(20):
+        m = rng.choice([2, 3])
+        pts = PointMultiset.from_points(
+            [rng.choice(triangle_fan_set.points) for _ in range(3 * m - 2 + rng.randint(0, 2))]
+        )
+        _assert_hull_membership_proofs(plane_tverberg(pts, m, triangle_fan_set))
+    for _ in range(4):
+        pts = random_lattice_multiset(rng, 17 + rng.randint(0, 3), 3, rng.choice([2, 3]))
+        _assert_hull_membership_proofs(z3_tverberg(pts, 2, seed=rng.randrange(100)))
+    for _ in range(20):
+        m = rng.randint(2, 5)
+        pts = PointMultiset.from_points(
+            [point(rng.randint(-4, 4)) for _ in range(2 * m - 1 + rng.randint(0, 3))]
+        )
+        _assert_hull_membership_proofs(line_tverberg(pts, m, Lattice(1)))
+    for j, k, size in ((1, 1, 5), (1, 2, 7), (2, 1, 9)):
+        for _ in range(10):
+            pts = PointMultiset.from_points(
+                [
+                    tuple(point(*(rng.randint(-3, 3) for _ in range(j))))
+                    + tuple(random_rational(rng, 3, 4) for _ in range(k))
+                    for _ in range(size)
+                ]
+            )
+            cert, _ = product_tverberg(pts, 2, MixedLattice(j, k))
+            _assert_hull_membership_proofs(cert)
 
 
 def test_multiplicity_mutations_are_partition_mismatch():

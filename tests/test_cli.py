@@ -507,6 +507,19 @@ def test_internal_fault_exit_code(monkeypatch, capsys):
     assert "AssertionFailed" in err and "lost its common point" in err
 
 
+def test_a_label_class_missing_the_center_exits_4(monkeypatch, capsys):
+    """The theorem forbids a label class that misses the center, so one
+    is an internal fault (certify's AssertionFailed), not a refused
+    input."""
+    monkeypatch.setattr(
+        "tverberg.planar.radon_labeling", lambda order, witness: (1,) * len(order.sequence)
+    )
+    code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", "2"], _hexagon_doc())
+    assert code == 4
+    assert out == ""
+    assert "AssertionFailed" in err and "part 1" in err
+
+
 def test_rational_grammar_violations_exit_2(monkeypatch, capsys):
     code, _, err = run(monkeypatch, capsys, ["depth", "--point", "0.5,1"], _grid_doc())
     assert code == 2

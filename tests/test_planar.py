@@ -66,7 +66,7 @@ def test_tverberg_labeling_covers_center(rng):
             continue
         order = radial_order(pts, center)
         witness = halfspace_depth(center, pts)
-        labels, state, _, _ = tverberg_labeling(order, m, witness)
+        labels, state = tverberg_labeling(order, m, witness)
         assert state.quot * m + state.rem == pts.size
         _check_center_in_every_class(order, labels, m)
         hits += 1
@@ -84,7 +84,7 @@ def test_radon_labeling_covers_center(rng):
             continue
         order = radial_order(pts, center)
         witness = halfspace_depth(center, pts)
-        labels, _, _ = radon_labeling(order, witness)
+        labels = radon_labeling(order, witness)
         _check_center_in_every_class(order, labels, 2)
         hits += 1
 
