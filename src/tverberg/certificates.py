@@ -6,6 +6,19 @@ set of convex weights per part as proof.  The verifier re-derives every
 claim from scratch; in particular the proof weights are revalidated
 here, so corrupted certificates read back from disk are still caught.
 
+The checks run in ints.  The parts reassemble the source when their
+entries, counted in one dict keyed by their points on the source's
+integer grid (``points.integer_points``), give the source's
+multiplicities.  A proof combines to the point when, with L the lcm of
+its weights' denominators and s the part's scale, the sum of (w*L)
+times the part's integer points (``PointMultiset.integer_coordinates``)
+equals point*s*L in every coordinate, compared by cross-multiplying
+with the point's denominators.  A part that ``certify`` proved by
+``hull_membership`` already holds its integer points; the source's are
+computed and not kept.  An input with no place on an integer grid (a
+weight, a point or an entry coordinate that is not an int or a
+Fraction) gets a named clause like any other fault.
+
 ``certify`` is the one proof writer.  Every driver hands it the parts it
 built and their common point; it writes each part's proof and calls
 ``assemble_certificate`` once, so each answer is built and verified
@@ -28,12 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .ambient import AmbientSet
 from .errors import AssertionFailed, DimensionMismatch, PreconditionViolated
 from .geometry import hull_membership
-from .points import Point, PointMultiset, add, scale, sub
+from .points import Point, PointMultiset, integer_points, sub
 
 RawWeights = tuple[tuple[int, Fraction], ...]
 
@@ -63,6 +77,38 @@ class VerificationReport:
         return self.ok
 
 
+# what reading a coordinate that is not an int or a Fraction raises
+_NO_GRID = (AttributeError, TypeError)
+
+
+def _reassembles(parts: Sequence[PointMultiset], source: PointMultiset) -> bool:
+    """Whether the parts' instances are the source's, counted in one dict
+    keyed by their points on the source's integer grid.  A part whose
+    scale does not divide the source's holds a point the source lacks.
+    The source's grid is not kept on it: its owner may keep the source
+    long after the check."""
+    try:
+        scale, points = integer_points(source.support())
+        counts: dict[tuple[int, ...], int] = {}
+        for part in parts:
+            own, _, keys = part.integer_coordinates()
+            if scale % own:
+                return False
+            grow = scale // own
+            for key, (_, mult) in zip(keys, part.entries):
+                if grow != 1:
+                    key = tuple([x * grow for x in key])
+                counts[key] = counts.get(key, 0) + mult
+    except _NO_GRID:
+        return False
+    return counts == dict(zip(points, [mult for _, mult in source.entries]))
+
+
+def _is_rational(x) -> bool:
+    # the exact-type test first: isinstance against Fraction, an ABC, is dear
+    return type(x) is Fraction or isinstance(x, (int, Fraction))
+
+
 def verify_certificate(
     cert: TverbergCertificate, source: PointMultiset
 ) -> VerificationReport:
@@ -82,37 +128,54 @@ def verify_certificate(
     misfits = [k for k, part in enumerate(cert.parts) if part.dim != source.dim]
     for k in misfits:
         fail("partition_mismatch", f"part {k} has dimension {cert.parts[k].dim}, source {source.dim}")
-    union = (entry for part in cert.parts for entry in part.entries)
-    if not misfits and PointMultiset(union, dim=source.dim) != source:
+    if not misfits and not _reassembles(cert.parts, source):
         fail("partition_mismatch", "parts do not reassemble the source multiset")
     for k, part in enumerate(cert.parts):
         if part.size == 0:
             fail("empty_part", f"part {k} is empty")
+    rational_point = all(_is_rational(x) for x in cert.point)
     for k in range(min(len(cert.parts), len(cert.proofs))):
         part, proof = cert.parts[k], cert.proofs[k]
         bad = False
-        total = Fraction(0)
+        terms = []
         for idx, w in proof:
-            if not (0 <= idx < len(part.entries)):
+            if not (isinstance(idx, int) and 0 <= idx < len(part.entries)):
                 fail("bad_coefficients", f"part {k}: weight index {idx} out of range")
                 bad = True
                 continue
-            if w < 0:
+            if not _is_rational(w):
+                fail("bad_coefficients", f"part {k}: weight {w!r} is not a rational")
+                bad = True
+                continue
+            if w.numerator < 0:
                 fail("bad_coefficients", f"part {k}: negative weight {w}")
                 bad = True
-            total += w
-        if total != 1:
-            fail("bad_coefficients", f"part {k}: weights sum to {total}")
+            terms.append((idx, w))
+        # the weights times the lcm of their denominators are ints
+        common = lcm(*[w.denominator for _, w in terms])
+        scaled = [(idx, w.numerator * (common // w.denominator)) for idx, w in terms]
+        total = sum([c for _, c in scaled])
+        if total != common:
+            fail("bad_coefficients", f"part {k}: weights sum to {Fraction(total, common)}")
             bad = True
         if bad or part.size == 0 or part.dim != source.dim:
             continue
-        combo = tuple(Fraction(0) for _ in range(source.dim))
-        for idx, w in proof:
-            combo = add(combo, scale(w, part.entries[idx][0]))
-        if combo != cert.point:
+        try:
+            scale, _, points = part.integer_coordinates()
+        except _NO_GRID:
+            continue
+        # sum (w*common) P_j = point * scale * common, cross-multiplied
+        # by the point's denominators
+        if len(cert.point) != source.dim or not rational_point or any(
+            sum([c * points[idx][a] for idx, c in scaled]) * x.denominator
+            != x.numerator * scale * common
+            for a, x in enumerate(cert.point)
+        ):
             fail("membership_mismatch", f"part {k}: weights combine to a different point")
     if len(cert.point) != source.dim:
         fail("membership_mismatch", "certified point has the wrong dimension")
+    elif not rational_point:
+        fail("membership_mismatch", "certified point has a coordinate that is not a rational")
     elif not cert.ambient.contains(cert.point):
         fail("point_not_in_ambient", f"certified point lies outside {cert.ambient.describe()}")
     return VerificationReport(not failures, tuple(failures), tuple(details))

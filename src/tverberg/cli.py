@@ -166,8 +166,11 @@ def cmd_verify(args) -> int:
     if args.source is not None:
         source, _ = docs.point_file_from_doc(docs.loads(_read_text(args.source)))
     else:
-        entries = (entry for part in cert.parts for entry in part.entries)
-        source = PointMultiset(entries, dim=len(cert.point))
+        # parts of another dimension stay out of the union, so the
+        # verifier names them as it does against a --source file
+        dim = cert.ambient.dim
+        entries = (entry for part in cert.parts if part.dim == dim for entry in part.entries)
+        source = PointMultiset(entries, dim=dim)
     report = verify_certificate(cert, source)
     _emit(
         {
@@ -341,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--source",
         default=None,
         help="point file the certificate must partition; defaults to the "
-        "union of its parts",
+        "union of its parts of the declared ambient dimension",
     )
     p.set_defaults(func=cmd_verify)
 

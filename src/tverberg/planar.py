@@ -21,6 +21,13 @@ class that missed p would be an internal fault, exit 4):
   the doubled start 1,1,2,1,2,... (depth >= 3) or the arc-anchored
   2,1,1,2,1,2,... (depth exactly 2).
 
+The radial order is decided in ints: every instance's difference from
+the centre is taken on one integer grid for the instances and the
+centre (``points.integer_points``), so
+directions are gcd-reduced int vectors and squared distances are ints,
+and the clockwise sweep (``points.clockwise_key``) compares them by
+integer signs alone.  The sequence itself holds the rational instances.
+
 Finite ambient sets go through the Helly number of the set and its gate
 ``finite_gate``, checked once: He = 2 is a collinear set, split by the
 median groups of ``certificates.line_tverberg``; He <= 3 otherwise
@@ -35,6 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from .ambient import AmbientSet, FiniteSet, Lattice
@@ -54,7 +62,15 @@ from .errors import (
     UnsupportedAmbient,
 )
 from .geometry import in_hull
-from .points import Point, PointMultiset, clockwise_key, cross2, is_integral, primitive, sub
+from .points import (
+    Point,
+    PointMultiset,
+    clockwise_key,
+    cross2,
+    integer_points,
+    is_integral,
+    sub,
+)
 
 
 @dataclass(frozen=True)
@@ -74,14 +90,21 @@ class RadialOrder:
 
 
 def _instance_data(points: PointMultiset, center: Point):
+    """(direction, squared distance, instance) of every instance, in
+    instance order, on one integer grid for the multiset and the centre
+    (the lcm of all their denominators), so every difference from the
+    centre is an int vector, a positive multiple of the rational one.
+    Its primitive form is the direction, and its squared length ranks
+    the instances of one ray as their distances do."""
+    _, grid = integer_points(points.support() + (center,))
+    cx, cy = grid[-1]
     data = []
-    for p in points.instances():
-        v = sub(p, center)
-        if all(x == 0 for x in v):
+    for (p, mult), (x, y) in zip(points.entries, grid):
+        vx, vy = x - cx, y - cy
+        if vx == 0 and vy == 0:
             raise PreconditionViolated("radial order needs the center outside the multiset")
-        d = primitive(v)
-        dist2 = v[0] * v[0] + v[1] * v[1]
-        data.append((d, dist2, p))
+        g = gcd(vx, vy)
+        data.extend([((vx // g, vy // g), vx * vx + vy * vy, p)] * mult)
     return data
 
 
@@ -129,25 +152,28 @@ def _arc_positions(order: RadialOrder, witness: DepthWitness) -> tuple[list[int]
     sweeping clockwise from the entry ray w0 = (n_y, -n_x) lists the
     closed complement arc first.  Returns the permutation of sequence
     positions and the arc length l.
+
+    The sequence already lists the instances of one ray by distance, so
+    their positions rank them.  An instance is on the closed complement
+    side when n.x <= offset, decided in ints by multiplying through by
+    its coordinates' denominators.
     """
     n_vec = witness.halfspace.normal
-    w0 = (int(n_vec[1]), int(-n_vec[0]))
-    enriched = []
-    for i in range(len(order.sequence)):
-        v = sub(order.sequence[i], order.center)
-        enriched.append((order.directions[i], v[0] * v[0] + v[1] * v[1], i))
-    enriched.sort(key=clockwise_key(w0))
-    perm = [i for _, _, i in enriched]
-    arc_len = 0
     c = witness.halfspace.offset
-    for i in perm:
-        val = n_vec[0] * order.sequence[i][0] + n_vec[1] * order.sequence[i][1]
-        if val <= c:
-            arc_len += 1
+    w0 = (int(n_vec[1]), int(-n_vec[0]))
+    enriched = sorted(
+        zip(order.directions, range(len(order.sequence))), key=clockwise_key(w0)
+    )
+    perm = [i for _, i in enriched]
+    on_arc = [
+        n_vec[0] * x.numerator * y.denominator + n_vec[1] * y.numerator * x.denominator
+        <= c * x.denominator * y.denominator
+        for x, y in order.sequence
+    ]
+    arc_len = sum(on_arc)
     # The closed complement side occupies exactly the first arc_len slots.
     for k, i in enumerate(perm):
-        val = n_vec[0] * order.sequence[i][0] + n_vec[1] * order.sequence[i][1]
-        if (val <= c) != (k < arc_len):
+        if on_arc[i] != (k < arc_len):
             raise AssertionFailed("arc extraction out of order")
     return perm, arc_len
 

@@ -5,7 +5,9 @@ Conventions used throughout the library:
 * A point is a plain tuple of ``fractions.Fraction``.  Tuples compare
   lexicographically, hash, and unpack for free, which is exactly what the
   canonical orderings here need.  ``point()`` builds one from ints,
-  rational strings, or Fractions.
+  rational strings, or Fractions.  ``rational()`` parses a string by
+  the document grammar ('a' or 'a/b') and reads its digits as ints,
+  never through ``Fraction``'s own string parser.
 
 * A ``PointMultiset`` stores entries ``(point, multiplicity)`` sorted
   lexicographically with equal points merged.  Two multisets built from
@@ -43,19 +45,24 @@ def rational(value: Rationalish) -> Fraction:
 
     Strings follow the document grammar exactly: an optional minus sign,
     ASCII digits, and optionally a slash and a nonzero digit string.
-    Decimals, exponents, spaces, underscores and bools are rejected.
+    Decimals, exponents, spaces, underscores and bools are rejected.  A
+    string the grammar accepts is read as ints, numerator and
+    denominator, and reduced by ``Fraction``.
     """
+    if isinstance(value, str):
+        if not _RATIONAL_STRING.fullmatch(value):
+            raise InputError(f"bad rational string: {value!r}; expected 'a' or 'a/b'")
+        num, slash, den = value.partition("/")
+        if not slash:
+            return Fraction(int(value))
+        try:
+            return Fraction(int(num), int(den))
+        except ZeroDivisionError as exc:
+            raise InputError(f"bad rational string: {value!r} has a zero denominator") from exc
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL_STRING.fullmatch(value):
-            raise InputError(f"bad rational string: {value!r}; expected 'a' or 'a/b'")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError as exc:
-            raise InputError(f"bad rational string: {value!r} has a zero denominator") from exc
     raise InputError(f"cannot interpret {value!r} as a rational")
 
 
@@ -155,6 +162,17 @@ def primitive(vector: Sequence[Fraction | int]) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
+def integer_points(points: Sequence[Point]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(scale, scaled): the least positive int that makes every coordinate
+    of the points integral (the lcm of their denominators), and each
+    point times scale, in ints.  ``PointMultiset.integer_coordinates``
+    keeps this for a multiset whose grid is read again; a caller that
+    reads a grid once takes it from here, so nothing stays on a multiset
+    that its owner may keep for long."""
+    scale = lcm(*{x.denominator for p in points for x in p})
+    return scale, tuple([tuple([x.numerator * (scale // x.denominator) for x in p]) for p in points])
+
+
 class PointMultiset:
     """A finite multiset of points of one dimension, canonically ordered.
 
@@ -231,9 +249,7 @@ class PointMultiset:
             return self._integer
         except AttributeError:
             pass
-        support = self.support()
-        scale = lcm(*{x.denominator for p in support for x in p})
-        points = tuple([tuple([x.numerator * (scale // x.denominator) for x in p]) for p in support])
+        scale, points = integer_points(self.support())
         integer = (scale, tuple(zip(*points)), points)
         object.__setattr__(self, "_integer", integer)
         return integer

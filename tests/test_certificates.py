@@ -18,11 +18,12 @@ from tverberg.certificates import (
 )
 from tverberg.errors import AssertionFailed, PreconditionViolated
 from tverberg.geometry import hull_membership
-from tverberg.planar import plane_tverberg
+from tverberg.planar import finite_gate, plane_tverberg, z2_gate
 from tverberg.points import PointMultiset, point
-from tverberg.product import product_tverberg
+from tverberg.product import product_tverberg, tverberg_partition
 from tverberg.space3 import z3_tverberg
 
+from certificate_oracle import verify_certificate as reference_verify
 from conftest import random_lattice_multiset, random_rational
 
 
@@ -327,3 +328,147 @@ def test_line_tverberg_refuses_points_off_a_line():
             line_tverberg(pts, 2, ambient)
     with pytest.raises(PreconditionViolated):
         line_tverberg(PointMultiset.from_points([point(Fraction(1, 2))] * 3), 2, Lattice(1))
+
+
+def _driver_corpus(rng, fan):
+    """Seeded (certificate, source) pairs from every DRIVERS row: Z^1,
+    Z^2, Z^3, finite sets of Helly number 1-4 and a 1-D finite set,
+    Z^1 x R^1, Z^1 x R^2, Z^2 x R^1 and R^2."""
+    grid = FiniteSet(tuple(point(x, y) for x in range(3) for y in range(3)), 2)
+    collinear = FiniteSet(tuple(point(i, 2 * i) for i in range(4)), 2)
+    single = FiniteSet((point(1, 1),), 2)
+    line = FiniteSet(tuple(point(Fraction(x, 2)) for x in range(-5, 6)), 1)
+    cases = []
+    for _ in range(6):
+        m = rng.randint(2, 4)
+        pts = [point(rng.randint(-5, 5)) for _ in range(2 * m - 1 + rng.randint(0, 2))]
+        cases.append((pts, m, Lattice(1)))
+    for _ in range(10):
+        m = rng.randint(2, 5)
+        pts = random_lattice_multiset(rng, z2_gate(m) + rng.randint(0, 2), 2, rng.choice([2, 8, 20]))
+        cases.append((pts.instances(), m, Lattice(2)))
+    for _ in range(2):
+        cases.append((random_lattice_multiset(rng, 17, 3, 2).instances(), 2, Lattice(3)))
+    for ambient, he in ((single, 1), (collinear, 2), (fan, 3), (grid, 4), (line, 2)):
+        for _ in range(3):
+            m = rng.randint(2, 3)
+            n = finite_gate(he, m) + rng.randint(0, 2)
+            cases.append(([rng.choice(ambient.points) for _ in range(n)], m, ambient))
+    for j, k, size in ((1, 1, 5), (1, 2, 7), (2, 1, 9)):
+        for _ in range(3):
+            pts = [
+                tuple(point(*(rng.randint(-3, 3) for _ in range(j))))
+                + tuple(random_rational(rng, 3, 4) for _ in range(k))
+                for _ in range(size)
+            ]
+            cases.append((pts, 2, MixedLattice(j, k)))
+    for _ in range(3):
+        pts = [tuple(random_rational(rng, 3, 4) for _ in range(2)) for _ in range(4)]
+        cases.append((pts, 2, RealSpace(2)))
+    for pts, m, ambient in cases:
+        source = PointMultiset.from_points(pts, dim=ambient.dim)
+        yield tverberg_partition(source, m, ambient), source
+
+
+def _with_part(cert, k, part, proof=None):
+    proofs = cert.proofs if proof is None else cert.proofs[:k] + (proof,) + cert.proofs[k + 1 :]
+    return dataclasses.replace(cert, parts=cert.parts[:k] + (part,) + cert.parts[k + 1 :], proofs=proofs)
+
+
+def _mutant(rng, cert):
+    """The certificate with one seeded fault of the kinds the verifier
+    must name."""
+    k = rng.randrange(len(cert.parts))
+    part, proof = cert.parts[k], list(cert.proofs[k]) if k < len(cert.proofs) else []
+    dim = len(cert.point)
+    kind = rng.randrange(11)
+    if kind <= 2 and proof:
+        i = rng.randrange(len(proof))
+        idx, w = proof[i]
+        if kind == 0:  # a weight +1
+            proof[i] = (idx, w + 1)
+        elif kind == 1:  # a negated weight
+            proof[i] = (idx, -w)
+        else:  # an index out of range
+            proof[i] = (rng.choice([-1, len(part.entries), len(part.entries) + 2]), w)
+        return _with_part(cert, k, part, tuple(proof))
+    if kind == 3 and part.entries:  # int weights
+        if rng.random() < 0.5:
+            proof = [(rng.randrange(len(part.entries)), 1)]
+        else:
+            proof = [(idx, int(w)) if w.denominator == 1 else (idx, w) for idx, w in proof]
+        return _with_part(cert, k, part, tuple(proof))
+    if kind == 4:  # a moved point
+        a = rng.randrange(dim)
+        moved = cert.point[:a] + (cert.point[a] + rng.choice([-1, 1]),) + cert.point[a + 1 :]
+        return dataclasses.replace(cert, point=moved)
+    if kind == 5:  # a point of another dimension
+        other = cert.point + (Fraction(rng.randint(-2, 2)),) if dim == 1 or rng.random() < 0.5 else cert.point[:-1]
+        return dataclasses.replace(cert, point=other)
+    if kind == 6:  # a dropped part, with or without its proof
+        proofs = cert.proofs[:k] + cert.proofs[k + 1 :] if rng.random() < 0.5 else cert.proofs
+        return dataclasses.replace(cert, parts=cert.parts[:k] + cert.parts[k + 1 :], proofs=proofs)
+    if kind == 7:  # a part of another dimension
+        d = dim + 1 if dim == 1 or rng.random() < 0.5 else dim - 1
+        other = PointMultiset.from_points(
+            [point(*(rng.randint(-2, 2) for _ in range(d))) for _ in range(rng.randint(1, 3))]
+        )
+        return _with_part(cert, k, other)
+    others = [j for j, q in enumerate(cert.parts) if j != k and q.dim == part.dim]
+    if kind == 8 and others and part.entries:  # an entry moved between parts
+        j = rng.choice(others)
+        p = rng.choice(part.support())
+        moved = _with_part(cert, k, part.remove(p))
+        return _with_part(moved, j, cert.parts[j].add(p))
+    if kind == 9:  # a duplicated part, with or without its proof
+        proofs = cert.proofs + cert.proofs[k : k + 1] if rng.random() < 0.5 else cert.proofs
+        return dataclasses.replace(cert, parts=cert.parts + (part,), proofs=proofs)
+    # rational points: the point, or one entry of a part, off the lattice
+    shift = Fraction(rng.choice([-1, 1]), rng.randint(2, 5))
+    if rng.random() < 0.5 or not part.entries:
+        a = rng.randrange(dim)
+        return dataclasses.replace(cert, point=cert.point[:a] + (cert.point[a] + shift,) + cert.point[a + 1 :])
+    p = rng.choice(part.support())
+    a = rng.randrange(len(p))
+    q = p[:a] + (p[a] + shift,) + p[a + 1 :]
+    entries = [(q if r == p else r, mult) for r, mult in part.entries]
+    return _with_part(cert, k, PointMultiset(entries, dim=part.dim))
+
+
+def test_reports_match_the_reference_verifier(triangle_fan_set):
+    """The integer verifier gives the Fraction reference's report, clause
+    names, details and their order, on driver certificates from every
+    DRIVERS row and on 5,500 seeded faults of eleven kinds, one or two
+    at a time."""
+    rng = random.Random(20261)
+    certificates = list(_driver_corpus(rng, triangle_fan_set))
+    mutants = 0
+    for cert, source in certificates:
+        assert verify_certificate(cert, source) == reference_verify(cert, source)
+        assert verify_certificate(cert, source).ok
+        for _ in range(-(-5500 // len(certificates))):
+            bad = _mutant(rng, cert)
+            if rng.random() < 0.3:
+                bad = _mutant(rng, bad)
+            expected = reference_verify(bad, source)
+            assert verify_certificate(bad, source) == expected, (bad, expected)
+            mutants += 1
+    assert mutants >= 5500
+
+
+def test_verifier_names_what_has_no_integer_grid():
+    """A weight, a point or an entry coordinate that is not a rational
+    gets a named clause, never an exception."""
+    cert, source = _radon_square()
+    proofs = (((0, 0.5), (1, Fraction(1, 2))), cert.proofs[1])
+    report = verify_certificate(dataclasses.replace(cert, proofs=proofs), source)
+    assert report.failures == ("bad_coefficients",)
+    assert report.details[0] == "part 0: weight 0.5 is not a rational"
+    report = verify_certificate(dataclasses.replace(cert, point=(Fraction(1), 1.0)), source)
+    assert report.failures == ("membership_mismatch",)
+    assert report.details[-1] == "certified point has a coordinate that is not a rational"
+    floats = PointMultiset.from_points([(0.0, 0.0), (2.0, 2.0)])
+    report = verify_certificate(_with_part(cert, 0, floats), source)
+    assert report.failures == ("partition_mismatch",)
+    report = verify_certificate(cert, PointMultiset.from_points([(0.0, 0.0), (2.0, 2.0)]))
+    assert report.failures == ("partition_mismatch",)

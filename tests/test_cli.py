@@ -530,3 +530,30 @@ def test_rational_grammar_violations_exit_2(monkeypatch, capsys):
         code, out, err = run(monkeypatch, capsys, ["depth", "--point", "1,1"], json.dumps(doc))
         assert code == 2, bad
         assert out == ""
+
+
+def test_verify_names_another_dimension_with_or_without_source(monkeypatch, capsys, tmp_path):
+    """A Z^2 certificate whose point gains a coordinate, or whose part 0
+    becomes one 3-D point, exits 1 with the same failures whether the
+    source is the point file or the default union of the parts of the
+    declared ambient dimension, never 2 or 4."""
+    pts = PointMultiset.from_points(
+        [point(*p) for p in [(0, 0), (3, 1), (1, 4), (-2, 2), (-1, -3), (2, -2), (4, 3), (0, 1), (1, 1)]]
+    )
+    src = tmp_path / "points.json"
+    src.write_text(dumps(point_file_to_doc(pts, Lattice(2))))
+    code, cert_text, _ = run(monkeypatch, capsys, ["tverberg", "--m", "3"], src.read_text())
+    assert code == 0
+    longer = json.loads(cert_text)
+    longer["point"].append("0")
+    other_part = json.loads(cert_text)
+    other_part["parts"][0] = {"dim": 3, "points": [{"coords": ["0", "0", "0"], "mult": 1}]}
+    for doc, clause in ((longer, "membership_mismatch"), (other_part, "partition_mismatch")):
+        reports = []
+        for args in (["verify", "--source", str(src)], ["verify"]):
+            code, out, err = run(monkeypatch, capsys, args, dumps(doc))
+            assert (code, err) == (1, "")
+            reports.append(json.loads(out))
+        assert reports[0]["failures"] == reports[1]["failures"]
+        assert reports[0]["details"] == reports[1]["details"]
+        assert reports[0]["failures"][0] == clause

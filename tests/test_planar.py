@@ -7,8 +7,8 @@ import pytest
 
 from tverberg.ambient import FiniteSet, Lattice
 from tverberg.certificates import verify_certificate
-from tverberg.depth import halfspace_depth, integer_centerpoint
-from tverberg.errors import DimensionMismatch, PreconditionViolated
+from tverberg.depth import DepthWitness, halfspace_depth, integer_centerpoint
+from tverberg.errors import AssertionFailed, DimensionMismatch, PreconditionViolated
 from tverberg.geometry import hull_membership
 from tverberg import planar
 from tverberg.planar import (
@@ -20,9 +20,10 @@ from tverberg.planar import (
     radon_labeling,
     tverberg_labeling,
 )
-from tverberg.points import PointMultiset, point
+from tverberg.points import HalfSpace, PointMultiset, point
 
-from conftest import random_lattice_multiset
+import radial_oracle
+from conftest import random_lattice_multiset, random_rational
 
 
 def test_radial_order_shape(rng):
@@ -269,3 +270,51 @@ def test_deep_center_multiplicity_path(rng):
             pts = pts.add(point(1, 2), n - pts.size)
         cert = plane_tverberg(pts, m, Lattice(2))
         assert verify_certificate(cert, pts).ok
+
+
+def _radial_case(rng, i):
+    """A seeded (multiset, centre): lattice points around an integer
+    centre, rational points around a rational centre, and both with
+    repeated points, several instances on one ray and opposite rays."""
+    rational = i % 2 == 1
+
+    def coord(box):
+        return random_rational(rng, box, 6) if rational else Fraction(rng.randint(-box, box))
+
+    center = (coord(4), coord(4))
+    pts = [(coord(6), coord(6)) for _ in range(rng.randint(1, 12))]
+    for _ in range(rng.randint(0, 3)):
+        dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (2, -1), (-1, 3)])
+        for _ in range(rng.randint(1, 3)):
+            t = rng.choice([-3, -2, -1, 1, 2, 3]) * (Fraction(1, rng.randint(1, 3)) if rational else 1)
+            pts.append((center[0] + t * dx, center[1] + t * dy))
+    pts += [rng.choice(pts) for _ in range(rng.randint(0, 3))]
+    pts = [p for p in pts if p != center]
+    return PointMultiset.from_points(pts or [(center[0] + 1, center[1])], dim=2), center
+
+
+def test_radial_order_matches_the_fraction_reference():
+    """The integer grid gives the reference's RadialOrder and the same
+    arc permutations, for the depth witness and for half-planes through
+    the centre in many directions; the centre as an instance is refused."""
+    rng = random.Random(2718)
+    for i in range(2000):
+        pts, center = _radial_case(rng, i)
+        order = radial_order(pts, center)
+        assert order == radial_oracle.radial_order(pts, center)
+        witnesses = [halfspace_depth(center, pts)]
+        for _ in range(3):
+            normal = (rng.randint(-3, 3), rng.randint(-3, 3))
+            if normal != (0, 0):
+                offset = normal[0] * center[0] + normal[1] * center[1]
+                witnesses.append(DepthWitness(center, 0, HalfSpace(normal, offset)))
+        for witness in witnesses:
+            try:
+                expected = radial_oracle._arc_positions(order, witness)
+            except AssertionFailed:
+                with pytest.raises(AssertionFailed):
+                    planar._arc_positions(order, witness)
+                continue
+            assert planar._arc_positions(order, witness) == expected
+        with pytest.raises(PreconditionViolated):
+            radial_order(pts.add(center), center)

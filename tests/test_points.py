@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,8 @@ from tverberg.points import (
     primitive,
     rational,
 )
+
+from certificate_oracle import rational as reference_rational
 
 
 def test_rational_parsing():
@@ -167,3 +171,47 @@ def test_convex_combination():
         ((0, Fraction(1, 2)), (1, Fraction(1, 4)), (2, Fraction(1, 4)))
     )
     assert coeffs.combination(ms) == (Fraction(1, 2), Fraction(1, 2))
+
+
+def _outcome(parse, value):
+    try:
+        return parse(value)
+    except InputError as exc:
+        return ("InputError", str(exc))
+
+
+def test_rational_reads_every_short_string_as_fraction_does():
+    """Every string over '-0123456789/' of length at most 5: an accepted
+    one parses to Fraction(s), and every string gets the reference
+    parser's value or its InputError message."""
+    accepted = 0
+    for length in range(6):
+        for chars in itertools.product("-0123456789/", repeat=length):
+            s = "".join(chars)
+            got = _outcome(rational, s)
+            assert got == _outcome(reference_rational, s), s
+            if isinstance(got, Fraction):
+                assert got == Fraction(s) and type(got) is Fraction, s
+                accepted += 1
+    assert accepted > 100_000
+
+
+def test_rational_reads_long_numbers_as_fraction_does():
+    rng = random.Random(4300)
+    for _ in range(2000):
+        num = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 300)))
+        den = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 300)))
+        for s in (num, "-" + num, f"{num}/{den}", f"-{num}/{den}", f"{num}/1{den}"):
+            got = _outcome(rational, s)
+            assert got == _outcome(reference_rational, s), s
+            if isinstance(got, Fraction):
+                assert got == Fraction(s), s
+
+
+def test_rational_rejects_with_the_reference_messages():
+    for bad in ("1/0", " 7", "1e3", "0.5", "+1", "1/-2", "--1", True):
+        with pytest.raises(InputError) as exc:
+            rational(bad)
+        with pytest.raises(InputError) as expected:
+            reference_rational(bad)
+        assert str(exc.value) == str(expected.value), bad
