@@ -37,7 +37,6 @@ from .errors import (
     InternalError,
     NotFound,
     PreconditionViolated,
-    SearchExhausted,
     SelectionNotFound,
     TverbergError,
     UnsupportedAmbient,
@@ -115,7 +114,6 @@ __all__ = [
     "PreconditionViolated",
     "RadialOrder",
     "RealSpace",
-    "SearchExhausted",
     "SelectionNotFound",
     "SelectionResult",
     "TverbergCertificate",

@@ -36,7 +36,6 @@ from .errors import (
     InputError,
     NotFound,
     PreconditionViolated,
-    SearchExhausted,
     SelectionNotFound,
     UnsupportedAmbient,
 )
@@ -157,7 +156,7 @@ def cmd_centerpoint(args) -> int:
 def cmd_tverberg(args) -> int:
     points, declared = _load_point_file(args)
     ambient = _resolve_ambient(args.ambient, points.dim, declared)
-    _emit(docs.certificate_to_doc(tverberg_partition(points, args.m, ambient, seed=args.seed)))
+    _emit(docs.certificate_to_doc(tverberg_partition(points, args.m, ambient)))
     return 0
 
 
@@ -307,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ambient=True, seed=False):
+    def common(p, ambient=True):
         p.add_argument(
             "--input",
             default="-",
@@ -320,8 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="Zd, Rd, finite, or explicit forms like Z2, R3, Z1R2; "
                 "defaults to the file's declaration, then Zd",
             )
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help="search seed")
 
     p = sub.add_parser("depth", help="half-space depth of a query point")
     common(p, ambient=False)
@@ -334,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_centerpoint)
 
     p = sub.add_parser("tverberg", help="construct a verified m-part partition")
-    common(p, seed=True)
+    common(p)
     p.add_argument("--m", type=int, required=True, help="number of parts")
     p.set_defaults(func=cmd_tverberg)
 
@@ -394,7 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "partition-depth", help="balanced groups keeping deep points covered"
     )
-    common(p, ambient=False, seed=True)
+    common(p, ambient=False)
+    p.add_argument("--seed", type=int, default=0, help="search seed")
     p.add_argument("--alpha", required=True, help="depth fraction, e.g. 1/3")
     p.add_argument("--r", type=int, required=True, help="number of groups")
     p.add_argument("--budget", type=int, default=200, help="regrouping attempts")
@@ -421,7 +419,7 @@ def main(argv=None) -> int:
         best = f" (best sizes {list(exc.best_sizes)})" if exc.best_sizes else ""
         print(f"tverberg: {exc}{best}", file=sys.stderr)
         return 1
-    except (NotFound, SearchExhausted, Infeasible) as exc:
+    except (NotFound, Infeasible) as exc:
         print(f"tverberg: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a fault must not read as a negative result

@@ -62,7 +62,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .ambient import AmbientSet, FiniteSet, Lattice
@@ -75,7 +75,7 @@ from .errors import (
     UnsupportedAmbient,
 )
 from .linprog import nullspace
-from .points import HalfSpace, Point, PointMultiset, clockwise_key, cross2, dot
+from .points import HalfSpace, Point, PointMultiset, clockwise_key, cross2, dot, integer_points
 
 
 def _dot_int(u: Sequence[int], v: Sequence[int]) -> int:
@@ -127,8 +127,7 @@ def _normal_direction(sub: list[tuple[int, ...]], dim: int) -> tuple[int, ...] |
     basis = nullspace(rows, dim)
     if len(basis) != 1:
         return None
-    denom = _lcm_of_denominators(basis[0])
-    return tuple(int(v * denom) for v in basis[0])
+    return integer_points((basis[0],))[1][0]
 
 
 def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -317,44 +316,19 @@ def _min_halfspace_count(
     return best, best_phi
 
 
-def _lcm_of_denominators(coords: Iterable[Fraction], start: int = 1) -> int:
-    return lcm(start, *(c.denominator for c in coords))
-
-
-def _scaled_instances(points: PointMultiset) -> tuple[list[tuple[tuple[int, ...], int]], int]:
-    """Integer-scaled entry coordinates with multiplicities, and the scale."""
-    scale = _lcm_of_denominators(c for p, _ in points.entries for c in p)
-    scaled = [
-        (tuple(c.numerator * (scale // c.denominator) for c in p), mult)
-        for p, mult in points.entries
-    ]
-    return scaled, scale
-
-
-def _common_grid(
-    scaled: list[tuple[tuple[int, ...], int]], scale: int, q: Point
-) -> tuple[list[tuple[tuple[int, ...], int]], tuple[int, ...]]:
-    """The scaled instances and q on one integer grid: the instance scale
-    grows to the lcm of itself and q's denominators."""
-    grow = _lcm_of_denominators(q, scale) // scale
-    if grow != 1:
-        scaled = [(tuple(v * grow for v in p), mult) for p, mult in scaled]
-        scale *= grow
-    return scaled, tuple(c.numerator * (scale // c.denominator) for c in q)
-
-
 def _difference_profile(
-    scaled: list[tuple[tuple[int, ...], int]], origin: tuple[int, ...]
+    grid: Sequence[tuple[int, ...]], points: PointMultiset, origin: tuple[int, ...]
 ) -> tuple[list[tuple[int, ...]], list[int], int]:
     """Primitive difference directions around the origin with merged
     weights, plus the multiplicity sitting exactly at the origin.
 
-    Differences are reduced to primitive vectors, so the grid never
-    shows in the result.
+    grid[i] is entry i of the multiset and origin the query point, all
+    on one integer grid (``points.integer_points``).  Differences are
+    reduced to primitive vectors, so the grid never shows in the result.
     """
     at_origin = 0
     profile: dict[tuple[int, ...], int] = {}
-    for p, mult in scaled:
+    for p, (_, mult) in zip(grid, points.entries):
         v = tuple(a - b for a, b in zip(p, origin))
         if all(x == 0 for x in v):
             at_origin += mult
@@ -381,7 +355,8 @@ def depth_value(q: Point, points: PointMultiset) -> int:
     """Exact half-space depth of q in the multiset, without a witness."""
     if len(q) != points.dim:
         raise DimensionMismatch("query dimension differs from multiset dimension")
-    vecs, ws, at_origin = _difference_profile(*_common_grid(*_scaled_instances(points), q))
+    _, grid = integer_points(points.support() + (q,))
+    vecs, ws, at_origin = _difference_profile(grid, points, grid[-1])
     count, _ = _min_halfspace_count(vecs, ws, None, False)
     return at_origin + count
 
@@ -397,8 +372,9 @@ def halfspace_depth(q: Point, points: PointMultiset) -> DepthWitness:
     if not points.entries:
         normal = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(points.dim))
         return DepthWitness(q, 0, HalfSpace(normal, dot(normal, q)))
-    scaled, origin = _common_grid(*_scaled_instances(points), q)
-    vecs, ws, at_origin = _difference_profile(scaled, origin)
+    _, grid = integer_points(points.support() + (q,))
+    origin = grid[-1]
+    vecs, ws, at_origin = _difference_profile(grid, points, origin)
     count, phi = _min_halfspace_count(vecs, ws, None, True)
     depth = at_origin + count
     if phi is None:
@@ -406,7 +382,7 @@ def halfspace_depth(q: Point, points: PointMultiset) -> DepthWitness:
     # The grid is a positive multiple of the input, so phi.(p - q) >= 0
     # holds on the grid exactly when it holds for the rational entry.
     level = _dot_int(phi, origin)
-    check = sum(mult for p, mult in scaled if _dot_int(phi, p) >= level)
+    check = sum(mult for p, (_, mult) in zip(grid, points.entries) if _dot_int(phi, p) >= level)
     if check != depth:
         raise AssertionFailed(
             f"witness half-space counts {check} instances, claimed depth {depth}"
@@ -489,29 +465,48 @@ def _centre_out_order(box: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
         yield from shell(0, radius)
 
 
-def _deeper_candidates(
-    points: PointMultiset,
-    candidates: Iterable[Sequence[int | Fraction]],
-    m: int,
-) -> Iterator[Point]:
+# A scan's input: the entries on an integer grid, and each candidate with
+# its point on that grid.
+IntPoint = tuple[int, ...]
+Candidates = tuple[Sequence[IntPoint], Iterable[tuple[Sequence[int | Fraction], IntPoint]]]
+
+
+def _lattice_candidates(points: PointMultiset, order: Iterable[IntPoint]) -> Candidates:
+    """The entries of an integral multiset on their integer grid (scale
+    1), and each box point of the order with itself as its grid point."""
+    _, grid = integer_points(points.support())
+    return grid, ((x, x) for x in order)
+
+
+def _finite_candidates(points: PointMultiset, ambient: FiniteSet) -> Candidates:
+    """The entries and a finite set's points on one integer grid, and each
+    set point with its grid point."""
+    n = len(points.entries)
+    _, grid = integer_points(points.support() + ambient.points)
+    return grid[:n], zip(ambient.points, grid[n:])
+
+
+def _deeper_candidates(points: PointMultiset, scan: Candidates, m: int) -> Iterator[Point]:
     """Each candidate deeper than every earlier one, from depth m upwards.
 
-    A candidate is abandoned as soon as some half-space caps its depth at
-    the running threshold, so every yielded candidate's depth is exact.
+    ``scan`` is the entries' grid and the (candidate, grid point) pairs
+    of ``_lattice_candidates`` or ``_finite_candidates``.  A candidate is
+    abandoned as soon as some half-space caps its depth at the running
+    threshold, so every yielded candidate's depth is exact.
     """
-    scaled, scale = _scaled_instances(points)
+    grid, candidates = scan
     mult_at: dict[Point, int] = {p: mult for p, mult in points.entries}
     best_depth = m - 1
-    for raw in candidates:
-        cand = tuple(Fraction(v) for v in raw)
-        vecs, ws, at_origin = _difference_profile(*_common_grid(scaled, scale, cand))
+    for cand, origin in candidates:
+        vecs, ws, at_origin = _difference_profile(grid, points, origin)
+        # an int candidate finds its Fraction twin: equal values hash alike
         if mult_at.get(cand, 0) != at_origin:
             raise AssertionFailed("multiplicity bookkeeping out of step")
         count, _ = _min_halfspace_count(vecs, ws, best_depth - at_origin, False)
         depth = at_origin + count
         if depth > best_depth:
             best_depth = depth
-            yield cand
+            yield tuple(Fraction(v) for v in cand)
 
 
 def _last(found: Iterator[Point]) -> Point | None:
@@ -537,7 +532,7 @@ def integer_centerpoint(points: PointMultiset, m: int) -> Point:
     """
     box = _integer_box(points, m)
     lex_order = itertools.product(*(range(lo, hi + 1) for lo, hi in box))
-    best_point = _last(_deeper_candidates(points, lex_order, m))
+    best_point = _last(_deeper_candidates(points, _lattice_candidates(points, lex_order), m))
     if best_point is None:
         raise CenterpointNotFound(f"no integer point of depth {m} in the scan box")
     return best_point
@@ -546,7 +541,7 @@ def integer_centerpoint(points: PointMultiset, m: int) -> Point:
 def finite_set_centerpoint(points: PointMultiset, ambient: FiniteSet, m: int) -> Point:
     """Lexicographically first deepest ambient-set point of depth >= m."""
     _finite_set_check(points, ambient, m)
-    best_point = _last(_deeper_candidates(points, ambient.points, m))
+    best_point = _last(_deeper_candidates(points, _finite_candidates(points, ambient), m))
     if best_point is None:
         raise CenterpointNotFound(f"no ambient point of depth {m}")
     return best_point
@@ -564,13 +559,13 @@ def first_deep_point(points: PointMultiset, ambient: AmbientSet, m: int) -> Poin
     if isinstance(ambient, Lattice):
         if ambient.d != points.dim:
             raise DimensionMismatch("ambient dimension differs from multiset dimension")
-        candidates: Iterable[Sequence[int | Fraction]] = _centre_out_order(_integer_box(points, m))
+        scan = _lattice_candidates(points, _centre_out_order(_integer_box(points, m)))
     elif isinstance(ambient, FiniteSet):
         _finite_set_check(points, ambient, m)
-        candidates = ambient.points
+        scan = _finite_candidates(points, ambient)
     else:
         raise UnsupportedAmbient(f"no deep-point scan over {ambient.describe()}")
-    found = next(_deeper_candidates(points, candidates, m), None)
+    found = next(_deeper_candidates(points, scan, m), None)
     if found is None:
         raise CenterpointNotFound(f"no point of {ambient.describe()} has depth {m}")
     return found

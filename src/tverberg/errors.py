@@ -41,14 +41,6 @@ class SelectionNotFound(NotFound):
         self.best_sizes = best_sizes
 
 
-class SearchExhausted(TverbergError):
-    """Bipartition search ran out of effort; carries diagnostics."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
-
 class ExtractionFailed(TverbergError):
     """Could not peel the requested number of minimal subsets."""
 

@@ -159,7 +159,8 @@ def hull_membership(
 def membership_gap(q: Point, hull: PointMultiset) -> Fraction:
     """Exact phase-1 infeasibility mass of the membership system.
 
-    Zero iff q is in the hull; used as a rational score by searches.
+    Zero iff q is in the hull: a rational distance to membership.  No
+    library path scores by it; membership is decided by ``in_hull``.
     """
     if len(q) != hull.dim:
         raise DimensionMismatch("dimension mismatch in membership gap")

@@ -279,12 +279,18 @@ def radon_labeling(
     return tuple(labels)
 
 
-def _labeled_parts(points: PointMultiset, p: Point, m: int) -> list[PointMultiset]:
-    """Peel the p-copies, label the remainder radially, return all parts:
-    the singleton copies of p, then the label classes 1..m-mu."""
+def _radial_parts(
+    points: PointMultiset, m: int, ambient: AmbientSet
+) -> tuple[Point, list[PointMultiset]]:
+    """The radial route of ``plane_tverberg`` for checked inputs (Z^2, or
+    a finite set of Helly number >= 4, at least the gate), building no
+    certificate: the first point p of depth >= m, and the parts around
+    it.  Peel the p-copies and label the remainder radially; the parts
+    are the singleton copies of p, then the label classes 1..m-mu."""
+    p = first_deep_point(points, ambient, m)
     direct = peel_by_multiplicity(points, p, m)
     if direct is not None:
-        return direct
+        return p, direct
     mu = points.multiplicity(p)
     rest = points.remove(p, mu) if mu else points
     target = m - mu
@@ -300,7 +306,7 @@ def _labeled_parts(points: PointMultiset, p: Point, m: int) -> list[PointMultise
         )
         for k in range(1, target + 1)
     ]
-    return [singleton_part(p) for _ in range(mu)] + classes
+    return p, [singleton_part(p) for _ in range(mu)] + classes
 
 
 def z2_gate(m: int) -> int:
@@ -350,8 +356,8 @@ def plane_tverberg(
         raise PreconditionViolated(f"need at least {needed} instances for m={m}, got {n}")
     if he is not None and he <= 3:
         return _small_helly_partition(points, m, ambient, he)
-    center = first_deep_point(points, ambient, m)
-    return certify(m, center, _labeled_parts(points, center, m), ambient, points)
+    center, parts = _radial_parts(points, m, ambient)
+    return certify(m, center, parts, ambient, points)
 
 
 @dataclass(frozen=True)

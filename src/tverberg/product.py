@@ -7,14 +7,15 @@ ambient set and, for Z^1, Z^2 and Z^3, how many points it needs;
 
 The reduction: to split a multiset in Z^j x R^k into m parts with a
 common product point, first split the projections to Z^j into
-t = (m-1)(k+1)+1 parts sharing an integer point q (the planar or
-spatial driver, or the median groups on a line).  Each base part
-lifts to a point of its hull with exact prefix q; the t lifted points
-live in the fiber {q} x R^k, a copy of R^k, where the classical
-Tverberg theorem applies: they split into m groups with a common real
-point.  Merging the base parts along those groups gives the final
-partition, and the common point is q extended by the fiber point; only
-that final partition is certified (``certificates.certify``).
+t = (m-1)(k+1)+1 parts sharing an integer point q (the uncertified
+parts of the planar or spatial driver, or the median groups on a
+line).  Each base part lifts to a point of its hull with exact prefix
+q; the t lifted points live in the fiber {q} x R^k, a copy of R^k,
+where the classical Tverberg theorem applies: they split into m groups
+with a common real point.  Merging the base parts along those groups
+gives the final partition, and the common point is q extended by the
+fiber point; only that final partition is certified
+(``certificates.certify``).
 
 ``real_partition`` is the real theorem by brute force: partition
 enumeration (``oracle.iter_partition_hulls``) plus an exact joint
@@ -53,9 +54,9 @@ from .errors import (
 )
 from .geometry import convex_system, polytope_intersection_point
 from .oracle import iter_partition_hulls
-from .planar import plane_tverberg, z2_gate
+from .planar import _radial_parts, plane_tverberg, z2_gate
 from .points import ConvexCoefficients, Point, PointMultiset
-from .space3 import z3_gate, z3_tverberg
+from .space3 import _z3_parts, z3_gate, z3_tverberg
 
 
 def real_tverberg_bruteforce(points: PointMultiset, m: int) -> TverbergCertificate:
@@ -97,13 +98,13 @@ def real_partition(
 # (size gate at m, where the driver has one; driver); the lambdas read
 # the driver names when called, so a replaced binding is the one used.
 DRIVERS = {
-    (Lattice, 1): (line_gate, lambda pts, m, amb, seed: line_tverberg(pts, m, amb)),
-    (Lattice, 2): (z2_gate, lambda pts, m, amb, seed: plane_tverberg(pts, m, amb)),
-    (Lattice, 3): (z3_gate, lambda pts, m, amb, seed: z3_tverberg(pts, m, seed=seed)),
-    (FiniteSet, 1): (line_gate, lambda pts, m, amb, seed: line_tverberg(pts, m, amb)),
-    (FiniteSet, None): (None, lambda pts, m, amb, seed: plane_tverberg(pts, m, amb)),
-    (MixedLattice, None): (None, lambda pts, m, amb, seed: product_tverberg(pts, m, amb, seed)[0]),
-    (RealSpace, None): (None, lambda pts, m, amb, seed: _real_row(pts, m, amb)),
+    (Lattice, 1): (line_gate, lambda pts, m, amb: line_tverberg(pts, m, amb)),
+    (Lattice, 2): (z2_gate, lambda pts, m, amb: plane_tverberg(pts, m, amb)),
+    (Lattice, 3): (z3_gate, lambda pts, m, amb: z3_tverberg(pts, m)),
+    (FiniteSet, 1): (line_gate, lambda pts, m, amb: line_tverberg(pts, m, amb)),
+    (FiniteSet, None): (None, lambda pts, m, amb: plane_tverberg(pts, m, amb)),
+    (MixedLattice, None): (None, lambda pts, m, amb: product_tverberg(pts, m, amb)[0]),
+    (RealSpace, None): (None, lambda pts, m, amb: _real_row(pts, m, amb)),
 }
 
 
@@ -117,14 +118,15 @@ def _real_row(points: PointMultiset, m: int, ambient: RealSpace) -> TverbergCert
 
 
 def tverberg_partition(
-    points: PointMultiset, m: int, ambient: AmbientSet, seed: int = 0
+    points: PointMultiset, m: int, ambient: AmbientSet
 ) -> TverbergCertificate:
     """A verified m-part partition by the table's driver for the ambient
-    set; ``seed`` reaches the drivers that search."""
+    set.  Every driver is deterministic: the same input gives the same
+    certificate."""
     row = DRIVERS.get((type(ambient), ambient.dim)) or DRIVERS.get((type(ambient), None))
     if row is None:
         raise UnsupportedAmbient(f"no driver for {ambient.describe()}")
-    return row[1](points, m, ambient, seed)
+    return row[1](points, m, ambient)
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,7 @@ def _match_instances(
 
 
 def product_tverberg(
-    points: PointMultiset, m: int, ambient: MixedLattice, seed: int = 0
+    points: PointMultiset, m: int, ambient: MixedLattice
 ) -> tuple[TverbergCertificate, LiftRecord]:
     """A verified m-part partition over Z^j x R^k, j <= 3, with the lift
     bookkeeping that produced it.
@@ -199,7 +201,7 @@ def product_tverberg(
     j, k = ambient.j, ambient.k
     if (Lattice, j) not in DRIVERS:
         raise UnsupportedAmbient("no base driver beyond Z^3")
-    gate, base_driver = DRIVERS[(Lattice, j)]
+    gate = DRIVERS[(Lattice, j)][0]
     t = (m - 1) * (k + 1) + 1
     n = points.size
     needed = gate(t)
@@ -214,11 +216,15 @@ def product_tverberg(
         groups_idx = median_groups(n, t)
         base_q: Point = instances[t - 1][:1]
     else:
+        # The checks above cover the base driver's: t >= 2, integer
+        # projections, and the gate.  Only the final partition is certified.
         proj_instances = [p[:j] for p in instances]
         proj_ms = PointMultiset.from_points(proj_instances, dim=j)
-        base_cert = base_driver(proj_ms, t, Lattice(j), seed)
-        base_q = base_cert.point
-        groups_idx = _match_instances(proj_instances, base_cert.parts)
+        if j == 2:
+            base_q, base_parts = _radial_parts(proj_ms, t, Lattice(2))
+        else:
+            base_q, base_parts = _z3_parts(proj_ms, t)
+        groups_idx = _match_instances(proj_instances, base_parts)
 
     lifted: list[Point] = []
     for group in groups_idx:

@@ -16,39 +16,34 @@ when all of those fail does a general membership certificate get
 reduced, which then necessarily lands on an affinely independent
 4-point support.
 
-The final bipartition has no one-line construction.  Seeds with a
-guaranteed or likely complement (a segment through p leaves complement
-depth >= 1; a minimal subset usually does too) are tried first, then a
-first-improvement local search over single-instance moves scored by the
-exact infeasibility gaps of the two membership systems, then, for small
-remainders, full enumeration.
+The final bipartition is a scan that cannot miss.  Seeds come first: a
+copy of p, then a segment through p (its complement keeps depth >= 1
+by counting), then the minimal subset above with its complement.  After
+them every triangle, then every tetrahedron, of support points whose
+closed hull holds p is tried with its complement, each in
+lexicographic order of support indices.  The scan is exhaustive by
+Caratheodory: if parts A and B both hold p and p is no instance,
+shrinking A to a minimal subset X that holds p leaves X with at most 4
+affinely independent support points, and the complement of X contains
+B, so it holds p too.  A segment X is settled by the seed; a triangle
+or tetrahedron X is one the scan visits.  So a scan that finds nothing
+means the theorem failed, an internal fault.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from typing import Iterator
 
 from .ambient import Lattice
 from .certificates import TverbergCertificate, certify, peel_by_multiplicity, singleton_part
 from .depth import depth_value, first_deep_point
-from .errors import (
-    AssertionFailed,
-    DimensionMismatch,
-    ExtractionFailed,
-    PreconditionViolated,
-    SearchExhausted,
-)
-from .geometry import caratheodory_reduce, hull_membership, in_hull, membership_gap
-from .points import Point, PointMultiset, dot, is_integral, sub
+from .errors import AssertionFailed, DimensionMismatch, ExtractionFailed, PreconditionViolated
+from .geometry import caratheodory_reduce, hull_membership, in_hull
+from .points import Point, PointMultiset, dot, integer_points, is_integral, sub
 
 IntPoint = tuple[int, ...]
-
-# Local-search evaluations before a bipartition falls back to enumeration.
-_MAX_EVALS = 4000
 
 
 @dataclass(frozen=True)
@@ -68,17 +63,14 @@ def _cross3(u, v):
     )
 
 
-def _on_grid(support: tuple[Point, ...], p: Point) -> tuple[list[IntPoint], IntPoint]:
-    """The support and p as int tuples, all scaled by one positive integer.
+def _on_grid(support: tuple[Point, ...], p: Point) -> tuple[tuple[IntPoint, ...], IntPoint]:
+    """The support and p as int tuples on one grid (``integer_points``).
 
-    Segment and triangle containment are invariant under the scaling.
+    Containment in a segment, triangle or tetrahedron is invariant under
+    the scaling.
     """
-    scale = lcm(*{c.denominator for q in support for c in q}, *(c.denominator for c in p))
-
-    def snap(q: Point) -> IntPoint:
-        return tuple(c.numerator * (scale // c.denominator) for c in q)
-
-    return [snap(q) for q in support], snap(p)
+    _, grid = integer_points(support + (p,))
+    return grid[:-1], grid[-1]
 
 
 def _on_segment(p: IntPoint, a: IntPoint, b: IntPoint) -> bool:
@@ -109,20 +101,52 @@ def _in_triangle(p: IntPoint, a: IntPoint, b: IntPoint, c: IntPoint) -> bool:
     )
 
 
+def _in_tetrahedron(p: IntPoint, a: IntPoint, b: IntPoint, c: IntPoint, d: IntPoint) -> bool:
+    """p in the closed tetrahedron abcd, abcd affinely independent.
+
+    Replacing one corner by p scales the orientation det(b-a, c-a, d-a)
+    by p's barycentric coordinate at that corner, so p is inside exactly
+    when no replacement flips the orientation's sign.
+    """
+
+    def orient(w: IntPoint, x: IntPoint, y: IntPoint, z: IntPoint) -> int:
+        return dot(sub(x, w), _cross3(sub(y, w), sub(z, w)))
+
+    whole = orient(a, b, c, d)
+    if whole == 0:
+        return False
+    return all(
+        whole * orient(*corners) >= 0
+        for corners in ((p, b, c, d), (a, p, c, d), (a, b, p, d), (a, b, c, p))
+    )
+
+
+_HOLDS = {2: _on_segment, 3: _in_triangle, 4: _in_tetrahedron}
+
+
+def _capturing_subsets(
+    support: tuple[Point, ...], p: Point, sizes: tuple[int, ...]
+) -> Iterator[PointMultiset]:
+    """Support subsets of the given sizes whose closed hull holds p, by
+    size and then in lexicographic order of support indices; p must not
+    be a support point."""
+    grid, q = _on_grid(support, p)
+    for k in sizes:
+        holds = _HOLDS[k]
+        for idx, corners in zip(
+            itertools.combinations(range(len(grid)), k), itertools.combinations(grid, k)
+        ):
+            if holds(q, *corners):
+                yield PointMultiset.from_points([support[i] for i in idx], dim=3)
+
+
 def _minimal_subset(points: PointMultiset, p: Point) -> PointMultiset:
     """First minimal subset (canonical order) whose hull holds p."""
-    support = points.support()
     if p in points:
         return singleton_part(p)
-    grid, q = _on_grid(support, p)
-    for i, j in itertools.combinations(range(len(support)), 2):
-        if _on_segment(q, grid[i], grid[j]):
-            return PointMultiset.from_points([support[i], support[j]], dim=3)
-    for i, j, k in itertools.combinations(range(len(support)), 3):
-        if _in_triangle(q, grid[i], grid[j], grid[k]):
-            return PointMultiset.from_points(
-                [support[i], support[j], support[k]], dim=3
-            )
+    found = next(_capturing_subsets(points.support(), p, (2, 3)), None)
+    if found is not None:
+        return found
     coeffs = hull_membership(p, points)
     if coeffs is None:
         raise ExtractionFailed("the point left the hull during peeling")
@@ -176,37 +200,20 @@ def _split_by_entries(
     return rest
 
 
-def bipartition_search(
-    points: PointMultiset,
-    p: Point,
-    seed: int = 0,
-    max_evals: int = _MAX_EVALS,
-) -> tuple[PointMultiset, PointMultiset]:
-    """Two nonempty parts of the multiset, both hulls holding p.
-
-    Deterministic seeds first: a copy of p splits off alone; a segment
-    through p leaves a complement of depth >= 1 by counting; a minimal
-    subset usually does as well.  Failing those, local search over
-    single moves scored by exact infeasibility gaps, and below 23
-    instances full enumeration as a last resort.
-    """
+def bipartition_search(points: PointMultiset, p: Point) -> tuple[PointMultiset, PointMultiset]:
+    """Two nonempty parts of the multiset, both hulls holding p: the seeds,
+    then the minimal-subset scan (see the module docstring)."""
     if points.dim != 3:
         raise DimensionMismatch("bipartition is the d = 3 routine")
     if points.size < 17:
         raise PreconditionViolated(f"need at least 17 instances, got {points.size}")
     if depth_value(p, points) < 3:
         raise PreconditionViolated("bipartition needs a point of depth at least 3")
-    return _bipartition(points, p, seed, max_evals)
+    return _bipartition(points, p)
 
 
-def _bipartition(
-    points: PointMultiset, p: Point, seed: int, max_evals: int
-) -> tuple[PointMultiset, PointMultiset]:
+def _bipartition(points: PointMultiset, p: Point) -> tuple[PointMultiset, PointMultiset]:
     """``bipartition_search`` after its checks."""
-
-    def settled(a: PointMultiset, b: PointMultiset) -> bool:
-        return a.size > 0 and b.size > 0 and in_hull(p, a) and in_hull(p, b)
-
     if p in points:
         first = singleton_part(p)
         rest = points.remove(p)
@@ -215,102 +222,39 @@ def _bipartition(
         return first, rest
 
     support = points.support()
-    grid, q = _on_grid(support, p)
-    for i, j in itertools.combinations(range(len(support)), 2):
-        if _on_segment(q, grid[i], grid[j]):
-            first = PointMultiset.from_points([support[i], support[j]], dim=3)
-            rest = _split_by_entries(points, first)
-            if not in_hull(p, rest):
-                raise AssertionFailed("segment through p must leave depth >= 1 behind")
-            return first, rest
+    first = next(_capturing_subsets(support, p, (2,)), None)
+    if first is not None:
+        rest = _split_by_entries(points, first)
+        if not in_hull(p, rest):
+            raise AssertionFailed("segment through p must leave depth >= 1 behind")
+        return first, rest
 
     x = _minimal_subset(points, p)
     rest = _split_by_entries(points, x)
     if rest.size and in_hull(p, rest):
         return x, rest
 
-    instances = points.instances()
-    n = len(instances)
-    rng = random.Random(seed)
+    found = _split_scan(points, p, (3, 4))
+    if found is None:
+        raise AssertionFailed(
+            "no triangle or tetrahedron around p leaves a complement holding p; "
+            "by Caratheodory no bipartition exists, which depth 3 forbids"
+        )
+    return found
 
-    def gap_of(side: list[int], flag: bool) -> Fraction:
-        chosen = [instances[i] for i in range(n) if side[i] == flag]
-        if not chosen:
-            return Fraction(10 ** 9)
-        return membership_gap(p, PointMultiset.from_points(chosen, dim=3))
 
-    def score(side: list[int]) -> Fraction:
-        return gap_of(side, False) + gap_of(side, True)
-
-    start = [False] * n
-    marked = dict(x.entries)
-    left = dict(marked)
-    for i, q in enumerate(instances):
-        if left.get(q, 0) > 0:
-            start[i] = True
-            left[q] -= 1
-
-    evals = 0
-    best_score = None
-    side = start
-    current = score(side)
-    evals += 2
-    while evals < max_evals:
-        if current == 0:
-            a = PointMultiset.from_points(
-                [instances[i] for i in range(n) if side[i]], dim=3
-            )
-            b = PointMultiset.from_points(
-                [instances[i] for i in range(n) if not side[i]], dim=3
-            )
-            if settled(a, b):
-                return a, b
-            raise AssertionFailed("zero gap must mean both memberships hold")
-        improved = False
-        order = list(range(n))
-        rng.shuffle(order)
-        for i in order:
-            side[i] = not side[i]
-            trial = score(side)
-            evals += 2
-            if trial < current:
-                current = trial
-                improved = True
-                break
-            side[i] = not side[i]
-            if evals >= max_evals:
-                break
-        if not improved:
-            if best_score is None or current < best_score:
-                best_score = current
-            side = [rng.random() < 0.5 for _ in range(n)]
-            if not any(side):
-                side[0] = True
-            if all(side):
-                side[0] = False
-            current = score(side)
-            evals += 2
-
-    if best_score is None or current < best_score:
-        best_score = current
-
-    if n <= 22:
-        for mask in range(1, 1 << (n - 1)):
-            chosen = [bool(mask >> i & 1) for i in range(n - 1)] + [False]
-            a = PointMultiset.from_points(
-                [instances[i] for i in range(n) if chosen[i]], dim=3
-            )
-            if not in_hull(p, a):
-                continue
-            b = PointMultiset.from_points(
-                [instances[i] for i in range(n) if not chosen[i]], dim=3
-            )
-            if in_hull(p, b):
-                return a, b
-    raise SearchExhausted(
-        "no bipartition found",
-        diagnostics={"instances": n, "evaluations": evals, "best_gap": str(best_score)},
-    )
+def _split_scan(
+    points: PointMultiset, p: Point, sizes: tuple[int, ...]
+) -> tuple[PointMultiset, PointMultiset] | None:
+    """The first support subset of the given sizes whose closed hull holds
+    p (``_capturing_subsets`` order) with a complement holding p too, as
+    (subset, complement); None when there is none.  p must not be an
+    instance."""
+    for first in _capturing_subsets(points.support(), p, sizes):
+        rest = _split_by_entries(points, first)
+        if in_hull(p, rest):
+            return first, rest
+    return None
 
 
 def z3_gate(m: int) -> int:
@@ -318,9 +262,7 @@ def z3_gate(m: int) -> int:
     return 24 * m - 31
 
 
-def z3_tverberg(
-    points: PointMultiset, m: int, seed: int = 0
-) -> TverbergCertificate:
+def z3_tverberg(points: PointMultiset, m: int) -> TverbergCertificate:
     """A verified m-part partition of at least 24m-31 points of Z^3."""
     if m < 2:
         raise PreconditionViolated("partitions need m >= 2")
@@ -333,10 +275,18 @@ def z3_tverberg(
     needed = z3_gate(m)
     if n < needed:
         raise PreconditionViolated(f"need at least {needed} instances for m={m}, got {n}")
+    center, parts = _z3_parts(points, m)
+    return certify(m, center, parts, Lattice(3), points)
+
+
+def _z3_parts(points: PointMultiset, m: int) -> tuple[Point, list[PointMultiset]]:
+    """The body of ``z3_tverberg`` for checked inputs: m >= 2 and at least
+    the gate of integer points of Z^3.  Returns the centre and the parts,
+    building no certificate."""
     center = first_deep_point(points, Lattice(3), 3 * m - 3)
     direct = peel_by_multiplicity(points, center, m)
     if direct is not None:
-        return certify(m, center, direct, Lattice(3), points)
+        return center, direct
     mu = points.multiplicity(center)
     body = points.remove(center, mu) if mu else points
     target = m - mu
@@ -348,6 +298,5 @@ def z3_tverberg(
         raise AssertionFailed("size bookkeeping guarantees at least 17 remaining")
     if depth_value(center, remainder) < 3:
         raise AssertionFailed("peeling cannot push the center below depth 3")
-    b1, b2 = _bipartition(remainder, center, seed, _MAX_EVALS)
-    parts = [singleton_part(center) for _ in range(mu)] + list(record.subsets) + [b1, b2]
-    return certify(m, center, parts, Lattice(3), points)
+    b1, b2 = _bipartition(remainder, center)
+    return center, [singleton_part(center) for _ in range(mu)] + list(record.subsets) + [b1, b2]

@@ -59,3 +59,22 @@ def triangle_fan_set():
         point(4, 4),
     )
     return FiniteSet(pts, 2)
+
+
+@pytest.fixture
+def seed_miss_set():
+    """18 points of Z^3 on which every seed of the Z^3 bipartition misses.
+
+    Found by a seeded search over random sets: the first point of depth 3,
+    (0, 1, -1), is no instance and lies on no segment of two instances,
+    and the complement of its first minimal subset (a tetrahedron) misses
+    it, so the minimal-subset scan is what splits the set.
+    """
+    from tverberg.points import point
+
+    raw = [
+        (-6, 0, 3), (-4, -6, -5), (-4, 5, -6), (-1, -2, 4), (0, 5, 4), (1, -6, 6),
+        (1, 1, 0), (1, 5, 4), (1, 6, 2), (2, -1, 6), (2, 0, 3), (4, -3, 5),
+        (4, 1, -5), (5, 2, 2), (5, 5, -2), (5, 6, -6), (6, -2, -6), (6, 6, -2),
+    ]
+    return PointMultiset.from_points([point(*p) for p in raw])

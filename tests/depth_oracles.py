@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from tverberg.depth import (
     _canonical_sign,
     _dot_int,
     _int_pivot_columns,
-    _lcm_of_denominators,
     _reduce_int,
 )
 from tverberg.errors import AssertionFailed
@@ -220,7 +219,7 @@ def _normal_direction(sub: list[tuple[int, ...]], dim: int) -> tuple[int, ...] |
     basis = nullspace(rows, dim)
     if len(basis) != 1:
         return None
-    denom = _lcm_of_denominators(basis[0])
+    denom = lcm(*(v.denominator for v in basis[0]))
     return tuple(int(v * denom) for v in basis[0])
 
 

@@ -520,6 +520,30 @@ def test_a_label_class_missing_the_center_exits_4(monkeypatch, capsys):
     assert "AssertionFailed" in err and "part 1" in err
 
 
+def test_a_bipartition_scan_that_finds_nothing_exits_4(monkeypatch, capsys, seed_miss_set):
+    """Every seed misses on this set, so the minimal-subset scan splits it;
+    a scan that finds nothing contradicts the theorem, so the CLI reports
+    an internal fault, not a refused input."""
+    doc = dumps(point_file_to_doc(seed_miss_set, Lattice(3)))
+    code, out, _ = run(monkeypatch, capsys, ["tverberg", "--m", "2"], doc)
+    assert code == 0 and out
+    monkeypatch.setattr("tverberg.space3._split_scan", lambda points, p, sizes: None)
+    code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", "2"], doc)
+    assert code == 4
+    assert out == ""
+    assert "AssertionFailed" in err and "Caratheodory" in err
+
+
+def test_only_partition_depth_takes_a_seed(capsys):
+    """Every partition driver is deterministic, so `tverberg` has no
+    --seed; the randomized `partition-depth` search keeps its own."""
+    for command, seeded in (("tverberg", False), ("partition-depth", True)):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        assert ("--seed" in capsys.readouterr().out) == seeded
+
+
 def test_rational_grammar_violations_exit_2(monkeypatch, capsys):
     code, _, err = run(monkeypatch, capsys, ["depth", "--point", "0.5,1"], _grid_doc())
     assert code == 2

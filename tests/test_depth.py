@@ -11,10 +11,8 @@ from tverberg.certificates import verify_certificate
 from tverberg import depth as depth_module
 from tverberg.depth import (
     _centre_out_order,
-    _common_grid,
     _difference_profile,
     _min_halfspace_count,
-    _scaled_instances,
     depth_value,
     finite_set_centerpoint,
     first_deep_point,
@@ -23,7 +21,7 @@ from tverberg.depth import (
 )
 from tverberg.errors import AssertionFailed, CenterpointNotFound, PreconditionViolated
 from tverberg.planar import plane_tverberg
-from tverberg.points import PointMultiset, point
+from tverberg.points import PointMultiset, integer_points, point
 from tverberg.space3 import z3_tverberg
 
 from conftest import random_lattice_multiset
@@ -118,7 +116,8 @@ def test_min_halfspace_count_matches_the_enumeration(rng):
     while profiles < 2400:
         d = (1, 2, 2, 3)[profiles % 4]
         pts, q = _random_profile_instance(rng, d)
-        vecs, ws, _ = _difference_profile(*_common_grid(*_scaled_instances(pts), q))
+        _, grid = integer_points(pts.support() + (q,))
+        vecs, ws, _ = _difference_profile(grid, pts, grid[-1])
         if not vecs:
             continue
         profiles += 1

@@ -2,10 +2,8 @@
 
 Each module of the package is parsed and searched for the ways a float
 gets in: a float literal, the name ``float``, a float-valued ``math``
-function or constant, or a float-valued ``random`` draw.  The one
-exception is the seeded restart coin flip ``rng.random() < 0.5`` of
-``space3``'s local search, which picks the bipartition to try next and
-makes no geometric decision.
+function or constant, or a float-valued ``random`` draw.  No module
+has an exception.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ FLOAT_MATH = {
 }
 FLOAT_DRAWS = {"random", "uniform", "gauss", "normalvariate", "expovariate", "triangular"}
 
-# (module, source) of each allowed float expression
-ALLOWED = {("space3", "rng.random() < 0.5")}
+# (module, source) of each allowed float expression: none
+ALLOWED: set[tuple[str, str]] = set()
 
 
 def float_uses(source: str, module: str) -> list[str]:
@@ -89,10 +87,11 @@ def test_check_finds_each_kind_of_float_use():
             "d = rng.random()",
         ]
     )
-    found = float_uses(source, "planar")
-    assert [line.split(":")[0] for line in found] == ["2", "3", "4", "5", "6", "7", "8", "9", "9", "10"]
-    # the coin flip is allowed in space3 alone, and only as written there
-    assert [line.split(":")[0] for line in float_uses(source, "space3")] == [
-        "2", "3", "4", "5", "6", "7", "8", "10",
-    ]
+    # no module has an allowed float, so every module reports every use
+    assert ALLOWED == set()
+    for module in ("planar", "space3"):
+        found = float_uses(source, module)
+        assert [line.split(":")[0] for line in found] == [
+            "2", "3", "4", "5", "6", "7", "8", "9", "9", "10",
+        ]
     assert float_uses("from math import gcd, lcm\nn = math.floor(7 // 2)\n", "points") == []

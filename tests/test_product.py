@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tverberg.ambient import Lattice, MixedLattice, RealSpace
+from tverberg import certificates
 from tverberg.certificates import verify_certificate
 from tverberg.errors import Infeasible, PreconditionViolated, UnsupportedAmbient
 from tverberg.geometry import hull_membership
@@ -167,3 +168,22 @@ def test_lift_record_partitions_base_parts(rng):
         assert lifted[: len(record.base_point)] == record.base_point
     assert cert.point[: len(record.base_point)] == record.base_point
     assert hull_membership(cert.point, cert.parts[0]) is not None
+
+
+@pytest.mark.parametrize("j, n", [(2, 9), (3, 41)])
+def test_product_certifies_only_the_final_partition(monkeypatch, rng, j, n):
+    """Over Z^2 x R^1 and Z^3 x R^1 the base step takes the driver's parts
+    and centre, so one call assembles one certificate, the final one."""
+    calls = []
+    assemble = certificates.assemble_certificate
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr("tverberg.certificates.assemble_certificate", counted)
+    pts = _mixed_multiset(rng, n, j, 1)
+    cert, record = product_tverberg(pts, 2, MixedLattice(j, 1))
+    assert len(calls) == 1 and tuple(calls[0][2]) == cert.parts
+    assert verify_certificate(cert, pts).ok
+    assert cert.point[:j] == record.base_point

@@ -4,21 +4,28 @@ from fractions import Fraction
 
 import pytest
 
+from tverberg.ambient import Lattice
 from tverberg.certificates import verify_certificate
-from tverberg.depth import depth_value, integer_centerpoint
-from tverberg.errors import PreconditionViolated
-from tverberg.geometry import hull_membership
+from tverberg.depth import depth_value, first_deep_point, integer_centerpoint
+from tverberg.errors import AssertionFailed, ExtractionFailed, PreconditionViolated
+from tverberg.geometry import hull_membership, in_hull
 from tverberg.linprog import solve_linear
 from tverberg.points import PointMultiset, point, sub
 from tverberg.space3 import (
+    _bipartition,
     _cross3,
+    _in_tetrahedron,
     _in_triangle,
+    _minimal_subset,
     _on_grid,
+    _split_by_entries,
+    _split_scan,
     bipartition_search,
     peel_caratheodory_sets,
     z3_tverberg,
 )
 
+from bipartition_oracle import enumerate_bipartition
 from conftest import random_lattice_multiset
 
 
@@ -71,7 +78,7 @@ def test_bipartition_search_soundness(rng):
         p = integer_centerpoint(pts, 3)
         if depth_value(p, pts) < 3:
             continue
-        side_a, side_b = bipartition_search(pts, p, seed=1)
+        side_a, side_b = bipartition_search(pts, p)
         assert side_a.size > 0 and side_b.size > 0
         assert side_a.size + side_b.size == pts.size
         assert hull_membership(p, side_a) is not None
@@ -166,3 +173,142 @@ def test_in_triangle_matches_fraction_solve():
         assert _in_triangle(q, *grid) == inside
         hits += inside
     assert hits > 100
+
+
+def _assert_splits(points, p, parts):
+    first, rest = parts
+    assert first.size > 0 and rest.size > 0
+    assert PointMultiset(first.entries + rest.entries, dim=3) == points
+    assert hull_membership(p, first) is not None
+    assert hull_membership(p, rest) is not None
+
+
+def test_bipartition_found_exactly_when_the_enumeration_finds_one():
+    """The seeds and the scan against the 2^(n-1) enumeration on small
+    sets, p an instance, a box point of depth >= 1 or a deepest point.
+    Where no bipartition exists the library raises: a seed's complement
+    that misses p, or p outside the hull."""
+    rng = __import__("random").Random(12)
+    found = absent = 0
+    while found + absent < 300:
+        pts = random_lattice_multiset(rng, rng.randint(6, 12), 3, rng.choice([1, 2, 3]))
+        kind = (found + absent) % 3
+        if kind == 0:
+            p = rng.choice(pts.support())
+        elif kind == 1:
+            p = point(*(rng.randint(-1, 1) for _ in range(3)))
+            if depth_value(p, pts) == 0:
+                continue
+        else:
+            p = integer_centerpoint(pts, 1)
+        expected = enumerate_bipartition(pts, p)
+        try:
+            parts = _bipartition(pts, p)
+        except (AssertionFailed, ExtractionFailed):
+            parts = None
+        assert (parts is None) == (expected is None), (pts, p)
+        if parts is None:
+            absent += 1
+        else:
+            _assert_splits(pts, p, parts)
+            found += 1
+    assert found >= 100 and absent >= 100
+
+
+def _deep_remainder(rng):
+    """17-30 instances of Z^3 and an integer point p of depth >= 3 that is
+    no instance: three segments, triangles or tetrahedra whose hulls hold
+    p each put an instance in every closed half-space through p, and
+    random instances fill the rest."""
+    p = point(*(rng.randint(-3, 3) for _ in range(3)))
+
+    def offset(box):
+        while True:
+            v = tuple(rng.randint(-box, box) for _ in range(3))
+            if any(v):
+                return v
+
+    offsets = []
+    for _ in range(3):
+        while True:
+            corners = [offset(4) for _ in range(rng.randint(1, 3))]
+            weights = [rng.randint(1, 3) for _ in corners]
+            last = tuple(-sum(w * v[i] for w, v in zip(weights, corners)) for i in range(3))
+            if any(last):
+                break
+        offsets += corners + [last]
+    while len(offsets) < rng.randint(17, 30):
+        offsets.append(offset(rng.choice([2, 5])))
+    pts = PointMultiset.from_points([tuple(a + b for a, b in zip(p, v)) for v in offsets])
+    return pts, p
+
+
+def test_scan_alone_splits_deep_remainders():
+    """Without the seeds, the minimal-subset scan over segments, triangles
+    and tetrahedra splits every depth >= 3 remainder."""
+    rng = __import__("random").Random(2000)
+    for _ in range(2000):
+        pts, p = _deep_remainder(rng)
+        parts = _split_scan(pts, p, (2, 3, 4))
+        assert parts is not None, (pts, p)
+        _assert_splits(pts, p, parts)
+
+
+def test_scan_answers_where_the_minimal_subset_seed_misses(seed_miss_set):
+    pts = seed_miss_set
+    p = first_deep_point(pts, Lattice(3), 3)
+    assert depth_value(p, pts) >= 3 and p not in pts
+    assert _split_scan(pts, p, (2,)) is None
+    seed = _minimal_subset(pts, p)
+    assert not in_hull(p, _split_by_entries(pts, seed))
+    parts = bipartition_search(pts, p)
+    assert parts == _split_scan(pts, p, (3, 4))
+    assert parts[0] != seed
+    _assert_splits(pts, p, parts)
+    assert verify_certificate(z3_tverberg(pts, 2), pts).ok
+
+
+def test_a_scan_that_finds_nothing_is_an_internal_fault(monkeypatch, seed_miss_set):
+    pts = seed_miss_set
+    p = first_deep_point(pts, Lattice(3), 3)
+    monkeypatch.setattr("tverberg.space3._split_scan", lambda points, p, sizes: None)
+    with pytest.raises(AssertionFailed, match="Caratheodory"):
+        bipartition_search(pts, p)
+    with pytest.raises(AssertionFailed, match="Caratheodory"):
+        z3_tverberg(pts, 2)
+
+
+def _fraction_in_tetrahedron(p, a, b, c, d):
+    """p in the closed tetrahedron abcd by solving p - a = s(b-a) + t(c-a) + u(d-a)."""
+    cols = [sub(x, a) for x in (b, c, d)]
+    if sum(x * y for x, y in zip(_cross3(cols[0], cols[1]), cols[2])) == 0:
+        return False
+    rows = [[Fraction(col[i]) for col in cols] for i in range(3)]
+    sol = solve_linear(rows, [Fraction(x) for x in sub(p, a)])
+    return all(w >= 0 for w in sol) and sum(sol) <= 1
+
+
+def test_in_tetrahedron_matches_fraction_solve():
+    rng = __import__("random").Random(41)
+
+    def rand_point(box):
+        return tuple(rng.randint(-box, box) for _ in range(3))
+
+    cases = [tuple(rand_point(2) for _ in range(5)) for _ in range(3000)]
+    for _ in range(1500):
+        # weights >= 0 put p on a corner, an edge, a face or inside; a
+        # negative weight puts it outside
+        corners = [rand_point(3) for _ in range(4)]
+        weights = [rng.randint(-1, 2) for _ in range(4)]
+        total = sum(weights)
+        if total <= 0:
+            continue
+        p = tuple(sum(w * q[i] for w, q in zip(weights, corners)) for i in range(3))
+        cases.append((p, *(tuple(total * v for v in q) for q in corners)))
+    o = (0, 0, 0)
+    cases.append((o, o, (1, 0, 0), (0, 1, 0), (1, 1, 0)))  # flat corners
+    cases.append((o, o, o, (1, 0, 0), (0, 1, 0)))  # repeated corner
+    inside = sum(_fraction_in_tetrahedron(*case) for case in cases)
+    assert inside > 300
+    for case in cases:
+        assert _in_tetrahedron(*case) == _fraction_in_tetrahedron(*case), case
