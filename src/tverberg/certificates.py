@@ -19,11 +19,13 @@ computed and not kept.  An input with no place on an integer grid (a
 weight, a point or an entry coordinate that is not an int or a
 Fraction) gets a named clause like any other fault.
 
-``certify`` is the one proof writer.  Every driver hands it the parts it
-built and their common point; it writes each part's proof and calls
-``assemble_certificate`` once, so each answer is built and verified
-once, whatever inner partitions the driver went through.  Only the
-real brute force in ``product`` hands its joint LP weights to
+``check_partition_input`` states once the hypotheses of every driver:
+m >= 2, the ambient's dimension, every instance in the set, and the
+driver's gate.  ``certify`` is the one proof writer.  Every driver hands
+it the parts it built and their common point; it writes each part's
+proof and calls ``assemble_certificate`` once, so each answer is built
+and verified once, whatever inner partitions the driver went through.
+Only the real brute force in ``product`` hands its joint LP weights to
 ``assemble_certificate`` itself.
 
 Failures are reported as clause names so callers can tell what broke:
@@ -47,7 +49,7 @@ from typing import Iterable, Sequence
 from .ambient import AmbientSet
 from .errors import AssertionFailed, DimensionMismatch, PreconditionViolated
 from .geometry import hull_membership
-from .points import Point, PointMultiset, integer_points, sub
+from .points import Point, PointMultiset, format_rational, integer_points, sub
 
 RawWeights = tuple[tuple[int, Fraction], ...]
 
@@ -228,6 +230,29 @@ def certify(
     return assemble_certificate(m, point, parts, proofs, ambient, source)
 
 
+def check_partition_input(
+    points: PointMultiset, m: int, ambient: AmbientSet, needed: int
+) -> None:
+    """The hypotheses every partition driver shares, in this order: m >= 2
+    parts, points of the ambient set's dimension, every instance in the
+    set (``ambient.contains``), and at least ``needed`` instances, the
+    driver's gate at m.  Each driver picks its gate, calls this, and runs
+    its body."""
+    if m < 2:
+        raise PreconditionViolated("partitions need m >= 2")
+    if points.dim != ambient.dim:
+        raise DimensionMismatch(
+            f"points of dimension {points.dim} in an ambient set of dimension {ambient.dim}"
+        )
+    for p, _ in points.entries:
+        if not ambient.contains(p):
+            raise PreconditionViolated(
+                f"instance {','.join(map(format_rational, p))} lies outside {ambient.describe()}"
+            )
+    if points.size < needed:
+        raise PreconditionViolated(f"need at least {needed} instances for m={m}, got {points.size}")
+
+
 def singleton_part(p: Point) -> PointMultiset:
     return PointMultiset(((p, 1),), dim=len(p))
 
@@ -266,16 +291,7 @@ def line_tverberg(
     median instance is their common point in the ambient set.  The driver
     of Z^1, of 1-D finite sets and of planar ones of Helly number 2.
     """
-    if m < 2:
-        raise PreconditionViolated("partitions need m >= 2")
-    if points.dim != ambient.dim:
-        raise DimensionMismatch(f"points of dimension {points.dim} do not lie in {ambient.describe()}")
-    for p, _ in points.entries:
-        if not ambient.contains(p):
-            raise PreconditionViolated(f"instance {p} lies outside {ambient.describe()}")
-    n = points.size
-    if n < line_gate(m):
-        raise PreconditionViolated(f"need at least {line_gate(m)} instances for m={m}, got {n}")
+    check_partition_input(points, m, ambient, line_gate(m))
     first = points.entries[0][0]
     u = sub(points.entries[-1][0], first)
     for p, _ in points.entries:

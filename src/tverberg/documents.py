@@ -21,7 +21,7 @@ from typing import Any
 from .ambient import AmbientSet, FiniteSet, Lattice, MixedLattice, RealSpace
 from .certificates import TverbergCertificate
 from .errors import InputError
-from .points import Point, PointMultiset, format_rational, is_integral, rational
+from .points import Point, PointMultiset, format_rational, rational
 
 
 def dumps(doc: dict) -> str:
@@ -124,25 +124,6 @@ def ambient_from_doc(doc: dict) -> AmbientSet:
     raise InputError(f"unknown ambient kind {kind!r}")
 
 
-def _validate_against_ambient(points: PointMultiset, ambient: AmbientSet) -> None:
-    if ambient.dim != points.dim:
-        raise InputError(
-            f"point dimension {points.dim} does not match ambient "
-            f"{ambient.describe()}"
-        )
-    if isinstance(ambient, Lattice):
-        for p, _ in points.entries:
-            if not is_integral(p):
-                raise InputError(f"point {point_to_doc(p)} is not integral")
-    elif isinstance(ambient, MixedLattice):
-        for p, _ in points.entries:
-            if not is_integral(p[: ambient.j]):
-                raise InputError(
-                    f"point {point_to_doc(p)} has a non-integer entry in the "
-                    f"first {ambient.j} coordinates"
-                )
-
-
 def point_file_to_doc(points: PointMultiset, ambient: AmbientSet | None) -> dict:
     doc = multiset_to_doc(points)
     if ambient is not None:
@@ -151,12 +132,21 @@ def point_file_to_doc(points: PointMultiset, ambient: AmbientSet | None) -> dict
 
 
 def point_file_from_doc(doc: dict) -> tuple[PointMultiset, AmbientSet | None]:
-    """Multiset plus its declared ambient, integrality checked on load."""
+    """Multiset plus its declared ambient; every instance must lie in it
+    (``ambient.contains``)."""
     points = multiset_from_doc(doc)
     ambient = None
     if "ambient" in doc:
         ambient = ambient_from_doc(doc["ambient"])
-        _validate_against_ambient(points, ambient)
+        if ambient.dim != points.dim:
+            raise InputError(
+                f"points of dimension {points.dim} in an ambient set of dimension {ambient.dim}"
+            )
+        for p, _ in points.entries:
+            if not ambient.contains(p):
+                raise InputError(
+                    f"instance {','.join(point_to_doc(p))} lies outside {ambient.describe()}"
+                )
     return points, ambient
 
 

@@ -28,13 +28,15 @@ directions are gcd-reduced int vectors and squared distances are ints,
 and the clockwise sweep (``points.clockwise_key``) compares them by
 integer signs alone.  The sequence itself holds the rational instances.
 
-Finite ambient sets go through the Helly number of the set and its gate
-``finite_gate``, checked once: He = 2 is a collinear set, split by the
-median groups of ``certificates.line_tverberg``; He <= 3 otherwise
-reduces to a real partition (``product.real_partition``, its parts
-only) whose intersection polygon has its lexicographically least
+``plane_tverberg`` picks its gate, ``z2_gate`` or, over a finite set,
+``finite_gate`` at the set's Helly number, and hands it to
+``certificates.check_partition_input``.  Over a finite set, He = 2 is a
+collinear set, split by the median groups of ``line_tverberg``; He <= 3
+otherwise reduces to a real partition (``product.real_partition``, its
+parts only) whose intersection polygon has its lexicographically least
 vertex inside the set, and He >= 4 admits a set-valued centerpoint
-deep enough for the radial machinery above.
+deep enough for the radial machinery above.  ``helly3_tverberg`` is
+the refusal of He > 3 followed by ``plane_tverberg``.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .ambient import AmbientSet, FiniteSet, Lattice
 from .certificates import (
     TverbergCertificate,
     certify,
+    check_partition_input,
     median_certificate,
     peel_by_multiplicity,
     singleton_part,
@@ -68,7 +71,6 @@ from .points import (
     clockwise_key,
     cross2,
     integer_points,
-    is_integral,
     sub,
 )
 
@@ -327,33 +329,17 @@ def plane_tverberg(
 
     Over Z^2 the size gate is ``z2_gate(m)``.  Over a finite ambient set
     it is ``finite_gate(He, m)``, and Helly numbers up to 3 take the
-    routes of ``helly3_tverberg`` instead of the radial one.
+    routes of ``_small_helly_partition`` instead of the radial one.
     """
-    if m < 2:
-        raise PreconditionViolated("partitions need m >= 2")
-    if points.dim != 2:
-        raise DimensionMismatch("planar driver requires dimension 2")
-    n = points.size
     he = None
-    if isinstance(ambient, Lattice):
-        if ambient.d != 2:
-            raise DimensionMismatch("planar driver requires Z^2")
-        for p, _ in points.entries:
-            if not is_integral(p):
-                raise PreconditionViolated(f"instance {p} is not an integer point")
+    if isinstance(ambient, Lattice) and ambient.d == 2:
         needed = z2_gate(m)
-    elif isinstance(ambient, FiniteSet):
-        if ambient.dim != 2:
-            raise DimensionMismatch("planar driver requires a planar ambient set")
-        for p, _ in points.entries:
-            if not ambient.contains(p):
-                raise PreconditionViolated(f"instance {p} lies outside the ambient set")
+    elif isinstance(ambient, FiniteSet) and ambient.dim == 2:
         he = helly_number(ambient).number
         needed = finite_gate(he, m)
     else:
         raise UnsupportedAmbient(f"planar driver does not handle {ambient.describe()}")
-    if n < needed:
-        raise PreconditionViolated(f"need at least {needed} instances for m={m}, got {n}")
+    check_partition_input(points, m, ambient, needed)
     if he is not None and he <= 3:
         return _small_helly_partition(points, m, ambient, he)
     center, parts = _radial_parts(points, m, ambient)
@@ -458,28 +444,17 @@ def helly3_tverberg(
     lexicographically least vertex of the intersection of the part hulls
     is then a point of the ambient set and certifies the partition.
     """
-    if m < 2:
-        raise PreconditionViolated("partitions need m >= 2")
-    if points.dim != 2 or ambient.dim != 2:
-        raise DimensionMismatch("this route is planar")
-    for p, _ in points.entries:
-        if not ambient.contains(p):
-            raise PreconditionViolated(f"instance {p} lies outside the ambient set")
     he = helly_number(ambient).number
     if he > 3:
         raise PreconditionViolated(f"ambient set has Helly number {he} > 3")
-    n = points.size
-    needed = finite_gate(he, m)
-    if n < needed:
-        raise PreconditionViolated(f"need at least {needed} instances for m={m}, got {n}")
-    return _small_helly_partition(points, m, ambient, he)
+    return plane_tverberg(points, m, ambient)
 
 
 def _small_helly_partition(
     points: PointMultiset, m: int, ambient: FiniteSet, he: int
 ) -> TverbergCertificate:
-    """The body of ``helly3_tverberg`` for checked inputs: m >= 2, planar
-    instances in the set, Helly number he <= 3, at least the gate."""
+    """The He <= 3 routes of ``plane_tverberg`` for checked inputs: m >= 2,
+    planar instances in the set, Helly number he <= 3, at least the gate."""
     if he == 1:
         q = ambient.points[0]
         return certify(m, q, peel_by_multiplicity(points, q, m), ambient, points)

@@ -23,10 +23,11 @@ feasibility system per candidate, returning the first partition's
 parts, common point and joint weights and building no certificate.
 The fiber step takes its parts and point, as does planar's He <= 3
 route.  ``real_tverberg_bruteforce`` is its certified form over R^d:
-the size gate, then ``real_partition``, then a certificate that carries
-the joint weights as proofs.  It is exponential and meant for the small
-fiber counts this reduction produces, and doubles as the reference
-oracle elsewhere.
+``certificates.check_partition_input`` at the gate (m-1)(d+1)+1, then
+``real_partition``, then a certificate that carries the joint weights
+as proofs.  It is exponential and meant for the small fiber counts
+this reduction produces, and doubles as the reference oracle elsewhere.
+Every driver of the table is its gate, that check and its body.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .certificates import (
     TverbergCertificate,
     assemble_certificate,
     certify,
+    check_partition_input,
     line_gate,
     line_tverberg,
     median_groups,
@@ -49,7 +51,6 @@ from .errors import (
     DimensionMismatch,
     Infeasible,
     InternalError,
-    PreconditionViolated,
     UnsupportedAmbient,
 )
 from .geometry import convex_system, polytope_intersection_point
@@ -66,16 +67,17 @@ def real_tverberg_bruteforce(points: PointMultiset, m: int) -> TverbergCertifica
     Existence is the classical theorem; enumeration order is canonical,
     so the result is deterministic.
     """
-    if m < 1:
-        raise PreconditionViolated("need at least one part")
-    d = points.dim
-    n = points.size
-    needed = (m - 1) * (d + 1) + 1
-    if n < needed:
-        raise PreconditionViolated(f"need at least {needed} points for m={m} in R^{d}, got {n}")
+    return _real_certificate(points, m, RealSpace(points.dim))
+
+
+def _real_certificate(points: PointMultiset, m: int, ambient: RealSpace) -> TverbergCertificate:
+    """``real_tverberg_bruteforce`` over a given R^d, the R^d row: the
+    check, then ``real_partition``, then a certificate carrying its
+    joint weights."""
+    check_partition_input(points, m, ambient, (m - 1) * (ambient.dim + 1) + 1)
     parts, point, coeffs = real_partition(points, m)
     proofs = [c.weights for c in coeffs]
-    return assemble_certificate(m, point, parts, proofs, RealSpace(d), points)
+    return assemble_certificate(m, point, parts, proofs, ambient, points)
 
 
 def real_partition(
@@ -104,17 +106,8 @@ DRIVERS = {
     (FiniteSet, 1): (line_gate, lambda pts, m, amb: line_tverberg(pts, m, amb)),
     (FiniteSet, None): (None, lambda pts, m, amb: plane_tverberg(pts, m, amb)),
     (MixedLattice, None): (None, lambda pts, m, amb: product_tverberg(pts, m, amb)[0]),
-    (RealSpace, None): (None, lambda pts, m, amb: _real_row(pts, m, amb)),
+    (RealSpace, None): (None, lambda pts, m, amb: _real_certificate(pts, m, amb)),
 }
-
-
-def _real_row(points: PointMultiset, m: int, ambient: RealSpace) -> TverbergCertificate:
-    """The R^d row: the real brute force, over the requested dimension only."""
-    if ambient.dim != points.dim:
-        raise DimensionMismatch(
-            f"points of dimension {points.dim} in an ambient set of dimension {ambient.dim}"
-        )
-    return real_tverberg_bruteforce(points, m)
 
 
 def tverberg_partition(
@@ -191,32 +184,19 @@ def product_tverberg(
     The size gate is the Z^j row's gate at the inflated count
     t = (m-1)(k+1)+1.
     """
-    if m < 2:
-        raise PreconditionViolated("partitions need m >= 2")
-    if points.dim != ambient.dim:
-        raise DimensionMismatch("multiset dimension differs from the ambient product")
-    for p, _ in points.entries:
-        if not ambient.contains(p):
-            raise PreconditionViolated(f"instance {p} has a non-integer leading block")
     j, k = ambient.j, ambient.k
     if (Lattice, j) not in DRIVERS:
         raise UnsupportedAmbient("no base driver beyond Z^3")
-    gate = DRIVERS[(Lattice, j)][0]
     t = (m - 1) * (k + 1) + 1
-    n = points.size
-    needed = gate(t)
-    if n < needed:
-        raise PreconditionViolated(
-            f"need at least {needed} instances for m={m} over {ambient.describe()}, got {n}"
-        )
+    check_partition_input(points, m, ambient, DRIVERS[(Lattice, j)][0](t))
     instances = points.instances()
     if j == 1:
         # Instances come in lexicographic order, so their first coordinates
         # are sorted and the median groups split the base without a search.
-        groups_idx = median_groups(n, t)
+        groups_idx = median_groups(points.size, t)
         base_q: Point = instances[t - 1][:1]
     else:
-        # The checks above cover the base driver's: t >= 2, integer
+        # The check above covers the base driver's: t >= 2, integer
         # projections, and the gate.  Only the final partition is certified.
         proj_instances = [p[:j] for p in instances]
         proj_ms = PointMultiset.from_points(proj_instances, dim=j)

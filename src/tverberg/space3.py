@@ -37,11 +37,17 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .ambient import Lattice
-from .certificates import TverbergCertificate, certify, peel_by_multiplicity, singleton_part
+from .certificates import (
+    TverbergCertificate,
+    certify,
+    check_partition_input,
+    peel_by_multiplicity,
+    singleton_part,
+)
 from .depth import depth_value, first_deep_point
 from .errors import AssertionFailed, DimensionMismatch, ExtractionFailed, PreconditionViolated
 from .geometry import caratheodory_reduce, hull_membership, in_hull
-from .points import Point, PointMultiset, dot, integer_points, is_integral, sub
+from .points import Point, PointMultiset, dot, integer_points, sub
 
 IntPoint = tuple[int, ...]
 
@@ -264,17 +270,7 @@ def z3_gate(m: int) -> int:
 
 def z3_tverberg(points: PointMultiset, m: int) -> TverbergCertificate:
     """A verified m-part partition of at least 24m-31 points of Z^3."""
-    if m < 2:
-        raise PreconditionViolated("partitions need m >= 2")
-    if points.dim != 3:
-        raise DimensionMismatch("this driver works in Z^3")
-    for q, _ in points.entries:
-        if not is_integral(q):
-            raise PreconditionViolated(f"instance {q} is not an integer point")
-    n = points.size
-    needed = z3_gate(m)
-    if n < needed:
-        raise PreconditionViolated(f"need at least {needed} instances for m={m}, got {n}")
+    check_partition_input(points, m, Lattice(3), z3_gate(m))
     center, parts = _z3_parts(points, m)
     return certify(m, center, parts, Lattice(3), points)
 

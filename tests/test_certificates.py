@@ -16,7 +16,7 @@ from tverberg.certificates import (
     singleton_part,
     verify_certificate,
 )
-from tverberg.errors import AssertionFailed, PreconditionViolated
+from tverberg.errors import AssertionFailed, DimensionMismatch, PreconditionViolated
 from tverberg.geometry import hull_membership
 from tverberg.planar import finite_gate, plane_tverberg, z2_gate
 from tverberg.points import PointMultiset, point
@@ -328,6 +328,70 @@ def test_line_tverberg_refuses_points_off_a_line():
             line_tverberg(pts, 2, ambient)
     with pytest.raises(PreconditionViolated):
         line_tverberg(PointMultiset.from_points([point(Fraction(1, 2))] * 3), 2, Lattice(1))
+
+
+def _row_instance(ambient, i):
+    """The i-th of a fixed run of points of the ambient set."""
+    if isinstance(ambient, FiniteSet):
+        return ambient.points[i % len(ambient.points)]
+    if isinstance(ambient, Lattice):
+        return point(*((i * (3 + 2 * a)) % 7 - 3 for a in range(ambient.d)))
+    j = ambient.j if isinstance(ambient, MixedLattice) else 0
+    return point(*((i * (3 + 2 * a)) % 7 - 3 for a in range(j))) + tuple(
+        Fraction((i * (5 + a)) % 9 - 4, 1 + a) for a in range(ambient.dim - j)
+    )
+
+
+# One case per DRIVERS row: (ambient, gate at m = 2, a point outside
+# the set as --point writes it, or None when there is none)
+_CHECK_ROWS = [
+    (Lattice(1), 3, "1/2"),
+    (Lattice(2), 6, "1/2,4"),
+    (Lattice(3), 17, "0,-1/3,2"),
+    (FiniteSet(tuple(point(Fraction(x, 2)) for x in range(-5, 6)), 1), 3, "7"),
+    (FiniteSet(tuple(point(x, y) for x in range(3) for y in range(3)), 2), 6, "5,5"),
+    (FiniteSet(tuple(point(*p) for p in [(0, 0), (8, 0), (0, 8), (1, 1), (2, 2), (3, 3), (4, 4)]), 2),
+     4, "1,2"),
+    (MixedLattice(1, 1), 5, "1/2,4"),
+    (MixedLattice(2, 1), 9, "1,3/2,0"),
+    (MixedLattice(3, 1), 41, "-5/3,0,0,1"),
+    (RealSpace(2), 4, None),
+]
+
+
+@pytest.mark.parametrize(
+    "ambient, gate, outside", _CHECK_ROWS, ids=[row[0].describe() for row in _CHECK_ROWS]
+)
+def test_every_driver_states_its_hypotheses_once(monkeypatch, ambient, gate, outside):
+    """Each DRIVERS row refuses m = 1, points of another dimension, an
+    instance outside the set and one instance short of its gate with
+    the words of ``check_partition_input``, before any centre scan or
+    partition enumeration runs."""
+
+    def scan(*args, **kwargs):
+        raise AssertionError("a scan ran before the preconditions were checked")
+
+    for module in ("planar", "space3"):
+        monkeypatch.setattr(f"tverberg.{module}.first_deep_point", scan)
+    monkeypatch.setattr("tverberg.product.iter_partition_hulls", scan)
+    d = ambient.dim
+    good = [_row_instance(ambient, i) for i in range(gate)]
+    wide = [p + (Fraction(0),) for p in good]
+    cases = [
+        (good, 1, PreconditionViolated, "partitions need m >= 2"),
+        (wide, 2, DimensionMismatch, f"points of dimension {d + 1} in an ambient set of dimension {d}"),
+        (good[:-1], 2, PreconditionViolated, f"need at least {gate} instances for m=2, got {gate - 1}"),
+    ]
+    if outside is not None:
+        cases.append(
+            (good[:-1] + [point(*outside.split(","))], 2, PreconditionViolated,
+             f"instance {outside} lies outside {ambient.describe()}")
+        )
+    for instances, m, error, message in cases:
+        pts = PointMultiset.from_points(instances, dim=len(instances[0]))
+        with pytest.raises(error) as caught:
+            tverberg_partition(pts, m, ambient)
+        assert type(caught.value) is error and str(caught.value) == message
 
 
 def _driver_corpus(rng, fan):

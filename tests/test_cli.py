@@ -10,7 +10,7 @@ import pytest
 
 from tverberg.ambient import FiniteSet, Lattice, MixedLattice, RealSpace
 from tverberg.cli import main
-from tverberg.documents import dumps, point_file_to_doc
+from tverberg.documents import dumps, point_file_from_doc, point_file_to_doc
 from tverberg.errors import AssertionFailed
 from tverberg.points import PointMultiset, point
 
@@ -404,6 +404,102 @@ def test_tverberg_over_rd_keeps_the_requested_dimension(monkeypatch, capsys):
     for flag in ("R2", "Rd"):
         code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", "2", "--ambient", flag], doc)
         assert (code, err) == (0, "") and json.loads(out)["ambient"] == {"d": 2, "kind": "Rd"}
+
+
+# name: (instances, declared ambient, --ambient flag, stderr of `tverberg --m 2`)
+_REFUSALS = {
+    "z2": ([(0, 0), ("1/2", 4)] + [(i, i % 3) for i in range(5)], None, "Z2",
+           "tverberg: instance 1/2,4 lies outside Z^2\n"),
+    "z3": ([("1/2", 0, 0)] + [(i, i % 3, i % 2) for i in range(17)], None, "Z3",
+           "tverberg: instance 1/2,0,0 lies outside Z^3\n"),
+    "finite": ([(0, 0), (1, 0), (0, 1), (5, 5), (1, 1)],
+               FiniteSet([point(0, 0), point(1, 0), point(0, 1), point(1, 1)], 2), "finite",
+               "tverberg: instance 5,5 lies outside finite set of 4 points in Q^2\n"),
+    "z1r1": ([(0, 1), ("1/2", 4), (1, 0), (2, 3), (3, 1)], None, "Z1R1",
+             "tverberg: instance 1/2,4 lies outside Z^1 x R^1\n"),
+    "rd": ([(0, 0), (4, 0), (0, 4), (1, 1)], None, "R3",
+           "tverberg: points of dimension 2 in an ambient set of dimension 3\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSALS))
+def test_tverberg_refusal_stderr_is_pinned(monkeypatch, capsys, name):
+    """One exact stderr line per ambient kind: an instance outside Z^2,
+    Z^3, a declared finite set (refused on load) or Z^1 x R^1, written
+    as --point writes it, and an R^d of another dimension."""
+    instances, declared, flag, expected = _REFUSALS[name]
+    pts = PointMultiset.from_points([point(*p) for p in instances])
+    doc = dumps(point_file_to_doc(pts, declared))
+    code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", "2", "--ambient", flag], doc)
+    assert (code, out, err) == (2, "", expected)
+
+
+def test_tverberg_over_rd_needs_two_parts(monkeypatch, capsys):
+    pts = PointMultiset.from_points([point(0, 0), point(4, 0), point(0, 4), point(1, 1)])
+    doc = dumps(point_file_to_doc(pts, None))
+    for m in ("1", "0"):
+        code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", m, "--ambient", "R2"], doc)
+        assert (code, out, err) == (2, "", "tverberg: partitions need m >= 2\n")
+
+
+def test_point_file_instances_must_lie_in_the_declared_finite_set(monkeypatch, capsys, tmp_path):
+    """A file declaring the unit square with an instance at 5,5 is refused
+    on load by every command that reads a point file."""
+    pts = PointMultiset.from_points([point(0, 0), point(1, 0), point(0, 1), point(5, 5), point(1, 1)])
+    square = FiniteSet([point(0, 0), point(1, 0), point(0, 1), point(1, 1)], 2)
+    src = tmp_path / "points.json"
+    src.write_text(dumps(point_file_to_doc(pts, square)))
+    _, cert_text, _ = run(monkeypatch, capsys, ["tverberg", "--m", "2"], _grid_doc())
+    expected = "tverberg: instance 5,5 lies outside finite set of 4 points in Q^2\n"
+    commands = [
+        ["depth", "--point", "0,0"],
+        ["centerpoint", "--m", "2"],
+        ["tverberg", "--m", "2"],
+        ["refute", "--m", "2"],
+        ["witness", "double"],
+        ["witness", "convex-lb", "--m", "2"],
+        ["tvnumber", "--m", "2"],
+        ["helly"],
+        ["select", "--point", "0,0"],
+        ["partition-depth", "--alpha", "1/3", "--r", "3"],
+    ]
+    for argv in commands:
+        assert run(monkeypatch, capsys, argv, src.read_text()) == (2, "", expected), argv
+    verified = run(monkeypatch, capsys, ["verify", "--source", str(src)], cert_text)
+    assert verified == (2, "", expected)
+
+
+def _readme_block(readme: str, heading: str) -> str:
+    """The body of the first fenced block after the line ``heading``."""
+    rest = readme.split("\n" + heading + "\n", 1)[1]
+    return rest.split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_readme_point_file_and_examples_hold(monkeypatch, capsys):
+    """README's sample point file loads, and each example of its CLI
+    section that reads no file gives the exit code and output it states."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    points, ambient = point_file_from_doc(json.loads(_readme_block(readme, "A point file:")))
+    assert points.size == 4 and ambient is not None
+    examples = _readme_block(readme, "Examples:").strip().split("\n\n")
+    checked = 0
+    for example in examples:
+        command, result = example.split("\n")[:2]
+        if "--input" in command:
+            continue
+        stated, exit_code = (s.strip() for s in result.split("# exit "))
+        stdout = ""
+        for stage in command.removeprefix("$ ").split(" | "):
+            argv = stage.split()
+            assert argv[0] == "tverberg"
+            code, stdout, err = run(monkeypatch, capsys, argv[1:], stdout)
+        assert code == int(exit_code)
+        if stated.startswith("{..."):
+            assert stated.removeprefix("{...").removesuffix("...}").strip() in stdout
+        else:
+            assert err == stated + "\n"
+        checked += 1
+    assert checked == 2
 
 
 def test_centerpoint_found_and_missing(monkeypatch, capsys):
