@@ -267,7 +267,7 @@ def cmd_select(args) -> int:
         q = _parse_point(args.point)
     else:
         q = integer_centerpoint(points, -(-n // (d + 1)))
-    min_size = args.min_size if args.min_size is not None else n // (2 * (d + 1))
+    min_size = args.min_size if args.min_size is not None else max(1, n // (2 * (d + 1)))
     result = fraction_selection(points, q, min_size, max_seeds=args.seeds)
     _emit(
         {
@@ -384,7 +384,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="three large groups every hull transversal hits")
     common(p, ambient=False)
     p.add_argument("--point", default=None, help="center; defaults to a centerpoint")
-    p.add_argument("--min-size", type=int, default=None, help="group size floor")
+    p.add_argument(
+        "--min-size", type=int, default=None, help="group size floor (default n // (2(d+1)), at least 1)"
+    )
     p.add_argument("--seeds", type=int, default=150, help="seed transversal cap")
     p.set_defaults(func=cmd_select)
 

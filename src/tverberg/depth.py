@@ -23,7 +23,10 @@ difference vectors and l = dim span(V):
          sums, so the level costs O(n log n);
   l >= 3: over each (l-1)-subset of V with a one-dimensional orthogonal
           complement +-u0 in span(V), the strict count of u0 plus the
-          recursive minimum over {v : u0.v = 0}.
+          recursive minimum over {v : u0.v = 0}.  u0 is the subset's
+          integer generalised cross product, and one pass of dots u0.v
+          gives the strict counts of u0 and -u0 and their shared zero
+          set.
 
 Working coordinates are the restriction to pivot columns of span(V), so
 integer inputs stay integer all the way down.  A witness functional is
@@ -55,6 +58,13 @@ ones, starting from depth m, and serves two searches:
                 within a shell, because deep points sit near the middle.
                 The constructive drivers use this search: they need
                 depth m, not the maximum.
+
+A yielded candidate never hit the abort, so its count is its exact
+depth, and the functional of the search, when asked for, is the one an
+unthresholded query finds.  ``first_deep_scan`` hands both back with
+the point: the planar driver builds its labelling witness from them
+(``recounted_witness``) and the Z^3 driver reads its depth, so neither
+queries the depth of its centre again.
 """
 
 from __future__ import annotations
@@ -63,6 +73,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .ambient import AmbientSet, FiniteSet, Lattice
@@ -74,7 +85,6 @@ from .errors import (
     PreconditionViolated,
     UnsupportedAmbient,
 )
-from .linprog import nullspace
 from .points import HalfSpace, Point, PointMultiset, clockwise_key, cross2, dot, integer_points
 
 
@@ -113,21 +123,27 @@ def _int_pivot_columns(vecs: Sequence[Sequence[int]], dim: int) -> list[int]:
     return pivots
 
 
+def _det(rows: list[tuple[int, ...]]) -> int:
+    """Determinant of a square integer matrix, by expansion along row 0."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in rows[1:]]) for j, a in enumerate(rows[0])
+    )
+
+
 def _normal_direction(sub: list[tuple[int, ...]], dim: int) -> tuple[int, ...] | None:
-    """A nonzero integer direction orthogonal to all of sub (dim >= 3),
-    unique up to sign when sub spans a hyperplane of the dim-space; None
-    otherwise."""
+    """A nonzero integer direction orthogonal to the dim - 1 vectors of
+    sub (dim >= 3), unique up to sign when sub spans a hyperplane of the
+    dim-space; None otherwise.  It is their generalised cross product,
+    the signed maximal minors, which all vanish exactly when sub is
+    dependent."""
     if dim == 3:
         (a1, a2, a3), (b1, b2, b3) = sub[0], sub[1]
         c = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-        if c == (0, 0, 0):
-            return None
-        return c
-    rows = [[Fraction(v) for v in s] for s in sub]
-    basis = nullspace(rows, dim)
-    if len(basis) != 1:
-        return None
-    return integer_points((basis[0],))[1][0]
+    else:
+        c = tuple((-1) ** j * _det([s[:j] + s[j + 1 :] for s in sub]) for j in range(dim))
+    return c if any(c) else None
 
 
 def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -248,10 +264,7 @@ def _min_halfspace_count(
     if ell == 1:
         pos = sum(w for c, w in zip(coords, weights) if c[0] > 0)
         neg = sum(w for c, w in zip(coords, weights) if c[0] < 0)
-        if pos <= neg:
-            best, best_phi = pos, (1,)
-        else:
-            best, best_phi = neg, (-1,)
+        best, best_phi = (pos, (1,)) if pos <= neg else (neg, (-1,))
     elif ell == 2:
         best, best_phi = _planar_min(coords, weights, abort_at, want_witness)
     else:
@@ -265,25 +278,25 @@ def _min_halfspace_count(
             if u0 in seen:
                 continue
             seen.add(u0)
-            for sgn in (1, -1):
-                u = u0 if sgn == 1 else tuple(-x for x in u0)
-                strict = 0
-                inner_idx: list[int] = []
-                for i, c in enumerate(coords):
-                    s = _dot_int(u, c)
-                    if s > 0:
-                        strict += weights[i]
-                    elif s == 0:
-                        inner_idx.append(i)
+            # one pass of dots serves both signs: u0 and -u0 share the
+            # zero set and swap the strict sides
+            pos = neg = 0
+            inner_idx: list[int] = []
+            for i, s in enumerate([sum(map(mul, u0, c)) for c in coords]):
+                if s > 0:
+                    pos += weights[i]
+                elif s < 0:
+                    neg += weights[i]
+                else:
+                    inner_idx.append(i)
+            inner_vecs = [coords[i] for i in inner_idx]
+            inner_w = [weights[i] for i in inner_idx]
+            for u, strict in ((u0, pos), (tuple(-x for x in u0), neg)):
                 if best is not None and strict >= best:
                     continue
-                inner_vecs = [coords[i] for i in inner_idx]
-                inner_w = [weights[i] for i in inner_idx]
                 # the inner threshold is residual: strict instances are
                 # already committed, so only abort_at - strict remains
-                inner_abort = None
-                if abort_at is not None and not want_witness:
-                    inner_abort = abort_at - strict
+                inner_abort = None if abort_at is None or want_witness else abort_at - strict
                 inner_count, inner_phi = _min_halfspace_count(
                     inner_vecs, inner_w, inner_abort, want_witness
                 )
@@ -351,14 +364,22 @@ class DepthWitness:
     halfspace: HalfSpace
 
 
-def depth_value(q: Point, points: PointMultiset) -> int:
-    """Exact half-space depth of q in the multiset, without a witness."""
+def _query(
+    q: Point, points: PointMultiset, want_witness: bool
+) -> tuple[int, tuple[int, ...] | None, tuple[tuple[int, ...], ...]]:
+    """(depth, functional, grid) of an unthresholded query, the grid
+    holding the entries and then q (``integer_points``)."""
     if len(q) != points.dim:
         raise DimensionMismatch("query dimension differs from multiset dimension")
     _, grid = integer_points(points.support() + (q,))
     vecs, ws, at_origin = _difference_profile(grid, points, grid[-1])
-    count, _ = _min_halfspace_count(vecs, ws, None, False)
-    return at_origin + count
+    count, phi = _min_halfspace_count(vecs, ws, None, want_witness)
+    return at_origin + count, phi, grid
+
+
+def depth_value(q: Point, points: PointMultiset) -> int:
+    """Exact half-space depth of q in the multiset, without a witness."""
+    return _query(q, points, False)[0]
 
 
 def halfspace_depth(q: Point, points: PointMultiset) -> DepthWitness:
@@ -367,21 +388,30 @@ def halfspace_depth(q: Point, points: PointMultiset) -> DepthWitness:
     The witness is recounted against every entry of the multiset, with
     its multiplicity, before returning.
     """
-    if len(q) != points.dim:
-        raise DimensionMismatch("query dimension differs from multiset dimension")
-    if not points.entries:
-        normal = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(points.dim))
-        return DepthWitness(q, 0, HalfSpace(normal, dot(normal, q)))
-    _, grid = integer_points(points.support() + (q,))
-    origin = grid[-1]
-    vecs, ws, at_origin = _difference_profile(grid, points, origin)
-    count, phi = _min_halfspace_count(vecs, ws, None, True)
-    depth = at_origin + count
+    return recounted_witness(q, points, *_query(q, points, True))
+
+
+def recounted_witness(
+    q: Point,
+    points: PointMultiset,
+    depth: int,
+    phi: tuple[int, ...] | None,
+    grid: Sequence[tuple[int, ...]] | None = None,
+) -> DepthWitness:
+    """The witness of depth ``depth`` at q whose half-space has normal phi
+    (e1 when None), after recounting it against every entry of the
+    multiset; raises AssertionFailed when the count differs.  grid, the
+    entries and then q on one integer grid, is computed when not given.
+
+    phi is a functional of the minimiser, read on any integer grid of the
+    input: grids are positive multiples of it, and the boundary passes
+    through q, so phi.(p - q) >= 0 has one answer on all of them.
+    """
     if phi is None:
         phi = tuple(1 if i == 0 else 0 for i in range(points.dim))
-    # The grid is a positive multiple of the input, so phi.(p - q) >= 0
-    # holds on the grid exactly when it holds for the rational entry.
-    level = _dot_int(phi, origin)
+    if grid is None:
+        _, grid = integer_points(points.support() + (q,))
+    level = _dot_int(phi, grid[-1])
     check = sum(mult for p, (_, mult) in zip(grid, points.entries) if _dot_int(phi, p) >= level)
     if check != depth:
         raise AssertionFailed(
@@ -486,13 +516,18 @@ def _finite_candidates(points: PointMultiset, ambient: FiniteSet) -> Candidates:
     return grid[:n], zip(ambient.points, grid[n:])
 
 
-def _deeper_candidates(points: PointMultiset, scan: Candidates, m: int) -> Iterator[Point]:
-    """Each candidate deeper than every earlier one, from depth m upwards.
+def _deeper_candidates(
+    points: PointMultiset, scan: Candidates, m: int, want_witness: bool = False
+) -> Iterator[tuple[Point, int, tuple[int, ...] | None]]:
+    """Each candidate deeper than every earlier one, from depth m upwards,
+    with its depth and, when asked for, the minimiser's functional.
 
     ``scan`` is the entries' grid and the (candidate, grid point) pairs
     of ``_lattice_candidates`` or ``_finite_candidates``.  A candidate is
     abandoned as soon as some half-space caps its depth at the running
-    threshold, so every yielded candidate's depth is exact.
+    threshold, so a yielded candidate never hit the abort: its depth and
+    functional are those of an unthresholded search (``halfspace_depth``
+    over the entries other than its own copies, plus those copies).
     """
     grid, candidates = scan
     mult_at: dict[Point, int] = {p: mult for p, mult in points.entries}
@@ -502,16 +537,16 @@ def _deeper_candidates(points: PointMultiset, scan: Candidates, m: int) -> Itera
         # an int candidate finds its Fraction twin: equal values hash alike
         if mult_at.get(cand, 0) != at_origin:
             raise AssertionFailed("multiplicity bookkeeping out of step")
-        count, _ = _min_halfspace_count(vecs, ws, best_depth - at_origin, False)
+        count, phi = _min_halfspace_count(vecs, ws, best_depth - at_origin, want_witness)
         depth = at_origin + count
         if depth > best_depth:
             best_depth = depth
-            yield tuple(Fraction(v) for v in cand)
+            yield tuple(Fraction(v) for v in cand), depth, phi
 
 
-def _last(found: Iterator[Point]) -> Point | None:
+def _last(found: Iterator[tuple[Point, int, tuple[int, ...] | None]]) -> Point | None:
     last = None
-    for last in found:
+    for last, _, _ in found:
         pass
     return last
 
@@ -556,6 +591,17 @@ def first_deep_point(points: PointMultiset, ambient: AmbientSet, m: int) -> Poin
     stored order.  Raises CenterpointNotFound exactly when the deepest
     search would.
     """
+    return first_deep_scan(points, ambient, m)[0]
+
+
+def first_deep_scan(
+    points: PointMultiset, ambient: AmbientSet, m: int, want_witness: bool = False
+) -> tuple[Point, int, tuple[int, ...] | None]:
+    """``first_deep_point`` with the exact depth of the point p it returns
+    and, when asked for, a minimising functional (None otherwise).  The
+    depth counts the mu copies of p, which lie on the functional's
+    boundary; over the multiset less those copies the depth is depth - mu
+    and ``recounted_witness`` turns the functional into its witness."""
     if isinstance(ambient, Lattice):
         if ambient.d != points.dim:
             raise DimensionMismatch("ambient dimension differs from multiset dimension")
@@ -565,7 +611,7 @@ def first_deep_point(points: PointMultiset, ambient: AmbientSet, m: int) -> Poin
         scan = _finite_candidates(points, ambient)
     else:
         raise UnsupportedAmbient(f"no deep-point scan over {ambient.describe()}")
-    found = next(_deeper_candidates(points, scan, m), None)
+    found = next(_deeper_candidates(points, scan, m, want_witness), None)
     if found is None:
         raise CenterpointNotFound(f"no point of {ambient.describe()} has depth {m}")
     return found

@@ -56,7 +56,7 @@ from .certificates import (
     peel_by_multiplicity,
     singleton_part,
 )
-from .depth import DepthWitness, first_deep_point, halfspace_depth
+from .depth import DepthWitness, first_deep_scan, recounted_witness
 from .errors import (
     AssertionFailed,
     DimensionMismatch,
@@ -288,8 +288,10 @@ def _radial_parts(
     a finite set of Helly number >= 4, at least the gate), building no
     certificate: the first point p of depth >= m, and the parts around
     it.  Peel the p-copies and label the remainder radially; the parts
-    are the singleton copies of p, then the label classes 1..m-mu."""
-    p = first_deep_point(points, ambient, m)
+    are the singleton copies of p, then the label classes 1..m-mu.  The
+    scan's depth and functional at p, less the mu copies on its boundary,
+    are those of ``halfspace_depth(p, rest)``, recounted against rest."""
+    p, depth, phi = first_deep_scan(points, ambient, m, want_witness=True)
     direct = peel_by_multiplicity(points, p, m)
     if direct is not None:
         return p, direct
@@ -297,7 +299,7 @@ def _radial_parts(
     rest = points.remove(p, mu) if mu else points
     target = m - mu
     order = radial_order(rest, p)
-    witness = halfspace_depth(p, rest)
+    witness = recounted_witness(p, rest, depth - mu, phi)
     if target == 2:
         labels = radon_labeling(order, witness)
     else:

@@ -231,10 +231,15 @@ class PointMultiset:
                 raise InputError(f"{c} copies of {p} requested; {mult} present")
             if c:
                 entries.append((p, c))
-        sub = object.__new__(PointMultiset)
-        object.__setattr__(sub, "entries", tuple(entries))
-        object.__setattr__(sub, "dim", self.dim)
-        return sub
+        return self._canonical(entries)
+
+    def _canonical(self, entries: Sequence[tuple[Point, int]]) -> "PointMultiset":
+        """A multiset of this dimension over entries already in canonical
+        order, merged and positive, built without sorting them again."""
+        out = object.__new__(PointMultiset)
+        object.__setattr__(out, "entries", tuple(entries))
+        object.__setattr__(out, "dim", self.dim)
+        return out
 
     def integer_coordinates(
         self,
@@ -294,13 +299,13 @@ class PointMultiset:
         return PointMultiset(self.entries + ((p, count),), dim=self.dim)
 
     def remove(self, p: Point, count: int = 1) -> "PointMultiset":
+        """The multiset less count copies of p, in the same entry order."""
         m = self.multiplicity(p)
-        if m < count:
+        if not 0 <= count <= m:
             raise InputError(f"cannot remove {count} copies of {p}; only {m} present")
-        entries = [(q, mm) for q, mm in self.entries if q != p]
-        if m > count:
-            entries.append((p, m - count))
-        return PointMultiset(entries, dim=self.dim)
+        return self._canonical(
+            [(q, mm - count if q == p else mm) for q, mm in self.entries if q != p or mm > count]
+        )
 
     def __eq__(self, other) -> bool:
         return (

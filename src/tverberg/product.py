@@ -104,7 +104,7 @@ DRIVERS = {
     (Lattice, 2): (z2_gate, lambda pts, m, amb: plane_tverberg(pts, m, amb)),
     (Lattice, 3): (z3_gate, lambda pts, m, amb: z3_tverberg(pts, m)),
     (FiniteSet, 1): (line_gate, lambda pts, m, amb: line_tverberg(pts, m, amb)),
-    (FiniteSet, None): (None, lambda pts, m, amb: plane_tverberg(pts, m, amb)),
+    (FiniteSet, 2): (None, lambda pts, m, amb: plane_tverberg(pts, m, amb)),
     (MixedLattice, None): (None, lambda pts, m, amb: product_tverberg(pts, m, amb)[0]),
     (RealSpace, None): (None, lambda pts, m, amb: _real_certificate(pts, m, amb)),
 }

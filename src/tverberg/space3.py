@@ -44,10 +44,10 @@ from .certificates import (
     peel_by_multiplicity,
     singleton_part,
 )
-from .depth import depth_value, first_deep_point
+from .depth import depth_value, first_deep_scan
 from .errors import AssertionFailed, DimensionMismatch, ExtractionFailed, PreconditionViolated
 from .geometry import caratheodory_reduce, hull_membership, in_hull
-from .points import Point, PointMultiset, dot, integer_points, sub
+from .points import Point, PointMultiset, integer_points
 
 IntPoint = tuple[int, ...]
 
@@ -61,7 +61,15 @@ class PeelRecord:
     remainder: PointMultiset
 
 
-def _cross3(u, v):
+def _sub3(u: IntPoint, v: IntPoint) -> IntPoint:
+    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
+
+
+def _dot3(u: IntPoint, v: IntPoint) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross3(u: IntPoint, v: IntPoint) -> IntPoint:
     return (
         u[1] * v[2] - u[2] * v[1],
         u[2] * v[0] - u[0] * v[2],
@@ -73,7 +81,7 @@ def _on_grid(support: tuple[Point, ...], p: Point) -> tuple[tuple[IntPoint, ...]
     """The support and p as int tuples on one grid (``integer_points``).
 
     Containment in a segment, triangle or tetrahedron is invariant under
-    the scaling.
+    the scaling, and the predicates below decide it in ints.
     """
     _, grid = integer_points(support + (p,))
     return grid[:-1], grid[-1]
@@ -81,14 +89,14 @@ def _on_grid(support: tuple[Point, ...], p: Point) -> tuple[tuple[IntPoint, ...]
 
 def _on_segment(p: IntPoint, a: IntPoint, b: IntPoint) -> bool:
     """p on the closed segment ab, exactly."""
-    u = sub(p, a)
-    v = sub(b, a)
+    u = _sub3(p, a)
+    v = _sub3(b, a)
     if _cross3(u, v) != (0, 0, 0):
         return False
-    num = dot(u, v)
-    den = dot(v, v)
+    num = _dot3(u, v)
+    den = _dot3(v, v)
     if den == 0:
-        return all(x == 0 for x in u)
+        return u == (0, 0, 0)
     return 0 <= num <= den
 
 
@@ -99,11 +107,11 @@ def _in_triangle(p: IntPoint, a: IntPoint, b: IntPoint, c: IntPoint) -> bool:
     and on the inner side of every edge: each n.(edge x (p - edge start))
     is a nonnegative multiple of one barycentric coordinate of p.
     """
-    n = _cross3(sub(b, a), sub(c, a))
-    if n == (0, 0, 0) or dot(n, sub(p, a)) != 0:
+    n = _cross3(_sub3(b, a), _sub3(c, a))
+    if n == (0, 0, 0) or _dot3(n, _sub3(p, a)) != 0:
         return False
     return all(
-        dot(n, _cross3(sub(y, x), sub(p, x))) >= 0 for x, y in ((a, b), (b, c), (c, a))
+        _dot3(n, _cross3(_sub3(y, x), _sub3(p, x))) >= 0 for x, y in ((a, b), (b, c), (c, a))
     )
 
 
@@ -116,7 +124,7 @@ def _in_tetrahedron(p: IntPoint, a: IntPoint, b: IntPoint, c: IntPoint, d: IntPo
     """
 
     def orient(w: IntPoint, x: IntPoint, y: IntPoint, z: IntPoint) -> int:
-        return dot(sub(x, w), _cross3(sub(y, w), sub(z, w)))
+        return _dot3(_sub3(x, w), _cross3(_sub3(y, w), _sub3(z, w)))
 
     whole = orient(a, b, c, d)
     if whole == 0:
@@ -191,19 +199,13 @@ def _peel(points: PointMultiset, p: Point, count: int) -> PeelRecord:
     subsets: list[PointMultiset] = []
     for _ in range(count):
         x = _minimal_subset(current, p)
-        for q, mult in x.entries:
-            current = current.remove(q, mult)
+        current = _split_by_entries(current, x)
         subsets.append(x)
     return PeelRecord(p, tuple(subsets), current)
 
 
-def _split_by_entries(
-    points: PointMultiset, first: PointMultiset
-) -> PointMultiset:
-    rest = points
-    for q, mult in first.entries:
-        rest = rest.remove(q, mult)
-    return rest
+def _split_by_entries(points: PointMultiset, first: PointMultiset) -> PointMultiset:
+    return points.sub_multiset([mult - first.multiplicity(q) for q, mult in points.entries])
 
 
 def bipartition_search(points: PointMultiset, p: Point) -> tuple[PointMultiset, PointMultiset]:
@@ -279,20 +281,21 @@ def _z3_parts(points: PointMultiset, m: int) -> tuple[Point, list[PointMultiset]
     """The body of ``z3_tverberg`` for checked inputs: m >= 2 and at least
     the gate of integer points of Z^3.  Returns the centre and the parts,
     building no certificate."""
-    center = first_deep_point(points, Lattice(3), 3 * m - 3)
+    center, depth, _ = first_deep_scan(points, Lattice(3), 3 * m - 3)
     direct = peel_by_multiplicity(points, center, m)
     if direct is not None:
         return center, direct
     mu = points.multiplicity(center)
     body = points.remove(center, mu) if mu else points
     target = m - mu
-    # The scan proved depth(center, points) >= 3m-3, so the body has depth
-    # >= 3m-3-mu >= 3(target-2)+3: peeling's precondition holds already.
+    # The scan's depth is exact and >= 3m-3; the mu copies of the center
+    # count in every half-space, so the body has depth depth - mu >=
+    # 3(target-2)+3: peeling's precondition holds already.
     record = _peel(body, center, target - 2)
     remainder = record.remainder
     if remainder.size < 17:
         raise AssertionFailed("size bookkeeping guarantees at least 17 remaining")
-    if depth_value(center, remainder) < 3:
+    if (depth_value(center, remainder) if record.subsets else depth - mu) < 3:
         raise AssertionFailed("peeling cannot push the center below depth 3")
     b1, b2 = _bipartition(remainder, center)
     return center, [singleton_part(center) for _ in range(mu)] + list(record.subsets) + [b1, b2]

@@ -372,7 +372,7 @@ def test_every_driver_states_its_hypotheses_once(monkeypatch, ambient, gate, out
         raise AssertionError("a scan ran before the preconditions were checked")
 
     for module in ("planar", "space3"):
-        monkeypatch.setattr(f"tverberg.{module}.first_deep_point", scan)
+        monkeypatch.setattr(f"tverberg.{module}.first_deep_scan", scan)
     monkeypatch.setattr("tverberg.product.iter_partition_hulls", scan)
     d = ambient.dim
     good = [_row_instance(ambient, i) for i in range(gate)]

@@ -419,6 +419,9 @@ _REFUSALS = {
              "tverberg: instance 1/2,4 lies outside Z^1 x R^1\n"),
     "rd": ([(0, 0), (4, 0), (0, 4), (1, 1)], None, "R3",
            "tverberg: points of dimension 2 in an ambient set of dimension 3\n"),
+    "finite3": ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)] * 2,
+                FiniteSet([point(0, 0, 0), point(1, 0, 0), point(0, 1, 0), point(0, 0, 1), point(1, 1, 1)], 3),
+                "finite", "tverberg: no driver for finite set of 5 points in Q^3\n"),
 }
 
 
@@ -533,6 +536,16 @@ def test_select_hexagon(monkeypatch, capsys):
     assert code == 0
     doc = json.loads(out)
     assert sorted(doc["sizes"]) == [2, 2, 2]
+    assert doc["verified"] is True
+
+
+def test_select_defaults_to_groups_of_one_on_five_points(monkeypatch, capsys):
+    """Below 2(d+1) instances the default group size floor is 1, not 0."""
+    pts = PointMultiset.from_points([point(0, 0), point(4, 0), point(0, 4), point(4, 4), point(1, 2)])
+    code, out, err = run(monkeypatch, capsys, ["select"], dumps(point_file_to_doc(pts, Lattice(2))))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert len(doc["sizes"]) == 3 and min(doc["sizes"]) >= 1
     assert doc["verified"] is True
 
 

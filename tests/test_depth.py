@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,15 +13,18 @@ from tverberg import depth as depth_module
 from tverberg.depth import (
     _centre_out_order,
     _difference_profile,
+    _int_pivot_columns,
     _min_halfspace_count,
     depth_value,
     finite_set_centerpoint,
     first_deep_point,
+    first_deep_scan,
     halfspace_depth,
     integer_centerpoint,
+    recounted_witness,
 )
 from tverberg.errors import AssertionFailed, CenterpointNotFound, PreconditionViolated
-from tverberg.planar import plane_tverberg
+from tverberg.planar import finite_gate, helly_number, plane_tverberg, z2_gate
 from tverberg.points import PointMultiset, integer_points, point
 from tverberg.space3 import z3_tverberg
 
@@ -84,7 +88,7 @@ def _random_profile_instance(rng, d):
     """A multiset and query mixing the degenerate shapes the minimiser
     must handle: repeated points, points at q, rational q, opposite
     directions, and collinear or coplanar supports."""
-    n = rng.randint(1, 14 if d < 3 else 10)
+    n = rng.randint(1, (14, 14, 10, 7)[d - 1])
     shape = rng.randrange(5)
     q = tuple(Fraction(rng.randint(-3, 3)) for _ in range(d))
     if shape == 1:
@@ -93,10 +97,12 @@ def _random_profile_instance(rng, d):
     for _ in range(n):
         if shape == 2:  # collinear through q, both senses
             t = Fraction(rng.randint(-4, 4), rng.choice([1, 2]))
-            raw.append(tuple(c + t * v for c, v in zip(q, (1, -2, 1)[:d])))
+            raw.append(tuple(c + t * v for c, v in zip(q, (1, -2, 1, 3)[:d])))
         elif shape == 3 and d >= 2:  # coplanar through q
             s, t = rng.randint(-3, 3), rng.randint(-3, 3)
-            raw.append(tuple(c + s * a + t * b for c, a, b in zip(q, (1, 0, 2), (0, 1, -1))))
+            raw.append(
+                tuple(c + s * a + t * b for c, a, b in zip(q, (1, 0, 2, -1), (0, 1, -1, 2)))
+            )
         elif shape == 4:  # point reflections: opposite directions around q
             v = tuple(rng.randint(-3, 3) for _ in range(d))
             raw.append(tuple(c + a for c, a in zip(q, v)))
@@ -110,17 +116,19 @@ def _random_profile_instance(rng, d):
 
 
 def test_min_halfspace_count_matches_the_enumeration(rng):
-    """The sweep at l = 2 returns the enumeration's count and functional
-    at every level, and keeps the abort contract."""
-    profiles = 0
-    while profiles < 2400:
-        d = (1, 2, 2, 3)[profiles % 4]
+    """The sweep at l = 2 and the one-pass normals at l >= 3 return the
+    enumeration's count and functional at every level, and keep the
+    abort contract; the last profiles are 4-D, so l = 4 runs too."""
+    profiles = spanning_4d = 0
+    while profiles < 2448:
+        d = (1, 2, 2, 3)[profiles % 4] if profiles < 2400 else 4
         pts, q = _random_profile_instance(rng, d)
         _, grid = integer_points(pts.support() + (q,))
         vecs, ws, _ = _difference_profile(grid, pts, grid[-1])
         if not vecs:
             continue
         profiles += 1
+        spanning_4d += len(_int_pivot_columns(vecs, d)) == 4
         for want in (False, True):
             expected = reference_min_count(vecs, ws, None, want)
             assert _min_halfspace_count(vecs, ws, None, want) == expected
@@ -133,6 +141,7 @@ def test_min_halfspace_count_matches_the_enumeration(rng):
             assert count >= exact
             if exact > abort_at:
                 assert count == ref_count == exact
+    assert spanning_4d >= 10
 
 
 def test_witness_recount_guards_the_answer(monkeypatch):
@@ -313,3 +322,104 @@ def test_driver_centres_are_deep_enough_and_certificates_verify():
         cert = z3_tverberg(pts, 2)
         assert oracle_depth(cert.point, pts) >= 3
         assert verify_certificate(cert, pts).ok
+
+
+def _affine_grid(k, shift, shear, scale):
+    """The k x k grid under a rational shear, scaling and shift: a planar
+    finite set of Helly number 4 with rational coordinates."""
+    return FiniteSet(
+        tuple(
+            (scale[0] * (x + shear * y) + shift[0], scale[1] * y + shift[1])
+            for x in range(k)
+            for y in range(k)
+        ),
+        2,
+    )
+
+
+def _deep_scan_cases(rng):
+    """(points, ambient, m) of the drivers' centre scans: Z^2 at the
+    planar gates, rational finite sets of Helly number >= 4 at theirs,
+    and Z^3 at the Z^3 target 3m-3; small boxes and drawn set points put
+    copies at the centre."""
+    sets = [
+        _affine_grid(3, (Fraction(1, 2), Fraction(-1, 3)), Fraction(1, 2), (Fraction(2, 3), Fraction(5, 4))),
+        _affine_grid(4, (Fraction(-3, 7), Fraction(0)), Fraction(0), (Fraction(1, 5), Fraction(3, 2))),
+        _affine_grid(3, (Fraction(0), Fraction(2)), Fraction(-1, 3), (Fraction(7, 2), Fraction(1, 6))),
+    ]
+    for amb in sets:
+        assert helly_number(amb).number >= 4
+    cases = []
+    for _ in range(560):
+        m = rng.randint(2, 5)
+        pts = random_lattice_multiset(rng, z2_gate(m) + rng.randint(0, 3), 2, rng.choice([1, 2, 6, 20]))
+        cases.append((pts, Lattice(2), m))
+    for _ in range(300):
+        amb = rng.choice(sets)
+        m = rng.randint(2, 4)
+        n = finite_gate(4, m) + rng.randint(0, 3)
+        cases.append((PointMultiset.from_points([rng.choice(amb.points) for _ in range(n)]), amb, m))
+    for _ in range(160):
+        m = 2 if rng.random() < 0.8 else 3
+        pts = random_lattice_multiset(rng, 24 * m - 31 + rng.randint(0, 2), 3, rng.choice([1, 2, 5]))
+        cases.append((pts, Lattice(3), 3 * m - 3))
+    return cases
+
+
+def test_scan_depth_and_witness_equal_a_fresh_depth_query():
+    """The centre scan's depth is depth_value at its point, and its
+    functional, less the point's copies, makes the witness that
+    halfspace_depth returns for the other instances."""
+    rng = random.Random(36)
+    with_copies = 0
+    cases = _deep_scan_cases(rng)
+    assert len(cases) >= 1000
+    for pts, amb, m in cases:
+        p, depth, phi = first_deep_scan(pts, amb, m, want_witness=True)
+        assert (p, depth, None) == first_deep_scan(pts, amb, m)
+        assert p == first_deep_point(pts, amb, m)
+        assert depth == depth_value(p, pts) >= m
+        mu = pts.multiplicity(p)
+        with_copies += mu > 0
+        if mu == pts.size:
+            continue
+        rest = pts.remove(p, mu) if mu else pts
+        assert recounted_witness(p, rest, depth - mu, phi) == halfspace_depth(p, rest)
+    assert with_copies >= 100
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of a depth function through every library binding of it."""
+    original = getattr(depth_module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("tverberg") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_drivers_compute_the_centre_depth_once(monkeypatch):
+    """A planar driver call reads its witness off the centre scan, and a
+    Z^3 call that peels nothing its depth; only after a peel does the Z^3
+    driver query the depth again."""
+    witnessed = _count_calls(monkeypatch, "halfspace_depth")
+    queried = _count_calls(monkeypatch, "depth_value")
+    rng = random.Random(37)
+    for m in (2, 3, 5):
+        pts = random_lattice_multiset(rng, z2_gate(m) + 2, 2, 20)
+        assert verify_certificate(plane_tverberg(pts, m, Lattice(2)), pts).ok
+    grid = _affine_grid(3, (Fraction(1, 2), Fraction(0)), Fraction(0), (Fraction(1, 3), Fraction(1)))
+    pts = PointMultiset.from_points([grid.points[i % 9] for i in range(finite_gate(4, 3))])
+    assert verify_certificate(plane_tverberg(pts, 3, grid), pts).ok
+    pts = random_lattice_multiset(rng, 17, 3, 10)
+    assert verify_certificate(z3_tverberg(pts, 2), pts).ok
+    assert witnessed == [] and queried == []
+    pts = random_lattice_multiset(rng, 41, 3, 10)
+    cert = z3_tverberg(pts, 3)
+    assert verify_certificate(cert, pts).ok
+    assert witnessed == [] and len(queried) == 1

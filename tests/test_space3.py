@@ -18,6 +18,7 @@ from tverberg.space3 import (
     _in_triangle,
     _minimal_subset,
     _on_grid,
+    _on_segment,
     _split_by_entries,
     _split_scan,
     bipartition_search,
@@ -312,3 +313,56 @@ def test_in_tetrahedron_matches_fraction_solve():
     assert inside > 300
     for case in cases:
         assert _in_tetrahedron(*case) == _fraction_in_tetrahedron(*case), case
+
+
+def _fraction_on_segment(p, a, b):
+    """p on the closed segment ab by solving p - a = t(b - a) in Fractions."""
+    v = [Fraction(x) for x in sub(b, a)]
+    u = [Fraction(x) for x in sub(p, a)]
+    if not any(v):
+        return not any(u)
+    k = next(i for i, x in enumerate(v) if x)
+    t = u[k] / v[k]
+    return all(x == t * y for x, y in zip(u, v)) and 0 <= t <= 1
+
+
+def test_segment_and_triangle_predicates_match_a_fraction_solve_at_large_coordinates():
+    """The int predicates agree with Fraction solves on corners of 40-bit
+    coordinates, with the query on a corner, an edge, a face or just off
+    it by one grid step."""
+    rng = __import__("random").Random(43)
+    big = 2**40
+
+    def rand_point():
+        return tuple(rng.randint(-big, big) for _ in range(3))
+
+    def nudge(p):
+        i = rng.randrange(3)
+        return p[:i] + (p[i] + rng.choice((-1, 1)),) + p[i + 1 :]
+
+    on_segment = in_triangle = 0
+    for _ in range(1500):
+        a, b = rand_point(), rand_point()
+        i, j = rng.randint(-2, 6), rng.randint(0, 6)
+        if i + j <= 0:
+            continue
+        # p = (i a + j b) / (i + j), on the line through a and b
+        p = tuple(i * x + j * y for x, y in zip(a, b))
+        a, b = (tuple((i + j) * v for v in q) for q in (a, b))
+        for query in (p, nudge(p)):
+            expected = _fraction_on_segment(query, a, b)
+            assert _on_segment(query, a, b) == expected, (query, a, b)
+            on_segment += expected
+    for _ in range(1500):
+        a, b, c = rand_point(), rand_point(), rand_point()
+        w = [rng.randint(-1, 4) for _ in range(3)]
+        total = sum(w)
+        if total <= 0:
+            continue
+        p = tuple(sum(k * q[i] for k, q in zip(w, (a, b, c))) for i in range(3))
+        corners = [tuple(total * v for v in q) for q in (a, b, c)]
+        for query in (p, nudge(p)):
+            expected = _fraction_in_triangle(query, *corners)
+            assert _in_triangle(query, *corners) == expected, (query, corners)
+            in_triangle += expected
+    assert on_segment > 500 and in_triangle > 500
