@@ -43,13 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .ambient import AmbientSet
 from .errors import AssertionFailed, DimensionMismatch, PreconditionViolated
 from .geometry import hull_membership
-from .points import Point, PointMultiset, format_rational, integer_points, sub
+from .points import Point, PointMultiset, format_rational, integer_points, integer_weights, sub
 
 RawWeights = tuple[tuple[int, Fraction], ...]
 
@@ -153,9 +152,7 @@ def verify_certificate(
                 fail("bad_coefficients", f"part {k}: negative weight {w}")
                 bad = True
             terms.append((idx, w))
-        # the weights times the lcm of their denominators are ints
-        common = lcm(*[w.denominator for _, w in terms])
-        scaled = [(idx, w.numerator * (common // w.denominator)) for idx, w in terms]
+        common, scaled = integer_weights(terms)
         total = sum([c for _, c in scaled])
         if total != common:
             fail("bad_coefficients", f"part {k}: weights sum to {Fraction(total, common)}")

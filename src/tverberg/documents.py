@@ -4,9 +4,14 @@ A point file carries a dimension, an ambient descriptor, and a list of
 entries {coords, mult}.  Ambient kinds are "Zd" (integer lattice),
 "ZjRk" (integer-by-real product), "Rd", and "finite" (explicit point
 list).  All rationals are strings "a" or "a/b" ("3", "-2/3"), never
-floats, and are written in lowest terms; serialization is canonical
-(sorted keys, two-space indent, trailing newline), so equal objects
-produce byte-identical files.
+JSON numbers, and are written in lowest terms; a document that gives a
+coordinate or a proof weight as a number is refused.  Serialization is
+canonical (sorted keys, two-space indent, trailing newline), so equal
+objects produce byte-identical files.  ``dumps`` writes exactly the
+bytes of ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline,
+for the types the documents hold (dict with string keys, list, str,
+int, bool, None), and raises TypeError on any other; json's own
+writer, asked for an indent, runs its pure-Python encoder.
 
 Certificate proofs parse leniently: weights are kept as raw
 (index, weight) pairs and only judged by the verifier, so a corrupted
@@ -16,6 +21,8 @@ document still reaches it instead of dying here.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .ambient import AmbientSet, FiniteSet, Lattice, MixedLattice, RealSpace
@@ -25,7 +32,49 @@ from .points import Point, PointMultiset, format_rational, rational
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append value's canonical JSON to out; newline is the line break
+    and indent of value's own nesting level."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for pos, item in enumerate(value):
+            out.append("," + inner if pos else inner)
+            _write(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("document keys must be strings")
+        inner = newline + "  "
+        out.append("{")
+        for pos, key in enumerate(sorted(value)):
+            out.append(("," + inner if pos else inner) + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, out)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def loads(text: str) -> dict:
@@ -55,10 +104,18 @@ def point_to_doc(p: Point) -> list[str]:
     return [format_rational(c) for c in p]
 
 
+def _rational_from_doc(value: Any) -> Fraction:
+    """A document rational: a string "a" or "a/b" (``points.rational``),
+    never a JSON number."""
+    if not isinstance(value, str):
+        raise InputError(f"a rational must be a string 'a' or 'a/b', got {value!r}")
+    return rational(value)
+
+
 def point_from_doc(doc: Any) -> Point:
     if not isinstance(doc, list) or not doc:
         raise InputError("a point must be a nonempty list of rational strings")
-    return tuple(rational(c) for c in doc)
+    return tuple([_rational_from_doc(c) for c in doc])
 
 
 def multiset_to_doc(points: PointMultiset) -> dict:
@@ -188,7 +245,7 @@ def certificate_from_doc(doc: dict) -> TverbergCertificate:
             idx = _need(item, "index")
             if not isinstance(idx, int) or isinstance(idx, bool):
                 raise InputError("weight index must be an integer")
-            pairs.append((idx, rational(_need(item, "weight"))))
+            pairs.append((idx, _rational_from_doc(_need(item, "weight"))))
         proofs.append(tuple(pairs))
     return TverbergCertificate(m, point, parts, tuple(proofs), ambient)
 

@@ -15,7 +15,10 @@ to integers by its own scale (``PointMultiset.integer_coordinates``),
 and the system takes one positive scale for all of its rows, the lcm
 of the hulls' scales and the pin's denominators, never one per row: a
 row scale would change the reduced costs and so the pivots.  The
-phase-1 simplex decides the integer system once, as it is.  Bland's
+phase-1 simplex decides the integer system once, as it is, and answers
+in ints over one denominator; each nonzero weight becomes one Fraction,
+and a common point is evaluated on the hull's integer coordinates
+(``ConvexCoefficients.combination``).  Bland's
 rule breaks ties by row order, so the order is part of the answer;
 with one scale the pivots, the weights and the gaps (divided back by
 the scale) are those of the rational system.  Pins come first because
@@ -104,15 +107,18 @@ def convex_system(
     Rows are the pins over hull 0, one sum-to-one row per hull, then
     hull 0 minus hull i per coordinate (see the module docstring).
     Returns (gap, weights): gap is the exact phase-1 infeasibility mass,
-    and weights holds one set per hull when gap is zero, else None.
-    The common point is ``weights[0].combination(hulls[0])``.
+    and weights holds one set per hull when gap is zero, else None,
+    each weight read off the simplex's integer solution as one
+    Fraction(num, det).  The common point is
+    ``weights[0].combination(hulls[0])``.
     """
     gap, x = solve_phase1(*_integer_system(hulls, pin))
     if gap != 0:
         return gap, None
+    nums, det = x
     offsets = itertools.accumulate([len(h.entries) for h in hulls], initial=0)
     return gap, tuple(
-        ConvexCoefficients((j, w) for j, w in enumerate(x[lo:hi]) if w != 0)
+        ConvexCoefficients([(j, Fraction(v, det)) for j, v in enumerate(nums[lo:hi]) if v])
         for lo, hi in itertools.pairwise(offsets)
     )
 

@@ -2,7 +2,9 @@
 
 Inputs and outputs are rational (ints and ``fractions.Fraction``).  The
 linear algebra (``rref`` and what is built on it) runs over Fraction;
-the simplex takes an integer system and answers in Fractions.
+the simplex takes an integer system and answers in integers over one
+positive denominator, which its caller turns into Fractions only where
+it keeps a value.
 The simplex solves only feasibility systems (find x >= 0 with Ax = b),
 which is all the geometry layer ever needs: convex-hull membership,
 joint intersection points, and fiber feasibility are all
@@ -26,8 +28,8 @@ because ``det`` times the inverse basis is an integer matrix, and
 ``piv`` becomes the new ``det``.  Positive scalings of the whole system
 change no ratio and no reduced-cost sign, so the pivots are exactly
 Bland's pivots on the rational tableau, and the gap (divided back by
-the scale) and the solution, turned into Fractions at the end, are the
-same.
+the scale) and the solution, the basic values over the final ``det``,
+are the same.
 """
 
 from __future__ import annotations
@@ -110,22 +112,24 @@ def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
 
 def solve_phase1(
     a: Sequence[Sequence[int]], b: Sequence[int], scale: int = 1, solution: bool = True
-) -> tuple[Fraction, list[Fraction] | None]:
+) -> tuple[Fraction, tuple[list[int], int] | None]:
     """Minimize the total artificial mass of (a/scale) x = b/scale, x >= 0.
 
     a and b hold ints and scale is a positive int: the system is given
     already in integers, scaled once as a whole (a scale per row would
     change the reduced costs and so the pivots), and it is pivoted as
     it is.  Returns (gap, x): gap == 0 means the system is feasible and
-    x is an exact basic feasible solution, which a caller that reads
-    only feasibility skips with ``solution=False`` (x is then None);
-    gap > 0 is the exact l1 distance to feasibility of the right-hand
-    side b/scale (and x is None).  The scale changes neither the pivots
-    nor x.
+    x = (nums, det) is an exact basic feasible solution in integers,
+    x_j = nums[j] / det with every nums[j] >= 0 and det > 0 (the last
+    pivot), which a caller that reads only feasibility skips with
+    ``solution=False`` (x is then None); gap > 0 is the exact l1
+    distance to feasibility of the right-hand side b/scale (and x is
+    None).  The scale changes neither the pivots nor the values
+    nums[j] / det, though it may change nums and det themselves.
     """
     m = len(a)
     if m == 0:
-        return _ZERO, [] if solution else None
+        return _ZERO, ([], 1) if solution else None
     n = len(a[0])
 
     # Tableau columns: n original variables, m artificials, then the rhs;
@@ -190,8 +194,8 @@ def solve_phase1(
         return Fraction(-cost[total_cols], det * scale), None
     if not solution:
         return _ZERO, None
-    x = [_ZERO] * n
+    nums = [0] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = Fraction(tableau[i][total_cols], det)
-    return _ZERO, x
+            nums[basis[i]] = tableau[i][total_cols]
+    return _ZERO, (nums, det)

@@ -91,14 +91,14 @@ class RadialOrder:
     rays: tuple[tuple[int, ...], ...]
 
 
-def _instance_data(points: PointMultiset, center: Point):
+def _instance_data(points: PointMultiset, grid: Sequence[tuple[int, ...]]):
     """(direction, squared distance, instance) of every instance, in
-    instance order, on one integer grid for the multiset and the centre
-    (the lcm of all their denominators), so every difference from the
-    centre is an int vector, a positive multiple of the rational one.
-    Its primitive form is the direction, and its squared length ranks
-    the instances of one ray as their distances do."""
-    _, grid = integer_points(points.support() + (center,))
+    instance order, on one integer grid for the multiset and the centre:
+    grid holds the entries and then the centre on it, so every
+    difference from the centre is an int vector, a positive multiple of
+    the rational one.  Its primitive form is the direction, and its
+    squared length ranks the instances of one ray as their distances
+    do."""
     cx, cy = grid[-1]
     data = []
     for (p, mult), (x, y) in zip(points.entries, grid):
@@ -110,15 +110,22 @@ def _instance_data(points: PointMultiset, center: Point):
     return data
 
 
-def radial_order(points: PointMultiset, center: Point) -> RadialOrder:
-    """Clockwise radial order of all instances around the center."""
+def radial_order(
+    points: PointMultiset, center: Point, grid: Sequence[tuple[int, ...]] | None = None
+) -> RadialOrder:
+    """Clockwise radial order of all instances around the center.  grid,
+    the entries and then the center on one integer grid (the lcm of all
+    their denominators, ``points.integer_points``), is computed when not
+    given."""
     if points.dim != 2:
         raise DimensionMismatch("radial order is a planar notion")
     if len(center) != 2:
         raise DimensionMismatch("center must be planar")
     if points.size == 0:
         raise InputError("cannot order an empty multiset")
-    data = _instance_data(points, center)
+    if grid is None:
+        _, grid = integer_points(points.support() + (center,))
+    data = _instance_data(points, grid)
     start = min(d for d, _, _ in data)
     data.sort(key=clockwise_key(start))
     sequence = tuple(p for _, _, p in data)
@@ -298,8 +305,9 @@ def _radial_parts(
     mu = points.multiplicity(p)
     rest = points.remove(p, mu) if mu else points
     target = m - mu
-    order = radial_order(rest, p)
-    witness = recounted_witness(p, rest, depth - mu, phi)
+    _, grid = integer_points(rest.support() + (p,))
+    order = radial_order(rest, p, grid)
+    witness = recounted_witness(p, rest, depth - mu, phi, grid)
     if target == 2:
         labels = radon_labeling(order, witness)
     else:

@@ -12,7 +12,14 @@ Conventions used throughout the library:
 * A ``PointMultiset`` stores entries ``(point, multiplicity)`` sorted
   lexicographically with equal points merged.  Two multisets built from
   the same instances in any order are therefore identical objects values,
-  and every algorithm that iterates a multiset is deterministic.
+  and every algorithm that iterates a multiset is deterministic.  The
+  constructor checks the entries in input order, then sorts them by
+  point and merges neighbours, so it hashes no coordinate.
+
+* ``ConvexCoefficients`` are weights over a multiset's entries, checked
+  and combined as ints over the lcm of their denominators, against the
+  multiset's integer coordinates: one Fraction per coordinate of the
+  combined point.
 
 * A ``HalfSpace`` is the closed set ``{x : normal . x >= offset}``.  The
   representation is normalized by a positive rational scaling so that the
@@ -28,6 +35,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, InputError
@@ -38,6 +46,8 @@ Rationalish = int | str | Fraction
 
 
 _RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+_first = itemgetter(0)
 
 
 def rational(value: Rationalish) -> Fraction:
@@ -76,16 +86,8 @@ def point(*coords: Rationalish) -> Point:
     return tuple(rational(c) for c in coords)
 
 
-def add(p: Point, q: Point) -> Point:
-    return tuple(a + b for a, b in zip(p, q, strict=True))
-
-
 def sub(p: Point, q: Point) -> Point:
     return tuple(a - b for a, b in zip(p, q, strict=True))
-
-
-def scale(t: Fraction | int, p: Point) -> Point:
-    return tuple(t * a for a in p)
 
 
 def dot(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
@@ -173,6 +175,15 @@ def integer_points(points: Sequence[Point]) -> tuple[int, tuple[tuple[int, ...],
     return scale, tuple([tuple([x.numerator * (scale // x.denominator) for x in p]) for p in points])
 
 
+def integer_weights(
+    weights: Sequence[tuple[int, Fraction]],
+) -> tuple[int, list[tuple[int, int]]]:
+    """(common, scaled): the lcm of the weights' denominators, and each
+    (index, weight) pair with its weight times common, an int."""
+    common = lcm(*[w.denominator for _, w in weights])
+    return common, [(i, w.numerator * (common // w.denominator)) for i, w in weights]
+
+
 class PointMultiset:
     """A finite multiset of points of one dimension, canonically ordered.
 
@@ -184,7 +195,7 @@ class PointMultiset:
     __slots__ = ("entries", "dim", "_ranges", "_integer")
 
     def __init__(self, entries: Iterable[tuple[Point, int]], dim: int | None = None):
-        merged: dict[Point, int] = {}
+        kept: list[tuple[Point, int]] = []
         for p, mult in entries:
             if mult < 0:
                 raise InputError("negative multiplicity")
@@ -196,10 +207,19 @@ class PointMultiset:
                 raise DimensionMismatch(
                     f"point of dimension {len(p)} in multiset of dimension {dim}"
                 )
-            merged[p] = merged.get(p, 0) + mult
+            kept.append((p, mult))
         if dim is None:
             raise InputError("dimension required for an empty multiset")
-        object.__setattr__(self, "entries", tuple(sorted(merged.items())))
+        # a stable sort by point puts equal points side by side, the
+        # first given first; merging them there hashes no coordinate
+        kept.sort(key=_first)
+        merged: list[tuple[Point, int]] = []
+        for p, mult in kept:
+            if merged and merged[-1][0] == p:
+                merged[-1] = (merged[-1][0], merged[-1][1] + mult)
+            else:
+                merged.append((p, mult))
+        object.__setattr__(self, "entries", tuple(merged))
         object.__setattr__(self, "dim", dim)
 
     def __setattr__(self, name, value):  # immutable
@@ -382,32 +402,46 @@ class ConvexCoefficients:
     ``weights`` maps entry index -> Fraction weight; weights are >= 0 and
     sum to exactly 1.  Entry indices refer to the canonically sorted
     entries of the multiset the coefficients were computed against.
+    The weights are checked, and kept for ``combination``, as ints over
+    the lcm of their denominators (``integer_weights``).
     """
 
-    __slots__ = ("weights",)
+    __slots__ = ("weights", "_integer")
 
     def __init__(self, weights: Iterable[tuple[int, Fraction]]):
-        cleaned = tuple((int(i), f) for i, w in sorted(weights) if (f := Fraction(w)) != 0)
-        for i, w in cleaned:
+        cleaned = tuple(
+            (int(i), f)
+            for i, w in sorted(weights)
+            if (f := w if type(w) is Fraction else Fraction(w))
+        )
+        common, scaled = integer_weights(cleaned)
+        for i, c in scaled:
             if i < 0:
                 raise InputError("negative entry index in coefficients")
-            if w < 0:
+            if c < 0:
                 raise InputError("negative convex coefficient")
-        if sum((w for _, w in cleaned), Fraction(0)) != 1:
+        if sum([c for _, c in scaled]) != common:
             raise InputError("convex coefficients must sum to exactly 1")
         object.__setattr__(self, "weights", cleaned)
+        object.__setattr__(self, "_integer", (common, scaled))
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexCoefficients is immutable")
 
     def combination(self, multiset: PointMultiset) -> Point:
-        """Evaluate the combination against a multiset's entries."""
-        total = tuple(Fraction(0) for _ in range(multiset.dim))
-        for i, w in self.weights:
+        """Evaluate the combination against a multiset's entries, in ints:
+        with L the lcm of the weights' denominators and s the multiset's
+        scale, coordinate a is the sum of (w*L) times entry j's coordinate
+        a times s (``integer_coordinates``), over L*s."""
+        common, scaled = self._integer
+        for i, _ in scaled:
             if i >= len(multiset.entries):
                 raise InputError(f"coefficient entry index {i} out of range")
-            total = add(total, scale(w, multiset.entries[i][0]))
-        return total
+        scale, _, points = multiset.integer_coordinates()
+        terms = [(points[i], c) for i, c in scaled]
+        return tuple(
+            [Fraction(sum([c * p[a] for p, c in terms]), common * scale) for a in range(multiset.dim)]
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ConvexCoefficients) and self.weights == other.weights

@@ -3,7 +3,9 @@
 ``verify_certificate`` is the library's previous verifier, kept verbatim
 as the reference for the integer one that replaced it: it reassembles
 the parts into a merged ``PointMultiset`` and combines each proof's
-weights with the part's Fraction points.  ``rational`` is the
+weights with the part's Fraction points by ``add`` and ``scale``, the
+point helpers the library's ``combination`` folded with before it
+summed in ints.  ``rational`` is the
 library's previous parser body, which hands a string that passed the
 grammar to ``Fraction``'s own string parser.  The tests check that the
 library returns the same reports and the same values, and raises the
@@ -17,9 +19,17 @@ from fractions import Fraction
 
 from tverberg.certificates import TverbergCertificate, VerificationReport
 from tverberg.errors import InputError
-from tverberg.points import PointMultiset, Rationalish, add, scale
+from tverberg.points import Point, PointMultiset, Rationalish
 
 _RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def add(p: Point, q: Point) -> Point:
+    return tuple(a + b for a, b in zip(p, q, strict=True))
+
+
+def scale(t: Fraction | int, p: Point) -> Point:
+    return tuple(t * a for a in p)
 
 
 def rational(value: Rationalish) -> Fraction:

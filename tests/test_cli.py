@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from tverberg.ambient import FiniteSet, Lattice, MixedLattice, RealSpace
+from tverberg import documents
 from tverberg.cli import main
 from tverberg.documents import dumps, point_file_from_doc, point_file_to_doc
 from tverberg.errors import AssertionFailed
@@ -690,3 +691,81 @@ def test_verify_names_another_dimension_with_or_without_source(monkeypatch, caps
         assert reports[0]["failures"] == reports[1]["failures"]
         assert reports[0]["details"] == reports[1]["details"]
         assert reports[0]["failures"][0] == clause
+
+
+def test_every_document_the_cli_writes_is_the_json_module_bytes(monkeypatch, capsys):
+    """Every document of every subcommand, certificates of every driver
+    route and refutations included, is written with exactly the bytes of
+    json.dumps(doc, sort_keys=True, indent=2) and a newline."""
+    written = []
+    writer = documents.dumps
+
+    def recorded(doc):
+        written.append(doc)
+        return writer(doc)
+
+    monkeypatch.setattr(documents, "dumps", recorded)
+    line = dumps(point_file_to_doc(PointMultiset.from_points([point(0), point("1/2")]), RealSpace(1)))
+    commands = [
+        (["depth", "--point", "1,1"], _grid_doc()),
+        (["centerpoint", "--m", "3"], _grid_doc()),
+        (["helly"], _square_doc()),
+        (["tvnumber", "--m", "2"], _square_doc()),
+        (["select", "--point", "0,0", "--min-size", "2"], _hexagon_doc()),
+        (["partition-depth", "--alpha", "5/12", "--r", "3"], _hexagon_doc(mult=2)),
+        (["witness", "onn"], ""),
+        (["witness", "doignon", "--m", "3"], ""),
+        (["witness", "double"], line),
+        (["witness", "convex-lb", "--m", "2"], _square_doc()),
+    ]
+    for instances, ambient, m in _TVERBERG_CASES.values():
+        pts = PointMultiset.from_points([point(*p) for p in instances])
+        commands.append((["tverberg", "--m", str(m)], dumps(point_file_to_doc(pts, ambient))))
+    for instances, ambient, args in _REFUTE_CASES.values():
+        pts = PointMultiset.from_points([point(*p) for p in instances])
+        commands.append((["refute"] + args, dumps(point_file_to_doc(pts, ambient))))
+    for argv, stdin_text in commands:
+        code, out, err = run(monkeypatch, capsys, argv, stdin_text)
+        # the budget case of the refutations exits 3 with no document
+        assert code in (0, 1) and err == "" or "--budget" in argv, argv
+        if argv[0] == "tverberg":
+            corrupted = json.loads(out)
+            corrupted["proofs"][0][0]["weight"] = "7"
+            for cert_text in (out, json.dumps(corrupted)):
+                run(monkeypatch, capsys, ["verify"], cert_text)
+    kinds = {doc.get("type", "point_file") for doc in written}
+    assert kinds == {
+        "depth", "centerpoint", "helly_number", "tverberg_number", "selection",
+        "depth_partition", "point_file", "tverberg_certificate", "verification", "refutation",
+    }
+    assert {doc["ok"] for doc in written if doc.get("type") == "verification"} == {True, False}
+    for doc in written:
+        assert writer(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_rationals_given_as_json_numbers_exit_2(monkeypatch, capsys):
+    """Document rationals are strings: a point file with numeric
+    coordinates, a finite ambient with numeric points, or a certificate
+    with a numeric weight is an input error (exit 2), never a result."""
+    numeric = {"ambient": {"d": 1, "kind": "Zd"}, "dim": 1,
+               "points": [{"coords": [0], "mult": 2}, {"coords": [3], "mult": 1}]}
+    code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", "2", "--ambient", "Zd"], json.dumps(numeric))
+    assert (code, out) == (2, "")
+    assert "0" in err and "string" in err
+    strings = json.loads(json.dumps(numeric).replace("[0]", '["0"]').replace("[3]", '["3"]'))
+    code, cert_text, _ = run(monkeypatch, capsys, ["tverberg", "--m", "2", "--ambient", "Zd"], json.dumps(strings))
+    assert code == 0
+    finite = json.loads(_square_doc())
+    finite["ambient"] = {"dim": 2, "kind": "finite", "points": [[0, 0], [1, 0], [0, 1], [1, 1]]}
+    code, out, _ = run(monkeypatch, capsys, ["helly"], json.dumps(finite))
+    assert (code, out) == (2, "")
+    cert = json.loads(cert_text)
+    for path in ("weight", "point"):
+        bad = json.loads(cert_text)
+        if path == "weight":
+            bad["proofs"][0][0]["weight"] = 1
+        else:
+            bad["point"] = [int(cert["point"][0])]
+        code, out, err = run(monkeypatch, capsys, ["verify"], json.dumps(bad))
+        assert (code, out) == (2, ""), path
+        assert "string" in err

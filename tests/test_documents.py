@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,10 +19,11 @@ from tverberg.documents import (
     multiset_to_doc,
     point_file_from_doc,
     point_file_to_doc,
+    point_from_doc,
 )
 from tverberg.errors import InputError
 from tverberg.planar import plane_tverberg
-from tverberg.points import PointMultiset, point
+from tverberg.points import PointMultiset, point, rational
 
 from conftest import random_lattice_multiset
 
@@ -128,3 +131,74 @@ def test_malformed_documents_raise_input_error():
         multiset_from_doc(
             {"dim": 1, "points": [{"coords": ["x"], "mult": 1}]}
         )
+
+
+def _json_bytes(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_STRINGS = ["", "a", "-2/3", '"', "\\", "/", "\n\r\t\b\f", "\x00\x1f\x7f", "é", "Ωmega", "\u2028", "😀", "\ud800"]
+
+
+def _random_value(rng, depth):
+    kind = rng.randrange(8 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice(_STRINGS) + rng.choice(_STRINGS)
+    if kind == 1:
+        return rng.choice([0, -1, 7, 10**30, -(10**19)])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.choice([[], {}])
+    if kind == 5:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randint(1, 3))]
+    return {rng.choice(_STRINGS) + str(k): _random_value(rng, depth + 1) for k in range(rng.randint(1, 4))}
+
+
+def test_dumps_writes_the_json_module_bytes():
+    """Escapes, non-ASCII, lone surrogates, empty containers, nesting,
+    bools, None and big ints: the bytes of json.dumps(doc,
+    sort_keys=True, indent=2) and a newline."""
+    fixed = [
+        {},
+        {"a": [], "b": {}, "c": [[]], "d": [{}], "e": {"f": {}}},
+        {"z": True, "y": False, "x": None, "w": 0, "v": -12, "u": "é\n\"q\"\\"},
+        {"\u00e9": 1, "e": 2, "E": 3, "": 4, "10": 5, "9": 6},
+        {"nested": [[1, [2, [3, {"k": ["v", True, None]}]]], {"a": {"b": {"c": []}}}]},
+    ]
+    rng = random.Random(1550)
+    docs = fixed + [{str(k): _random_value(rng, 0) for k in range(rng.randint(0, 4))} for _ in range(300)]
+    for doc in docs:
+        assert dumps(doc) == _json_bytes(doc), doc
+
+
+def test_dumps_refuses_what_documents_never_hold():
+    for value in (0.5, (1, 2), {1}, Fraction(1, 2), b"x", object()):
+        with pytest.raises(TypeError):
+            dumps({"a": value})
+        with pytest.raises(TypeError):
+            dumps({"a": [value]})
+    with pytest.raises(TypeError):
+        dumps({1: "one"})
+
+
+def test_document_rationals_are_strings_only():
+    """Coordinates, finite ambient points and proof weights given as JSON
+    numbers are refused; the library constructors keep taking ints."""
+    assert point_from_doc(["0", "-3/6"]) == (Fraction(0), Fraction(-1, 2))
+    for bad in ([0, "1"], ["0", 1], [True], [0.5], [None]):
+        with pytest.raises(InputError, match="string"):
+            point_from_doc(bad)
+    with pytest.raises(InputError):
+        multiset_from_doc({"dim": 1, "points": [{"coords": [3], "mult": 1}]})
+    with pytest.raises(InputError):
+        ambient_from_doc({"kind": "finite", "dim": 1, "points": [[0], [1]]})
+    pts = PointMultiset.from_points([point(x, y) for x in range(3) for y in range(3)])
+    doc = certificate_to_doc(plane_tverberg(pts, 3, Lattice(2)))
+    assert certificate_from_doc(loads(dumps(doc))).proofs
+    doc["proofs"][0][0]["weight"] = 1
+    with pytest.raises(InputError, match="string"):
+        certificate_from_doc(doc)
+    assert point(0, 3) == (Fraction(0), Fraction(3)) and rational(3) == 3

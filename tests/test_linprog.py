@@ -27,6 +27,20 @@ def _integer_system(a, b):
     )
 
 
+def _values(x):
+    """The solution solve_phase1 gives in integers over one denominator,
+    as Fractions; checks the form on the way."""
+    nums, det = x
+    assert type(det) is int and det > 0
+    assert all(type(v) is int and v >= 0 for v in nums)
+    return [Fraction(v, det) for v in nums]
+
+
+def _answer(got):
+    gap, x = got
+    return gap, None if x is None else _values(x)
+
+
 def test_rref_identity():
     rows = [[F(2), F(0)], [F(0), F(3)]]
     reduced, pivots = rref(rows)
@@ -78,7 +92,7 @@ def test_phase1_feasible_by_construction():
         a = [[F(rng.randint(-5, 5)) for _ in range(cols_n)] for _ in range(rows_n)]
         hidden = [F(rng.randint(0, 4)) for _ in range(cols_n)]
         b = [sum(c * x for c, x in zip(row, hidden)) for row in a]
-        gap, x = solve_phase1(*_integer_system(a, b))
+        gap, x = _answer(solve_phase1(*_integer_system(a, b)))
         assert gap == 0
         assert all(v >= 0 for v in x)
         assert [sum(c * v for c, v in zip(row, x)) for row in a] == b
@@ -101,7 +115,7 @@ def test_phase1_gap_is_exact_distance_witness():
         cols_n = rng.randint(1, 4)
         a = [[F(rng.randint(-3, 3)) for _ in range(cols_n)] for _ in range(rows_n)]
         b = [F(rng.randint(-6, 6)) for _ in range(rows_n)]
-        gap, x = solve_phase1(*_integer_system(a, b))
+        gap, x = _answer(solve_phase1(*_integer_system(a, b)))
         assert gap >= 0
         if gap == 0:
             assert [sum(c * v for c, v in zip(row, x)) for row in a] == b
@@ -110,14 +124,13 @@ def test_phase1_gap_is_exact_distance_witness():
 
 def _same_answer(a, b):
     rows, rhs, scale = _integer_system(a, b)
-    got = solve_phase1(rows, rhs, scale)
+    got = _answer(solve_phase1(rows, rhs, scale))
     assert got == oracle_phase1(a, b), (a, b)
-    gap, x = got
+    gap, _ = got
     assert type(gap) is Fraction
-    assert x is None or all(type(v) is Fraction for v in x)
     # any one positive scale of the whole system gives the same answer,
     # and a feasibility-only solve reads the same gap
-    assert solve_phase1([[3 * v for v in r] for r in rows], [3 * v for v in rhs], 3 * scale) == got
+    assert _answer(solve_phase1([[3 * v for v in r] for r in rows], [3 * v for v in rhs], 3 * scale)) == got
     assert solve_phase1(rows, rhs, scale, solution=False) == (gap, None)
 
 

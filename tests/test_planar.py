@@ -10,7 +10,7 @@ from tverberg.certificates import verify_certificate
 from tverberg.depth import DepthWitness, halfspace_depth, integer_centerpoint
 from tverberg.errors import AssertionFailed, DimensionMismatch, PreconditionViolated
 from tverberg.geometry import hull_membership
-from tverberg import planar
+from tverberg import depth, planar
 from tverberg.planar import (
     finite_gate,
     helly3_tverberg,
@@ -20,7 +20,7 @@ from tverberg.planar import (
     radon_labeling,
     tverberg_labeling,
 )
-from tverberg.points import HalfSpace, PointMultiset, point
+from tverberg.points import HalfSpace, PointMultiset, integer_points, point
 
 import radial_oracle
 from conftest import random_lattice_multiset, random_rational
@@ -318,3 +318,30 @@ def test_radial_order_matches_the_fraction_reference():
             assert planar._arc_positions(order, witness) == expected
         with pytest.raises(PreconditionViolated):
             radial_order(pts.add(center), center)
+
+
+def test_radial_parts_put_rest_and_centre_on_one_grid_once(monkeypatch):
+    """The radial order and the witness recount of ``_radial_parts`` read
+    one integer grid of the remainder and the centre, computed once."""
+    seen = []
+
+    def counted(points):
+        seen.append(tuple(points))
+        return integer_points(points)
+
+    monkeypatch.setattr(planar, "integer_points", counted)
+    monkeypatch.setattr(depth, "integer_points", counted)
+    rng = random.Random(1551)
+    routes = set()
+    for m in (3, 5):
+        for _ in range(20):
+            pts = random_lattice_multiset(rng, 4 * m - 1, 2, 4)
+            seen.clear()
+            center, parts = planar._radial_parts(pts, m, Lattice(2))
+            mu = pts.multiplicity(center)
+            if mu >= m - 1:
+                continue  # the multiplicity peel orders nothing
+            rest = pts.remove(center, mu) if mu else pts
+            assert seen.count(rest.support() + (center,)) == 1
+            routes.add(mu > 0)
+    assert routes == {False, True}

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tverberg.errors import DimensionMismatch, InputError
+from tverberg.geometry import convex_system
 from tverberg.points import (
     ConvexCoefficients,
     HalfSpace,
@@ -19,6 +20,7 @@ from tverberg.points import (
     rational,
 )
 
+import lp_oracle
 from certificate_oracle import rational as reference_rational
 
 
@@ -215,3 +217,135 @@ def test_rational_rejects_with_the_reference_messages():
         with pytest.raises(InputError) as expected:
             reference_rational(bad)
         assert str(exc.value) == str(expected.value), bad
+
+
+def _merged_by_dict(entries, dim):
+    """The previous constructor body: entries merged in a dict keyed by
+    point, then sorted; the reference for the sort-and-merge one."""
+    merged = {}
+    for p, mult in entries:
+        if mult < 0:
+            raise InputError("negative multiplicity")
+        if mult == 0:
+            continue
+        if dim is None:
+            dim = len(p)
+        elif len(p) != dim:
+            raise DimensionMismatch(f"point of dimension {len(p)} in multiset of dimension {dim}")
+        merged[p] = merged.get(p, 0) + mult
+    if dim is None:
+        raise InputError("dimension required for an empty multiset")
+    return tuple(sorted(merged.items()))
+
+
+def _built(entries, dim):
+    try:
+        return PointMultiset(entries, dim=dim).entries
+    except (InputError, DimensionMismatch) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _reference(entries, dim):
+    try:
+        return _merged_by_dict(entries, dim)
+    except (InputError, DimensionMismatch) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_multiset_constructor_matches_the_dict_merge():
+    """Same entries, and the same first error, as merging in a dict, for
+    every order of the input and multiplicities split over repeated
+    entries; equal points of int and Fraction type merge as in the dict,
+    keeping the first one given."""
+    rng = random.Random(1515)
+    for trial in range(400):
+        d = rng.randint(1, 3)
+        support = list(
+            {
+                tuple(Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for _ in range(d))
+                for _ in range(rng.randint(1, 5))
+            }
+        )
+        entries = []
+        for p in support:
+            mult = rng.randint(0, 4)
+            while mult:
+                piece = rng.randint(1, mult)
+                entries.append((p, piece))
+                mult -= piece
+            if rng.random() < 0.3:
+                entries.append((p, 0))
+        if trial % 5 == 0 and entries:
+            # a fault somewhere in the input: the first one in input order is named
+            for _ in range(rng.randint(1, 2)):
+                pos = rng.randrange(len(entries) + 1)
+                bad = rng.choice([(support[0], -1), (support[0] + (Fraction(0),), 1), ((), 1)])
+                entries.insert(pos, bad)
+        if trial % 7 == 0 and entries:
+            # int tuples that equal Fraction points
+            entries += [
+                (tuple(int(x) for x in p), 1)
+                for p, _ in entries
+                if len(p) == d and all(x.denominator == 1 for x in p)
+            ]
+        for _ in range(4):
+            order = rng.sample(entries, len(entries))
+            dim = d if rng.random() < 0.5 else None
+            got, want = _built(order, dim), _reference(order, dim)
+            assert got == want, order
+            if got and not isinstance(got[0], str):
+                # the kept point objects are the dict's: the first given
+                assert [tuple(map(type, p)) for p, _ in got] == [tuple(map(type, p)) for p, _ in want]
+    assert _built([], None) == _reference([], None)
+
+
+def test_integer_weights_and_combination_match_a_fraction_fold():
+    """On hulls with non-unit scales: convex_system's weights, read off the
+    integer tableau, are the Fraction simplex's; the constructor accepts
+    exactly the weight sets a Fraction sum and sign check accept; and
+    ``combination`` on the integer coordinates is the Fraction fold."""
+    rng = random.Random(1516)
+    scales = []
+    verdicts = []
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        hulls = [
+            PointMultiset.from_points(
+                [
+                    tuple(Fraction(rng.randint(-12, 12), rng.choice([2, 3, 4, 6])) for _ in range(d))
+                    for _ in range(rng.randint(1, 5))
+                ],
+                dim=d,
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        scales += [h.integer_coordinates()[0] for h in hulls]
+        pin = tuple(Fraction(rng.randint(-6, 6), rng.choice([1, 5])) for _ in range(rng.randint(0, d)))
+        gap, got = convex_system(hulls, pin)
+        want = lp_oracle.convex_solution(hulls, pin)
+        assert (gap, None if got is None else tuple(c.weights for c in got)) == want
+        if got is not None:
+            points = [c.combination(h) for c, h in zip(got, hulls)]
+            assert points == [lp_oracle.combination(c.weights, h) for c, h in zip(got, hulls)]
+            assert all(type(x) is Fraction for p in points for x in p)
+            assert all(p == points[0] for p in points) and points[0][: len(pin)] == pin
+        hull = hulls[0]
+        indices = rng.sample(range(len(hull.entries)), rng.randint(1, len(hull.entries)))
+        raw = [(j, Fraction(rng.randint(-1, 6), rng.choice([1, 2, 3, 7]))) for j in indices]
+        if rng.random() < 0.5:
+            # rescale so the weights sum to one, negatives and all
+            total = sum(w for _, w in raw)
+            if total:
+                raw = [(j, w / total) for j, w in raw]
+        valid = all(w >= 0 for _, w in raw) and sum(w for _, w in raw) == 1
+        verdicts.append(valid)
+        try:
+            coeffs = ConvexCoefficients(raw)
+        except InputError:
+            assert not valid, raw
+            continue
+        assert valid, raw
+        assert coeffs.weights == tuple(sorted((j, w) for j, w in raw if w))
+        assert coeffs.combination(hull) == lp_oracle.combination(coeffs.weights, hull)
+    assert sum(s > 1 for s in scales) > 0.9 * len(scales)
+    assert 50 < sum(verdicts) < len(verdicts) - 50

@@ -1,21 +1,25 @@
 from __future__ import annotations
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from tverberg.ambient import Lattice, MixedLattice, RealSpace
-from tverberg import certificates
+from tverberg.ambient import FiniteSet, Lattice, MixedLattice, RealSpace
+from tverberg import certificates, documents
 from tverberg.certificates import verify_certificate
 from tverberg.errors import Infeasible, PreconditionViolated, UnsupportedAmbient
 from tverberg.geometry import hull_membership
 from tverberg.oracle import verify_no_partition
 from tverberg.points import PointMultiset, point
 from tverberg.product import (
+    DRIVERS,
     double_witness,
     fiber_lift,
     product_tverberg,
     real_tverberg_bruteforce,
+    tverberg_partition,
 )
 
 from conftest import random_rational
@@ -187,3 +191,64 @@ def test_product_certifies_only_the_final_partition(monkeypatch, rng, j, n):
     assert len(calls) == 1 and tuple(calls[0][2]) == cert.parts
     assert verify_certificate(cert, pts).ok
     assert cert.point[:j] == record.base_point
+
+
+def _seeded_driver_inputs():
+    """(points, m, ambient) for every row of ``DRIVERS``, drawn from one
+    seed: lattice points at or just above each gate, multisets over
+    finite lines and planar grid subsets, and rational fibers and real
+    points at the tight sizes."""
+    rng = random.Random(1550)
+
+    def ints(n, d, box):
+        return PointMultiset.from_points(
+            [tuple(Fraction(rng.randint(-box, box)) for _ in range(d)) for _ in range(n)]
+        )
+
+    def mixed(n, j, k):
+        return PointMultiset.from_points(
+            [
+                tuple(Fraction(rng.randint(-6, 6)) for _ in range(j))
+                + tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 6)) for _ in range(k))
+                for _ in range(n)
+            ]
+        )
+
+    cases = []
+    for d, count, box in ((1, 30, 9), (2, 60, 12), (3, 10, 8)):
+        gate = DRIVERS[(Lattice, d)][0]
+        for _ in range(count):
+            m = rng.randint(2, 4) if d < 3 else 2
+            cases.append((ints(gate(m) + rng.randint(0, 2 if d < 3 else 0), d, box), m, Lattice(d)))
+    grid = [(Fraction(x), Fraction(y)) for x in range(3) for y in range(3)]
+    for _ in range(20):
+        line = FiniteSet(tuple((Fraction(x),) for x in sorted(rng.sample(range(-9, 9), 4))), 1)
+        m = rng.randint(2, 3)
+        cases.append((PointMultiset.from_points(rng.choices(line.points, k=2 * m - 1)), m, line))
+        plane = FiniteSet(tuple(rng.sample(grid, rng.randint(5, 9))), 2)
+        cases.append((PointMultiset.from_points(rng.choices(plane.points, k=9)), 2, plane))
+    for j, k, m in ((1, 1, 2), (1, 1, 3), (1, 2, 2), (2, 1, 2)):
+        t = (m - 1) * (k + 1) + 1
+        for _ in range(8):
+            cases.append((mixed(DRIVERS[(Lattice, j)][0](t), j, k), m, MixedLattice(j, k)))
+    for d, m in ((1, 3), (2, 2), (2, 3), (3, 2)):
+        for _ in range(5):
+            cases.append((mixed((m - 1) * (d + 1) + 1, 0, d), m, RealSpace(d)))
+    return cases
+
+
+def test_certificate_documents_of_every_driver_row_are_pinned():
+    """One sha256 over the documents of 192 seeded partitions, drawn for
+    every row of ``DRIVERS``: a change anywhere between a driver and the
+    document writer that moves a byte of a certificate fails here."""
+    digest = hashlib.sha256()
+    rows = set()
+    count = 0
+    for pts, m, ambient in _seeded_driver_inputs():
+        key = (type(ambient), ambient.dim)
+        rows.add(key if key in DRIVERS else (type(ambient), None))
+        cert = tverberg_partition(pts, m, ambient)
+        digest.update(documents.dumps(documents.certificate_to_doc(cert)).encode())
+        count += 1
+    assert rows == set(DRIVERS) and count == 192
+    assert digest.hexdigest() == "9815400a17ccd8735532cc7f6b77cdd01bbf666cbd183f13a765982da7ad1667"
