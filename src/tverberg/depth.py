@@ -85,6 +85,7 @@ from .errors import (
     PreconditionViolated,
     UnsupportedAmbient,
 )
+from .linprog import generalised_cross
 from .points import HalfSpace, Point, PointMultiset, clockwise_key, cross2, dot, integer_points
 
 
@@ -121,29 +122,6 @@ def _int_pivot_columns(vecs: Sequence[Sequence[int]], dim: int) -> list[int]:
         if r == len(rows):
             break
     return pivots
-
-
-def _det(rows: list[tuple[int, ...]]) -> int:
-    """Determinant of a square integer matrix, by expansion along row 0."""
-    if not rows:
-        return 1
-    return sum(
-        (-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in rows[1:]]) for j, a in enumerate(rows[0])
-    )
-
-
-def _normal_direction(sub: list[tuple[int, ...]], dim: int) -> tuple[int, ...] | None:
-    """A nonzero integer direction orthogonal to the dim - 1 vectors of
-    sub (dim >= 3), unique up to sign when sub spans a hyperplane of the
-    dim-space; None otherwise.  It is their generalised cross product,
-    the signed maximal minors, which all vanish exactly when sub is
-    dependent."""
-    if dim == 3:
-        (a1, a2, a3), (b1, b2, b3) = sub[0], sub[1]
-        c = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-    else:
-        c = tuple((-1) ** j * _det([s[:j] + s[j + 1 :] for s in sub]) for j in range(dim))
-    return c if any(c) else None
 
 
 def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -271,7 +249,7 @@ def _min_halfspace_count(
         seen: set[tuple[int, ...]] = set()
         done = False
         for subset in itertools.combinations(range(len(coords)), ell - 1):
-            u0 = _normal_direction([coords[i] for i in subset], ell)
+            u0 = generalised_cross([coords[i] for i in subset], ell)
             if u0 is None:
                 continue
             u0 = _canonical_sign(_reduce_int(u0))

@@ -5,7 +5,10 @@ entries {coords, mult}.  Ambient kinds are "Zd" (integer lattice),
 "ZjRk" (integer-by-real product), "Rd", and "finite" (explicit point
 list).  All rationals are strings "a" or "a/b" ("3", "-2/3"), never
 JSON numbers, and are written in lowest terms; a document that gives a
-coordinate or a proof weight as a number is refused.  Serialization is
+coordinate or a proof weight as a number is refused, as is a field
+that must be an object (a point file, the ambient, a certificate or one
+of its parts) and holds another JSON value, by name: "the ambient
+field must be an object, not null".  Serialization is
 canonical (sorted keys, two-space indent, trailing newline), so equal
 objects produce byte-identical files.  ``dumps`` writes exactly the
 bytes of ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline,
@@ -87,7 +90,25 @@ def loads(text: str) -> dict:
     return doc
 
 
-def _need(doc: dict, key: str) -> Any:
+def _not_object(value: Any, what: str) -> InputError:
+    """The refusal of a JSON value that stands where an object must: it
+    names what the object stands for and which JSON value came."""
+    if value is None:
+        kind = "null"
+    elif isinstance(value, bool):
+        kind = "a boolean"
+    elif isinstance(value, str):
+        kind = "a string"
+    elif isinstance(value, list):
+        kind = "a list"
+    else:
+        kind = "a number"
+    return InputError(f"{what} must be an object, not {kind}")
+
+
+def _need(doc: Any, key: str) -> Any:
+    if not isinstance(doc, dict):
+        raise _not_object(doc, f"a document holding the {key!r} field")
     if key not in doc:
         raise InputError(f"document is missing the {key!r} field")
     return doc[key]
@@ -127,7 +148,11 @@ def multiset_to_doc(points: PointMultiset) -> dict:
     }
 
 
-def multiset_from_doc(doc: dict) -> PointMultiset:
+def multiset_from_doc(doc: Any, what: str = "a point document") -> PointMultiset:
+    """The multiset of a point document; what names the document in a
+    refusal when it is not an object."""
+    if not isinstance(doc, dict):
+        raise _not_object(doc, what)
     dim = _int_field(doc, "dim")
     if dim < 1:
         raise InputError("dim must be a positive integer")
@@ -164,7 +189,9 @@ def ambient_to_doc(ambient: AmbientSet) -> dict:
     raise InputError(f"cannot serialize ambient {ambient!r}")
 
 
-def ambient_from_doc(doc: dict) -> AmbientSet:
+def ambient_from_doc(doc: Any) -> AmbientSet:
+    if not isinstance(doc, dict):
+        raise _not_object(doc, "the ambient field")
     kind = _need(doc, "kind")
     if kind == "Zd":
         return Lattice(_int_field(doc, "d"))
@@ -188,10 +215,10 @@ def point_file_to_doc(points: PointMultiset, ambient: AmbientSet | None) -> dict
     return doc
 
 
-def point_file_from_doc(doc: dict) -> tuple[PointMultiset, AmbientSet | None]:
+def point_file_from_doc(doc: Any) -> tuple[PointMultiset, AmbientSet | None]:
     """Multiset plus its declared ambient; every instance must lie in it
     (``ambient.contains``)."""
-    points = multiset_from_doc(doc)
+    points = multiset_from_doc(doc, "a point file")
     ambient = None
     if "ambient" in doc:
         ambient = ambient_from_doc(doc["ambient"])
@@ -221,7 +248,9 @@ def certificate_to_doc(cert: TverbergCertificate) -> dict:
     }
 
 
-def certificate_from_doc(doc: dict) -> TverbergCertificate:
+def certificate_from_doc(doc: Any) -> TverbergCertificate:
+    if not isinstance(doc, dict):
+        raise _not_object(doc, "a certificate document")
     if doc.get("type") != "tverberg_certificate":
         raise InputError("not a certificate document")
     m = _int_field(doc, "m")
@@ -230,7 +259,7 @@ def certificate_from_doc(doc: dict) -> TverbergCertificate:
     parts_doc = _need(doc, "parts")
     if not isinstance(parts_doc, list):
         raise InputError("the parts field must be a list")
-    parts = tuple(multiset_from_doc(p) for p in parts_doc)
+    parts = tuple(multiset_from_doc(p, f"parts[{pos}]") for pos, p in enumerate(parts_doc))
     proofs_doc = _need(doc, "proofs")
     if not isinstance(proofs_doc, list):
         raise InputError("the proofs field must be a list")

@@ -1,7 +1,11 @@
 """Exact linear algebra and an exact-pivot phase-1 simplex.
 
 Inputs and outputs are rational (ints and ``fractions.Fraction``).  The
-linear algebra (``rref`` and what is built on it) runs over Fraction;
+linear algebra (``rref`` and what is built on it) runs over Fraction,
+except the one integer maximal-minor routine: ``generalised_cross``,
+the signed maximal minors of width - 1 integer rows (by
+``integer_det``), which gives ``depth`` its hyperplane normals and
+``product`` the affine dependence of a Radon configuration;
 the simplex takes an integer system and answers in integers over one
 positive denominator, which its caller turns into Fractions only where
 it keeps a value.
@@ -108,6 +112,35 @@ def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
     for r, pcol in zip(reduced, pivots):
         x[pcol] = r[width]
     return x
+
+
+def integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, by expansion along row 0."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * integer_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+    )
+
+
+def generalised_cross(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...] | None:
+    """The generalised cross product of width - 1 integer rows of length
+    width (width >= 3): the signed maximal minors, entry j being (-1)^j
+    times the determinant of the rows without column j, or None when
+    they all vanish, which happens exactly when the rows are dependent.
+    It is orthogonal to every row, so it spans the kernel of the rows
+    whenever they are independent: the normal of a hyperplane spanned
+    by difference vectors, or the affine dependence of width points
+    (their coordinate rows plus a row of ones)."""
+    if width == 3:
+        (a1, a2, a3), (b1, b2, b3) = rows[0], rows[1]
+        c = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    else:
+        c = tuple(
+            (-1) ** j * integer_det([r[:j] + r[j + 1 :] for r in rows]) for j in range(width)
+        )
+    return c if any(c) else None
 
 
 def solve_phase1(

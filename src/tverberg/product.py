@@ -22,11 +22,23 @@ enumeration (``oracle.iter_partition_hulls``) plus an exact joint
 feasibility system per candidate, returning the first partition's
 parts, common point and joint weights and building no certificate.
 The fiber step takes its parts and point, as does planar's He <= 3
-route.  ``real_tverberg_bruteforce`` is its certified form over R^d:
-``certificates.check_partition_input`` at the gate (m-1)(d+1)+1, then
-``real_partition``, then a certificate that carries the joint weights
-as proofs.  It is exponential and meant for the small fiber counts
-this reduction produces, and doubles as the reference oracle elsewhere.
+route.  Where the answer is forced it is read off in closed form, in
+ints, instead: m = 2 on d+2 distinct points whose affine dependence
+mu (``linprog.generalised_cross`` of the coordinate rows and a row of
+ones) has no zero entry is Radon's case (J. Radon, Math. Ann. 83,
+1921), and the parts, the point and the weights all follow from the
+signs and values of mu.  Likewise ``fiber_lift`` lifts a one-entry
+part, and a two-entry part whose prefixes differ, without solving the
+pinned system.  In each closed form that system's feasible set is a
+single point, so the answer is the one the system gives; every other
+input takes the enumeration and the systems.
+
+``real_tverberg_bruteforce`` is the certified form of
+``real_partition`` over R^d: ``certificates.check_partition_input`` at
+the gate (m-1)(d+1)+1, then ``real_partition``, then a certificate
+that carries the joint weights as proofs.  It is exponential and
+meant for the small fiber counts this reduction produces, and doubles
+as the reference oracle elsewhere.
 Every driver of the table is its gate, that check and its body.
 """
 
@@ -54,6 +66,7 @@ from .errors import (
     UnsupportedAmbient,
 )
 from .geometry import convex_system, polytope_intersection_point
+from .linprog import generalised_cross
 from .oracle import iter_partition_hulls
 from .planar import _radial_parts, plane_tverberg, z2_gate
 from .points import ConvexCoefficients, Point, PointMultiset
@@ -87,12 +100,62 @@ def real_partition(
     the parts, their common point and the joint weights of the system
     that found it.  The caller guarantees (m-1)(d+1)+1 or more points,
     where the real theorem says such a partition exists; no certificate
-    is built."""
+    is built.
+
+    m = 2 on d+2 distinct points whose affine dependence has no zero
+    entry is Radon's case, where the answer is forced and read off in
+    closed form (``_radon_partition``); every other input is
+    enumerated."""
+    if m == 2 and len(points.entries) == points.dim + 2 == points.size:
+        radon = _radon_partition(points)
+        if radon is not None:
+            return radon
     for hulls in iter_partition_hulls(points, m):
         found = polytope_intersection_point(hulls)
         if found is not None:
             return hulls, found[0], found[1]
     raise InternalError("no partition admitted a common point; the real theorem forbids this")
+
+
+def _radon_partition(
+    points: PointMultiset,
+) -> tuple[tuple[PointMultiset, ...], Point, tuple[ConvexCoefficients, ...]] | None:
+    """``real_partition``'s answer for m = 2 on d+2 distinct points p_i
+    whose affine dependence mu has no zero entry, else None.
+
+    mu is the generalised cross product of the coordinate rows and a row
+    of ones (the signed maximal minors, on the multiset's integer grid,
+    which scales every minor alike).  When every mu_i is nonzero the
+    rows have rank d+1, so the dependences are the multiples of mu, and
+    the weights (lambda, -nu) of any common point of two part hulls are
+    one of them: {mu > 0} and {mu < 0} are the only parts whose hulls
+    meet, and the point and the weights are forced.  The enumeration
+    and the joint system would find exactly this answer, with the part
+    that holds entry 0 first: with S the sum of mu over that part A,
+    the point sum_A mu_i p_i / S and the weights mu_i / S on A and
+    -mu_i / S on the other part."""
+    scale, columns, scaled = points.integer_coordinates()
+    n = len(scaled)
+    mu = generalised_cross([*columns, (1,) * n], n)
+    if mu is None or not all(mu):
+        return None
+    counts = [int((v > 0) == (mu[0] > 0)) for v in mu]
+    side_a = [v for v, c in zip(mu, counts) if c]
+    side_b = [-v for v, c in zip(mu, counts) if not c]
+    total = sum(side_a)
+    rows_a = [p for p, c in zip(scaled, counts) if c]
+    point = tuple(
+        [
+            Fraction(sum([v * p[axis] for v, p in zip(side_a, rows_a)]), total * scale)
+            for axis in range(points.dim)
+        ]
+    )
+    parts = (points.sub_multiset(counts), points.sub_multiset([1 - c for c in counts]))
+    weights = tuple(
+        ConvexCoefficients([(i, Fraction(v, total)) for i, v in enumerate(side)])
+        for side in (side_a, side_b)
+    )
+    return parts, point, weights
 
 
 # The one ambient->driver table, keyed by the ambient's type and
@@ -142,16 +205,41 @@ def fiber_lift(
     """A hull point of the part whose leading coordinates equal prefix.
 
     Solves the convex-combination system with the prefix pinned; raises
-    Infeasible when the prefix misses the projected hull.
+    Infeasible when the prefix misses the projected hull.  Where that
+    system has one solution at most it is read off in closed form: a
+    part of one entry lifts to the entry, and a part of two entries a, b
+    whose prefixes differ to lam*a + (1-lam)*b, lam fixed by a prefix
+    coordinate where they differ (a zero weight dropped, as the system's
+    answer drops it).  Every other part is solved.
     """
     if len(prefix) >= part.dim:
         raise DimensionMismatch("prefix must be shorter than the point dimension")
     if not part.entries:
         raise Infeasible("empty part cannot be lifted")
+    prefix = tuple(prefix)
+    j = len(prefix)
+    if len(part.entries) == 1:
+        p = part.entries[0][0]
+        if p[:j] != prefix:
+            raise Infeasible("prefix lies outside the projected hull")
+        return p, _WHOLE
+    if len(part.entries) == 2:
+        (a, _), (b, _) = part.entries
+        axis = next((c for c in range(j) if a[c] != b[c]), None)
+        if axis is not None:
+            lam = Fraction(prefix[axis] - b[axis]) / (a[axis] - b[axis])
+            lifted = tuple([lam * (x - y) + y for x, y in zip(a, b)])
+            if not 0 <= lam <= 1 or lifted[:j] != prefix:
+                raise Infeasible("prefix lies outside the projected hull")
+            return lifted, ConvexCoefficients([(0, lam), (1, 1 - lam)])
     _, coeffs = convex_system((part,), prefix)
     if coeffs is None:
         raise Infeasible("prefix lies outside the projected hull")
     return coeffs[0].combination(part), coeffs[0]
+
+
+# The weights of a one-entry part: all of it on entry 0.
+_WHOLE = ConvexCoefficients([(0, Fraction(1))])
 
 
 def _match_instances(

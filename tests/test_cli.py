@@ -769,3 +769,35 @@ def test_rationals_given_as_json_numbers_exit_2(monkeypatch, capsys):
         code, out, err = run(monkeypatch, capsys, ["verify"], json.dumps(bad))
         assert (code, out) == (2, ""), path
         assert "string" in err
+
+
+def test_non_object_document_fields_exit_2(monkeypatch, capsys, tmp_path):
+    """A field that must be a JSON object but holds null, a number, a
+    string or a list is a named input error (exit 2), not an internal
+    error: an ambient field under ``centerpoint --input``, ``helly`` and
+    ``verify --source``, and a part or the ambient of a certificate
+    under ``verify``."""
+    code, cert_text, _ = run(monkeypatch, capsys, ["tverberg", "--m", "2", "--ambient", "Zd"], _grid_doc())
+    assert code == 0
+    grid = json.loads(_grid_doc())
+    path = tmp_path / "points.json"
+    for value, kind in ((None, "null"), (3, "a number"), ("kind", "a string"), ([1], "a list")):
+        path.write_text(json.dumps(dict(grid, ambient=value)))
+        for argv, stdin in (
+            (["centerpoint", "--input", str(path), "--m", "1"], ""),
+            (["helly", "--input", str(path)], ""),
+            (["verify", "--source", str(path)], cert_text),
+        ):
+            code, out, err = run(monkeypatch, capsys, argv, stdin)
+            assert (code, out) == (2, ""), (argv, value)
+            assert f"the ambient field must be an object, not {kind}" in err
+            assert "internal error" not in err
+    for field, value, message in (
+        ("parts", [3], "parts[0] must be an object, not a number"),
+        ("parts", [json.loads(cert_text)["parts"][0], None], "parts[1] must be an object, not null"),
+        ("ambient", "Zd", "the ambient field must be an object, not a string"),
+    ):
+        bad = dict(json.loads(cert_text), **{field: value})
+        code, out, err = run(monkeypatch, capsys, ["verify"], json.dumps(bad))
+        assert (code, out) == (2, ""), (field, value)
+        assert message in err and "internal error" not in err

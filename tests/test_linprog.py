@@ -5,7 +5,15 @@ from fractions import Fraction
 from math import lcm
 
 from tverberg import geometry
-from tverberg.linprog import nullspace, pivot_columns, rref, solve_linear, solve_phase1
+from tverberg.linprog import (
+    generalised_cross,
+    integer_det,
+    nullspace,
+    pivot_columns,
+    rref,
+    solve_linear,
+    solve_phase1,
+)
 from tverberg.points import PointMultiset
 
 from conftest import random_lattice_multiset, random_rational
@@ -39,6 +47,28 @@ def _values(x):
 def _answer(got):
     gap, x = got
     return gap, None if x is None else _values(x)
+
+
+def test_generalised_cross_is_the_kernel_of_its_rows():
+    """The signed maximal minors of width - 1 integer rows are orthogonal
+    to every row, None exactly when the rows are dependent, and, put
+    under the rows as a last row, give the determinant (-1)^(width-1)
+    times their squared length (expansion along that row)."""
+    rng = random.Random(77)
+    dependent = 0
+    for _ in range(400):
+        width = rng.randint(3, 5)
+        box = rng.choice((1, 4))
+        rows = [tuple(rng.randint(-box, box) for _ in range(width)) for _ in range(width - 1)]
+        cross = generalised_cross(rows, width)
+        if len(pivot_columns(rows, width)) < width - 1:
+            assert cross is None
+            dependent += 1
+            continue
+        assert cross is not None and all(type(v) is int for v in cross)
+        assert all(sum(a * b for a, b in zip(row, cross)) == 0 for row in rows)
+        assert integer_det(rows + [cross]) == (-1) ** (width - 1) * sum(v * v for v in cross)
+    assert 20 <= dependent <= 380
 
 
 def test_rref_identity():
