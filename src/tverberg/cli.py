@@ -298,6 +298,18 @@ def cmd_partition_depth(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """A cap's value: an int of at least 1, so that a cap below 1 is a
+    usage error (exit 2) and never reads as a search result."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive int, not {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tverberg",
@@ -348,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refute", help="prove no m-partition admits an ambient point")
     common(p)
     p.add_argument("--m", type=int, required=True, help="number of parts")
-    p.add_argument("--budget", type=int, default=None, help="partition check cap")
+    p.add_argument("--budget", type=_positive_int, default=None, help="partition check cap")
     p.set_defaults(func=cmd_refute)
 
     p = sub.add_parser("witness", help="emit a named lower-bound configuration")
@@ -374,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, ambient=False)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n-max", type=int, default=12, help="largest size to try")
-    p.add_argument("--budget", type=int, default=None, help="partition check cap")
+    p.add_argument("--budget", type=_positive_int, default=None, help="partition check cap")
     p.set_defaults(func=cmd_tvnumber)
 
     p = sub.add_parser("helly", help="Helly number of a finite planar set")
@@ -387,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--min-size", type=int, default=None, help="group size floor (default n // (2(d+1)), at least 1)"
     )
-    p.add_argument("--seeds", type=int, default=150, help="seed transversal cap")
+    p.add_argument("--seeds", type=_positive_int, default=150, help="seed transversal cap")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser(
@@ -397,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="search seed")
     p.add_argument("--alpha", required=True, help="depth fraction, e.g. 1/3")
     p.add_argument("--r", type=int, required=True, help="number of groups")
-    p.add_argument("--budget", type=int, default=200, help="regrouping attempts")
+    p.add_argument("--budget", type=_positive_int, default=200, help="regrouping attempts")
     p.set_defaults(func=cmd_partition_depth)
 
     return parser

@@ -85,7 +85,7 @@ from .errors import (
     PreconditionViolated,
     UnsupportedAmbient,
 )
-from .linprog import generalised_cross
+from .linprog import generalised_cross, pivot_columns
 from .points import HalfSpace, Point, PointMultiset, clockwise_key, cross2, dot, integer_points
 
 
@@ -96,32 +96,6 @@ def _dot_int(u: Sequence[int], v: Sequence[int]) -> int:
 def _reduce_int(vec: Sequence[int]) -> tuple[int, ...]:
     g = gcd(*vec)
     return tuple(v // g for v in vec)
-
-
-def _int_pivot_columns(vecs: Sequence[Sequence[int]], dim: int) -> list[int]:
-    """Pivot columns of the span of integer row vectors, fraction-free."""
-    rows = [list(v) for v in vecs]
-    pivots: list[int] = []
-    r = 0
-    for col in range(dim):
-        sel = -1
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        head = rows[r][col]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][col]
-            if f != 0:
-                rows[i] = [a * head - b * f for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
 
 
 def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -233,7 +207,7 @@ def _min_halfspace_count(
     if not vecs:
         return 0, None
     dim = len(vecs[0])
-    pivots = _int_pivot_columns(vecs, dim)
+    pivots = pivot_columns(vecs, dim)
     ell = len(pivots)
     coords = [tuple(v[p] for p in pivots) for v in vecs]
 

@@ -188,15 +188,16 @@ def caratheodory_reduce(
     if coeffs.combination(hull) != q:
         raise InputError("coefficients do not combine to the claimed point")
     d = hull.dim
+    _, columns, _ = hull.integer_coordinates()
     active: list[tuple[int, Fraction]] = list(coeffs.weights)
     while True:
-        points = [hull.entries[i][0] for i, _ in active]
-        s = len(points)
+        s = len(active)
         if s <= 1:
             break
-        # Affine dependence: mu with sum(mu)=0 and sum(mu_i x_i)=0.
-        rows = [[p[c] for p in points] for c in range(d)]
-        rows.append([Fraction(1)] * s)
+        # Affine dependence: mu with sum(mu)=0 and sum(mu_i x_i)=0, on
+        # the hull's integer grid, which scales every coordinate row alike.
+        rows = [[column[i] for i, _ in active] for column in columns]
+        rows.append([1] * s)
         deps = nullspace(rows, s)
         if not deps:
             break  # affinely independent

@@ -1,39 +1,43 @@
-"""Exact linear algebra and an exact-pivot phase-1 simplex.
+"""Exact linear algebra and an exact-pivot phase-1 simplex, in integers.
 
-Inputs and outputs are rational (ints and ``fractions.Fraction``).  The
-linear algebra (``rref`` and what is built on it) runs over Fraction,
-except the one integer maximal-minor routine: ``generalised_cross``,
-the signed maximal minors of width - 1 integer rows (by
-``integer_det``), which gives ``depth`` its hyperplane normals and
-``product`` the affine dependence of a Radon configuration;
-the simplex takes an integer system and answers in integers over one
-positive denominator, which its caller turns into Fractions only where
-it keeps a value.
+One fraction-free elimination serves the library's linear algebra:
+``rref`` is Gauss-Jordan on int rows with the integer-preserving row
+update of Bareiss (Math. Comp. 1968), and ``pivot_columns`` (rank and
+intrinsic coordinates), ``nullspace`` (an int kernel basis),
+``solve_linear`` (ints over one positive denominator), ``integer_det``
+and ``generalised_cross`` (the signed maximal minors, which give
+``depth`` its hyperplane normals and ``product`` the affine dependence
+of a Radon configuration) read their answers off its result.  Only
+width 3 of ``generalised_cross`` has its own closed form.
+
+The elimination holds integers over one common denominator ``den``, the
+previous pivot, so the true entries are the stored ones divided by
+``den``.  A pivot on entry ``piv`` maps every other row v, with entry f
+in the pivot column, to (v*piv - f*w) // den, where w is the pivot row;
+the division is exact because ``den`` times the inverse of the current
+basis is an integer matrix, and ``piv`` becomes the new ``den``.  So at
+the end every pivot entry equals ``den``, the determinant of the pivot
+columns of the pivot rows.  A row swap negates the row it moves down,
+which keeps that determinant, so on a square matrix of full rank ``den``
+is the matrix's determinant.
+
 The simplex solves only feasibility systems (find x >= 0 with Ax = b),
 which is all the geometry layer ever needs: convex-hull membership,
 joint intersection points, and fiber feasibility are all
 convex-combination systems.  The phase-1 optimum doubles as an exact
-infeasibility gap for search scoring.
+infeasibility gap for search scoring.  It pivots its tableau with the
+same row update (integer-preserving pivoting, as in Avis's lrs).  Its
+caller hands it the system in ints with one positive scale for the
+whole system (the geometry layer builds its rows that way); positive
+scalings of the whole system change no ratio and no reduced-cost sign,
+so the pivots are exactly Bland's pivots on the rational tableau, and
+the gap (divided back by the scale) and the solution, the basic values
+over the final ``det``, are the same.
 
 Pivoting uses Bland's rule (lowest-index entering variable, lowest-index
 leaving variable among minimum ratios), which guarantees termination and
 makes every answer deterministic for a given system, independent of any
 hashing or iteration-order accidents.
-
-The simplex is integer throughout (integer-preserving pivoting:
-Bareiss, Math. Comp. 1968, as in Avis's lrs).  Its caller hands it the
-system in ints with one positive scale for the whole system (the
-geometry layer builds its rows that way), and the tableau holds
-integers over one common denominator ``det``, the previous pivot, so
-the true entries are the stored ones divided by ``det``.  A pivot on
-entry ``piv`` maps every other row v, with entering entry f, to
-(v*piv - f*w) // det, where w is the pivot row; the division is exact
-because ``det`` times the inverse basis is an integer matrix, and
-``piv`` becomes the new ``det``.  Positive scalings of the whole system
-change no ratio and no reduced-cost sign, so the pivots are exactly
-Bland's pivots on the rational tableau, and the gap (divided back by
-the scale) and the solution, the basic values over the final ``det``,
-are the same.
 """
 
 from __future__ import annotations
@@ -41,87 +45,87 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-Matrix = list[list[Fraction]]
-
 _ZERO = Fraction(0)
 
 
-def rref(rows: Sequence[Sequence[Fraction]], width: int | None = None) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column list)."""
-    mat: Matrix = [list(map(Fraction, r)) for r in rows]
-    if width is None:
-        width = len(mat[0]) if mat else 0
+def rref(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], list[int], int]:
+    """(reduced, pivots, den): the nonzero rows of den times the reduced
+    row echelon form of the int rows, pivoting in the first width
+    columns, their pivot columns, and the common denominator den (1 when
+    there is no pivot), which every pivot entry equals."""
+    mat = [list(r) for r in rows]
     pivots: list[int] = []
-    row = 0
+    den = 1
     for col in range(width):
-        sel = None
-        for r in range(row, len(mat)):
-            if mat[r][col] != 0:
-                sel = r
-                break
+        top = len(pivots)
+        sel = next((i for i in range(top, len(mat)) if mat[i][col]), None)
         if sel is None:
             continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        inv = Fraction(1) / mat[row][col]
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+        if sel != top:
+            mat[top], mat[sel] = mat[sel], [-v for v in mat[top]]
+        prow = mat[top]
+        piv = prow[col]
+        for i, row in enumerate(mat):
+            if i != top:
+                f = row[col]
+                if f:
+                    mat[i] = [(v * piv - f * w) // den for v, w in zip(row, prow)]
+                elif piv != den:
+                    mat[i] = [v * piv // den for v in row]
+        den = piv
         pivots.append(col)
-        row += 1
-        if row == len(mat):
+        if len(pivots) == len(mat):
             break
-    return mat[:row], pivots
+    return mat[: len(pivots)], pivots, den
 
 
-def pivot_columns(rows: Sequence[Sequence[Fraction]], width: int) -> list[int]:
+def pivot_columns(rows: Sequence[Sequence[int]], width: int) -> list[int]:
     """Pivot columns of the row space; restriction to them is injective
-    on the row space, so they serve as exact intrinsic coordinates."""
-    _, pivots = rref(rows, width)
-    return pivots
+    on the row space, so they serve as exact intrinsic coordinates.
+    When the first width rows have full rank, so have all rows, and
+    their elimination alone settles it."""
+    head = rref(rows[:width], width)[1]
+    return head if len(head) == width else rref(rows, width)[1]
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], width: int) -> Matrix:
-    """Basis of {x : Rx = 0 for every row R}, free variables set to 1."""
-    reduced, pivots = rref(rows, width)
-    pivot_set = set(pivots)
-    basis: Matrix = []
+def nullspace(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """Basis of {x : Rx = 0 for every row R} in ints, one vector per free
+    column in order: |den| times the vector with that free variable 1
+    and the others 0."""
+    reduced, pivots, den = rref(rows, width)
+    sign = 1 if den > 0 else -1
+    basis = []
     for free in range(width):
-        if free in pivot_set:
+        if free in pivots:
             continue
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
+        vec = [0] * width
+        vec[free] = sign * den
         for r, pcol in zip(reduced, pivots):
-            vec[pcol] = -r[free]
+            vec[pcol] = -sign * r[free]
         basis.append(vec)
     return basis
 
 
-def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """One exact solution of Rx = rhs (free variables zero), or None."""
+def solve_linear(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[list[int], int] | None:
+    """One exact solution of Rx = rhs (free variables zero) as (nums, den)
+    with x_j = nums[j] / den and den > 0, or None when there is none."""
     if not rows:
-        return []
+        return [], 1
     width = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    reduced, pivots = rref(aug, width + 1)
+    reduced, pivots, den = rref([[*r, v] for r, v in zip(rows, rhs)], width + 1)
+    if pivots and pivots[-1] == width:  # pivot in the rhs column: inconsistent
+        return None
+    sign = 1 if den > 0 else -1
+    nums = [0] * width
     for r, pcol in zip(reduced, pivots):
-        if pcol == width:  # pivot in the rhs column: inconsistent
-            return None
-    x = [Fraction(0)] * width
-    for r, pcol in zip(reduced, pivots):
-        x[pcol] = r[width]
-    return x
+        nums[pcol] = sign * r[width]
+    return nums, sign * den
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, by expansion along row 0."""
-    if not rows:
-        return 1
-    return sum(
-        (-1) ** j * a * integer_det([r[:j] + r[j + 1 :] for r in rows[1:]])
-        for j, a in enumerate(rows[0])
-    )
+    """Determinant of a square integer matrix."""
+    _, pivots, den = rref(rows, len(rows))
+    return den if len(pivots) == len(rows) else 0
 
 
 def generalised_cross(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...] | None:
@@ -132,15 +136,26 @@ def generalised_cross(rows: Sequence[Sequence[int]], width: int) -> tuple[int, .
     It is orthogonal to every row, so it spans the kernel of the rows
     whenever they are independent: the normal of a hyperplane spanned
     by difference vectors, or the affine dependence of width points
-    (their coordinate rows plus a row of ones)."""
+    (their coordinate rows plus a row of ones).
+
+    Beyond width 3 it is read off ``rref``: for independent rows one
+    column f is free, the minor without it is den, and the kernel
+    vector with entry den at f holds -r[f] at the pivot of each reduced
+    row r, so the minors are that vector times (-1)^f."""
     if width == 3:
         (a1, a2, a3), (b1, b2, b3) = rows[0], rows[1]
         c = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-    else:
-        c = tuple(
-            (-1) ** j * integer_det([r[:j] + r[j + 1 :] for r in rows]) for j in range(width)
-        )
-    return c if any(c) else None
+        return c if any(c) else None
+    reduced, pivots, den = rref(rows, width)
+    if len(pivots) < width - 1:
+        return None
+    free = next(j for j, p in enumerate([*pivots, width]) if j != p)
+    sign = -1 if free % 2 else 1
+    c = [0] * width
+    c[free] = sign * den
+    for r, pcol in zip(reduced, pivots):
+        c[pcol] = -sign * r[free]
+    return tuple(c)
 
 
 def solve_phase1(

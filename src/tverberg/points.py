@@ -148,22 +148,6 @@ def is_integral(p: Point) -> bool:
     return all(c.denominator == 1 for c in p)
 
 
-def primitive(vector: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector by a positive rational into a
-    coprime integer vector.  Direction and sense are preserved."""
-    fracs = [Fraction(v) for v in vector]
-    if all(f == 0 for f in fracs):
-        raise ValueError("zero vector has no primitive form")
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(v // g for v in ints)
-
-
 def integer_points(points: Sequence[Point]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(scale, scaled): the least positive int that makes every coordinate
     of the points integral (the lcm of their denominators), and each

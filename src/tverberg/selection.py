@@ -26,6 +26,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .depth import depth_value
@@ -38,9 +39,9 @@ from .errors import (
     SelectionNotFound,
 )
 from .geometry import in_hull
-from .linprog import pivot_columns, solve_linear
+from .linprog import rref
 from .planar import radial_order
-from .points import Point, PointMultiset, dot, sub
+from .points import Point, PointMultiset, dot, integer_points, sub
 
 
 @dataclass(frozen=True)
@@ -55,21 +56,22 @@ class SelectionResult:
 
 def _affine_projection(q: Point, anchor: Point, basis: list[Point]) -> Point | None:
     """Orthogonal projection of q onto anchor + span(basis); None if the
-    basis is dependent."""
+    basis is dependent.
+
+    One elimination of the Gram system G x = B^T (q - anchor) on the
+    integer grid of q - anchor and the basis, augmented by its right-hand
+    side: the system is consistent, so the basis is dependent exactly
+    when G is singular, which is when its k columns are not all pivots."""
     if not basis:
         return anchor
     k = len(basis)
-    if len(pivot_columns([list(b) for b in basis], len(anchor))) != k:
+    scale, (target, *vecs) = integer_points([sub(q, anchor), *basis])
+    aug = [[sum(map(mul, u, v)) for v in (*vecs, target)] for u in vecs]
+    reduced, pivots, den = rref(aug, k + 1)
+    if len(pivots) < k:
         return None
-    gram = [[dot(basis[a], basis[b]) for b in range(k)] for a in range(k)]
-    rhs = [dot(basis[a], sub(q, anchor)) for a in range(k)]
-    sol = solve_linear([row[:] for row in gram], rhs)
-    if sol is None:
-        return None
-    z = anchor
-    for c, b in zip(sol, basis):
-        z = tuple(zi + c * bi for zi, bi in zip(z, b))
-    return z
+    shift = [sum([r[k] * v[c] for r, v in zip(reduced, vecs)]) for c in range(len(q))]
+    return tuple([a + Fraction(s, den * scale) for a, s in zip(anchor, shift)])
 
 
 def _dual_violation(parts: Sequence[PointMultiset], q: Point) -> bool:

@@ -1,13 +1,23 @@
-"""Reference phase-1 simplex over a ``fractions.Fraction`` tableau.
+"""Reference linear algebra in ``fractions.Fraction``: the phase-1
+simplex over a Fraction tableau, the Fraction elimination and the
+cofactor determinant.
 
-The textbook form of ``tverberg.linprog.solve_phase1``: every entry is a
-Fraction and every pivot divides.  The library pivots an integer tableau
-instead; the tests check that both return the same (gap, x) on the same
-systems, so this copy shares no code with the library.
+``solve_phase1`` is the textbook form of
+``tverberg.linprog.solve_phase1``: every entry is a Fraction and every
+pivot divides.  The library pivots an integer tableau instead; the tests
+check that both return the same (gap, x) on the same systems, so this
+copy shares no code with the library.
 
 ``convex_rows`` builds the geometry layer's convex-combination system
 in Fractions, row for row, so the tests can ask this simplex every
 question the geometry layer answers with its own integer rows.
+
+``rref``, ``pivot_columns``, ``nullspace`` and ``solve_linear`` are the
+library's previous Fraction elimination, and ``integer_det`` and
+``generalised_cross`` its previous cofactor expansion (here at every
+width; the library kept a closed form at width 3), kept as the reference
+for the one integer elimination, ``tverberg.linprog.rref``, that replaced
+them.
 """
 
 from __future__ import annotations
@@ -16,6 +26,94 @@ from fractions import Fraction
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
+
+
+def rref(rows: Sequence[Sequence[Fraction]], width: int | None = None) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot column list)."""
+    mat: Matrix = [list(map(Fraction, r)) for r in rows]
+    if width is None:
+        width = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    row = 0
+    for col in range(width):
+        sel = None
+        for r in range(row, len(mat)):
+            if mat[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        mat[row], mat[sel] = mat[sel], mat[row]
+        inv = Fraction(1) / mat[row][col]
+        mat[row] = [v * inv for v in mat[row]]
+        for r in range(len(mat)):
+            if r != row and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(mat):
+            break
+    return mat[:row], pivots
+
+
+def pivot_columns(rows: Sequence[Sequence[Fraction]], width: int) -> list[int]:
+    """Pivot columns of the row space; restriction to them is injective
+    on the row space, so they serve as exact intrinsic coordinates."""
+    _, pivots = rref(rows, width)
+    return pivots
+
+
+def nullspace(rows: Sequence[Sequence[Fraction]], width: int) -> Matrix:
+    """Basis of {x : Rx = 0 for every row R}, free variables set to 1."""
+    reduced, pivots = rref(rows, width)
+    pivot_set = set(pivots)
+    basis: Matrix = []
+    for free in range(width):
+        if free in pivot_set:
+            continue
+        vec = [Fraction(0)] * width
+        vec[free] = Fraction(1)
+        for r, pcol in zip(reduced, pivots):
+            vec[pcol] = -r[free]
+        basis.append(vec)
+    return basis
+
+
+def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
+    """One exact solution of Rx = rhs (free variables zero), or None."""
+    if not rows:
+        return []
+    width = len(rows[0])
+    aug = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
+    reduced, pivots = rref(aug, width + 1)
+    for r, pcol in zip(reduced, pivots):
+        if pcol == width:  # pivot in the rhs column: inconsistent
+            return None
+    x = [Fraction(0)] * width
+    for r, pcol in zip(reduced, pivots):
+        x[pcol] = r[width]
+    return x
+
+
+def integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, by expansion along row 0."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * integer_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+    )
+
+
+def generalised_cross(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...] | None:
+    """The signed maximal minors of width - 1 integer rows, entry j being
+    (-1)^j times the determinant of the rows without column j, or None
+    when they all vanish."""
+    c = tuple(
+        (-1) ** j * integer_det([list(r[:j]) + list(r[j + 1 :]) for r in rows]) for j in range(width)
+    )
+    return c if any(c) else None
 
 
 def solve_phase1(

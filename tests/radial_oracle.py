@@ -7,14 +7,37 @@ primitive direction and its squared distance as Fractions.  The
 library takes them on the multiset's integer grid; the tests check
 that both give the same ``RadialOrder`` and the same arc permutations.
 ``radial_order`` is the library's order built on the reference data.
+``primitive`` is the library's previous Fraction scaling of a
+direction, kept here so the reference shares no scaling code with the
+library.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+from typing import Sequence
+
 from tverberg.depth import DepthWitness
 from tverberg.errors import AssertionFailed, DimensionMismatch, InputError, PreconditionViolated
 from tverberg.planar import RadialOrder
-from tverberg.points import Point, PointMultiset, clockwise_key, primitive, sub
+from tverberg.points import Point, PointMultiset, clockwise_key, sub
+
+
+def primitive(vector: Sequence[Fraction | int]) -> tuple[int, ...]:
+    """Scale a nonzero rational vector by a positive rational into a
+    coprime integer vector.  Direction and sense are preserved."""
+    fracs = [Fraction(v) for v in vector]
+    if all(f == 0 for f in fracs):
+        raise ValueError("zero vector has no primitive form")
+    denom_lcm = 1
+    for f in fracs:
+        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
+    ints = [int(f * denom_lcm) for f in fracs]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    return tuple(v // g for v in ints)
 
 
 def _instance_data(points: PointMultiset, center: Point):

@@ -801,3 +801,32 @@ def test_non_object_document_fields_exit_2(monkeypatch, capsys, tmp_path):
         code, out, err = run(monkeypatch, capsys, ["verify"], json.dumps(bad))
         assert (code, out) == (2, ""), (field, value)
         assert message in err and "internal error" not in err
+
+
+def test_caps_below_one_are_usage_errors(monkeypatch, capsys):
+    """--budget on refute, tvnumber and partition-depth and select's
+    --seeds take positive ints: a cap below 1 (or not an int) exits 2
+    at parse time and names the flag, where it used to read as a
+    search result (exit 3 or 1)."""
+    pts = PointMultiset.from_points([point(*p) for p in [(0, 0), (3, 1), (1, 4), (-2, 2), (-1, -3), (2, -2)]])
+    doc = dumps(point_file_to_doc(pts, Lattice(2)))
+    square = _square_doc()
+    cases = (
+        (["refute", "--m", "2", "--budget", "-1"], doc, "--budget", "-1"),
+        (["refute", "--m", "2", "--budget", "0"], doc, "--budget", "0"),
+        (["tvnumber", "--m", "2", "--budget", "0"], square, "--budget", "0"),
+        (["select", "--seeds", "0"], doc, "--seeds", "0"),
+        (["partition-depth", "--alpha", "1/3", "--r", "3", "--budget", "0"], doc, "--budget", "0"),
+        (["partition-depth", "--alpha", "1/3", "--r", "3", "--budget", "x"], doc, "--budget", "x"),
+    )
+    for argv, stdin_text, flag, value in cases:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert stop.value.code == 2, argv
+        assert out == ""
+        assert f"argument {flag}: must be a positive int, not '{value}'" in err
+    # a cap of 1 is a cap: the search runs and reports its budget
+    code, out, err = run(monkeypatch, capsys, ["refute", "--m", "2", "--budget", "1"], doc)
+    assert (code, out, err) == (3, "", "tverberg: partition budget 1 exhausted\n")

@@ -13,7 +13,6 @@ from tverberg import depth as depth_module
 from tverberg.depth import (
     _centre_out_order,
     _difference_profile,
-    _int_pivot_columns,
     _min_halfspace_count,
     depth_value,
     finite_set_centerpoint,
@@ -24,6 +23,7 @@ from tverberg.depth import (
     recounted_witness,
 )
 from tverberg.errors import AssertionFailed, CenterpointNotFound, PreconditionViolated
+from tverberg.linprog import pivot_columns
 from tverberg.planar import finite_gate, helly_number, plane_tverberg, z2_gate
 from tverberg.points import PointMultiset, integer_points, point
 from tverberg.space3 import z3_tverberg
@@ -128,7 +128,7 @@ def test_min_halfspace_count_matches_the_enumeration(rng):
         if not vecs:
             continue
         profiles += 1
-        spanning_4d += len(_int_pivot_columns(vecs, d)) == 4
+        spanning_4d += len(pivot_columns(vecs, d)) == 4
         for want in (False, True):
             expected = reference_min_count(vecs, ws, None, want)
             assert _min_halfspace_count(vecs, ws, None, want) == expected

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -17,6 +18,7 @@ from tverberg.linprog import (
 from tverberg.points import PointMultiset
 
 from conftest import random_lattice_multiset, random_rational
+import lp_oracle as reference
 from lp_oracle import solve_phase1 as oracle_phase1
 
 
@@ -71,32 +73,49 @@ def test_generalised_cross_is_the_kernel_of_its_rows():
     assert 20 <= dependent <= 380
 
 
+def _fractions(answer):
+    """A (nums, den) solution of solve_linear as Fractions; checks the form."""
+    nums, den = answer
+    assert type(den) is int and den > 0 and all(type(v) is int for v in nums)
+    return [Fraction(v, den) for v in nums]
+
+
 def test_rref_identity():
     rows = [[F(2), F(0)], [F(0), F(3)]]
-    reduced, pivots = rref(rows)
+    reduced, pivots = reference.rref(rows)
     assert reduced == [[F(1), F(0)], [F(0), F(1)]]
     assert pivots == [0, 1]
+    # the integer elimination: the same form times its denominator, the determinant
+    assert rref([[2, 0], [0, 3]], 2) == ([[6, 0], [0, 6]], [0, 1], 6)
 
 
 def test_pivot_columns_rank_deficient():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(0), F(1)]]
-    assert pivot_columns(rows, 3) == [0, 2]
+    assert reference.pivot_columns(rows, 3) == [0, 2]
+    assert pivot_columns([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 3) == [0, 2]
 
 
 def test_nullspace_dimensions():
     rows = [[F(1), F(1), F(1)]]
-    basis = nullspace(rows, 3)
+    basis = reference.nullspace(rows, 3)
     assert len(basis) == 2
     for vec in basis:
         assert sum(vec) == 0
+    basis = nullspace([[1, 1, 1]], 3)
+    assert len(basis) == 2
+    for vec in basis:
+        assert sum(vec) == 0 and all(type(v) is int for v in vec)
 
 
 def test_solve_linear_consistent_and_not():
     rows = [[F(1), F(2)], [F(3), F(4)]]
-    x = solve_linear(rows, [F(5), F(6)])
+    x = reference.solve_linear(rows, [F(5), F(6)])
     assert x is not None
     assert [sum(a * b for a, b in zip(r, x)) for r in rows] == [F(5), F(6)]
-    assert solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
+    assert reference.solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
+    x = _fractions(solve_linear([[1, 2], [3, 4]], [5, 6]))
+    assert [sum(a * b for a, b in zip(r, x)) for r in rows] == [F(5), F(6)]
+    assert solve_linear([[1, 1], [2, 2]], [1, 3]) is None
 
 
 def test_solve_linear_underdetermined_random():
@@ -105,13 +124,86 @@ def test_solve_linear_underdetermined_random():
         rows_n = rng.randint(1, 3)
         cols_n = rng.randint(rows_n, 5)
         rows = [
-            [F(rng.randint(-4, 4)) for _ in range(cols_n)] for _ in range(rows_n)
+            [rng.randint(-4, 4) for _ in range(cols_n)] for _ in range(rows_n)
         ]
-        target = [F(rng.randint(-3, 3)) for _ in range(cols_n)]
+        target = [rng.randint(-3, 3) for _ in range(cols_n)]
         rhs = [sum(a * b for a, b in zip(r, target)) for r in rows]
-        x = solve_linear(rows, rhs)
+        x = reference.solve_linear([[F(v) for v in r] for r in rows], [F(v) for v in rhs])
         assert x is not None  # consistent by construction
         assert [sum(a * b for a, b in zip(r, x)) for r in rows] == rhs
+        x = _fractions(solve_linear(rows, rhs))
+        assert [sum(a * b for a, b in zip(r, x)) for r in rows] == rhs
+
+
+def _random_matrix(rng, width):
+    """Int rows of the given width: wide or tall, small or up to 10^9,
+    with zero rows, repeated rows and combinations of other rows."""
+    box = rng.choice((1, 3, 10**9))
+    rows = [[rng.randint(-box, box) for _ in range(width)] for _ in range(rng.randint(0, 7))]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows.append([0] * width)
+        elif rows and kind == 1:
+            rows.append(list(rng.choice(rows)))
+        elif rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([s * u + t * v for u, v in zip(a, b)])
+        rng.shuffle(rows)
+    return rows
+
+
+def test_elimination_matches_the_fraction_reference():
+    """On 2,400 seeded int matrices, 1 to 6 columns wide, the integer
+    elimination gives the Fraction elimination's form times one
+    denominator that every pivot entry equals; its pivots, kernel (each
+    vector a positive multiple of the reference's, in order), solutions
+    and determinants are the reference's, and its signed maximal minors
+    are the cofactor expansion's."""
+    rng = random.Random(2468)
+    kinds = Counter()
+    for trial in range(2400):
+        width = trial % 6 + 1
+        rows = _random_matrix(rng, width)
+        reduced, pivots, den = rref(rows, width)
+        ref_reduced, ref_pivots = reference.rref(rows, width)
+        assert pivots == ref_pivots == pivot_columns(rows, width)
+        assert all(r[p] == den for r, p in zip(reduced, pivots))
+        assert [[Fraction(v, den) for v in r] for r in reduced] == ref_reduced
+        kinds["deficient" if len(pivots) < min(len(rows), width) else "full"] += 1
+        kinds["tall" if len(rows) > width else "wide"] += 1
+
+        basis = nullspace(rows, width)
+        ref_basis = reference.nullspace(rows, width)
+        assert len(basis) == len(ref_basis)
+        for vec, ref in zip(basis, ref_basis):
+            ratios = {Fraction(v) / r for v, r in zip(vec, ref) if r}
+            assert len(ratios) == 1 and ratios.pop() > 0
+            assert all(v == 0 for v, r in zip(vec, ref) if not r)
+            assert all(type(v) is int for v in vec)
+
+        rhs = [rng.randint(-9, 9) for _ in rows]
+        if rows and rng.random() < 0.5:  # consistent: the image of an int vector
+            x = [rng.randint(-9, 9) for _ in range(width)]
+            rhs = [sum(a * b for a, b in zip(r, x)) for r in rows]
+        ref_x = reference.solve_linear(rows, rhs)
+        x = solve_linear(rows, rhs)
+        assert (x is None) == (ref_x is None)
+        if x is not None:
+            assert _fractions(x) == ref_x
+            kinds["solved"] += 1
+
+        if len(rows) <= min(width, 5):
+            square = [r[: len(rows)] for r in rows]
+            assert integer_det(square) == reference.integer_det(square)
+            kinds["det"] += 1
+        if width >= 3 and len(rows) >= width - 1:
+            crossed = rows[: width - 1]
+            cross = generalised_cross(crossed, width)
+            assert cross == reference.generalised_cross(crossed, width)
+            kinds["cross" if cross else "no cross"] += 1
+    assert min(kinds.values()) >= 200, kinds
 
 
 def test_phase1_feasible_by_construction():

@@ -16,12 +16,12 @@ from tverberg.points import (
     PointMultiset,
     format_rational,
     point,
-    primitive,
     rational,
 )
 
 import lp_oracle
 from certificate_oracle import rational as reference_rational
+from radial_oracle import primitive
 
 
 def test_rational_parsing():

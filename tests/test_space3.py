@@ -9,7 +9,6 @@ from tverberg.certificates import verify_certificate
 from tverberg.depth import depth_value, first_deep_point, integer_centerpoint
 from tverberg.errors import AssertionFailed, ExtractionFailed, PreconditionViolated
 from tverberg.geometry import hull_membership, in_hull
-from tverberg.linprog import solve_linear
 from tverberg.points import PointMultiset, point, sub
 from tverberg.space3 import (
     _bipartition,
@@ -28,6 +27,7 @@ from tverberg.space3 import (
 
 from bipartition_oracle import enumerate_bipartition
 from conftest import random_lattice_multiset
+from lp_oracle import solve_linear
 
 
 def test_z3_radon_random(rng):
