@@ -18,6 +18,7 @@ inputs and seeds, so they pipe cleanly between subcommands.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -52,13 +53,15 @@ _REAL_FORM = re.compile(r"^R(\d+)$")
 
 
 def _read_text(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
+    """The text of a file, or of stdin for "-"; stdin decodes as the
+    interpreter set it up (surrogateescape in a C or POSIX locale)."""
     try:
+        if source == "-":
+            return sys.stdin.read()
         with open(source, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {source}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {'stdin' if source == '-' else source}: {exc}") from None
 
 
 def _emit(doc: dict) -> None:
@@ -310,7 +313,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps
+    no state in it between calls."""
     parser = argparse.ArgumentParser(
         prog="tverberg",
         description="Exact Tverberg partitions, depth, and refutations "

@@ -1,24 +1,30 @@
 """JSON documents for every object the command line reads or writes.
 
-A point file carries a dimension, an ambient descriptor, and a list of
-entries {coords, mult}.  Ambient kinds are "Zd" (integer lattice),
-"ZjRk" (integer-by-real product), "Rd", and "finite" (explicit point
-list).  All rationals are strings "a" or "a/b" ("3", "-2/3"), never
-JSON numbers, and are written in lowest terms; a document that gives a
-coordinate or a proof weight as a number is refused, as is a field
-that must be an object (a point file, the ambient, a certificate or one
-of its parts) and holds another JSON value, by name: "the ambient
-field must be an object, not null".  Serialization is
-canonical (sorted keys, two-space indent, trailing newline), so equal
-objects produce byte-identical files.  ``dumps`` writes exactly the
-bytes of ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline,
-for the types the documents hold (dict with string keys, list, str,
-int, bool, None), and raises TypeError on any other; json's own
-writer, asked for an indent, runs its pure-Python encoder.
+The grammar of the documents read ({key?: ...} is optional, [x] a list
+of x; fields not named are ignored):
 
-Certificate proofs parse leniently: weights are kept as raw
-(index, weight) pairs and only judged by the verifier, so a corrupted
-document still reaches it instead of dying here.
+  point file     {dim: integer >= 1, points: [entry], ambient?: ambient}
+  entry          {coords: point of dim rationals, mult?: integer >= 1, default 1}
+  ambient        {kind: "Zd" or "Rd", d: integer}, {kind: "ZjRk", j: integer,
+                 k: integer} or {kind: "finite", dim: integer, points: nonempty [point]}
+  certificate    {type: "tverberg_certificate", m: integer, ambient: ambient,
+                 point: point, parts: [point file], proofs: [[weight record]]}
+  weight record  {index: integer, weight: rational}
+  point          nonempty [rational]
+  rational       string "a" or "a/b" (``points.rational``), never a number
+
+One reader, ``_typed``, checks every JSON type (a boolean is not an
+integer) and names a refusal by place and by the JSON type that came:
+"the ambient field must be an object, not null", "parts[0].dim must be
+an integer, not a string".  ``loads`` refuses text that is not JSON or
+nests deeper than the parser recurses.  Proof weights are judged only
+by the verifier, so a corrupted certificate still reaches it.
+
+``dumps`` writes exactly the bytes of ``json.dumps(doc, sort_keys=True,
+indent=2)`` plus a newline (lowest-terms rationals, so equal objects
+give equal files) for dicts with string keys, lists, str, int, bool and
+None, raises TypeError on any other, and skips json's pure-Python
+indent encoder.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
     elif value is False:
         out.append("false")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        out.append(format_rational(value))
     elif isinstance(value, list):
         if not value:
             out.append("[]")
@@ -83,60 +89,57 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
 def loads(text: str) -> dict:
     try:
         doc = json.loads(text)
+    except RecursionError:
+        raise InputError("not valid JSON: nested too deeply") from None
     except ValueError as exc:
         raise InputError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InputError("expected a JSON object at top level")
-    return doc
+    return _typed(doc, dict, "a document")
 
 
-def _not_object(value: Any, what: str) -> InputError:
-    """The refusal of a JSON value that stands where an object must: it
-    names what the object stands for and which JSON value came."""
-    if value is None:
-        kind = "null"
-    elif isinstance(value, bool):
-        kind = "a boolean"
-    elif isinstance(value, str):
-        kind = "a string"
-    elif isinstance(value, list):
-        kind = "a list"
-    else:
-        kind = "a number"
-    return InputError(f"{what} must be an object, not {kind}")
+_MISSING = object()
+# every other type json.loads gives is a number, an int or a float
+_JSON_TYPES = {type(None): "null", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
+_WANTED = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
-def _need(doc: Any, key: str) -> Any:
-    if not isinstance(doc, dict):
-        raise _not_object(doc, f"a document holding the {key!r} field")
-    if key not in doc:
-        raise InputError(f"document is missing the {key!r} field")
-    return doc[key]
+def _typed(value: Any, want: type, where: str) -> Any:
+    """value, a field (``_MISSING`` if absent) or a list item, when its
+    JSON type is want; else the refusal "{where} is missing" or "{where}
+    must be {type}, not {JSON type}".  Loops over entries test ``type(v)
+    is want`` inline and call this only to refuse."""
+    if type(value) is want:
+        return value
+    if value is _MISSING:
+        raise InputError(f"{where} is missing")
+    raise InputError(f"{where} must be {_WANTED[want]}, not {_JSON_TYPES.get(type(value), 'a number')}")
 
 
-def _int_field(doc: dict, key: str) -> int:
-    value = _need(doc, key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"field {key!r} must be an integer, got {value!r}")
-    return value
+def _name(prefix: str, key: str) -> str:
+    return f"{prefix}{key}" if prefix else f"the {key} field"
+
+
+def _field(doc: dict, key: str, want: type, prefix: str = "") -> Any:
+    """doc[key] by ``_typed``; prefix is doc's path and a dot, or empty
+    for a document, whose fields are named "the {key} field"."""
+    value = doc.get(key, _MISSING)
+    return value if type(value) is want else _typed(value, want, _name(prefix, key))
+
+
+def _not_rational(value: Any) -> Fraction:
+    """The refusal of a coordinate that is not a string (those go to
+    ``points.rational``); a scalar's value is named."""
+    where = "a rational" if type(value) in (list, dict) else f"rational {json.dumps(value, default=repr)}"
+    return _typed(value, str, where)
 
 
 def point_to_doc(p: Point) -> list[str]:
     return [format_rational(c) for c in p]
 
 
-def _rational_from_doc(value: Any) -> Fraction:
-    """A document rational: a string "a" or "a/b" (``points.rational``),
-    never a JSON number."""
-    if not isinstance(value, str):
-        raise InputError(f"a rational must be a string 'a' or 'a/b', got {value!r}")
-    return rational(value)
-
-
 def point_from_doc(doc: Any) -> Point:
-    if not isinstance(doc, list) or not doc:
-        raise InputError("a point must be a nonempty list of rational strings")
-    return tuple([_rational_from_doc(c) for c in doc])
+    if not _typed(doc, list, "a point"):
+        raise InputError("a point must be a nonempty list")
+    return tuple([rational(c) if type(c) is str else _not_rational(c) for c in doc])
 
 
 def multiset_to_doc(points: PointMultiset) -> dict:
@@ -148,27 +151,28 @@ def multiset_to_doc(points: PointMultiset) -> dict:
     }
 
 
-def multiset_from_doc(doc: Any, what: str = "a point document") -> PointMultiset:
-    """The multiset of a point document; what names the document in a
-    refusal when it is not an object."""
-    if not isinstance(doc, dict):
-        raise _not_object(doc, what)
-    dim = _int_field(doc, "dim")
+def multiset_from_doc(doc: Any, path: str = "") -> PointMultiset:
+    """The multiset of a point document; path is where it sits inside
+    its document ("parts[0]"), empty for a document of its own."""
+    _typed(doc, dict, path or "a point document")
+    prefix = path + "." if path else ""
+    dim = _field(doc, "dim", int, prefix)
     if dim < 1:
-        raise InputError("dim must be a positive integer")
-    raw = _need(doc, "points")
-    if not isinstance(raw, list):
-        raise InputError("the points field must be a list")
+        raise InputError(f"{_name(prefix, 'dim')} must be a positive integer, not {dim}")
     entries = []
-    for pos, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise InputError(f"points[{pos}] must be an object with coords and mult")
-        p = point_from_doc(_need(item, "coords"))
+    for pos, item in enumerate(_field(doc, "points", list, prefix)):
+        if type(item) is not dict:
+            _typed(item, dict, f"{prefix}points[{pos}]")
+        coords = item.get("coords", _MISSING)
+        if type(coords) is not list or len(coords) != dim:
+            where = f"{prefix}points[{pos}]"
+            _typed(coords, list, where + ".coords")
+            raise InputError(f"{where} has {len(coords)} coordinates, dim is {dim}")
         mult = item.get("mult", 1)
-        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-            raise InputError(f"points[{pos}].mult must be a positive integer")
-        if len(p) != dim:
-            raise InputError(f"points[{pos}] has {len(p)} coordinates, dim is {dim}")
+        if type(mult) is not int or mult < 1:
+            where = f"{prefix}points[{pos}].mult"
+            raise InputError(f"{where} must be a positive integer, not {_typed(mult, int, where)}")
+        p = tuple([rational(c) if type(c) is str else _not_rational(c) for c in coords])
         entries.append((p, mult))
     return PointMultiset(entries, dim=dim)
 
@@ -190,20 +194,18 @@ def ambient_to_doc(ambient: AmbientSet) -> dict:
 
 
 def ambient_from_doc(doc: Any) -> AmbientSet:
-    if not isinstance(doc, dict):
-        raise _not_object(doc, "the ambient field")
-    kind = _need(doc, "kind")
+    _typed(doc, dict, "the ambient field")
+    kind = _field(doc, "kind", str, "ambient.")
     if kind == "Zd":
-        return Lattice(_int_field(doc, "d"))
+        return Lattice(_field(doc, "d", int, "ambient."))
     if kind == "ZjRk":
-        return MixedLattice(_int_field(doc, "j"), _int_field(doc, "k"))
+        return MixedLattice(_field(doc, "j", int, "ambient."), _field(doc, "k", int, "ambient."))
     if kind == "Rd":
-        return RealSpace(_int_field(doc, "d"))
+        return RealSpace(_field(doc, "d", int, "ambient."))
     if kind == "finite":
-        dim = _int_field(doc, "dim")
-        pts = _need(doc, "points")
-        if not isinstance(pts, list) or not pts:
-            raise InputError("a finite ambient needs a nonempty point list")
+        dim, pts = _field(doc, "dim", int, "ambient."), _field(doc, "points", list, "ambient.")
+        if not pts:
+            raise InputError("ambient.points must be a nonempty list")
         return FiniteSet(tuple(point_from_doc(p) for p in pts), dim)
     raise InputError(f"unknown ambient kind {kind!r}")
 
@@ -218,7 +220,7 @@ def point_file_to_doc(points: PointMultiset, ambient: AmbientSet | None) -> dict
 def point_file_from_doc(doc: Any) -> tuple[PointMultiset, AmbientSet | None]:
     """Multiset plus its declared ambient; every instance must lie in it
     (``ambient.contains``)."""
-    points = multiset_from_doc(doc, "a point file")
+    points = multiset_from_doc(doc)
     ambient = None
     if "ambient" in doc:
         ambient = ambient_from_doc(doc["ambient"])
@@ -249,32 +251,27 @@ def certificate_to_doc(cert: TverbergCertificate) -> dict:
 
 
 def certificate_from_doc(doc: Any) -> TverbergCertificate:
-    if not isinstance(doc, dict):
-        raise _not_object(doc, "a certificate document")
+    _typed(doc, dict, "a certificate document")
     if doc.get("type") != "tverberg_certificate":
         raise InputError("not a certificate document")
-    m = _int_field(doc, "m")
-    ambient = ambient_from_doc(_need(doc, "ambient"))
-    point = point_from_doc(_need(doc, "point"))
-    parts_doc = _need(doc, "parts")
-    if not isinstance(parts_doc, list):
-        raise InputError("the parts field must be a list")
-    parts = tuple(multiset_from_doc(p, f"parts[{pos}]") for pos, p in enumerate(parts_doc))
-    proofs_doc = _need(doc, "proofs")
-    if not isinstance(proofs_doc, list):
-        raise InputError("the proofs field must be a list")
+    m = _field(doc, "m", int)
+    ambient = ambient_from_doc(doc.get("ambient", _MISSING))
+    point = point_from_doc(_field(doc, "point", list))
+    parts = _field(doc, "parts", list)
+    parts = tuple(multiset_from_doc(p, f"parts[{pos}]") for pos, p in enumerate(parts))
     proofs = []
-    for proof in proofs_doc:
-        if not isinstance(proof, list):
-            raise InputError("each proof must be a list of weight records")
+    for pos, proof in enumerate(_field(doc, "proofs", list)):
+        if type(proof) is not list:
+            _typed(proof, list, f"proofs[{pos}]")
         pairs = []
-        for item in proof:
-            if not isinstance(item, dict):
-                raise InputError("each weight record must be an object")
-            idx = _need(item, "index")
-            if not isinstance(idx, int) or isinstance(idx, bool):
-                raise InputError("weight index must be an integer")
-            pairs.append((idx, _rational_from_doc(_need(item, "weight"))))
+        for at, item in enumerate(proof):
+            if type(item) is not dict:
+                _typed(item, dict, f"proofs[{pos}][{at}]")
+            index, weight = item.get("index"), item.get("weight")
+            if type(index) is not int or type(weight) is not str:
+                _field(item, "index", int, f"proofs[{pos}][{at}].")
+                _field(item, "weight", str, f"proofs[{pos}][{at}].")
+            pairs.append((index, rational(weight)))
         proofs.append(tuple(pairs))
     return TverbergCertificate(m, point, parts, tuple(proofs), ambient)
 

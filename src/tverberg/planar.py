@@ -64,14 +64,12 @@ from .errors import (
     PreconditionViolated,
     UnsupportedAmbient,
 )
-from .geometry import in_hull
+from .geometry import in_hull, iter_common_ambient_points
 from .points import (
     Point,
     PointMultiset,
     clockwise_key,
-    cross2,
     integer_points,
-    sub,
 )
 
 
@@ -408,43 +406,6 @@ def helly_number(ambient: FiniteSet) -> HellyWitness:
     return HellyWitness(len(best), tuple(pts[i] for i in best))
 
 
-def _convex_hull_ccw(pts: Sequence[Point]) -> list[Point]:
-    """Counterclockwise hull vertices of distinct planar points."""
-    unique = sorted(set(pts))
-    if len(unique) <= 2:
-        return unique
-    lower: list[Point] = []
-    for p in unique:
-        while len(lower) >= 2 and cross2(sub(lower[-1], lower[-2]), sub(p, lower[-2])) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(unique):
-        while len(upper) >= 2 and cross2(sub(upper[-1], upper[-2]), sub(p, upper[-2])) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _hull_edges(pts: Sequence[Point]) -> list[tuple[Point, Point]]:
-    hull = _convex_hull_ccw(pts)
-    if len(hull) < 2:
-        return []
-    if len(hull) == 2:
-        return [(hull[0], hull[1])]
-    return [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
-
-
-def _line_intersection(a: Point, b: Point, c: Point, d: Point) -> Point | None:
-    r = sub(b, a)
-    s = sub(d, c)
-    denom = cross2(r, s)
-    if denom == 0:
-        return None
-    t = cross2(sub(c, a), s) / denom
-    return (a[0] + t * r[0], a[1] + t * r[1])
-
-
 def helly3_tverberg(
     points: PointMultiset, m: int, ambient: FiniteSet
 ) -> TverbergCertificate:
@@ -477,20 +438,9 @@ def _small_helly_partition(
     from .product import real_partition
 
     parts, _, _ = real_partition(points, m)
-    candidates: set[Point] = set(points.support())
-    edge_lists = [_hull_edges(part.support()) for part in parts]
-    for i, j in itertools.combinations(range(m), 2):
-        for a, b in edge_lists[i]:
-            for c, d in edge_lists[j]:
-                x = _line_intersection(a, b, c, d)
-                if x is not None:
-                    candidates.add(x)
-    # Sorted scan: the first candidate in every part hull is the lex-min vertex.
-    q = next((q for q in sorted(candidates) if all(in_hull(q, part) for part in parts)), None)
+    # The least vertex of the parts' common polygon is a set point, and
+    # the set is stored sorted, so it is the first set point in them all.
+    q = next(iter_common_ambient_points(parts, ambient), None)
     if q is None:
         raise AssertionFailed("real partition produced an empty intersection")
-    if not ambient.contains(q):
-        raise AssertionFailed(
-            "least intersection vertex escaped an ambient set of Helly number <= 3"
-        )
     return certify(m, q, parts, ambient, points)

@@ -33,6 +33,7 @@ decision paths of the library) uses floating point.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -57,18 +58,25 @@ def rational(value: Rationalish) -> Fraction:
     ASCII digits, and optionally a slash and a nonzero digit string.
     Decimals, exponents, spaces, underscores and bools are rejected.  A
     string the grammar accepts is read as ints, numerator and
-    denominator, and reduced by ``Fraction``.
+    denominator, and reduced by ``Fraction``; digit strings longer than
+    the interpreter's int conversion limit (``sys.get_int_max_str_digits``)
+    are refused.
     """
     if isinstance(value, str):
         if not _RATIONAL_STRING.fullmatch(value):
             raise InputError(f"bad rational string: {value!r}; expected 'a' or 'a/b'")
         num, slash, den = value.partition("/")
-        if not slash:
-            return Fraction(int(value))
         try:
+            if not slash:
+                return Fraction(int(value))
             return Fraction(int(num), int(den))
         except ZeroDivisionError as exc:
             raise InputError(f"bad rational string: {value!r} has a zero denominator") from exc
+        except ValueError:  # int() refuses digit strings over the interpreter's limit
+            raise InputError(
+                f"bad rational string of {len(value)} characters: a numerator or "
+                f"denominator may have at most {sys.get_int_max_str_digits()} digits"
+            ) from None
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -76,9 +84,17 @@ def rational(value: Rationalish) -> Fraction:
     raise InputError(f"cannot interpret {value!r} as a rational")
 
 
-def format_rational(value: Fraction) -> str:
-    """Lowest-terms string form, 'a' or 'a/b' with b > 0."""
-    return str(value)
+def format_rational(value: Fraction | int) -> str:
+    """Lowest-terms string form, 'a' or 'a/b' with b > 0.  An answer
+    whose digits exceed the interpreter's int conversion limit came from
+    input numbers too long to answer, and is refused like them."""
+    try:
+        return str(value)
+    except ValueError:
+        raise InputError(
+            f"cannot write a rational of more than {sys.get_int_max_str_digits()} digits; "
+            "the input's numbers are too long"
+        ) from None
 
 
 def point(*coords: Rationalish) -> Point:

@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -830,3 +831,63 @@ def test_caps_below_one_are_usage_errors(monkeypatch, capsys):
     # a cap of 1 is a cap: the search runs and reports its budget
     code, out, err = run(monkeypatch, capsys, ["refute", "--m", "2", "--budget", "1"], doc)
     assert (code, out, err) == (3, "", "tverberg: partition budget 1 exhausted\n")
+
+
+def test_deeply_nested_json_exits_2(monkeypatch, capsys, tmp_path):
+    """JSON nested deeper than the parser recurses is invalid JSON (exit
+    2), on stdin, through --input and as the ambient of a certificate
+    under verify, never a RecursionError (exit 4)."""
+    deep = "[" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    ambient = '{"a":' * 50_000 + "1" + "}" * 50_000
+    certificate = '{"type": "tverberg_certificate", "m": 2, "ambient": ' + ambient + "}"
+    expected = (2, "", "tverberg: not valid JSON: nested too deeply\n")
+    assert run(monkeypatch, capsys, ["helly"], deep) == expected
+    assert run(monkeypatch, capsys, ["centerpoint", "--m", "2", "--input", str(path)]) == expected
+    assert run(monkeypatch, capsys, ["verify"], certificate) == expected
+
+
+def test_digit_strings_over_the_int_limit_exit_2(monkeypatch, capsys):
+    """A rational whose numerator or denominator is longer than the
+    interpreter's int conversion limit is refused by name (exit 2) from
+    a document coordinate, ``depth --point`` and ``--alpha``; so is an
+    answer whose rationals grow past it from numbers within it."""
+    limit = sys.get_int_max_str_digits()
+    long = "7" * (limit + 1)
+    refusal = f"a numerator or denominator may have at most {limit} digits\n"
+    doc = json.loads(_grid_doc())
+    doc["points"][0]["coords"] = [long, "0"]
+    for argv, stdin, text in (
+        (["helly"], json.dumps(doc), long),
+        (["depth", "--point", f"1/{long},0"], _grid_doc(), f"1/{long}"),
+        (["partition-depth", "--alpha", f"1/{long}", "--r", "3"], _hexagon_doc(mult=2), f"1/{long}"),
+    ):
+        code, out, err = run(monkeypatch, capsys, argv, stdin)
+        assert (code, out) == (2, ""), argv
+        assert err == f"tverberg: bad rational string of {len(text)} characters: {refusal}", argv
+    big = "1" * (limit - 300)
+    doc = {"dim": 2, "points": [{"coords": c} for c in (["0", "0"], [big, "1"], ["1", big], ["-" + big, "-" + big], ["2", "3"])]}
+    code, out, err = run(monkeypatch, capsys, ["depth", "--point", f"1/{big},{big}"], json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err == f"tverberg: cannot write a rational of more than {limit} digits; the input's numbers are too long\n"
+
+
+def test_input_file_that_is_not_utf8_exits_2(monkeypatch, capsys, tmp_path):
+    """An --input or --source file that does not decode as UTF-8 is
+    refused by name (exit 2), and so is stdin when it decodes strictly;
+    with surrogateescape (a C or POSIX locale) the bytes reach the
+    grammar, which refuses them."""
+    path = tmp_path / "latin1.json"
+    path.write_bytes(_grid_doc().replace('"0"', '"\xe9"').encode("latin-1"))
+    _, cert_text, _ = run(monkeypatch, capsys, ["tverberg", "--m", "2"], _grid_doc())
+    for argv, stdin in ((["helly", "--input", str(path)], ""), (["verify", "--source", str(path)], cert_text)):
+        code, out, err = run(monkeypatch, capsys, argv, stdin)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"tverberg: cannot read {path}: 'utf-8' codec can't decode byte 0xe9"), err
+    for errors, expected in (("strict", "cannot read stdin: 'utf-8' codec"), ("surrogateescape", "bad rational")):
+        stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        code = main(["helly"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "") and err.startswith(f"tverberg: {expected}"), (errors, err)

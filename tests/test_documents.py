@@ -202,3 +202,71 @@ def test_document_rationals_are_strings_only():
     with pytest.raises(InputError, match="string"):
         certificate_from_doc(doc)
     assert point(0, 3) == (Fraction(0), Fraction(3)) and rational(3) == 3
+
+
+def test_the_grammar_refuses_by_place_and_json_type():
+    """Each refusal of the document grammar names where the value sits
+    and, for a JSON type, which type came: a top-level field as "the
+    {key} field", a deeper one by its path."""
+    pts = PointMultiset.from_points([point(x, y) for x in range(3) for y in range(3)])
+    cert = certificate_to_doc(plane_tverberg(pts, 3, Lattice(2)))
+
+    def certificate(**fields):
+        return certificate_from_doc(json.loads(json.dumps(dict(cert, **fields))))
+
+    part = cert["parts"][1]
+    proof = cert["proofs"][0]
+    cases = [
+        (loads, "[1]", "a document must be an object, not a list"),
+        (loads, "7", "a document must be an object, not a number"),
+        (multiset_from_doc, [], "a point document must be an object, not a list"),
+        (multiset_from_doc, {"points": []}, "the dim field is missing"),
+        (multiset_from_doc, {"dim": True, "points": []}, "the dim field must be an integer, not a boolean"),
+        (multiset_from_doc, {"dim": 0, "points": []}, "the dim field must be a positive integer, not 0"),
+        (multiset_from_doc, {"dim": 1, "points": {}}, "the points field must be a list, not an object"),
+        (multiset_from_doc, {"dim": 1, "points": [3]}, "points[0] must be an object, not a number"),
+        (multiset_from_doc, {"dim": 1, "points": [{"mult": 1}]}, "points[0].coords is missing"),
+        (multiset_from_doc, {"dim": 1, "points": [{"coords": "1"}]}, "points[0].coords must be a list, not a string"),
+        (multiset_from_doc, {"dim": 2, "points": [{"coords": ["1"]}]}, "points[0] has 1 coordinates, dim is 2"),
+        (multiset_from_doc, {"dim": 1, "points": [{"coords": ["1"], "mult": "2"}]},
+         "points[0].mult must be an integer, not a string"),
+        (multiset_from_doc, {"dim": 1, "points": [{"coords": ["1"], "mult": 0}]},
+         "points[0].mult must be a positive integer, not 0"),
+        (multiset_from_doc, {"dim": 1, "points": [{"coords": [1.5]}]}, "rational 1.5 must be a string, not a number"),
+        (multiset_from_doc, {"dim": 1, "points": [{"coords": [["1"]]}]}, "a rational must be a string, not a list"),
+        (point_from_doc, [], "a point must be a nonempty list"),
+        (point_from_doc, None, "a point must be a list, not null"),
+        (ambient_from_doc, None, "the ambient field must be an object, not null"),
+        (ambient_from_doc, {"kind": 2}, "ambient.kind must be a string, not a number"),
+        (ambient_from_doc, {"kind": "Zd"}, "ambient.d is missing"),
+        (ambient_from_doc, {"kind": "ZjRk", "j": 1, "k": 1.5}, "ambient.k must be an integer, not a number"),
+        (ambient_from_doc, {"kind": "finite", "dim": 1, "points": []}, "ambient.points must be a nonempty list"),
+        (ambient_from_doc, {"kind": "finite", "dim": 1, "points": [["0"], "1"]},
+         "a point must be a list, not a string"),
+        (certificate_from_doc, "x", "a certificate document must be an object, not a string"),
+        (lambda _: certificate(m="3"), None, "the m field must be an integer, not a string"),
+        (lambda _: certificate(point=None), None, "the point field must be a list, not null"),
+        (lambda _: certificate(point=[]), None, "a point must be a nonempty list"),
+        (lambda _: certificate(parts={}), None, "the parts field must be a list, not an object"),
+        (lambda _: certificate(parts=[part, dict(part, dim=[2])]), None, "parts[1].dim must be an integer, not a list"),
+        (lambda _: certificate(parts=[part, dict(part, points=[{"coords": ["0", "0"], "mult": None}])]), None,
+         "parts[1].points[0].mult must be an integer, not null"),
+        (lambda _: certificate(proofs=[proof, 1]), None, "proofs[1] must be a list, not a number"),
+        (lambda _: certificate(proofs=[proof[:1] + [[]]]), None, "proofs[0][1] must be an object, not a list"),
+        (lambda _: certificate(proofs=[[dict(proof[0], index=None)]]), None, "proofs[0][0].index must be an integer, not null"),
+        (lambda _: certificate(proofs=[[{"index": 0}]]), None, "proofs[0][0].weight is missing"),
+        (lambda _: certificate(proofs=[[{"index": 0, "weight": False}]]), None,
+         "proofs[0][0].weight must be a string, not a boolean"),
+    ]
+    for reader, doc, message in cases:
+        with pytest.raises(InputError) as refused:
+            reader(doc)
+        assert str(refused.value) == message
+
+
+def test_the_grammar_defaults_and_ignores():
+    """mult defaults to 1, the ambient of a point file is optional, and
+    fields the grammar does not name are ignored."""
+    doc = {"dim": 1, "points": [{"coords": ["2"], "note": "x"}, {"coords": ["2"], "mult": 2}], "extra": None}
+    points, ambient = point_file_from_doc(doc)
+    assert points.entries == (((Fraction(2),), 3),) and ambient is None

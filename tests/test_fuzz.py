@@ -3,13 +3,17 @@ subcommand, in process.
 
 Valid documents over every kind of ambient are mutated one or two times
 (a field dropped or duplicated, a JSON value swapped for one of another
-type, a wrong dimension, a zero or huge multiplicity) and handed to the
-CLI.  Whatever comes in, the exit code is 0, 1, 2 or 3 and never 4 (an
-internal fault), stdout of an exit 0 is the canonical writer's bytes of
-its own parse, and every certificate written passes ``verify`` against
-the point file it came from.  Enumerations run under a budget, and a
-document with a huge multiplicity goes only to subcommands whose work
-does not grow with it, so no case takes an unbudgeted exponential path.
+type, a wrong dimension, a zero or huge multiplicity), and some of them
+once more as raw text (a value nested 3 to 100,000 levels deep,
+a byte that is not UTF-8, a digit string or JSON number near the
+interpreter's int conversion limit), and handed to the CLI on stdin or
+through --input.  Whatever comes in, the exit code is 0, 1, 2 or 3 and
+never 4 (an internal fault), stdout of an exit 0 is the canonical
+writer's bytes of its own parse, and every certificate written passes
+``verify`` against the point file it came from.  Enumerations run under
+a budget, and a document with a huge multiplicity or a long number goes
+only to subcommands whose work does not grow with it, so no case takes
+an unbudgeted exponential path or an integer box of astronomic size.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import copy
 import io
 import json
 import random
+import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -26,22 +32,23 @@ from tverberg.cli import main
 from tverberg.documents import dumps, loads, point_file_to_doc
 from tverberg.points import PointMultiset
 
-CASES = 1000
+CASES = 3000
 HUGE = 10**12
+LIMIT = sys.get_int_max_str_digits()
 
-# (argv, runs on a huge multiplicity)
+# (argv, runs on a huge multiplicity, runs on a long number)
 POINT_FILE_COMMANDS = (
-    (["depth", "--point", "0,0"], True),
-    (["centerpoint", "--m", "2"], False),
-    (["tverberg", "--m", "2"], False),
-    (["tverberg", "--m", "3"], False),
-    (["refute", "--m", "2", "--budget", "2"], True),
-    (["helly"], True),
-    (["tvnumber", "--m", "2", "--n-max", "3", "--budget", "4"], True),
-    (["select", "--seeds", "3"], False),
-    (["partition-depth", "--alpha", "1/3", "--r", "2", "--budget", "3"], False),
-    (["witness", "double"], False),
-    (["witness", "convex-lb", "--m", "2"], False),
+    (["depth", "--point", "0,0"], True, True),
+    (["centerpoint", "--m", "2"], False, False),
+    (["tverberg", "--m", "2"], False, False),
+    (["tverberg", "--m", "3"], False, False),
+    (["refute", "--m", "2", "--budget", "2"], True, False),
+    (["helly"], True, True),
+    (["tvnumber", "--m", "2", "--n-max", "3", "--budget", "4"], True, True),
+    (["select", "--seeds", "3"], False, False),
+    (["partition-depth", "--alpha", "1/3", "--r", "2", "--budget", "3"], False, False),
+    (["witness", "double"], False, False),
+    (["witness", "convex-lb", "--m", "2"], False, False),
 )
 
 OTHER_TYPES = (None, True, 7, -1, 2.5, "7", "x", [], ["1"], {}, {"kind": "Zd"})
@@ -134,18 +141,48 @@ def _mutate(rng: random.Random, text: str) -> str:
     return json.dumps(doc)
 
 
-def _has_huge_multiplicity(text: str) -> bool:
+_RAW = "\u0000raw\u0000"
+
+
+def _mutate_raw(rng: random.Random, text: str) -> bytes:
+    """One raw-text mutation: a value replaced by deep nesting, a long
+    digit string or a long JSON number, or a byte that is not UTF-8."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        data = text.encode()
+        at = rng.randrange(len(data) + 1)
+        return data[:at] + bytes([rng.randrange(0x80, 0x100)]) + data[at:]
+    doc = json.loads(text)
+    path = rng.choice([p for p, _ in _paths(doc)])
+    _set(doc, path, _RAW)
+    if kind == 0:
+        depth = rng.choice((3, 300, 5000, 100_000))
+        opener, closer = rng.choice((("[", "]"), ('{"a":', "}")))
+        raw = opener * depth + '"1"' + closer * rng.choice((depth, depth - 1))
+    else:
+        digits = "9" * rng.choice((25, LIMIT - 1, LIMIT + 1, LIMIT + 40))
+        raw = rng.choice((f'"{digits}"', f'"-1/{digits}"', f'"{digits}/7"', digits))
+    return json.dumps(doc).replace(json.dumps(_RAW), raw).encode()
+
+
+def _scale(data: bytes) -> tuple[bool, bool]:
+    """Whether a document holds a huge multiplicity, and whether it holds
+    a number of 19 or more digits."""
+    text = data.decode(errors="surrogateescape")
     try:
         doc = json.loads(text)
-    except ValueError:
-        return False
-    return any(
-        p[-1] == "mult" and type(v) is int and v > 1000 for p, v in _paths(doc)
-    )
+    except (ValueError, RecursionError):
+        return False, False
+    huge = any(p[-1] == "mult" and type(v) is int and v > 1000 for p, v in _paths(doc))
+    return huge, re.search("[0-9]{19}", text) is not None
 
 
-def _run(monkeypatch, capsys, argv, stdin_text):
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+def _run(monkeypatch, capsys, argv, stdin_data, errors="strict"):
+    """main(argv) with stdin_data (str or bytes) on a stdin that decodes
+    UTF-8 with the given error handler."""
+    if isinstance(stdin_data, str):
+        stdin_data = stdin_data.encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin_data), encoding="utf-8", errors=errors))
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
@@ -154,6 +191,7 @@ def _run(monkeypatch, capsys, argv, stdin_text):
 def test_mutated_documents_keep_the_exit_contract(monkeypatch, capsys, tmp_path):
     rng = random.Random(20261019)
     source = tmp_path / "points.json"
+    given = tmp_path / "given.json"
     certificates = []
     codes = Counter()
     for case in range(CASES):
@@ -162,28 +200,37 @@ def test_mutated_documents_keep_the_exit_contract(monkeypatch, capsys, tmp_path)
             text = base
             for _ in range(rng.randint(1, 2)):
                 text = _mutate(rng, text)
-            source.write_text(origin)
+            source.write_bytes(origin)
             argv = rng.choice((["verify"], ["verify", "--source", str(source)]))
         else:
             text = _point_file(rng)
             if case % 4 != 0:
                 for _ in range(rng.randint(1, 2)):
                     text = _mutate(rng, text)
-            huge = _has_huge_multiplicity(text)
-            argv = rng.choice([a for a, safe in POINT_FILE_COMMANDS if safe or not huge])
-        code, out, err = _run(monkeypatch, capsys, argv, text)
-        assert code in (0, 1, 2, 3), (argv, text, err)
+            argv = None
+        data = _mutate_raw(rng, text) if case % 3 == 1 else text.encode()
+        huge, long = _scale(data)
+        if argv is None:
+            argv = rng.choice([a for a, mult_ok, long_ok in POINT_FILE_COMMANDS if (mult_ok or not huge) and (long_ok or not long)])
+        errors = "strict"
+        if rng.random() < 0.3:
+            given.write_bytes(data)
+            argv = argv + ["--input", str(given)]
+        else:
+            errors = rng.choice(("strict", "surrogateescape"))
+        code, out, err = _run(monkeypatch, capsys, argv, data, errors)
+        assert code in (0, 1, 2, 3), (argv, data, err)
         codes[code] += 1
         if code in (2, 3):
-            assert out == "" and err.startswith("tverberg: "), (argv, text, err)
+            assert out == "" and err.startswith("tverberg: "), (argv, data, err)
         if code != 0:
             continue
-        assert dumps(loads(out)) == out, (argv, text)
+        assert dumps(loads(out)) == out, (argv, data)
         if loads(out).get("type") == "tverberg_certificate":
             if argv[0] == "tverberg" and len(certificates) < 60:
-                certificates.append((out, text))
-            source.write_text(text)
+                certificates.append((out, data))
+            source.write_bytes(data)
             check = _run(monkeypatch, capsys, ["verify", "--source", str(source)], out)
-            assert check[0] == 0 and json.loads(check[1])["ok"], (argv, text, check)
+            assert check[0] == 0 and json.loads(check[1])["ok"], (argv, data, check)
     # every outcome of the contract shows up
-    assert min(codes[c] for c in range(4)) >= 20, codes
+    assert min(codes[c] for c in range(4)) >= 40, codes

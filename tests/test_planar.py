@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from tverberg.certificates import verify_certificate
 from tverberg.depth import DepthWitness, halfspace_depth, integer_centerpoint
 from tverberg.errors import AssertionFailed, DimensionMismatch, PreconditionViolated
 from tverberg.geometry import hull_membership
-from tverberg import depth, planar
+from tverberg import depth, documents, planar
 from tverberg.planar import (
     finite_gate,
     helly3_tverberg,
@@ -345,3 +346,24 @@ def test_radial_parts_put_rest_and_centre_on_one_grid_once(monkeypatch):
             assert seen.count(rest.support() + (center,)) == 1
             routes.add(mu > 0)
     assert routes == {False, True}
+
+
+def test_helly3_certificates_are_pinned():
+    """One sha256 over the certificate documents of 150 seeded partitions
+    over twelve finite planar sets of Helly number 3 (m = 2 to 4, at the
+    gate and up to two more instances): the parts of the real partition
+    and the least set point in all their hulls, byte for byte."""
+    rng = random.Random(1803)
+    grid = [(Fraction(x), Fraction(y)) for x in range(5) for y in range(5)]
+    sets = []
+    while len(sets) < 12:
+        ambient = FiniteSet(rng.sample(grid, rng.randint(4, 7)), 2)
+        if helly_number(ambient).number == 3:
+            sets.append(ambient)
+    digest = hashlib.sha256()
+    for _ in range(150):
+        ambient = rng.choice(sets)
+        m = rng.randint(2, 4)
+        pts = PointMultiset.from_points(rng.choices(ambient.points, k=finite_gate(3, m) + rng.randint(0, 2)))
+        digest.update(documents.dumps(documents.certificate_to_doc(plane_tverberg(pts, m, ambient))).encode())
+    assert digest.hexdigest() == "276181ad39d3fc7551697ca838fbb4901364334b7c89e9ce2abd3fe3628d1976"
