@@ -79,6 +79,15 @@ def _parse_point(text: str) -> Point:
     return tuple(rational(tok) for tok in tokens)
 
 
+def _dimension(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # int() refuses digit strings over the interpreter's limit
+        raise InputError(
+            f"an ambient dimension may have at most {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def _resolve_ambient(
     spec: str | None, dim: int, declared: AmbientSet | None
 ) -> AmbientSet:
@@ -95,13 +104,13 @@ def _resolve_ambient(
         raise InputError("a finite ambient must be declared inside the point file")
     match = _MIXED_FORM.match(spec)
     if match:
-        return MixedLattice(int(match.group(1)), int(match.group(2)))
+        return MixedLattice(_dimension(match.group(1)), _dimension(match.group(2)))
     match = _LATTICE_FORM.match(spec)
     if match:
-        return Lattice(int(match.group(1)))
+        return Lattice(_dimension(match.group(1)))
     match = _REAL_FORM.match(spec)
     if match:
-        return RealSpace(int(match.group(1)))
+        return RealSpace(_dimension(match.group(1)))
     raise InputError(
         f"unknown ambient {spec!r}; use Zd, Rd, finite, or explicit forms "
         "like Z2, R3, Z1R2"

@@ -125,21 +125,21 @@ def _field(doc: dict, key: str, want: type, prefix: str = "") -> Any:
     return value if type(value) is want else _typed(value, want, _name(prefix, key))
 
 
-def _not_rational(value: Any) -> Fraction:
-    """The refusal of a coordinate that is not a string (those go to
-    ``points.rational``); a scalar's value is named."""
-    where = "a rational" if type(value) in (list, dict) else f"rational {json.dumps(value, default=repr)}"
-    return _typed(value, str, where)
+def _not_string(values: list, path: str) -> Fraction:
+    """Refuse the first item of values, the list at path, that is not a string."""
+    pos = next(pos for pos, c in enumerate(values) if type(c) is not str)
+    return _typed(values[pos], str, f"{path}[{pos}]")
 
 
 def point_to_doc(p: Point) -> list[str]:
     return [format_rational(c) for c in p]
 
 
-def point_from_doc(doc: Any) -> Point:
-    if not _typed(doc, list, "a point"):
-        raise InputError("a point must be a nonempty list")
-    return tuple([rational(c) if type(c) is str else _not_rational(c) for c in doc])
+def point_from_doc(doc: Any, key: str = "point", prefix: str = "") -> Point:
+    """The point doc at key of its document, named as by ``_field``; items by path, "point[0]"."""
+    if not _typed(doc, list, _name(prefix, key)):
+        raise InputError(f"{_name(prefix, key)} must be a nonempty list")
+    return tuple([rational(c) if type(c) is str else _not_string(doc, prefix + key) for c in doc])
 
 
 def multiset_to_doc(points: PointMultiset) -> dict:
@@ -172,7 +172,8 @@ def multiset_from_doc(doc: Any, path: str = "") -> PointMultiset:
         if type(mult) is not int or mult < 1:
             where = f"{prefix}points[{pos}].mult"
             raise InputError(f"{where} must be a positive integer, not {_typed(mult, int, where)}")
-        p = tuple([rational(c) if type(c) is str else _not_rational(c) for c in coords])
+        p = tuple([rational(c) if type(c) is str else _not_string(coords, f"{prefix}points[{pos}].coords")
+                   for c in coords])
         entries.append((p, mult))
     return PointMultiset(entries, dim=dim)
 
@@ -206,7 +207,7 @@ def ambient_from_doc(doc: Any) -> AmbientSet:
         dim, pts = _field(doc, "dim", int, "ambient."), _field(doc, "points", list, "ambient.")
         if not pts:
             raise InputError("ambient.points must be a nonempty list")
-        return FiniteSet(tuple(point_from_doc(p) for p in pts), dim)
+        return FiniteSet((point_from_doc(p, f"points[{i}]", "ambient.") for i, p in enumerate(pts)), dim)
     raise InputError(f"unknown ambient kind {kind!r}")
 
 
@@ -256,7 +257,7 @@ def certificate_from_doc(doc: Any) -> TverbergCertificate:
         raise InputError("not a certificate document")
     m = _field(doc, "m", int)
     ambient = ambient_from_doc(doc.get("ambient", _MISSING))
-    point = point_from_doc(_field(doc, "point", list))
+    point = point_from_doc(doc.get("point", _MISSING))
     parts = _field(doc, "parts", list)
     parts = tuple(multiset_from_doc(p, f"parts[{pos}]") for pos, p in enumerate(parts))
     proofs = []

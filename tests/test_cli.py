@@ -873,6 +873,20 @@ def test_digit_strings_over_the_int_limit_exit_2(monkeypatch, capsys):
     assert err == f"tverberg: cannot write a rational of more than {limit} digits; the input's numbers are too long\n"
 
 
+def test_ambient_dimension_over_the_int_limit_exits_2(monkeypatch, capsys):
+    """An --ambient dimension longer than the interpreter's int conversion
+    limit is refused by name (exit 2) in each explicit form, never a
+    ValueError (exit 4); a long one within the limit reaches the
+    ambient's own checks."""
+    limit = sys.get_int_max_str_digits()
+    refusal = f"tverberg: an ambient dimension may have at most {limit} digits\n"
+    long = "9" * (limit + 1)
+    for spec in (f"Z{long}", f"R{long}", f"Z1R{long}", f"Z{long}R1"):
+        assert run(monkeypatch, capsys, ["tverberg", "--m", "2", "--ambient", spec], _grid_doc()) == (2, "", refusal)
+    code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", "2", "--ambient", "R" + "9" * limit], _grid_doc())
+    assert (code, out) == (2, "") and "ambient set of dimension" in err
+
+
 def test_input_file_that_is_not_utf8_exits_2(monkeypatch, capsys, tmp_path):
     """An --input or --source file that does not decode as UTF-8 is
     refused by name (exit 2), and so is stdin when it decodes strictly;

@@ -232,21 +232,27 @@ def test_the_grammar_refuses_by_place_and_json_type():
          "points[0].mult must be an integer, not a string"),
         (multiset_from_doc, {"dim": 1, "points": [{"coords": ["1"], "mult": 0}]},
          "points[0].mult must be a positive integer, not 0"),
-        (multiset_from_doc, {"dim": 1, "points": [{"coords": [1.5]}]}, "rational 1.5 must be a string, not a number"),
-        (multiset_from_doc, {"dim": 1, "points": [{"coords": [["1"]]}]}, "a rational must be a string, not a list"),
-        (point_from_doc, [], "a point must be a nonempty list"),
-        (point_from_doc, None, "a point must be a list, not null"),
+        (multiset_from_doc, {"dim": 1, "points": [{"coords": [1.5]}]}, "points[0].coords[0] must be a string, not a number"),
+        (multiset_from_doc, {"dim": 2, "points": [{"coords": ["1", ["1"]]}]}, "points[0].coords[1] must be a string, not a list"),
+        (point_from_doc, [], "the point field must be a nonempty list"),
+        (point_from_doc, None, "the point field must be a list, not null"),
         (ambient_from_doc, None, "the ambient field must be an object, not null"),
         (ambient_from_doc, {"kind": 2}, "ambient.kind must be a string, not a number"),
         (ambient_from_doc, {"kind": "Zd"}, "ambient.d is missing"),
         (ambient_from_doc, {"kind": "ZjRk", "j": 1, "k": 1.5}, "ambient.k must be an integer, not a number"),
         (ambient_from_doc, {"kind": "finite", "dim": 1, "points": []}, "ambient.points must be a nonempty list"),
         (ambient_from_doc, {"kind": "finite", "dim": 1, "points": [["0"], "1"]},
-         "a point must be a list, not a string"),
+         "ambient.points[1] must be a list, not a string"),
+        (ambient_from_doc, {"kind": "finite", "dim": 1, "points": [[]]}, "ambient.points[0] must be a nonempty list"),
+        (ambient_from_doc, {"kind": "finite", "dim": 2, "points": [["0", 0]]},
+         "ambient.points[0][1] must be a string, not a number"),
         (certificate_from_doc, "x", "a certificate document must be an object, not a string"),
         (lambda _: certificate(m="3"), None, "the m field must be an integer, not a string"),
         (lambda _: certificate(point=None), None, "the point field must be a list, not null"),
-        (lambda _: certificate(point=[]), None, "a point must be a nonempty list"),
+        (lambda _: certificate(point=[]), None, "the point field must be a nonempty list"),
+        (lambda _: certificate(point=["0", None]), None, "point[1] must be a string, not null"),
+        (lambda _: certificate(parts=[part, dict(part, points=[{"coords": [True, "0"]}])]), None,
+         "parts[1].points[0].coords[0] must be a string, not a boolean"),
         (lambda _: certificate(parts={}), None, "the parts field must be a list, not an object"),
         (lambda _: certificate(parts=[part, dict(part, dim=[2])]), None, "parts[1].dim must be an integer, not a list"),
         (lambda _: certificate(parts=[part, dict(part, points=[{"coords": ["0", "0"], "mult": None}])]), None,

@@ -22,7 +22,6 @@ import copy
 import io
 import json
 import random
-import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -144,14 +143,15 @@ def _mutate(rng: random.Random, text: str) -> str:
 _RAW = "\u0000raw\u0000"
 
 
-def _mutate_raw(rng: random.Random, text: str) -> bytes:
+def _mutate_raw(rng: random.Random, text: str) -> tuple[bytes, bool]:
     """One raw-text mutation: a value replaced by deep nesting, a long
-    digit string or a long JSON number, or a byte that is not UTF-8."""
+    digit string or a long JSON number, or a byte that is not UTF-8;
+    and whether it put in a long number."""
     kind = rng.randrange(3)
     if kind == 2:
         data = text.encode()
         at = rng.randrange(len(data) + 1)
-        return data[:at] + bytes([rng.randrange(0x80, 0x100)]) + data[at:]
+        return data[:at] + bytes([rng.randrange(0x80, 0x100)]) + data[at:], False
     doc = json.loads(text)
     path = rng.choice([p for p, _ in _paths(doc)])
     _set(doc, path, _RAW)
@@ -162,19 +162,16 @@ def _mutate_raw(rng: random.Random, text: str) -> bytes:
     else:
         digits = "9" * rng.choice((25, LIMIT - 1, LIMIT + 1, LIMIT + 40))
         raw = rng.choice((f'"{digits}"', f'"-1/{digits}"', f'"{digits}/7"', digits))
-    return json.dumps(doc).replace(json.dumps(_RAW), raw).encode()
+    return json.dumps(doc).replace(json.dumps(_RAW), raw).encode(), kind == 1
 
 
-def _scale(data: bytes) -> tuple[bool, bool]:
-    """Whether a document holds a huge multiplicity, and whether it holds
-    a number of 19 or more digits."""
-    text = data.decode(errors="surrogateescape")
+def _huge(data: bytes) -> bool:
+    """Whether a document holds a huge multiplicity."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode(errors="surrogateescape"))
     except (ValueError, RecursionError):
-        return False, False
-    huge = any(p[-1] == "mult" and type(v) is int and v > 1000 for p, v in _paths(doc))
-    return huge, re.search("[0-9]{19}", text) is not None
+        return False
+    return any(p[-1] == "mult" and type(v) is int and v > 1000 for p, v in _paths(doc))
 
 
 def _run(monkeypatch, capsys, argv, stdin_data, errors="strict"):
@@ -208,8 +205,8 @@ def test_mutated_documents_keep_the_exit_contract(monkeypatch, capsys, tmp_path)
                 for _ in range(rng.randint(1, 2)):
                     text = _mutate(rng, text)
             argv = None
-        data = _mutate_raw(rng, text) if case % 3 == 1 else text.encode()
-        huge, long = _scale(data)
+        data, long = _mutate_raw(rng, text) if case % 3 == 1 else (text.encode(), False)
+        huge = _huge(data)
         if argv is None:
             argv = rng.choice([a for a, mult_ok, long_ok in POINT_FILE_COMMANDS if (mult_ok or not huge) and (long_ok or not long)])
         errors = "strict"
@@ -233,4 +230,4 @@ def test_mutated_documents_keep_the_exit_contract(monkeypatch, capsys, tmp_path)
             check = _run(monkeypatch, capsys, ["verify", "--source", str(source)], out)
             assert check[0] == 0 and json.loads(check[1])["ok"], (argv, data, check)
     # every outcome of the contract shows up
-    assert min(codes[c] for c in range(4)) >= 40, codes
+    assert min(codes[c] for c in range(4)) >= 30, codes
