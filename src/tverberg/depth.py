@@ -70,6 +70,7 @@ queries the depth of its centre again.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -86,7 +87,7 @@ from .errors import (
     UnsupportedAmbient,
 )
 from .linprog import generalised_cross, pivot_columns
-from .points import HalfSpace, Point, PointMultiset, clockwise_key, cross2, dot, integer_points
+from .points import HalfSpace, Point, PointMultiset, clockwise_key, cross2, integer_points
 
 
 def _dot_int(u: Sequence[int], v: Sequence[int]) -> int:
@@ -318,15 +319,16 @@ class DepthWitness:
 
 def _query(
     q: Point, points: PointMultiset, want_witness: bool
-) -> tuple[int, tuple[int, ...] | None, tuple[tuple[int, ...], ...]]:
-    """(depth, functional, grid) of an unthresholded query, the grid
-    holding the entries and then q (``integer_points``)."""
+) -> tuple[int, tuple[int, ...] | None, tuple[int, tuple[tuple[int, ...], ...]]]:
+    """(depth, functional, (scale, grid)) of an unthresholded query, the
+    grid holding the entries and then q at that scale
+    (``integer_points``)."""
     if len(q) != points.dim:
         raise DimensionMismatch("query dimension differs from multiset dimension")
-    _, grid = integer_points(points.support() + (q,))
+    scale, grid = integer_points(points.support() + (q,))
     vecs, ws, at_origin = _difference_profile(grid, points, grid[-1])
     count, phi = _min_halfspace_count(vecs, ws, None, want_witness)
-    return at_origin + count, phi, grid
+    return at_origin + count, phi, (scale, grid)
 
 
 def depth_value(q: Point, points: PointMultiset) -> int:
@@ -348,69 +350,83 @@ def recounted_witness(
     points: PointMultiset,
     depth: int,
     phi: tuple[int, ...] | None,
-    grid: Sequence[tuple[int, ...]] | None = None,
+    on_grid: tuple[int, Sequence[tuple[int, ...]]] | None = None,
 ) -> DepthWitness:
     """The witness of depth ``depth`` at q whose half-space has normal phi
     (e1 when None), after recounting it against every entry of the
-    multiset; raises AssertionFailed when the count differs.  grid, the
-    entries and then q on one integer grid, is computed when not given.
+    multiset; raises AssertionFailed when the count differs.  on_grid,
+    (scale, grid) with grid the entries and then q at that scale
+    (``integer_points``), is computed when not given.
 
     phi is a functional of the minimiser, read on any integer grid of the
     input: grids are positive multiples of it, and the boundary passes
-    through q, so phi.(p - q) >= 0 has one answer on all of them.
+    through q, so phi.(p - q) >= 0 has one answer on all of them.  The
+    half-space is phi.x >= phi.q, which is scale * phi . x >= level with
+    level = phi . (q * scale), all ints.
     """
     if phi is None:
         phi = tuple(1 if i == 0 else 0 for i in range(points.dim))
-    if grid is None:
-        _, grid = integer_points(points.support() + (q,))
+    scale, grid = on_grid if on_grid is not None else integer_points(points.support() + (q,))
     level = _dot_int(phi, grid[-1])
     check = sum(mult for p, (_, mult) in zip(grid, points.entries) if _dot_int(phi, p) >= level)
     if check != depth:
         raise AssertionFailed(
             f"witness half-space counts {check} instances, claimed depth {depth}"
         )
-    normal = tuple(Fraction(v) for v in phi)
-    return DepthWitness(q, depth, HalfSpace(normal, dot(normal, q)))
+    return DepthWitness(q, depth, HalfSpace.from_integers([scale * v for v in phi], level))
 
 
-def _coordinate_order_statistics(points: PointMultiset, m: int) -> list[tuple[int, int]] | None:
-    """Per-coordinate integer range [ceil(m-th smallest), floor(m-th largest)].
+# A scan's input: the entries on an integer grid, and each candidate with
+# its point on that grid.
+IntPoint = tuple[int, ...]
+Candidates = tuple[Sequence[IntPoint], Iterable[tuple[Sequence[int | Fraction], IntPoint]]]
+
+
+def _order_statistic_box(
+    grid: Sequence[IntPoint], points: PointMultiset, m: int
+) -> list[tuple[int, int]] | None:
+    """Per coordinate the range [m-th smallest, m-th largest] of the
+    instance values, or None when one is empty, for the entries of the
+    multiset on an integer grid of scale 1 (grid[i] is entry i).
 
     Any point of depth >= m must land in this box: the axis half-space
     beyond the m-th order statistic contains fewer than m instances.
+    The values are read off the (value, multiplicity) pairs sorted once
+    per coordinate, so no instance is expanded, whatever the
+    multiplicities.
     """
     n = points.size
     if m > n:
         return None
+    mults = [mult for _, mult in points.entries]
     box: list[tuple[int, int]] = []
-    for c in range(points.dim):
-        vals: list[Fraction] = []
-        for p, mult in points.entries:
-            vals.extend([p[c]] * mult)
-        vals.sort()
-        lo, hi = vals[m - 1], vals[n - m]
-        lo_i = -((-lo.numerator) // lo.denominator)
-        hi_i = hi.numerator // hi.denominator
-        if lo_i > hi_i:
+    for column in zip(*grid):
+        pairs = sorted(zip(column, mults))
+        below = list(itertools.accumulate([mult for _, mult in pairs]))
+        lo, hi = pairs[bisect_left(below, m)][0], pairs[bisect_left(below, n - m + 1)][0]
+        if lo > hi:
             return None
-        box.append((lo_i, hi_i))
+        box.append((lo, hi))
     return box
 
 
-def _integer_box(points: PointMultiset, m: int) -> list[tuple[int, int]]:
-    """The order-statistic box of an integral multiset for depth target m."""
+def _integer_box(
+    points: PointMultiset, m: int
+) -> tuple[list[tuple[int, int]], tuple[IntPoint, ...]]:
+    """(box, grid): the order-statistic box of an integral multiset for
+    depth target m, and the entries on their integer grid, which the
+    scan reads too."""
     if m < 1:
         raise PreconditionViolated("depth target must be at least 1")
     if not points.entries:
         raise InputError("cannot scan an empty multiset")
-    for p, _ in points.entries:
-        for c in p:
-            if c.denominator != 1:
-                raise PreconditionViolated("integer centerpoint scan over non-integral instances")
-    box = _coordinate_order_statistics(points, m)
+    scale, grid = integer_points(points.support())
+    if scale != 1:
+        raise PreconditionViolated("integer centerpoint scan over non-integral instances")
+    box = _order_statistic_box(grid, points, m)
     if box is None:
         raise CenterpointNotFound(f"no integer point of depth {m}: order-statistic box is empty")
-    return box
+    return box, grid
 
 
 def _centre_out_order(box: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
@@ -447,16 +463,10 @@ def _centre_out_order(box: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
         yield from shell(0, radius)
 
 
-# A scan's input: the entries on an integer grid, and each candidate with
-# its point on that grid.
-IntPoint = tuple[int, ...]
-Candidates = tuple[Sequence[IntPoint], Iterable[tuple[Sequence[int | Fraction], IntPoint]]]
-
-
-def _lattice_candidates(points: PointMultiset, order: Iterable[IntPoint]) -> Candidates:
+def _lattice_candidates(grid: Sequence[IntPoint], order: Iterable[IntPoint]) -> Candidates:
     """The entries of an integral multiset on their integer grid (scale
-    1), and each box point of the order with itself as its grid point."""
-    _, grid = integer_points(points.support())
+    1, from ``_integer_box``), and each box point of the order with
+    itself as its grid point."""
     return grid, ((x, x) for x in order)
 
 
@@ -517,9 +527,9 @@ def integer_centerpoint(points: PointMultiset, m: int) -> Point:
     coordinate; raises CenterpointNotFound when no integer point reaches
     depth m.  All instances must themselves be integral.
     """
-    box = _integer_box(points, m)
+    box, grid = _integer_box(points, m)
     lex_order = itertools.product(*(range(lo, hi + 1) for lo, hi in box))
-    best_point = _last(_deeper_candidates(points, _lattice_candidates(points, lex_order), m))
+    best_point = _last(_deeper_candidates(points, _lattice_candidates(grid, lex_order), m))
     if best_point is None:
         raise CenterpointNotFound(f"no integer point of depth {m} in the scan box")
     return best_point
@@ -557,7 +567,8 @@ def first_deep_scan(
     if isinstance(ambient, Lattice):
         if ambient.d != points.dim:
             raise DimensionMismatch("ambient dimension differs from multiset dimension")
-        scan = _lattice_candidates(points, _centre_out_order(_integer_box(points, m)))
+        box, grid = _integer_box(points, m)
+        scan = _lattice_candidates(grid, _centre_out_order(box))
     elif isinstance(ambient, FiniteSet):
         _finite_set_check(points, ambient, m)
         scan = _finite_candidates(points, ambient)

@@ -16,8 +16,9 @@ of x; fields not named are ignored):
 One reader, ``_typed``, checks every JSON type (a boolean is not an
 integer) and names a refusal by place and by the JSON type that came:
 "the ambient field must be an object, not null", "parts[0].dim must be
-an integer, not a string".  ``loads`` refuses text that is not JSON or
-nests deeper than the parser recurses.  Proof weights are judged only
+an integer, not a string".  ``loads`` refuses text that is not JSON,
+nests deeper than the parser recurses, or holds a JSON number longer
+than the interpreter's int conversion limit.  Proof weights are judged only
 by the verifier, so a corrupted certificate still reaches it.
 
 ``dumps`` writes exactly the bytes of ``json.dumps(doc, sort_keys=True,
@@ -30,6 +31,7 @@ indent encoder.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -91,8 +93,12 @@ def loads(text: str) -> dict:
         doc = json.loads(text)
     except RecursionError:
         raise InputError("not valid JSON: nested too deeply") from None
-    except ValueError as exc:
+    except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {exc}") from None
+    except ValueError:  # int() refuses a number over the interpreter's digit limit
+        raise InputError(
+            f"not valid JSON: a number has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     return _typed(doc, dict, "a document")
 
 

@@ -1,7 +1,13 @@
 """Exact convex-hull primitives.
 
-Every geometric question the library asks ends in one exact system,
-built by ``convex_system(hulls, pin)``: one nonnegative weight per
+Every geometric question the library asks ends in one exact system.
+The membership system of one hull whose entries are affinely
+independent (at most d+1 of them) has at most one solution, and
+``_forced_solution`` reads it off the hull's integer grid: Cramer's rule
+for a planar triangle, one ``linprog.rref`` of the augmented system for
+any other such hull; q is in when that solution exists and has no
+negative weight.  Every other system is built by
+``convex_system(hulls, pin)``: one nonnegative weight per
 support entry of each hull, with rows in this fixed order
 
   1. pins: the first len(pin) coordinates of hull 0's combination
@@ -27,12 +33,15 @@ one pinned hull is then exactly the classical membership system
 the canonical basic solutions of that system.
 
 * ``hull_membership``: is q a convex combination of a multiset's points?
-  q pins all coordinates of one hull; returns the weights or None.
-  ``membership_gap`` returns the same system's infeasibility mass.
+  q pins all coordinates of one hull; returns the weights or None,
+  forced for independent entries, else from the simplex.  The simplex
+  can only return the one feasible point of a forced system, so the
+  weights are the same either way.  ``membership_gap`` returns the
+  simplex's infeasibility mass of the same system.
 
 * ``in_hull``: the same verdict as a bool, for callers that throw the
   weights away: a q equal to an entry is in at once, any other q is
-  one solve of the membership system that builds no weights.
+  one forced elimination or one simplex solve that builds no weights.
 
 * ``caratheodory_reduce``: shrink membership weights to an affinely
   independent support of at most d+1 points with strictly positive
@@ -48,7 +57,8 @@ the canonical basic solutions of that system.
   prefix pinned for Z^j x R^k).
 
 Degenerate hulls (segments, repeated points, lower-dimensional inputs)
-need no special casing anywhere: the feasibility formulation covers them
+need no special casing anywhere: independent entries of any number up
+to d+1 are forced, and the feasibility formulation covers the rest
 uniformly.
 """
 
@@ -61,7 +71,7 @@ from typing import Callable, Iterator, Sequence
 
 from .ambient import AmbientSet, FiniteSet, Lattice, MixedLattice, RealSpace
 from .errors import DimensionMismatch, InputError, UnsupportedAmbient
-from .linprog import nullspace, solve_phase1
+from .linprog import nullspace, rref, solve_phase1
 from .points import ConvexCoefficients, Point, PointMultiset
 
 
@@ -117,10 +127,68 @@ def convex_system(
         return gap, None
     nums, det = x
     offsets = itertools.accumulate([len(h.entries) for h in hulls], initial=0)
-    return gap, tuple(
-        ConvexCoefficients([(j, Fraction(v, det)) for j, v in enumerate(nums[lo:hi]) if v])
-        for lo, hi in itertools.pairwise(offsets)
-    )
+    return gap, tuple(_coefficients(nums[lo:hi], det) for lo, hi in itertools.pairwise(offsets))
+
+
+def _coefficients(nums: Sequence[int], det: int) -> ConvexCoefficients:
+    """The weights nums[j] / det of an integer solution, zeros dropped."""
+    return ConvexCoefficients([(j, Fraction(v, det)) for j, v in enumerate(nums) if v])
+
+
+def _forced_solution(
+    q: Sequence[Fraction | int], hull: PointMultiset
+) -> tuple[bool, tuple[list[int], int] | None]:
+    """(forced, x) for the membership system of a hull of s <= d+1
+    affinely independent entries, where it has at most one solution.
+
+    The system is read on the hull's integer grid, with q on the same
+    scale (the grid is refined by the lcm of q's remaining denominators
+    when q is not on it).  A planar triangle takes Cramer's rule: its
+    barycentric coordinates are three int cross products over their
+    sum, twice the signed area, which is zero exactly when the entries
+    are collinear.  Any other hull takes one ``rref`` of the augmented
+    system, the coordinate rows and then the sum row; the entries are
+    independent when its first s columns are pivots, and q is off their
+    affine hull when the right-hand side is one too.
+
+    forced is False when there are more than d+1 entries or they are
+    affinely dependent: the simplex decides, and x is None.  Otherwise
+    x is the one solution (nums, den), weight j being nums[j] / den
+    with den > 0 and every nums[j] >= 0, or None when there is none or
+    it has a negative weight.  The simplex can only return that one
+    solution, so both routes give the same weights.
+    """
+    s = len(hull.entries)
+    if s > hull.dim + 1:
+        return False, None
+    scale, columns, _ = hull.integer_coordinates()
+    scaled = [v * scale for v in q]
+    grow = lcm(*[v.denominator for v in scaled])
+    target = [v.numerator * (grow // v.denominator) for v in scaled]
+    if grow != 1:
+        columns = [[x * grow for x in column] for column in columns]
+    if s == 3 and hull.dim == 2:
+        (x0, x1, x2), (y0, y1, y2) = columns
+        qx, qy = target
+        ax, ay, bx, by, cx, cy = x0 - qx, y0 - qy, x1 - qx, y1 - qy, x2 - qx, y2 - qy
+        nums = [bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx]
+        den = sum(nums)
+        if den == 0:
+            return False, None
+    else:
+        rows = [[*column, v] for column, v in zip(columns, target)]
+        rows.append([1] * (s + 1))
+        reduced, pivots, den = rref(rows, s + 1)
+        if len(pivots) < s or pivots[s - 1] != s - 1:
+            return False, None
+        if len(pivots) > s:
+            return True, None
+        nums = [r[s] for r in reduced]
+    if den < 0:
+        nums, den = [-v for v in nums], -den
+    if any(v < 0 for v in nums):
+        return True, None
+    return True, (nums, den)
 
 
 def in_hull(q: Sequence[Fraction | int], hull: PointMultiset) -> bool:
@@ -141,6 +209,9 @@ def in_hull(q: Sequence[Fraction | int], hull: PointMultiset) -> bool:
     scale, _, points = hull.integer_coordinates()
     if tuple([v * scale for v in q]) in points:
         return True
+    forced, x = _forced_solution(q, hull)
+    if forced:
+        return x is not None
     gap, _ = solve_phase1(*_integer_system((hull,), q), solution=False)
     return gap == 0
 
@@ -151,15 +222,20 @@ def hull_membership(
     """Exact convex weights expressing q over hull's entries, or None.
     q may hold ints, as the integer candidates of a lattice scan do.
 
-    Identical inputs give identical outputs: the multiset is canonically
-    ordered and the simplex pivots by Bland's rule.
+    Affinely independent entries give the one solution of
+    ``_forced_solution``; any other hull goes to the simplex.  Identical
+    inputs give identical outputs: the multiset is canonically ordered
+    and the simplex pivots by Bland's rule.
     """
     if len(q) != hull.dim:
         raise DimensionMismatch(f"point of dimension {len(q)} against hull of dimension {hull.dim}")
     if not hull.entries:
         return None
-    _, coeffs = convex_system((hull,), q)
-    return None if coeffs is None else coeffs[0]
+    forced, x = _forced_solution(q, hull)
+    if not forced:
+        _, coeffs = convex_system((hull,), q)
+        return None if coeffs is None else coeffs[0]
+    return None if x is None else _coefficients(*x)
 
 
 def membership_gap(q: Point, hull: PointMultiset) -> Fraction:

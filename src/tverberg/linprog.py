@@ -4,10 +4,11 @@ One fraction-free elimination serves the library's linear algebra:
 ``rref`` is Gauss-Jordan on int rows with the integer-preserving row
 update of Bareiss (Math. Comp. 1968), and ``pivot_columns`` (rank and
 intrinsic coordinates), ``nullspace`` (an int kernel basis),
-``solve_linear`` (ints over one positive denominator), ``integer_det``
-and ``generalised_cross`` (the signed maximal minors, which give
-``depth`` its hyperplane normals and ``product`` the affine dependence
-of a Radon configuration) read their answers off its result.  Only
+``solve_linear`` (ints over one positive denominator) and
+``generalised_cross`` (the signed maximal minors, which give ``depth``
+its hyperplane normals and ``product`` the affine dependence of a Radon
+configuration) read their answers off its result, and so does the
+geometry layer's membership system of affinely independent entries.  Only
 width 3 of ``generalised_cross`` has its own closed form.
 
 The elimination holds integers over one common denominator ``den``, the
@@ -120,12 +121,6 @@ def solve_linear(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[lis
     for r, pcol in zip(reduced, pivots):
         nums[pcol] = sign * r[width]
     return nums, sign * den
-
-
-def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix."""
-    _, pivots, den = rref(rows, len(rows))
-    return den if len(pivots) == len(rows) else 0
 
 
 def generalised_cross(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...] | None:

@@ -27,7 +27,9 @@ them, so over Z^d and Z^j x R^k each partition's candidate box is a few
 int comparisons.  Over Z^d and finite sets the search also decides each
 (candidate, part) membership once per call, however many partitions
 share the part, by ``in_hull``: an entry of the part is in at once, any
-other candidate is one integer LP that builds no weights.  Z^d
+other candidate is one system that builds no weights, read off the
+part's integer grid when its entries are affinely independent and
+otherwise one integer LP.  Z^d
 candidates are int tuples, and only a witness becomes a Fraction point.
 
 ``exact_tverberg_number`` grows n until every n-point multiset over the

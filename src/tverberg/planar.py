@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
 
@@ -79,32 +79,35 @@ class RadialOrder:
 
     The sweep starts at the lexicographically least primitive direction
     present; instances on a common ray are ordered by distance.  ``rays``
-    groups sequence positions sharing a direction, in sweep order, and
-    ``directions`` holds the primitive direction of each position.
+    groups sequence positions sharing a direction, in sweep order,
+    ``directions`` holds the primitive direction of each position, and
+    ``entry_indices`` the index of each position's point among the
+    multiset's entries, which the sequence itself determines.
     """
 
     center: Point
     sequence: tuple[Point, ...]
     directions: tuple[tuple[int, int], ...]
     rays: tuple[tuple[int, ...], ...]
+    entry_indices: tuple[int, ...] = field(default=(), compare=False)
 
 
 def _instance_data(points: PointMultiset, grid: Sequence[tuple[int, ...]]):
-    """(direction, squared distance, instance) of every instance, in
-    instance order, on one integer grid for the multiset and the centre:
-    grid holds the entries and then the centre on it, so every
-    difference from the centre is an int vector, a positive multiple of
-    the rational one.  Its primitive form is the direction, and its
-    squared length ranks the instances of one ray as their distances
-    do."""
+    """(direction, squared distance, instance, entry index) of every
+    instance, in instance order, on one integer grid for the multiset
+    and the centre: grid holds the entries and then the centre on it, so
+    every difference from the centre is an int vector, a positive
+    multiple of the rational one.  Its primitive form is the direction,
+    and its squared length ranks the instances of one ray as their
+    distances do."""
     cx, cy = grid[-1]
     data = []
-    for (p, mult), (x, y) in zip(points.entries, grid):
+    for i, ((p, mult), (x, y)) in enumerate(zip(points.entries, grid)):
         vx, vy = x - cx, y - cy
         if vx == 0 and vy == 0:
             raise PreconditionViolated("radial order needs the center outside the multiset")
         g = gcd(vx, vy)
-        data.extend([((vx // g, vy // g), vx * vx + vy * vy, p)] * mult)
+        data.extend([((vx // g, vy // g), vx * vx + vy * vy, p, i)] * mult)
     return data
 
 
@@ -124,10 +127,10 @@ def radial_order(
     if grid is None:
         _, grid = integer_points(points.support() + (center,))
     data = _instance_data(points, grid)
-    start = min(d for d, _, _ in data)
+    start = min(d for d, _, _, _ in data)
     data.sort(key=clockwise_key(start))
-    sequence = tuple(p for _, _, p in data)
-    directions = tuple(d for d, _, _ in data)
+    sequence = tuple(p for _, _, p, _ in data)
+    directions = tuple(d for d, _, _, _ in data)
     rays: list[tuple[int, ...]] = []
     i = 0
     while i < len(data):
@@ -136,7 +139,7 @@ def radial_order(
             j += 1
         rays.append(tuple(range(i, j)))
         i = j
-    return RadialOrder(center, sequence, directions, tuple(rays))
+    return RadialOrder(center, sequence, directions, tuple(rays), tuple(i for _, _, _, i in data))
 
 
 @dataclass(frozen=True)
@@ -293,7 +296,8 @@ def _radial_parts(
     a finite set of Helly number >= 4, at least the gate), building no
     certificate: the first point p of depth >= m, and the parts around
     it.  Peel the p-copies and label the remainder radially; the parts
-    are the singleton copies of p, then the label classes 1..m-mu.  The
+    are the singleton copies of p, then the label classes 1..m-mu, each
+    cut from rest by its count of every entry (``sub_multiset``).  The
     scan's depth and functional at p, less the mu copies on its boundary,
     are those of ``halfspace_depth(p, rest)``, recounted against rest."""
     p, depth, phi = first_deep_scan(points, ambient, m, want_witness=True)
@@ -303,20 +307,17 @@ def _radial_parts(
     mu = points.multiplicity(p)
     rest = points.remove(p, mu) if mu else points
     target = m - mu
-    _, grid = integer_points(rest.support() + (p,))
+    scale, grid = integer_points(rest.support() + (p,))
     order = radial_order(rest, p, grid)
-    witness = recounted_witness(p, rest, depth - mu, phi, grid)
+    witness = recounted_witness(p, rest, depth - mu, phi, (scale, grid))
     if target == 2:
         labels = radon_labeling(order, witness)
     else:
         labels, _ = tverberg_labeling(order, target, witness)
-    classes = [
-        PointMultiset.from_points(
-            [q for q, label in zip(order.sequence, labels) if label == k], dim=2
-        )
-        for k in range(1, target + 1)
-    ]
-    return p, [singleton_part(p) for _ in range(mu)] + classes
+    counts = [[0] * len(rest.entries) for _ in range(target)]
+    for i, label in zip(order.entry_indices, labels):
+        counts[label - 1][i] += 1
+    return p, [singleton_part(p) for _ in range(mu)] + [rest.sub_multiset(c) for c in counts]
 
 
 def z2_gate(m: int) -> int:

@@ -356,18 +356,25 @@ class HalfSpace:
     def __init__(self, normal: Sequence[Fraction | int], offset: Fraction | int):
         fracs = [Fraction(v) for v in normal]
         off = Fraction(offset)
-        if all(f == 0 for f in fracs):
-            raise InputError("half-space normal must be nonzero")
         denom_lcm = 1
         for f in list(fracs) + [off]:
             denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-        ints = [int(f * denom_lcm) for f in fracs]
-        oi = int(off * denom_lcm)
-        g = abs(oi)
-        for v in ints:
-            g = gcd(g, abs(v))
-        object.__setattr__(self, "normal", tuple(v // g for v in ints))
-        object.__setattr__(self, "offset", oi // g)
+        self._reduce([int(f * denom_lcm) for f in fracs], int(off * denom_lcm))
+
+    @classmethod
+    def from_integers(cls, normal: Sequence[int], offset: int) -> "HalfSpace":
+        """{x : normal . x >= offset} for int data, divided by its gcd
+        without passing through Fractions."""
+        out = object.__new__(cls)
+        out._reduce(normal, offset)
+        return out
+
+    def _reduce(self, normal: Sequence[int], offset: int) -> None:
+        if not any(normal):
+            raise InputError("half-space normal must be nonzero")
+        g = gcd(offset, *normal)
+        object.__setattr__(self, "normal", tuple([v // g for v in normal]))
+        object.__setattr__(self, "offset", offset // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("HalfSpace is immutable")

@@ -21,6 +21,11 @@ The minimum over all directions is attained on a finite candidate set:
 
 Lower-rank difference sets reduce to the spanned subspace first.
 
+``coordinate_order_statistics`` is the library's previous scan box,
+which expands every instance into a sorted list of Fractions per
+coordinate, kept as the reference for the box read off sorted (value,
+multiplicity) pairs.
+
 ``_min_halfspace_count`` below is the library's previous minimiser,
 kept verbatim as the reference for the angular sweep that replaced its
 two-dimensional level: it enumerates one candidate normal per
@@ -231,6 +236,27 @@ def oracle_depth(q, points):
     if dim == 3:
         return at_q + _depth_3d(diffs)
     raise ValueError(f"oracle handles dimensions 1..3, got {dim}")
+
+
+def coordinate_order_statistics(points, m):
+    """Per-coordinate integer range [ceil(m-th smallest), floor(m-th
+    largest)] of the instance values, or None when one is empty."""
+    n = points.size
+    if m > n:
+        return None
+    box = []
+    for c in range(points.dim):
+        vals = []
+        for p, mult in points.entries:
+            vals.extend([p[c]] * mult)
+        vals.sort()
+        lo, hi = vals[m - 1], vals[n - m]
+        lo_i = -((-lo.numerator) // lo.denominator)
+        hi_i = hi.numerator // hi.denominator
+        if lo_i > hi_i:
+            return None
+        box.append((lo_i, hi_i))
+    return box
 
 
 # -- reference minimiser (the library's previous enumeration) ---------------

@@ -873,6 +873,31 @@ def test_digit_strings_over_the_int_limit_exit_2(monkeypatch, capsys):
     assert err == f"tverberg: cannot write a rational of more than {limit} digits; the input's numbers are too long\n"
 
 
+def test_json_number_over_the_int_limit_exits_2(monkeypatch, capsys):
+    """A JSON number longer than the interpreter's int conversion limit is
+    invalid JSON (exit 2), refused with the limit, not with advice to
+    raise it."""
+    limit = sys.get_int_max_str_digits()
+    doc = '{"dim": 2, "points": [{"coords": ["0", "0"], "mult": %s}]}' % ("9" * (limit + 1))
+    refusal = f"tverberg: not valid JSON: a number has more than {limit} digits\n"
+    assert run(monkeypatch, capsys, ["helly"], doc) == (2, "", refusal)
+
+
+def test_centerpoint_of_huge_multiplicities_exits_0(monkeypatch, capsys):
+    """The scan box is read off (value, multiplicity) pairs, so planar
+    entries of multiplicity 10^12, or one of 10^24, expand into no list:
+    ``centerpoint --m 2`` answers with the deepest integer point."""
+    corners = [point(0, 0), point(3, 0), point(0, 3)]
+    for mults, centre, depth in (
+        ((10**12,) * 3, ["0", "0"], 10**12),
+        ((10**12, 10**24, 10**12), ["3", "0"], 10**24),
+    ):
+        doc = dumps(point_file_to_doc(PointMultiset(zip(corners, mults), dim=2), Lattice(2)))
+        code, out, err = run(monkeypatch, capsys, ["centerpoint", "--m", "2"], doc)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"type": "centerpoint", "m": 2, "point": centre, "depth": depth}
+
+
 def test_ambient_dimension_over_the_int_limit_exits_2(monkeypatch, capsys):
     """An --ambient dimension longer than the interpreter's int conversion
     limit is refused by name (exit 2) in each explicit form, never a

@@ -14,6 +14,7 @@ from tverberg.depth import (
     _centre_out_order,
     _difference_profile,
     _min_halfspace_count,
+    _order_statistic_box,
     depth_value,
     finite_set_centerpoint,
     first_deep_point,
@@ -30,7 +31,7 @@ from tverberg.space3 import z3_tverberg
 
 from conftest import random_lattice_multiset
 from depth_oracles import _min_halfspace_count as reference_min_count
-from depth_oracles import oracle_depth
+from depth_oracles import coordinate_order_statistics, oracle_depth
 
 
 def test_depth_known_line():
@@ -228,12 +229,25 @@ def _sorted_centre_out(box):
     )
 
 
-def _order_statistic_box(pts, m):
-    box = []
-    for c in range(pts.dim):
-        vals = sorted(p[c] for p in pts.instances())
-        box.append((int(vals[m - 1]), int(vals[pts.size - m])))
-    return box
+def test_order_statistic_box_matches_the_expanding_reference():
+    """The box read off sorted (value, multiplicity) pairs is the box of
+    the expanded, sorted instance lists, on multisets with repeated
+    points and multiplicities, for every target up to past the size."""
+    rng = random.Random(0xB0C5)
+    empty = 0
+    for _ in range(400):
+        dim = rng.randint(1, 3)
+        entries = [
+            (tuple(Fraction(rng.randint(-4, 4)) for _ in range(dim)), rng.randint(1, 4))
+            for _ in range(rng.randint(1, 7))
+        ]
+        points = PointMultiset(entries, dim=dim)
+        _, grid = integer_points(points.support())
+        for m in range(1, points.size + 2):
+            want = coordinate_order_statistics(points, m)
+            assert _order_statistic_box(grid, points, m) == want, (points, m)
+            empty += want is None
+    assert empty >= 400
 
 
 def test_centre_out_order_is_the_sorted_box():
@@ -257,7 +271,7 @@ def test_first_deep_point_is_the_first_deep_candidate_centre_out():
         c = first_deep_point(pts, Lattice(d), m)
         assert all(x.denominator == 1 for x in c)
         assert oracle_depth(c, pts) >= m
-        order = _sorted_centre_out(_order_statistic_box(pts, m))
+        order = _sorted_centre_out(coordinate_order_statistics(pts, m))
         earlier = order[: order.index(c)]
         assert all(oracle_depth(tuple(map(Fraction, x)), pts) < m for x in earlier)
 

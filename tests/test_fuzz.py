@@ -38,7 +38,7 @@ LIMIT = sys.get_int_max_str_digits()
 # (argv, runs on a huge multiplicity, runs on a long number)
 POINT_FILE_COMMANDS = (
     (["depth", "--point", "0,0"], True, True),
-    (["centerpoint", "--m", "2"], False, False),
+    (["centerpoint", "--m", "2"], True, False),
     (["tverberg", "--m", "2"], False, False),
     (["tverberg", "--m", "3"], False, False),
     (["refute", "--m", "2", "--budget", "2"], True, False),

@@ -9,6 +9,7 @@ import pytest
 from tverberg.ambient import FiniteSet, Lattice, MixedLattice
 from tverberg.errors import DimensionMismatch, Infeasible, UnsupportedAmbient
 from tverberg.geometry import (
+    _forced_solution,
     _integer_box,
     caratheodory_reduce,
     convex_system,
@@ -315,3 +316,79 @@ def test_integer_systems_match_the_fraction_oracle():
         assert type(got_gap) is Fraction
         assert (got_gap, None if got is None else tuple(c.weights for c in got)) == want
     assert verdicts == {(True, int), (False, int), (True, Fraction), (False, Fraction)}
+
+
+def _simplex_case(rng):
+    """(hull, q, kind, shape): a segment, triangle or tetrahedron (a point
+    now and then) of int or rational entries in dimension 1 to 3, made
+    affinely dependent in a fifth of the cases, and q inside it, on an
+    edge, at a vertex or outside (an affine combination with a negative
+    weight, or a stray point)."""
+    s = rng.choice((1, 2, 2, 3, 3, 4, 4))
+    d = rng.randint(max(1, s - 1), 3)
+    coord = (lambda: Fraction(rng.randint(-5, 5))) if rng.random() < 0.5 else (lambda: random_rational(rng, 5, 4))
+    pts = [tuple(coord() for _ in range(d)) for _ in range(s)]
+    if s >= 3 and rng.random() < 0.2:
+        # the last entry an affine combination of the others
+        t = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(s - 2)]
+        t.append(1 - sum(t))
+        pts[-1] = tuple(sum(w * p[c] for w, p in zip(t, pts)) for c in range(d))
+    hull = PointMultiset.from_points(pts, dim=d)
+    support = hull.support()
+    kind = rng.choice(("inside", "edge", "vertex", "outside", "stray"))
+    if kind == "vertex":
+        q = rng.choice(support)
+    else:
+        if kind == "edge":
+            w = [Fraction(0)] * len(support)
+            i, j = rng.randrange(len(support)), rng.randrange(len(support))
+            w[i] += Fraction(rng.randint(0, 4), 4)
+            w[j] += 1 - w[i]
+        elif kind == "inside":
+            w = [Fraction(rng.randint(1, 5)) for _ in support]
+        else:
+            w = [Fraction(rng.randint(-3, 3)) for _ in support]
+            w[rng.randrange(len(w))] = Fraction(-rng.randint(1, 3))
+        total = sum(w) or Fraction(1)
+        q = tuple(sum(x * p[c] for x, p in zip(w, support)) / total for c in range(d))
+        if kind == "stray":
+            q = tuple(v + random_rational(rng, 2, 3) for v in q)
+    if rng.random() < 0.5:
+        # translate the case so q is an int tuple, as a lattice scan hands
+        # it over; translation keeps every weight
+        shift = [v.numerator // v.denominator - v for v in q]
+        hull = PointMultiset.from_points([tuple(map(sum, zip(p, shift))) for p in support], dim=d)
+        q = tuple(int(v + t) for v, t in zip(q, shift))
+    shape = ("point", "segment", "triangle", "tetrahedron")[len(support) - 1]
+    return hull, q, kind, shape
+
+
+def test_forced_membership_matches_the_fraction_oracle():
+    """Entries at most d+1 and affinely independent: the forced route
+    decides, and its weights and verdict are the Fraction simplex's on
+    the same system.  Dependent entries are not forced: the simplex
+    decides them, with the same answer as the reference."""
+    rng = random.Random(0x5EED19)
+    seen = set()
+    for _ in range(2400):
+        hull, q, kind, shape = _simplex_case(rng)
+        support = hull.support()
+        rank = len(lp_oracle.pivot_columns([[*p, 1] for p in support], hull.dim + 1))
+        independent = rank == len(support)
+        _, weights = lp_oracle.convex_solution((hull,), q)
+        want = None if weights is None else weights[0]
+        forced, x = _forced_solution(q, hull)
+        assert forced == independent, (support, q)
+        if forced:
+            got = None if x is None else tuple((j, Fraction(v, x[1])) for j, v in enumerate(x[0]) if v)
+            assert got == want, (support, q)
+        coeffs = hull_membership(q, hull)
+        assert (None if coeffs is None else coeffs.weights) == want
+        assert in_hull(q, hull) == (want is not None)
+        seen.add((shape, independent, kind, want is not None, type(q[0])))
+    for shape in ("segment", "triangle", "tetrahedron"):
+        for kind in ("inside", "edge", "vertex", "outside"):
+            for q_type in (int, Fraction):
+                assert (shape, True, kind, kind != "outside", q_type) in seen, (shape, kind, q_type)
+        if shape != "segment":
+            assert {(shape, False, True), (shape, False, False)} <= {(a, b, d) for a, b, _, d, _ in seen}

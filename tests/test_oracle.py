@@ -227,29 +227,40 @@ def test_search_partition_decides_each_membership_once(monkeypatch):
     assert scans == 966
 
 
-def test_search_partition_solves_one_lp_per_non_entry_decision(monkeypatch):
+def test_search_partition_solves_one_system_per_non_entry_decision(monkeypatch):
     # an entry of its part is in at once; every other distinct
-    # (candidate, part) decision costs exactly one LP
+    # (candidate, part) decision costs exactly one system: one forced
+    # elimination when the part's entries are affinely independent (at
+    # most d+1 of them), else one LP
     decided = []
 
     def counted(q, hull):
         decided.append((q, hull.entries))
         return in_hull(q, hull)
 
-    solves = 0
+    solves = forced = 0
     solve = geometry.solve_phase1
+    force = geometry._forced_solution
 
     def counted_solve(*args, **kwargs):
         nonlocal solves
         solves += 1
         return solve(*args, **kwargs)
 
+    def counted_force(q, hull):
+        nonlocal forced
+        answer = force(q, hull)
+        forced += answer[0]
+        return answer
+
     monkeypatch.setattr(oracle, "in_hull", counted)
     monkeypatch.setattr(geometry, "solve_phase1", counted_solve)
+    monkeypatch.setattr(geometry, "_forced_solution", counted_force)
     assert verify_no_partition(doignon_witness(3), 3, Lattice(2))
     entries = sum(1 for q, part in decided if any(p == q for p, _ in part))
     assert (len(decided), entries) == (299, 72)
-    assert solves == len(decided) - entries
+    assert solves + forced == len(decided) - entries
+    assert (solves, forced) == (134, 93)
 
 
 def test_search_partition_rounds_each_part_once(monkeypatch):

@@ -35,6 +35,7 @@ def test_radial_order_shape(rng):
         assert order.center == center
         assert len(order.sequence) == pts.size
         assert PointMultiset.from_points(list(order.sequence)) == pts
+        assert [pts.entries[i][0] for i in order.entry_indices] == list(order.sequence)
         # sorted clockwise: consecutive direction pairs never swing
         # counterclockwise past each other within a half-turn
         assert len(order.directions) == pts.size

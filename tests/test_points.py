@@ -151,6 +151,8 @@ def test_halfspace_positive_scaling_invariant(nx, ny, off, k):
     base = HalfSpace(point(nx, ny), Fraction(off))
     scaled = HalfSpace((Fraction(k * nx), Fraction(k * ny)), k * Fraction(off))
     assert base == scaled
+    den = k * off.denominator
+    assert HalfSpace.from_integers((den * nx, den * ny), k * off.numerator) == base
 
 
 def test_convex_coefficients_validation():
