@@ -22,7 +22,7 @@ from .depth import (
     DepthWitness,
     depth_value,
     finite_set_centerpoint,
-    first_deep_point,
+    first_deep_scan,
     halfspace_depth,
     integer_centerpoint,
 )
@@ -45,11 +45,9 @@ from .geometry import (
     caratheodory_reduce,
     hull_membership,
     in_hull,
-    lattice_points_in_intersection,
     polytope_intersection_point,
 )
 from .oracle import (
-    count_multiset_partitions,
     exact_tverberg_number,
     iter_multiset_partitions,
     search_partition,
@@ -125,7 +123,6 @@ __all__ = [
     "caratheodory_reduce",
     "certify",
     "convex_lowerbound_witness",
-    "count_multiset_partitions",
     "depth_partition_search",
     "depth_value",
     "doignon_witness",
@@ -133,7 +130,7 @@ __all__ = [
     "exact_tverberg_number",
     "fiber_lift",
     "finite_set_centerpoint",
-    "first_deep_point",
+    "first_deep_scan",
     "format_rational",
     "fraction_selection",
     "halfspace_depth",
@@ -142,7 +139,6 @@ __all__ = [
     "in_hull",
     "integer_centerpoint",
     "iter_multiset_partitions",
-    "lattice_points_in_intersection",
     "line_tverberg",
     "onn_witness",
     "peel_caratheodory_sets",

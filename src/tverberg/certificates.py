@@ -41,6 +41,8 @@ Failures are reported as clause names so callers can tell what broke:
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -273,11 +275,11 @@ def line_gate(m: int) -> int:
     return 2 * m - 1
 
 
-def median_groups(n: int, t: int) -> list[list[int]]:
+def median_groups(n: int, t: int) -> list[Sequence[int]]:
     """The median construction on n >= 2t-1 instances in order along a
-    line: the pairs [i, n-1-i] for i < t-1 and the middle run t-1 .. n-t,
-    each holding instance t-1 in its hull."""
-    return [[i, n - 1 - i] for i in range(t - 1)] + [list(range(t - 1, n - t + 1))]
+    line: the pairs [i, n-1-i] for i < t-1 and the middle run t-1 .. n-t
+    as a range, each holding instance t-1 in its hull."""
+    return [[i, n - 1 - i] for i in range(t - 1)] + [range(t - 1, n - t + 1)]
 
 
 def line_tverberg(
@@ -303,10 +305,18 @@ def median_certificate(
 ) -> TverbergCertificate:
     """The median groups of ``line_tverberg`` with their certificate, for
     a caller that has already checked what it checks: m >= 2, at least
-    2m-1 collinear instances, every one of them in the ambient set."""
-    instances = points.instances()
-    parts = [
-        PointMultiset.from_points([instances[i] for i in group], dim=points.dim)
-        for group in median_groups(points.size, m)
-    ]
-    return certify(m, instances[m - 1], parts, ambient, points)
+    2m-1 collinear instances, every one of them in the ambient set.
+    Instance i is found by bisecting the cumulative multiplicities, and
+    the middle run is cut by count per entry, so no instance is listed."""
+    ends = list(itertools.accumulate(mult for _, mult in points.entries))
+
+    def instance(i: int) -> Point:
+        return points.entries[bisect_right(ends, i)][0]
+
+    *pairs, middle = median_groups(points.size, m)
+    parts = [PointMultiset.from_points(map(instance, pair), dim=points.dim) for pair in pairs]
+    parts.append(points.sub_multiset([
+        max(0, min(end, middle.stop) - max(end - mult, middle.start))
+        for end, (_, mult) in zip(ends, points.entries)
+    ]))
+    return certify(m, instance(m - 1), parts, ambient, points)

@@ -12,7 +12,7 @@ write result documents to stdout, and report through exit codes:
      escaped, so no answer was reached
 
 Documents are exact (rationals as strings) and byte-stable for fixed
-inputs and seeds, so they pipe cleanly between subcommands.
+inputs, so they pipe cleanly between subcommands.
 """
 
 from __future__ import annotations
@@ -296,9 +296,7 @@ def cmd_select(args) -> int:
 def cmd_partition_depth(args) -> int:
     points, _ = _load_point_file(args)
     alpha = rational(args.alpha)
-    parts = depth_partition_search(
-        points, alpha, args.r, seed=args.seed, budget=args.budget
-    )
+    parts = depth_partition_search(points, alpha, args.r, budget=args.budget)
     _emit(
         {
             "type": "depth_partition",
@@ -421,7 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "partition-depth", help="balanced groups keeping deep points covered"
     )
     common(p, ambient=False)
-    p.add_argument("--seed", type=int, default=0, help="search seed")
     p.add_argument("--alpha", required=True, help="depth fraction, e.g. 1/3")
     p.add_argument("--r", type=int, required=True, help="number of groups")
     p.add_argument("--budget", type=_positive_int, default=200, help="regrouping attempts")

@@ -51,7 +51,7 @@ ones, starting from depth m, and serves two searches:
                 take the last candidate yielded, so the threshold rises
                 with the best depth found; the box is visited in
                 lexicographic order and ties go to the earliest point.
-  deep enough   ``first_deep_point`` takes the first candidate of depth
+  deep enough   ``first_deep_scan`` takes the first candidate of depth
                 >= m, with the threshold fixed at m - 1.  Box points are
                 visited centre-out, shell by shell in the L1 distance of
                 2x to lo + hi per coordinate and lexicographically
@@ -387,7 +387,8 @@ def _order_statistic_box(
 ) -> list[tuple[int, int]] | None:
     """Per coordinate the range [m-th smallest, m-th largest] of the
     instance values, or None when one is empty, for the entries of the
-    multiset on an integer grid of scale 1 (grid[i] is entry i).
+    multiset on an integer grid (grid[i] is entry i), in the grid's
+    units.
 
     Any point of depth >= m must land in this box: the axis half-space
     beyond the m-th order statistic contains fewer than m instances.
@@ -544,26 +545,21 @@ def finite_set_centerpoint(points: PointMultiset, ambient: FiniteSet, m: int) ->
     return best_point
 
 
-def first_deep_point(points: PointMultiset, ambient: AmbientSet, m: int) -> Point:
-    """The first ambient point of depth >= m in scan order.
+def first_deep_scan(
+    points: PointMultiset, ambient: AmbientSet, m: int, want_witness: bool = False
+) -> tuple[Point, int, tuple[int, ...] | None]:
+    """The first ambient point p of depth >= m in scan order, with its
+    exact depth and, when asked for, a minimising functional (None
+    otherwise).
 
     Over Z^d the order-statistic box is scanned centre-out (see the
     module docstring) under the same preconditions as
     ``integer_centerpoint``; over a finite set its points are scanned in
     stored order.  Raises CenterpointNotFound exactly when the deepest
-    search would.
-    """
-    return first_deep_scan(points, ambient, m)[0]
-
-
-def first_deep_scan(
-    points: PointMultiset, ambient: AmbientSet, m: int, want_witness: bool = False
-) -> tuple[Point, int, tuple[int, ...] | None]:
-    """``first_deep_point`` with the exact depth of the point p it returns
-    and, when asked for, a minimising functional (None otherwise).  The
-    depth counts the mu copies of p, which lie on the functional's
-    boundary; over the multiset less those copies the depth is depth - mu
-    and ``recounted_witness`` turns the functional into its witness."""
+    search would.  The depth counts the mu copies of p, which lie on the
+    functional's boundary; over the multiset less those copies the depth
+    is depth - mu and ``recounted_witness`` turns the functional into
+    its witness."""
     if isinstance(ambient, Lattice):
         if ambient.d != points.dim:
             raise DimensionMismatch("ambient dimension differs from multiset dimension")

@@ -51,10 +51,10 @@ the canonical basic solutions of that system.
 * ``polytope_intersection_point``: one exact common point of several
   hulls, the system without pins.
 
-* ``lattice_points_in_intersection``: all points of a discrete ambient
-  set inside an intersection of hulls (bounding-box scan for Z^d, filter
-  for finite sets, integer-prefix enumeration plus the system with the
-  prefix pinned for Z^j x R^k).
+* ``iter_common_ambient_points``: the points of a discrete ambient set
+  inside an intersection of hulls, lazily and in canonical order
+  (bounding-box scan for Z^d, filter for finite sets, integer-prefix
+  enumeration plus the system with the prefix pinned for Z^j x R^k).
 
 Degenerate hulls (segments, repeated points, lower-dimensional inputs)
 need no special casing anywhere: independent entries of any number up
@@ -400,15 +400,3 @@ def iter_common_ambient_points(
     if isinstance(ambient, RealSpace):
         raise UnsupportedAmbient("R^d has no lattice to enumerate; use polytope_intersection_point")
     raise UnsupportedAmbient(f"unsupported ambient descriptor {ambient!r}")
-
-
-def lattice_points_in_intersection(
-    hulls: Sequence[PointMultiset], ambient: AmbientSet
-) -> list[Point]:
-    """All ambient-set points inside every hull, in canonical order.
-
-    For Z^j x R^k there are one or infinitely many ambient points over
-    each feasible integer prefix; one exact representative per feasible
-    prefix is returned.
-    """
-    return list(iter_common_ambient_points(hulls, ambient))

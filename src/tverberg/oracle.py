@@ -33,8 +33,8 @@ otherwise one integer LP.  Z^d
 candidates are int tuples, and only a witness becomes a Fraction point.
 
 ``exact_tverberg_number`` grows n until every n-point multiset over the
-set admits an m-partition.  Candidate multisets that are sub-multisets
-of a known hard example are tried first, and cheap positive routes
+set admits an m-partition.  Over a planar set the first n instances of
+its lower-bound witness are tried first, and cheap positive routes
 (multiplicity, the planar constructive driver) run before the full
 enumeration, so the budget is spent almost entirely on genuine
 refutations.
@@ -123,10 +123,6 @@ def iter_multiset_partitions(
     return rec(counts, m, None)
 
 
-def count_multiset_partitions(counts: Sequence[int], m: int) -> int:
-    return sum(1 for _ in iter_multiset_partitions(counts, m))
-
-
 def iter_partition_hulls(
     points: PointMultiset, m: int
 ) -> Iterator[tuple[PointMultiset, ...]]:
@@ -211,30 +207,26 @@ def exact_tverberg_number(
     m: int,
     n_max: int,
     budget: int | None = None,
-    hard_example: PointMultiset | None = None,
 ) -> int:
     """Least n so that every n-point multiset over the set admits an
     m-partition with a common ambient point.
 
-    Sub-multisets of ``hard_example`` are tested first at each size:
-    when one of them refutes, the remaining multisets of that size are
-    skipped.  The default hard example is the hull-independent witness
-    with every point m-1 times.  Raises NotFound if no n up to n_max
-    works.
+    Over a planar set, the first n instances of the hull-independent
+    witness with every point m-1 times (``convex_lowerbound_witness``)
+    are tested first at each size n: when they refute, the remaining
+    multisets of that size are skipped.  Raises NotFound if no n up to
+    n_max works.
     """
     if m < 2:
         raise InputError("need m >= 2")
     if n_max < 1:
         raise InputError("need n_max >= 1")
-    if hard_example is None and ambient.dim == 2:
-        hard_example = convex_lowerbound_witness(ambient, m)
+    hard = convex_lowerbound_witness(ambient, m) if ambient.dim == 2 else None
     for n in range(1, n_max + 1):
         if n < m:
             continue  # fewer points than parts never admits
-        if hard_example is not None and hard_example.size >= n:
-            probe = PointMultiset.from_points(
-                hard_example.instances()[:n], dim=ambient.dim
-            )
+        if hard is not None and hard.size >= n:
+            probe = PointMultiset.from_points(hard.instances()[:n], dim=ambient.dim)
             if not _admits(probe, m, ambient, budget):
                 continue
         all_admit = True

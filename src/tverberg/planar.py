@@ -27,6 +27,8 @@ centre (``points.integer_points``), so
 directions are gcd-reduced int vectors and squared distances are ints,
 and the clockwise sweep (``points.clockwise_key``) compares them by
 integer signs alone.  The sequence itself holds the rational instances.
+A shallow labeling's sweep from the witness boundary, which passes
+through the centre, is a rotation of the order (``_arc_positions``).
 
 ``plane_tverberg`` picks its gate, ``z2_gate`` or, over a finite set,
 ``finite_gate`` at the set's Helly number, and hands it to
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
@@ -78,18 +80,16 @@ class RadialOrder:
     """Instances of a planar multiset in clockwise order around a center.
 
     The sweep starts at the lexicographically least primitive direction
-    present; instances on a common ray are ordered by distance.  ``rays``
-    groups sequence positions sharing a direction, in sweep order,
+    present; instances on a common ray are ordered by distance.
     ``directions`` holds the primitive direction of each position, and
     ``entry_indices`` the index of each position's point among the
-    multiset's entries, which the sequence itself determines.
+    multiset's entries.
     """
 
     center: Point
     sequence: tuple[Point, ...]
     directions: tuple[tuple[int, int], ...]
-    rays: tuple[tuple[int, ...], ...]
-    entry_indices: tuple[int, ...] = field(default=(), compare=False)
+    entry_indices: tuple[int, ...]
 
 
 def _instance_data(points: PointMultiset, grid: Sequence[tuple[int, ...]]):
@@ -131,28 +131,7 @@ def radial_order(
     data.sort(key=clockwise_key(start))
     sequence = tuple(p for _, _, p, _ in data)
     directions = tuple(d for d, _, _, _ in data)
-    rays: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(data):
-        j = i
-        while j < len(data) and directions[j] == directions[i]:
-            j += 1
-        rays.append(tuple(range(i, j)))
-        i = j
-    return RadialOrder(center, sequence, directions, tuple(rays), tuple(i for _, _, _, i in data))
-
-
-@dataclass(frozen=True)
-class LabelingState:
-    """Bookkeeping of the circular labeling: n = quot*m + rem, the gap
-    ceiling e = ceil(rem/quot), the realized final gap length, and which
-    branch ran."""
-
-    quot: int
-    rem: int
-    e: int
-    tail: int
-    shallow: bool
+    return RadialOrder(center, sequence, directions, tuple(i for _, _, _, i in data))
 
 
 def _arc_positions(order: RadialOrder, witness: DepthWitness) -> tuple[list[int], int]:
@@ -163,23 +142,19 @@ def _arc_positions(order: RadialOrder, witness: DepthWitness) -> tuple[list[int]
     closed complement arc first.  Returns the permutation of sequence
     positions and the arc length l.
 
-    The sequence already lists the instances of one ray by distance, so
-    their positions rank them.  An instance is on the closed complement
-    side when n.x <= offset, decided in ints by multiplying through by
-    its coordinates' denominators.
+    The sequence is already one clockwise turn, the instances of one ray
+    by distance, so the sweep from w0 is its rotation to the position
+    of least clockwise key from w0.  The boundary passes through the
+    center, so an instance is on the closed complement side exactly when
+    n . direction <= 0, in ints.
     """
-    n_vec = witness.halfspace.normal
-    c = witness.halfspace.offset
-    w0 = (int(n_vec[1]), int(-n_vec[0]))
-    enriched = sorted(
-        zip(order.directions, range(len(order.sequence))), key=clockwise_key(w0)
-    )
-    perm = [i for _, i in enriched]
-    on_arc = [
-        n_vec[0] * x.numerator * y.denominator + n_vec[1] * y.numerator * x.denominator
-        <= c * x.denominator * y.denominator
-        for x, y in order.sequence
-    ]
+    nx, ny = witness.halfspace.normal
+    key = clockwise_key((ny, -nx))
+    directions = order.directions
+    n = len(directions)
+    start = min(range(n), key=lambda i: key((directions[i], i)))
+    perm = [*range(start, n), *range(start)]
+    on_arc = [nx * dx + ny * dy <= 0 for dx, dy in directions]
     arc_len = sum(on_arc)
     # The closed complement side occupies exactly the first arc_len slots.
     for k, i in enumerate(perm):
@@ -190,9 +165,9 @@ def _arc_positions(order: RadialOrder, witness: DepthWitness) -> tuple[list[int]
 
 def tverberg_labeling(
     order: RadialOrder, m: int, witness: DepthWitness
-) -> tuple[tuple[int, ...], LabelingState]:
+) -> tuple[int, ...]:
     """Labels 1..m for the ordered instances so every class hull holds the
-    center, with the labeling state."""
+    center."""
     n = len(order.sequence)
     if m < 3:
         raise PreconditionViolated("circular labeling needs m >= 3")
@@ -217,10 +192,6 @@ def tverberg_labeling(
             g = min(e, left)
             gaps.append(g)
             left -= g
-        tail = 0
-        for g in gaps:
-            if g:
-                tail = g
         pos = 0
         for g in gaps:
             for lab in range(1, m + 1):
@@ -231,7 +202,6 @@ def tverberg_labeling(
                 pos += 1
         if pos != n:
             raise AssertionFailed("labeling did not exhaust the sequence")
-        state = LabelingState(quot, rem, e, tail, shallow=False)
     else:
         if rem == 0:
             raise AssertionFailed("zero remainder makes every deep threshold m")
@@ -248,8 +218,7 @@ def tverberg_labeling(
                 labels[i] = pos - (m - rem)
             else:
                 labels[i] = (pos - m - 1) % m + 1
-        state = LabelingState(quot, rem, e, rem, shallow=True)
-    return tuple(labels), state
+    return tuple(labels)
 
 
 def radon_labeling(
@@ -313,7 +282,7 @@ def _radial_parts(
     if target == 2:
         labels = radon_labeling(order, witness)
     else:
-        labels, _ = tverberg_labeling(order, target, witness)
+        labels = tverberg_labeling(order, target, witness)
     counts = [[0] * len(rest.entries) for _ in range(target)]
     for i, label in zip(order.entry_indices, labels):
         counts[label - 1][i] += 1

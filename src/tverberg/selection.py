@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .depth import depth_value
+from .depth import _order_statistic_box, depth_value
 from .errors import (
     AssertionFailed,
     DimensionMismatch,
@@ -285,20 +285,42 @@ def _chunks(stream: list[Point], r: int, offset: int) -> list[list[Point]]:
     return out
 
 
+def _deep_points(points: PointMultiset, k: int) -> dict[Point, int]:
+    """Each instance and each integer point of depth >= k, with its depth.
+
+    The integer candidates are the points of the order-statistic box at
+    k (``depth._order_statistic_box`` on the entries' integer grid,
+    rounded inward): outside it an axis half-space holds fewer than k
+    instances, so the box does not grow with a far instance.
+    """
+    scale, grid = integer_points(points.support())
+    box = _order_statistic_box(grid, points, k)
+    candidates: list[Point] = []
+    if box is not None:
+        ranges = [range(-(-low // scale), high // scale + 1) for low, high in box]
+        candidates = [tuple(map(Fraction, x)) for x in itertools.product(*ranges)]
+    candidates.extend(p for p, _ in points.entries)
+    depth_of: dict[Point, int] = {}
+    for cand in candidates:
+        if cand not in depth_of:
+            depth_of[cand] = depth_value(cand, points)
+    return {z: depth for z, depth in depth_of.items() if depth >= k}
+
+
 def depth_partition_search(
     points: PointMultiset,
     alpha: Fraction,
     r: int,
-    seed: int = 0,
     budget: int = 200,
 ) -> tuple[PointMultiset, ...]:
     """r groups of balanced sizes so that every ambient integer or input
     point of depth >= alpha*n keeps the transversal property.
 
-    Sizes stay within [floor(n/2r), ceil(2n/r)].  Candidate deep points
-    are integer points of the bounding box plus the instances
-    themselves.  Seeded with contiguous sectors around the deepest
-    candidate, then rotations, then random regroupings up to the budget.
+    Sizes stay within [floor(n/2r), ceil(2n/r)].  The deep points are
+    those of ``_deep_points`` at ceil(alpha*n), since depths are ints.
+    Seeded with contiguous sectors around the deepest of them, then
+    rotations, then random regroupings from the fixed seed 0 up to the
+    budget.
     """
     d = points.dim
     if r < d + 1:
@@ -309,19 +331,7 @@ def depth_partition_search(
     if not (0 < alpha <= 1):
         raise PreconditionViolated("the depth fraction must lie in (0, 1]")
     lo, hi = n // (2 * r), -(-2 * n) // r
-    threshold = alpha * n
-
-    lows, highs = points.integer_ranges()
-    box_ranges = [range(low, high + 1) for low, high in zip(lows, highs)]
-    candidates: list[Point] = [
-        tuple(Fraction(v) for v in tup) for tup in itertools.product(*box_ranges)
-    ]
-    candidates.extend(p for p, _ in points.entries)
-    depth_of: dict[Point, int] = {}
-    for cand in candidates:
-        if cand not in depth_of:
-            depth_of[cand] = depth_value(cand, points)
-    deep = [z for z, depth in depth_of.items() if depth >= threshold]
+    deep = _deep_points(points, -(-alpha * n // 1))
     instances = points.instances()
 
     def groups_ok(groups: list[list[Point]]) -> bool:
@@ -341,7 +351,7 @@ def depth_partition_search(
             raise PreconditionViolated("cannot form r nonempty groups")
         return tuple(PointMultiset.from_points(g, dim=d) for g in groups)
 
-    anchor = max(deep, key=lambda z: (depth_of[z], tuple(-c for c in z)))
+    anchor = max(deep, key=lambda z: (deep[z], tuple(-c for c in z)))
     stream = _angular_stream(instances, anchor) if d == 2 else instances
     attempts = 0
     for offset in range(n):
@@ -351,7 +361,7 @@ def depth_partition_search(
         groups = _chunks(stream, r, offset)
         if groups_ok(groups):
             return tuple(PointMultiset.from_points(g, dim=d) for g in groups)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     while attempts < budget:
         attempts += 1
         shuffled = instances[:]

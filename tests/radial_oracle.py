@@ -6,7 +6,8 @@ them: they take each instance's difference from the centre, its
 primitive direction and its squared distance as Fractions.  The
 library takes them on the multiset's integer grid; the tests check
 that both give the same ``RadialOrder`` and the same arc permutations.
-``radial_order`` is the library's order built on the reference data.
+``radial_order`` is the library's order built on the reference data,
+with each position's entry index looked up by its point.
 ``primitive`` is the library's previous Fraction scaling of a
 direction, kept here so the reference shares no scaling code with the
 library.
@@ -65,15 +66,8 @@ def radial_order(points: PointMultiset, center: Point) -> RadialOrder:
     data.sort(key=clockwise_key(start))
     sequence = tuple(p for _, _, p in data)
     directions = tuple(d for d, _, _ in data)
-    rays: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(data):
-        j = i
-        while j < len(data) and directions[j] == directions[i]:
-            j += 1
-        rays.append(tuple(range(i, j)))
-        i = j
-    return RadialOrder(center, sequence, directions, tuple(rays))
+    index = {p: i for i, (p, _) in enumerate(points.entries)}
+    return RadialOrder(center, sequence, directions, tuple(index[p] for p in sequence))
 
 
 def _arc_positions(order: RadialOrder, witness: DepthWitness) -> tuple[list[int], int]:

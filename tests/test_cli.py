@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -645,14 +646,19 @@ def test_a_bipartition_scan_that_finds_nothing_exits_4(monkeypatch, capsys, seed
     assert "AssertionFailed" in err and "Caratheodory" in err
 
 
-def test_only_partition_depth_takes_a_seed(capsys):
-    """Every partition driver is deterministic, so `tverberg` has no
-    --seed; the randomized `partition-depth` search keeps its own."""
-    for command, seeded in (("tverberg", False), ("partition-depth", True)):
+def test_no_subcommand_takes_a_seed(capsys):
+    """Every partition driver is deterministic and `partition-depth`
+    regroups from a fixed seed, so no subcommand has --seed (`select
+    --seeds` is a cap, not a seed)."""
+    commands = [
+        [c] for c in ("depth", "centerpoint", "tverberg", "verify", "refute", "tvnumber",
+                      "helly", "select", "partition-depth")
+    ] + [["witness", w] for w in ("onn", "doignon", "double", "convex-lb")]
+    for command in commands:
         with pytest.raises(SystemExit) as stop:
-            main([command, "--help"])
+            main([*command, "--help"])
         assert stop.value.code == 0
-        assert ("--seed" in capsys.readouterr().out) == seeded
+        assert re.search(r"--seed\b", capsys.readouterr().out) is None, command
 
 
 def test_rational_grammar_violations_exit_2(monkeypatch, capsys):
@@ -896,6 +902,31 @@ def test_centerpoint_of_huge_multiplicities_exits_0(monkeypatch, capsys):
         code, out, err = run(monkeypatch, capsys, ["centerpoint", "--m", "2"], doc)
         assert (code, err) == (0, "")
         assert json.loads(out) == {"type": "centerpoint", "m": 2, "point": centre, "depth": depth}
+
+
+def test_tverberg_of_huge_multiplicities_on_a_line_exits_0(monkeypatch, capsys, tmp_path):
+    """The median construction cuts its parts by count per entry, so over
+    Z^1, a 1-D finite set and a collinear planar set (Helly number 2)
+    entries of multiplicity 10^12 expand into no list: ``tverberg --m 3``
+    answers, and the certificate verifies against its point file."""
+    big = 10**12
+    line = [point(0), point(3), point(5)]
+    diagonal = [point(0, 0), point(3, 3), point(5, 5)]
+    source = tmp_path / "points.json"
+    for support, ambient in (
+        (line, Lattice(1)),
+        (line, FiniteSet(line + [point(7)], 1)),
+        (diagonal, FiniteSet(diagonal, 2)),
+    ):
+        text = dumps(point_file_to_doc(PointMultiset(zip(support, (big, big, 1)), dim=len(support[0])), ambient))
+        code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", "3"], text)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["point"] == ["0"] * len(support[0])
+        assert [sum(e["mult"] for e in part["points"]) for part in doc["parts"]] == [2, 2, 2 * big - 3]
+        source.write_text(text)
+        code, out, err = run(monkeypatch, capsys, ["verify", "--source", str(source)], out)
+        assert (code, err) == (0, "") and json.loads(out)["ok"] is True
 
 
 def test_ambient_dimension_over_the_int_limit_exits_2(monkeypatch, capsys):

@@ -17,7 +17,6 @@ from tverberg.depth import (
     _order_statistic_box,
     depth_value,
     finite_set_centerpoint,
-    first_deep_point,
     first_deep_scan,
     halfspace_depth,
     integer_centerpoint,
@@ -268,7 +267,7 @@ def test_first_deep_point_is_the_first_deep_candidate_centre_out():
         m = rng.choice([2, 3])
         n = 2**d * (m - 1) + 1 + rng.randint(0, 3)
         pts = random_lattice_multiset(rng, n, d, 4 if d == 2 else 3)
-        c = first_deep_point(pts, Lattice(d), m)
+        c = first_deep_scan(pts, Lattice(d), m)[0]
         assert all(x.denominator == 1 for x in c)
         assert oracle_depth(c, pts) >= m
         order = _sorted_centre_out(coordinate_order_statistics(pts, m))
@@ -288,7 +287,7 @@ def test_first_deep_point_fails_exactly_when_the_deepest_scan_fails():
         except CenterpointNotFound:
             deepest = None
         try:
-            first = first_deep_point(pts, Lattice(d), m)
+            first = first_deep_scan(pts, Lattice(d), m)[0]
         except CenterpointNotFound:
             first = None
         assert (deepest is None) == (first is None)
@@ -301,7 +300,7 @@ def test_first_deep_point_fails_exactly_when_the_deepest_scan_fails():
 def test_first_deep_point_rejects_fractional_input():
     pts = PointMultiset.from_points([(Fraction(1, 2), Fraction(0)), point(1, 1)])
     with pytest.raises(PreconditionViolated):
-        first_deep_point(pts, Lattice(2), 1)
+        first_deep_scan(pts, Lattice(2), 1)
 
 
 def test_first_deep_point_over_a_finite_set_keeps_stored_order():
@@ -317,9 +316,9 @@ def test_first_deep_point_over_a_finite_set_keeps_stored_order():
         deep = [p for p in amb.points if oracle_depth(p, pts) >= m]
         if not deep:
             with pytest.raises(CenterpointNotFound):
-                first_deep_point(pts, amb, m)
+                first_deep_scan(pts, amb, m)
             continue
-        assert first_deep_point(pts, amb, m) == deep[0]
+        assert first_deep_scan(pts, amb, m)[0] == deep[0]
 
 
 def test_driver_centres_are_deep_enough_and_certificates_verify():
@@ -391,7 +390,6 @@ def test_scan_depth_and_witness_equal_a_fresh_depth_query():
     for pts, amb, m in cases:
         p, depth, phi = first_deep_scan(pts, amb, m, want_witness=True)
         assert (p, depth, None) == first_deep_scan(pts, amb, m)
-        assert p == first_deep_point(pts, amb, m)
         assert depth == depth_value(p, pts) >= m
         mu = pts.multiplicity(p)
         with_copies += mu > 0

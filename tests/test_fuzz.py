@@ -35,19 +35,23 @@ CASES = 3000
 HUGE = 10**12
 LIMIT = sys.get_int_max_str_digits()
 
-# (argv, runs on a huge multiplicity, runs on a long number)
+# The documents with a huge multiplicity that a command runs on: those
+# over Z^1 ("line"), whose driver cuts its parts by count, and the rest.
+ANY, LINE, NONE = ("line", "other"), ("line",), ()
+
+# (argv, the huge-multiplicity documents it runs on, runs on a long number)
 POINT_FILE_COMMANDS = (
-    (["depth", "--point", "0,0"], True, True),
-    (["centerpoint", "--m", "2"], True, False),
-    (["tverberg", "--m", "2"], False, False),
-    (["tverberg", "--m", "3"], False, False),
-    (["refute", "--m", "2", "--budget", "2"], True, False),
-    (["helly"], True, True),
-    (["tvnumber", "--m", "2", "--n-max", "3", "--budget", "4"], True, True),
-    (["select", "--seeds", "3"], False, False),
-    (["partition-depth", "--alpha", "1/3", "--r", "2", "--budget", "3"], False, False),
-    (["witness", "double"], False, False),
-    (["witness", "convex-lb", "--m", "2"], False, False),
+    (["depth", "--point", "0,0"], ANY, True),
+    (["centerpoint", "--m", "2"], ANY, False),
+    (["tverberg", "--m", "2"], LINE, False),
+    (["tverberg", "--m", "3"], LINE, False),
+    (["refute", "--m", "2", "--budget", "2"], ANY, False),
+    (["helly"], ANY, True),
+    (["tvnumber", "--m", "2", "--n-max", "3", "--budget", "4"], ANY, True),
+    (["select", "--seeds", "3"], NONE, False),
+    (["partition-depth", "--alpha", "1/3", "--r", "2", "--budget", "3"], NONE, False),
+    (["witness", "double"], NONE, False),
+    (["witness", "convex-lb", "--m", "2"], NONE, False),
 )
 
 OTHER_TYPES = (None, True, 7, -1, 2.5, "7", "x", [], ["1"], {}, {"kind": "Zd"})
@@ -165,13 +169,29 @@ def _mutate_raw(rng: random.Random, text: str) -> tuple[bytes, bool]:
     return json.dumps(doc).replace(json.dumps(_RAW), raw).encode(), kind == 1
 
 
-def _huge(data: bytes) -> bool:
-    """Whether a document holds a huge multiplicity."""
+def _huge(data: bytes) -> str | None:
+    """None when a document holds no huge multiplicity, "line" when it
+    holds one and is a point file over Z^1, and "other" otherwise."""
     try:
         doc = json.loads(data.decode(errors="surrogateescape"))
     except (ValueError, RecursionError):
-        return False
-    return any(p[-1] == "mult" and type(v) is int and v > 1000 for p, v in _paths(doc))
+        return None
+    if not any(p[-1] == "mult" and type(v) is int and v > 1000 for p, v in _paths(doc)):
+        return None
+    line = isinstance(doc, dict) and doc.get("dim") == 1 and doc.get("ambient") == {"d": 1, "kind": "Zd"}
+    return "line" if line else "other"
+
+
+def _utf8_file(data: bytes) -> bytes:
+    """A point file that --source reads as stdin read data: data itself
+    when it is UTF-8, else the document that stdin's surrogateescape
+    decoding parsed, with those surrogates JSON-escaped (an undecodable
+    byte of a document that parsed sits inside a JSON string)."""
+    try:
+        data.decode()
+        return data
+    except UnicodeDecodeError:
+        return json.dumps(json.loads(data.decode(errors="surrogateescape"))).encode()
 
 
 def _run(monkeypatch, capsys, argv, stdin_data, errors="strict"):
@@ -208,7 +228,7 @@ def test_mutated_documents_keep_the_exit_contract(monkeypatch, capsys, tmp_path)
         data, long = _mutate_raw(rng, text) if case % 3 == 1 else (text.encode(), False)
         huge = _huge(data)
         if argv is None:
-            argv = rng.choice([a for a, mult_ok, long_ok in POINT_FILE_COMMANDS if (mult_ok or not huge) and (long_ok or not long)])
+            argv = rng.choice([a for a, huge_ok, long_ok in POINT_FILE_COMMANDS if (huge is None or huge in huge_ok) and (long_ok or not long)])
         errors = "strict"
         if rng.random() < 0.3:
             given.write_bytes(data)
@@ -224,9 +244,10 @@ def test_mutated_documents_keep_the_exit_contract(monkeypatch, capsys, tmp_path)
             continue
         assert dumps(loads(out)) == out, (argv, data)
         if loads(out).get("type") == "tverberg_certificate":
+            origin = _utf8_file(data)
             if argv[0] == "tverberg" and len(certificates) < 60:
-                certificates.append((out, data))
-            source.write_bytes(data)
+                certificates.append((out, origin))
+            source.write_bytes(origin)
             check = _run(monkeypatch, capsys, ["verify", "--source", str(source)], out)
             assert check[0] == 0 and json.loads(check[1])["ok"], (argv, data, check)
     # every outcome of the contract shows up

@@ -16,7 +16,6 @@ from tverberg.geometry import (
     hull_membership,
     in_hull,
     iter_common_ambient_points,
-    lattice_points_in_intersection,
     membership_gap,
     polytope_intersection_point,
 )
@@ -93,7 +92,7 @@ def test_lattice_points_in_intersection_box():
         [point(0, 0), point(3, 0), point(0, 3), point(3, 3)]
     )
     tri = PointMultiset.from_points([point(1, 1), point(7, 1), point(1, 7)])
-    pts = lattice_points_in_intersection((sq, tri), Lattice(2))
+    pts = list(iter_common_ambient_points((sq, tri), Lattice(2)))
     assert point(1, 1) in pts and point(2, 1) in pts
     assert all(0 <= p[0] <= 3 and 0 <= p[1] <= 3 for p in pts)
     assert sorted(pts) == pts  # deterministic scan order
@@ -169,7 +168,7 @@ def test_random_agreement_between_scan_and_joint_lp(rng):
     for _ in range(60):
         a = random_lattice_multiset(rng, rng.randint(2, 5), 2, 4)
         b = random_lattice_multiset(rng, rng.randint(2, 5), 2, 4)
-        scan = lattice_points_in_intersection((a, b), Lattice(2))
+        scan = list(iter_common_ambient_points((a, b), Lattice(2)))
         joint = polytope_intersection_point((a, b))
         if scan:
             assert joint is not None

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -52,3 +53,24 @@ def test_imports_sit_at_module_level(name):
                 if isinstance(inner, (ast.Import, ast.ImportFrom)):
                     lazy.add((name, ast.unparse(inner)))
     assert lazy <= ALLOWED_LAZY_IMPORTS
+
+
+def test_every_export_has_a_reader():
+    """Every name the package exports is read by a library module other
+    than ``__init__`` (loaded as a name or an attribute) or named by the
+    benchmark under ``perfbench/``: no export exists for tests alone."""
+    loaded = set()
+    for name in MODULES:
+        tree = ast.parse(pathlib.Path(tverberg.__path__[0], f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    named = set()
+    for path in perfbench.rglob("*"):
+        if path.is_file() and "__pycache__" not in path.parts:
+            named.update(re.findall(r"\w+", path.read_text(errors="ignore")))
+    assert named, "perfbench/ not found"
+    assert [name for name in tverberg.__all__ if name not in loaded | named] == []

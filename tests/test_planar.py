@@ -69,8 +69,7 @@ def test_tverberg_labeling_covers_center(rng):
             continue
         order = radial_order(pts, center)
         witness = halfspace_depth(center, pts)
-        labels, state = tverberg_labeling(order, m, witness)
-        assert state.quot * m + state.rem == pts.size
+        labels = tverberg_labeling(order, m, witness)
         _check_center_in_every_class(order, labels, m)
         hits += 1
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,12 @@ from tverberg.depth import depth_value, integer_centerpoint
 from tverberg.errors import (
     DimensionMismatch,
     InputError,
+    NotFound,
     PreconditionViolated,
     SelectionNotFound,
 )
 from tverberg.geometry import hull_membership
+from tverberg import selection
 from tverberg.points import PointMultiset, point
 from tverberg.selection import (
     depth_partition_search,
@@ -20,7 +23,7 @@ from tverberg.selection import (
     transversal_property_verify,
 )
 
-from conftest import clustered_multiset, random_lattice_multiset
+from conftest import clustered_multiset, random_lattice_multiset, random_rational
 
 
 def _hexagon():
@@ -145,7 +148,7 @@ def test_depth_partition_doubled_hexagon():
     pts = PointMultiset(((p, 2) for p in _hexagon().support()), dim=2)
     n = pts.size
     alpha = Fraction(5, 12)  # only the center reaches depth 5 of 12
-    groups = depth_partition_search(pts, alpha, 3, seed=1)
+    groups = depth_partition_search(pts, alpha, 3)
     sizes = [g.size for g in groups]
     assert sum(sizes) == n
     assert min(sizes) >= n // 6 and max(sizes) <= -(-2 * n) // 3
@@ -160,6 +163,68 @@ def test_depth_partition_doubled_hexagon():
     assert deep
     for z in deep:
         assert transversal_property_verify(groups, z, method="direct")
+
+
+def _bounding_box_deep_points(points, alpha):
+    """The previous candidate scan of ``depth_partition_search``, kept as
+    the reference: every integer point of the bounding box and every
+    instance, each of depth >= alpha*n with its depth."""
+    lows, highs = points.integer_ranges()
+    candidates = [
+        tuple(Fraction(v) for v in x)
+        for x in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+    ]
+    candidates += [p for p, _ in points.entries]
+    depth_of = {z: depth_value(z, points) for z in candidates}
+    return {z: depth for z, depth in depth_of.items() if depth >= alpha * points.size}
+
+
+def test_deep_points_equal_the_bounding_box_scan():
+    """Seeded lattice, rational and multiplied inputs in the plane and in
+    Z^3, some with a far instance: the order-statistic box finds exactly
+    the deep points the bounding-box scan finds."""
+    rng = random.Random(2020)
+    nonempty = 0
+    for i in range(120):
+        d = 3 if i % 6 == 5 else 2
+        coords = []
+        for _ in range(rng.randint(3, 9 if d == 2 else 6)):
+            if i % 3 == 1:
+                coords.append(tuple(random_rational(rng, 4, 3) for _ in range(d)))
+            else:
+                coords.append(tuple(Fraction(rng.randint(-4, 4)) for _ in range(d)))
+        if i % 4 == 0:
+            coords.append(tuple(Fraction(rng.choice([-1, 1]) * rng.randint(8, 14)) for _ in range(d)))
+        pts = PointMultiset(((p, rng.choice([1, 1, 2, 3])) for p in coords), dim=d)
+        alpha = Fraction(rng.randint(1, 12), 12)
+        k = -(-alpha * pts.size // 1)
+        want = _bounding_box_deep_points(pts, alpha)
+        assert selection._deep_points(pts, k) == want, (pts, alpha)
+        nonempty += bool(want)
+    assert nonempty >= 40
+
+
+def test_deep_points_ignore_a_far_instance(monkeypatch):
+    """One instance far out on the axis does not grow the scan: on the
+    doubled hexagon plus (far, 0) at alpha = 1/3 the depth calls stay
+    fixed as far grows (the bounding-box scan made 30, 515 and 5,015 for
+    far = 3, 100 and 1000), and so does the answer: no grouping within
+    the budget keeps every deep point covered."""
+    calls = []
+
+    def counted(q, points):
+        calls.append(q)
+        return depth_value(q, points)
+
+    monkeypatch.setattr(selection, "depth_value", counted)
+    counts = []
+    for far in (3, 100, 1000, 10 ** 6):
+        pts = PointMultiset(((p, 2) for p in _hexagon().support()), dim=2).add(point(far, 0))
+        calls.clear()
+        with pytest.raises(NotFound):
+            depth_partition_search(pts, Fraction(1, 3), 3)
+        counts.append(len(calls))
+    assert counts == [counts[0]] * 4 and counts[0] <= 12
 
 
 def test_depth_partition_no_deep_points_still_balances():

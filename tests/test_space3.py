@@ -6,7 +6,7 @@ import pytest
 
 from tverberg.ambient import Lattice
 from tverberg.certificates import verify_certificate
-from tverberg.depth import depth_value, first_deep_point, integer_centerpoint
+from tverberg.depth import depth_value, first_deep_scan, integer_centerpoint
 from tverberg.errors import AssertionFailed, ExtractionFailed, PreconditionViolated
 from tverberg.geometry import hull_membership, in_hull
 from tverberg.points import PointMultiset, point, sub
@@ -257,7 +257,7 @@ def test_scan_alone_splits_deep_remainders():
 
 def test_scan_answers_where_the_minimal_subset_seed_misses(seed_miss_set):
     pts = seed_miss_set
-    p = first_deep_point(pts, Lattice(3), 3)
+    p = first_deep_scan(pts, Lattice(3), 3)[0]
     assert depth_value(p, pts) >= 3 and p not in pts
     assert _split_scan(pts, p, (2,)) is None
     seed = _minimal_subset(pts, p)
@@ -271,7 +271,7 @@ def test_scan_answers_where_the_minimal_subset_seed_misses(seed_miss_set):
 
 def test_a_scan_that_finds_nothing_is_an_internal_fault(monkeypatch, seed_miss_set):
     pts = seed_miss_set
-    p = first_deep_point(pts, Lattice(3), 3)
+    p = first_deep_scan(pts, Lattice(3), 3)[0]
     monkeypatch.setattr("tverberg.space3._split_scan", lambda points, p, sizes: None)
     with pytest.raises(AssertionFailed, match="Caratheodory"):
         bipartition_search(pts, p)
