@@ -14,10 +14,12 @@ its weights' denominators and s the part's scale, the sum of (w*L)
 times the part's integer points (``PointMultiset.integer_coordinates``)
 equals point*s*L in every coordinate, compared by cross-multiplying
 with the point's denominators.  A part that ``certify`` proved by
-``hull_membership`` already holds its integer points; the source's are
-computed and not kept.  An input with no place on an integer grid (a
-weight, a point or an entry coordinate that is not an int or a
-Fraction) gets a named clause like any other fault.
+``hull_membership``, or that ``documents`` read, already holds its
+integer points; the source's are computed and not kept.  An input with
+no place on an integer grid (a weight, a point or an entry coordinate
+that is not an int or a Fraction) gets a named clause like any other
+fault.  Indices, weights and point coordinates are tested by exact
+type, so a bool, which no document can state as a number, is refused.
 
 ``check_partition_input`` states once the hypotheses of every driver:
 m >= 2, the ambient's dimension, every instance in the set, and the
@@ -108,8 +110,9 @@ def _reassembles(parts: Sequence[PointMultiset], source: PointMultiset) -> bool:
 
 
 def _is_rational(x) -> bool:
-    # the exact-type test first: isinstance against Fraction, an ABC, is dear
-    return type(x) is Fraction or isinstance(x, (int, Fraction))
+    """Whether x is an int or a Fraction by exact type: a bool, which
+    documents cannot state as a number, is not."""
+    return type(x) is Fraction or type(x) is int
 
 
 def verify_certificate(
@@ -134,15 +137,22 @@ def verify_certificate(
     if not misfits and not _reassembles(cert.parts, source):
         fail("partition_mismatch", "parts do not reassemble the source multiset")
     for k, part in enumerate(cert.parts):
-        if part.size == 0:
+        if not part.entries:
             fail("empty_part", f"part {k} is empty")
-    rational_point = all(_is_rational(x) for x in cert.point)
+    rational_point = all([_is_rational(x) for x in cert.point])
+    # the point's (numerator, denominator) per coordinate, when a proof can combine to it
+    target = (
+        [(x.numerator, x.denominator) for x in cert.point]
+        if rational_point and len(cert.point) == source.dim
+        else None
+    )
     for k in range(min(len(cert.parts), len(cert.proofs))):
         part, proof = cert.parts[k], cert.proofs[k]
+        size = len(part.entries)
         bad = False
         terms = []
         for idx, w in proof:
-            if not (isinstance(idx, int) and 0 <= idx < len(part.entries)):
+            if type(idx) is not int or not 0 <= idx < size:
                 fail("bad_coefficients", f"part {k}: weight index {idx} out of range")
                 bad = True
                 continue
@@ -159,18 +169,18 @@ def verify_certificate(
         if total != common:
             fail("bad_coefficients", f"part {k}: weights sum to {Fraction(total, common)}")
             bad = True
-        if bad or part.size == 0 or part.dim != source.dim:
+        if bad or not size or part.dim != source.dim:
             continue
         try:
-            scale, _, points = part.integer_coordinates()
+            scale, columns, _ = part.integer_coordinates()
         except _NO_GRID:
             continue
         # sum (w*common) P_j = point * scale * common, cross-multiplied
         # by the point's denominators
-        if len(cert.point) != source.dim or not rational_point or any(
-            sum([c * points[idx][a] for idx, c in scaled]) * x.denominator
-            != x.numerator * scale * common
-            for a, x in enumerate(cert.point)
+        whole = scale * common
+        if target is None or any(
+            sum([c * column[idx] for idx, c in scaled]) * den != num * whole
+            for column, (num, den) in zip(columns, target)
         ):
             fail("membership_mismatch", f"part {k}: weights combine to a different point")
     if len(cert.point) != source.dim:

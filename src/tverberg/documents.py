@@ -21,11 +21,22 @@ nests deeper than the parser recurses, or holds a JSON number longer
 than the interpreter's int conversion limit.  Proof weights are judged only
 by the verifier, so a corrupted certificate still reaches it.
 
+A point document is read once: each coordinate string gives its value
+and its lowest-terms ints (``points.rational_terms``), and the multiset
+gets its integer grid from those ints (``PointMultiset.from_grid``), so
+the verifier computes no grid for a part read from a document.  Entries
+listed in strictly increasing order, as every written document lists
+them, are kept as given; others are sorted and merged by the
+constructor.
+
 ``dumps`` writes exactly the bytes of ``json.dumps(doc, sort_keys=True,
 indent=2)`` plus a newline (lowest-terms rationals, so equal objects
 give equal files) for dicts with string keys, lists, str, int, bool and
 None, raises TypeError on any other, and skips json's pure-Python
-indent encoder.
+indent encoder.  A document with the six keys of a certificate is
+written from its schema, each coordinate list and weight record in one
+piece; any value of another type or shape sends it to the general
+writer, so the bytes and the errors are the same for every document.
 """
 
 from __future__ import annotations
@@ -33,19 +44,87 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from math import lcm
+from operator import floordiv, mul
 from typing import Any
 
 from .ambient import AmbientSet, FiniteSet, Lattice, MixedLattice, RealSpace
 from .certificates import TverbergCertificate
 from .errors import InputError
-from .points import Point, PointMultiset, format_rational, rational
+from .points import Point, PointMultiset, format_rational, rational, rational_terms
 
 
 def dumps(doc: dict) -> str:
+    if type(doc) is dict and len(doc) == len(_CERTIFICATE_KEYS):
+        try:
+            return _certificate_text(doc)
+        except (KeyError, TypeError, ValueError):  # not of the schema: written the general way
+            pass
     out: list[str] = []
     _write(doc, "\n", out)
     out.append("\n")
+    return "".join(out)
+
+
+_CERTIFICATE_KEYS = ("ambient", "m", "parts", "point", "proofs", "type")
+# the line break and indent of each nesting level, and the item separator there
+_INDENT = tuple("\n" + "  " * level for level in range(7))
+_SEPARATOR = tuple("," + indent for indent in _INDENT)
+
+
+def _strings(values: Any, level: int) -> str:
+    """The JSON of a nonempty list of strings whose items sit at level."""
+    if type(values) is not list or not values:
+        raise TypeError("not a nonempty list")
+    items = _SEPARATOR[level].join(map(encode_basestring_ascii, values))
+    return f"[{_INDENT[level]}{items}{_INDENT[level - 1]}]"
+
+
+def _certificate_text(doc: dict) -> str:
+    """``dumps`` of a document with the keys of a certificate, written
+    from its schema (``certificate_to_doc``): each coordinate list and
+    each weight record in one piece.  A missing key, or a value of
+    another type or shape (a bool for an int, an empty list, a number
+    for a string), raises KeyError, TypeError or ValueError, and the
+    caller writes the document the general way."""
+    ambient, m, parts, point, proofs, kind = [doc[key] for key in _CERTIFICATE_KEYS]
+    if type(m) is not int or type(parts) is not list or type(proofs) is not list:
+        raise TypeError("not a certificate")
+    if not parts or not proofs:
+        raise TypeError("not a certificate")
+    i2, i3, i4, i5 = _INDENT[2:6]
+    written = []
+    for part in parts:
+        if type(part) is not dict or len(part) != 2:
+            raise TypeError("not a part")
+        dim, points = part["dim"], part["points"]
+        if type(dim) is not int or type(points) is not list or not points:
+            raise TypeError("not a part")
+        entries = []
+        for entry in points:
+            if type(entry) is not dict or len(entry) != 2 or type(entry["mult"]) is not int:
+                raise TypeError("not an entry")
+            coords = _strings(entry["coords"], 6)
+            entries.append(f'{{{i5}"coords": {coords},{i5}"mult": {entry["mult"]}{i4}}}')
+        written.append(f'{{{i3}"dim": {dim},{i3}"points": [{i4}{_SEPARATOR[4].join(entries)}{i3}]{i2}}}')
+    proved = []
+    for proof in proofs:
+        if type(proof) is not list or not proof:
+            raise TypeError("not a proof")
+        records = []
+        for record in proof:
+            if type(record) is not dict or len(record) != 2 or type(record["index"]) is not int:
+                raise TypeError("not a weight record")
+            weight = encode_basestring_ascii(record["weight"])
+            records.append(f'{{{i4}"index": {record["index"]},{i4}"weight": {weight}{i3}}}')
+        proved.append(f"[{i3}{_SEPARATOR[3].join(records)}{i2}]")
+    out = ['{\n  "ambient": ']
+    _write(ambient, _INDENT[1], out)
+    out.append(f',\n  "m": {m},\n  "parts": [{i2}{_SEPARATOR[2].join(written)}\n  ]')
+    out.append(f',\n  "point": {_strings(point, 2)},\n  "proofs": [{i2}{_SEPARATOR[2].join(proved)}\n  ]')
+    out.append(f',\n  "type": {encode_basestring_ascii(kind)}\n}}\n')
     return "".join(out)
 
 
@@ -159,13 +238,18 @@ def multiset_to_doc(points: PointMultiset) -> dict:
 
 def multiset_from_doc(doc: Any, path: str = "") -> PointMultiset:
     """The multiset of a point document; path is where it sits inside
-    its document ("parts[0]"), empty for a document of its own."""
+    its document ("parts[0]"), empty for a document of its own.  Each
+    coordinate is read once into its value and its ints
+    (``rational_terms``), and the multiset gets its integer grid from
+    the ints (``PointMultiset.from_grid``)."""
     _typed(doc, dict, path or "a point document")
     prefix = path + "." if path else ""
     dim = _field(doc, "dim", int, prefix)
     if dim < 1:
         raise InputError(f"{_name(prefix, 'dim')} must be a positive integer, not {dim}")
     entries = []
+    numerators = []
+    denominators = []
     for pos, item in enumerate(_field(doc, "points", list, prefix)):
         if type(item) is not dict:
             _typed(item, dict, f"{prefix}points[{pos}]")
@@ -178,10 +262,18 @@ def multiset_from_doc(doc: Any, path: str = "") -> PointMultiset:
         if type(mult) is not int or mult < 1:
             where = f"{prefix}points[{pos}].mult"
             raise InputError(f"{where} must be a positive integer, not {_typed(mult, int, where)}")
-        p = tuple([rational(c) if type(c) is str else _not_string(coords, f"{prefix}points[{pos}].coords")
-                   for c in coords])
+        p, nums, dens = zip(*[
+            rational_terms(c) if type(c) is str else _not_string(coords, f"{prefix}points[{pos}].coords")
+            for c in coords
+        ])
         entries.append((p, mult))
-    return PointMultiset(entries, dim=dim)
+        numerators.append(nums)
+        denominators.append(dens)
+    scale = lcm(*chain.from_iterable(denominators))
+    if scale != 1:  # each numerator times scale // its denominator, dim to a point
+        factors = map(floordiv, repeat(scale), chain.from_iterable(denominators))
+        numerators = zip(*[map(mul, chain.from_iterable(numerators), factors)] * dim)
+    return PointMultiset.from_grid(entries, dim, scale, tuple(numerators))
 
 
 def ambient_to_doc(ambient: AmbientSet) -> dict:

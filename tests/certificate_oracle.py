@@ -7,14 +7,17 @@ weights with the part's Fraction points by ``add`` and ``scale``, the
 point helpers the library's ``combination`` folded with before it
 summed in ints.  ``rational`` is the
 library's previous parser body, which hands a string that passed the
-grammar to ``Fraction``'s own string parser.  The tests check that the
-library returns the same reports and the same values, and raises the
-same errors, on the same inputs.
+grammar to ``Fraction``'s own string parser, and ``grammar_rational``
+the one after it, which decides the grammar by a regular expression
+and reads the digits as ints under the interpreter's int conversion
+limit.  The tests check that the library returns the same reports and
+the same values, and raises the same errors, on the same inputs.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from tverberg.certificates import TverbergCertificate, VerificationReport
@@ -51,6 +54,25 @@ def rational(value: Rationalish) -> Fraction:
         except ZeroDivisionError as exc:
             raise InputError(f"bad rational string: {value!r} has a zero denominator") from exc
     raise InputError(f"cannot interpret {value!r} as a rational")
+
+
+def grammar_rational(value: str) -> Fraction:
+    """A rational string by the document grammar, decided by
+    ``_RATIONAL_STRING`` and read as ints."""
+    if not _RATIONAL_STRING.fullmatch(value):
+        raise InputError(f"bad rational string: {value!r}; expected 'a' or 'a/b'")
+    num, slash, den = value.partition("/")
+    try:
+        if not slash:
+            return Fraction(int(value))
+        return Fraction(int(num), int(den))
+    except ZeroDivisionError as exc:
+        raise InputError(f"bad rational string: {value!r} has a zero denominator") from exc
+    except ValueError:
+        raise InputError(
+            f"bad rational string of {len(value)} characters: a numerator or "
+            f"denominator may have at most {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def verify_certificate(

@@ -33,6 +33,51 @@ def clustered_multiset(
     return PointMultiset.from_points(pts)
 
 
+def driver_corpus(rng: random.Random, fan):
+    """Seeded (certificate, source) pairs from every DRIVERS row: Z^1,
+    Z^2, Z^3, finite sets of Helly number 1-4 and a 1-D finite set,
+    Z^1 x R^1, Z^1 x R^2, Z^2 x R^1 and R^2."""
+    from tverberg.ambient import FiniteSet, Lattice, MixedLattice, RealSpace
+    from tverberg.planar import finite_gate, z2_gate
+    from tverberg.points import point
+    from tverberg.product import tverberg_partition
+
+    grid = FiniteSet(tuple(point(x, y) for x in range(3) for y in range(3)), 2)
+    collinear = FiniteSet(tuple(point(i, 2 * i) for i in range(4)), 2)
+    single = FiniteSet((point(1, 1),), 2)
+    line = FiniteSet(tuple(point(Fraction(x, 2)) for x in range(-5, 6)), 1)
+    cases = []
+    for _ in range(6):
+        m = rng.randint(2, 4)
+        pts = [point(rng.randint(-5, 5)) for _ in range(2 * m - 1 + rng.randint(0, 2))]
+        cases.append((pts, m, Lattice(1)))
+    for _ in range(10):
+        m = rng.randint(2, 5)
+        pts = random_lattice_multiset(rng, z2_gate(m) + rng.randint(0, 2), 2, rng.choice([2, 8, 20]))
+        cases.append((pts.instances(), m, Lattice(2)))
+    for _ in range(2):
+        cases.append((random_lattice_multiset(rng, 17, 3, 2).instances(), 2, Lattice(3)))
+    for ambient, he in ((single, 1), (collinear, 2), (fan, 3), (grid, 4), (line, 2)):
+        for _ in range(3):
+            m = rng.randint(2, 3)
+            n = finite_gate(he, m) + rng.randint(0, 2)
+            cases.append(([rng.choice(ambient.points) for _ in range(n)], m, ambient))
+    for j, k, size in ((1, 1, 5), (1, 2, 7), (2, 1, 9)):
+        for _ in range(3):
+            pts = [
+                tuple(point(*(rng.randint(-3, 3) for _ in range(j))))
+                + tuple(random_rational(rng, 3, 4) for _ in range(k))
+                for _ in range(size)
+            ]
+            cases.append((pts, 2, MixedLattice(j, k)))
+    for _ in range(3):
+        pts = [tuple(random_rational(rng, 3, 4) for _ in range(2)) for _ in range(4)]
+        cases.append((pts, 2, RealSpace(2)))
+    for pts, m, ambient in cases:
+        source = PointMultiset.from_points(pts, dim=ambient.dim)
+        yield tverberg_partition(source, m, ambient), source
+
+
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)

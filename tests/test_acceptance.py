@@ -18,6 +18,7 @@ from fractions import Fraction
 from tverberg.ambient import FiniteSet, Lattice, MixedLattice, RealSpace
 from tverberg.certificates import verify_certificate
 from tverberg.depth import halfspace_depth, integer_centerpoint
+from tverberg.documents import certificate_from_doc, certificate_to_doc, dumps, loads
 from tverberg.errors import BudgetExceeded
 from tverberg.geometry import hull_membership
 from tverberg.oracle import (
@@ -292,3 +293,7 @@ def test_criterion_11_mutation_rejection(capsys):
             report = verify_certificate(mutated, source)
             assert not report.ok
             assert expected in report.failures
+            # the written and read copy, with its parts' integer grids
+            # filled by the reader, gets the same report
+            copy = certificate_from_doc(loads(dumps(certificate_to_doc(mutated))))
+            assert verify_certificate(copy, source) == report

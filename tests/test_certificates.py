@@ -18,13 +18,13 @@ from tverberg.certificates import (
 )
 from tverberg.errors import AssertionFailed, DimensionMismatch, PreconditionViolated
 from tverberg.geometry import hull_membership
-from tverberg.planar import finite_gate, plane_tverberg, z2_gate
+from tverberg.planar import plane_tverberg
 from tverberg.points import PointMultiset, point
 from tverberg.product import product_tverberg, tverberg_partition
 from tverberg.space3 import z3_tverberg
 
 from certificate_oracle import verify_certificate as reference_verify
-from conftest import random_lattice_multiset, random_rational
+from conftest import driver_corpus, random_lattice_multiset, random_rational
 
 
 def _radon_square():
@@ -394,46 +394,6 @@ def test_every_driver_states_its_hypotheses_once(monkeypatch, ambient, gate, out
         assert type(caught.value) is error and str(caught.value) == message
 
 
-def _driver_corpus(rng, fan):
-    """Seeded (certificate, source) pairs from every DRIVERS row: Z^1,
-    Z^2, Z^3, finite sets of Helly number 1-4 and a 1-D finite set,
-    Z^1 x R^1, Z^1 x R^2, Z^2 x R^1 and R^2."""
-    grid = FiniteSet(tuple(point(x, y) for x in range(3) for y in range(3)), 2)
-    collinear = FiniteSet(tuple(point(i, 2 * i) for i in range(4)), 2)
-    single = FiniteSet((point(1, 1),), 2)
-    line = FiniteSet(tuple(point(Fraction(x, 2)) for x in range(-5, 6)), 1)
-    cases = []
-    for _ in range(6):
-        m = rng.randint(2, 4)
-        pts = [point(rng.randint(-5, 5)) for _ in range(2 * m - 1 + rng.randint(0, 2))]
-        cases.append((pts, m, Lattice(1)))
-    for _ in range(10):
-        m = rng.randint(2, 5)
-        pts = random_lattice_multiset(rng, z2_gate(m) + rng.randint(0, 2), 2, rng.choice([2, 8, 20]))
-        cases.append((pts.instances(), m, Lattice(2)))
-    for _ in range(2):
-        cases.append((random_lattice_multiset(rng, 17, 3, 2).instances(), 2, Lattice(3)))
-    for ambient, he in ((single, 1), (collinear, 2), (fan, 3), (grid, 4), (line, 2)):
-        for _ in range(3):
-            m = rng.randint(2, 3)
-            n = finite_gate(he, m) + rng.randint(0, 2)
-            cases.append(([rng.choice(ambient.points) for _ in range(n)], m, ambient))
-    for j, k, size in ((1, 1, 5), (1, 2, 7), (2, 1, 9)):
-        for _ in range(3):
-            pts = [
-                tuple(point(*(rng.randint(-3, 3) for _ in range(j))))
-                + tuple(random_rational(rng, 3, 4) for _ in range(k))
-                for _ in range(size)
-            ]
-            cases.append((pts, 2, MixedLattice(j, k)))
-    for _ in range(3):
-        pts = [tuple(random_rational(rng, 3, 4) for _ in range(2)) for _ in range(4)]
-        cases.append((pts, 2, RealSpace(2)))
-    for pts, m, ambient in cases:
-        source = PointMultiset.from_points(pts, dim=ambient.dim)
-        yield tverberg_partition(source, m, ambient), source
-
-
 def _with_part(cert, k, part, proof=None):
     proofs = cert.proofs if proof is None else cert.proofs[:k] + (proof,) + cert.proofs[k + 1 :]
     return dataclasses.replace(cert, parts=cert.parts[:k] + (part,) + cert.parts[k + 1 :], proofs=proofs)
@@ -505,7 +465,7 @@ def test_reports_match_the_reference_verifier(triangle_fan_set):
     DRIVERS row and on 5,500 seeded faults of eleven kinds, one or two
     at a time."""
     rng = random.Random(20261)
-    certificates = list(_driver_corpus(rng, triangle_fan_set))
+    certificates = list(driver_corpus(rng, triangle_fan_set))
     mutants = 0
     for cert, source in certificates:
         assert verify_certificate(cert, source) == reference_verify(cert, source)
@@ -536,3 +496,27 @@ def test_verifier_names_what_has_no_integer_grid():
     assert report.failures == ("partition_mismatch",)
     report = verify_certificate(cert, PointMultiset.from_points([(0.0, 0.0), (2.0, 2.0)]))
     assert report.failures == ("partition_mismatch",)
+
+
+def test_verifier_refuses_booleans_the_document_grammar_refuses():
+    """True and False are ints to Python but no document states them as
+    numbers: as a proof index or a weight they are bad_coefficients, as a
+    point coordinate a membership_mismatch, where the verifier once
+    passed them and the written certificate then failed to read."""
+    source = PointMultiset.from_points([point(0), point(1), point(2)])
+    half = Fraction(1, 2)
+    parts = (PointMultiset.from_points([point(1)]), PointMultiset.from_points([point(0), point(2)]))
+    good = TverbergCertificate(2, point(1), parts, (((0, Fraction(1)),), ((0, half), (1, half))), Lattice(1))
+    assert verify_certificate(good, source).ok
+    by_index = dataclasses.replace(good, proofs=(good.proofs[0], ((True, half), (False, half))))
+    report = verify_certificate(by_index, source)
+    assert report.failures == ("bad_coefficients",)
+    assert report.details[:2] == ("part 1: weight index True out of range", "part 1: weight index False out of range")
+    by_weight = dataclasses.replace(good, proofs=(((0, True),), good.proofs[1]))
+    report = verify_certificate(by_weight, source)
+    assert report.failures == ("bad_coefficients",)
+    assert report.details[0] == "part 0: weight True is not a rational"
+    by_point = dataclasses.replace(good, point=(True,))
+    report = verify_certificate(by_point, source)
+    assert report.failures == ("membership_mismatch",)
+    assert report.details[-1] == "certified point has a coordinate that is not a rational"

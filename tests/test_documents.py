@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from tverberg.ambient import FiniteSet, Lattice, MixedLattice, RealSpace
 from tverberg.certificates import verify_certificate
+from tverberg import documents
 from tverberg.documents import (
     ambient_from_doc,
     ambient_to_doc,
@@ -25,7 +27,7 @@ from tverberg.errors import InputError
 from tverberg.planar import plane_tverberg
 from tverberg.points import PointMultiset, point, rational
 
-from conftest import random_lattice_multiset
+from conftest import driver_corpus, random_lattice_multiset
 
 
 def test_multiset_round_trip(rng):
@@ -103,6 +105,34 @@ def test_certificate_round_trip(rng):
         assert verify_certificate(back, pts).ok
 
 
+def test_the_reader_fills_the_integer_grid_the_multiset_would_compute():
+    """Seeded point documents, unsorted or sorted, with duplicated,
+    negative, rational and 10^12-multiplicity entries: the multiset read
+    equals the one the constructor builds from the same entries, and the
+    integer grid the reader filled equals the grid that one computes."""
+    rng = random.Random(1012)
+    sorted_docs = 0
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        rows = [
+            tuple(Fraction(rng.randint(-300, 300), rng.choice([1, 1, 1, 2, 3, 7, 12])) for _ in range(dim))
+            for _ in range(rng.randint(0, 7))
+        ]
+        rows += rng.sample(rows, rng.randint(0, len(rows))) if rows else []
+        entries = [(p, rng.choice([1, 1, 2, 5, 10**12])) for p in rows]
+        if rng.random() < 0.5:
+            entries = sorted(dict(entries).items())
+            sorted_docs += 1
+        else:
+            rng.shuffle(entries)
+        doc = {"dim": dim, "points": [{"coords": [str(x) for x in p], "mult": mult} for p, mult in entries]}
+        got = multiset_from_doc(loads(dumps(doc)))
+        fresh = PointMultiset(entries, dim=dim)
+        assert got == fresh and got.entries == fresh.entries
+        assert got.integer_coordinates() == fresh.integer_coordinates()
+    assert 100 < sorted_docs < 300
+
+
 def test_corrupted_weight_reaches_the_verifier():
     pts = random_lattice_multiset(__import__("random").Random(7), 9, 2, 12)
     cert = plane_tverberg(pts, 3, Lattice(2))
@@ -172,6 +202,87 @@ def test_dumps_writes_the_json_module_bytes():
     docs = fixed + [{str(k): _random_value(rng, 0) for k in range(rng.randint(0, 4))} for _ in range(300)]
     for doc in docs:
         assert dumps(doc) == _json_bytes(doc), doc
+
+
+def _written(writer, doc):
+    try:
+        return writer(doc)
+    except TypeError as exc:
+        return ("TypeError", str(exc))
+
+
+def _general_writer(doc):
+    """``dumps`` by the general writer alone, as it wrote every document
+    before certificates had a writer of their own."""
+    out = []
+    documents._write(doc, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _certificate_mutant(rng, doc):
+    """A deep copy of a certificate document with one seeded change of
+    type or shape."""
+    doc = copy.deepcopy(doc)
+    part = rng.choice(doc["parts"])
+    entry = rng.choice(part["points"])
+    proof = rng.choice(doc["proofs"])
+    record = rng.choice(proof)
+    kind = rng.randrange(13)
+    if kind == 0:
+        doc["m"] = rng.choice([True, False])
+    elif kind == 1:
+        entry["coords"][rng.randrange(len(entry["coords"]))] = rng.choice([3, True, 0.5, None])
+    elif kind == 2:
+        doc["point"][rng.randrange(len(doc["point"]))] = rng.choice([3, False, -1.5])
+    elif kind == 3:
+        record["weight"] = rng.choice([0.5, 1.0, 1])
+    elif kind == 4:
+        rng.choice([doc, part, entry, record])["extra"] = rng.choice(["x", 1, None, []])
+    elif kind == 5:
+        holder = rng.choice([doc, part, entry, record])
+        del holder[rng.choice(sorted(holder))]
+    elif kind == 6:
+        doc[rng.choice(["parts", "proofs"])] = []
+    elif kind == 7:
+        rng.choice([part["points"], entry["coords"], proof, doc["point"]]).clear()
+    elif kind == 8:
+        rng.choice([doc, part, entry, record])[rng.choice([1, None, (0,)])] = "x"
+    elif kind == 9:
+        record["weight"] = rng.choice(["\u00bd", "1/2\u00e9", "\u0663", "\ud800"])
+    elif kind == 10:
+        holder, key = rng.choice([(part, "dim"), (entry, "mult"), (record, "index")])
+        holder[key] = rng.choice([True, False, 2.0, "2", 10**5000])
+    elif kind == 11:
+        doc[rng.choice(["type", "ambient"])] = rng.choice([None, 7, [], {"kind": "Zd", "d": True}, 0.25])
+    else:
+        holder, key = rng.choice([(doc, "point"), (doc, "parts"), (doc, "proofs"), (part, "points"), (entry, "coords")])
+        holder[key] = rng.choice(["12", {"0": "1"}, tuple(holder[key])])
+    return doc
+
+
+def test_dumps_writes_certificates_and_their_mutants_as_json_does(triangle_fan_set):
+    """Certificates of every DRIVERS row, and 40 seeded mutants of each
+    (a bool m, a number or bool for a string, a float weight, an extra or
+    missing key, empty lists, a key that is not a string, a non-ASCII
+    weight, a string, object or tuple for a list): ``dumps`` gives
+    json.dumps's bytes and a newline, or raises what the general writer
+    raises."""
+    rng = random.Random(2110)
+    for cert, _ in driver_corpus(rng, triangle_fan_set):
+        doc = certificate_to_doc(cert)
+        assert dumps(doc) == _json_bytes(doc)
+        for _ in range(40):
+            bad = _certificate_mutant(rng, doc)
+            try:
+                got = _written(dumps, bad)
+            except InputError as exc:  # a number too long to write, as the general writer says
+                with pytest.raises(InputError) as expected:
+                    _general_writer(bad)
+                assert str(exc) == str(expected.value)
+                continue
+            assert got == _written(_general_writer, bad), bad
+            if isinstance(got, str):
+                assert got == _json_bytes(bad), bad
 
 
 def test_dumps_refuses_what_documents_never_hold():

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tverberg.errors import DimensionMismatch, InputError
@@ -20,6 +21,7 @@ from tverberg.points import (
 )
 
 import lp_oracle
+from certificate_oracle import grammar_rational
 from certificate_oracle import rational as reference_rational
 from radial_oracle import primitive
 
@@ -219,6 +221,48 @@ def test_rational_rejects_with_the_reference_messages():
         with pytest.raises(InputError) as expected:
             reference_rational(bad)
         assert str(exc.value) == str(expected.value), bad
+
+
+_LIMIT = sys.get_int_max_str_digits()
+# signs, blanks, separators and digits the grammar refuses: Arabic-Indic
+# three, a fullwidth one and a superscript two
+_NEAR_GRAMMAR = "0123456789-+/ _.e\n\u0663\uff11\u00b2"
+
+
+def _long_digits(count: int, signed: bool) -> str:
+    return ("-" if signed else "") + "7" * count
+
+
+_RATIONAL_TEXT = st.one_of(
+    st.text(_NEAR_GRAMMAR, max_size=9),
+    st.builds(_long_digits, st.integers(_LIMIT - 1, _LIMIT + 1), st.booleans()),
+    st.builds(
+        "{}/{}".format,
+        st.builds(_long_digits, st.sampled_from([1, _LIMIT - 1, _LIMIT, _LIMIT + 1]), st.booleans()),
+        st.sampled_from(["0", "3", "1" * (_LIMIT - 1), "1" * _LIMIT, "1" * (_LIMIT + 1), "", "-2"]),
+    ),
+)
+
+
+@given(_RATIONAL_TEXT)
+@example("")
+@example("1/0")
+@example("-0/7")
+@example(" 1")
+@example("1_0")
+@example("+1")
+@example("\u0663")
+@example("\uff11")
+@example("\u00b2")
+@example("7" * _LIMIT + "/" + "1" * (_LIMIT + 1))
+def test_rational_accepts_exactly_the_grammar(text):
+    """The parser reads strings without a regular expression; it accepts
+    what ``-?[0-9]+(/[0-9]+)?`` accepts, with the same value, and refuses
+    the rest with the same message, digit strings at the int conversion
+    limit included."""
+    got = _outcome(rational, text)
+    assert got == _outcome(grammar_rational, text)
+    assert type(got) is Fraction or got[0] == "InputError"
 
 
 def _merged_by_dict(entries, dim):
