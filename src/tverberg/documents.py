@@ -21,13 +21,11 @@ nests deeper than the parser recurses, or holds a JSON number longer
 than the interpreter's int conversion limit.  Proof weights are judged only
 by the verifier, so a corrupted certificate still reaches it.
 
-A point document is read once: each coordinate string gives its value
-and its lowest-terms ints (``points.rational_terms``), and the multiset
-gets its integer grid from those ints (``PointMultiset.from_grid``), so
-the verifier computes no grid for a part read from a document.  Entries
-listed in strictly increasing order, as every written document lists
-them, are kept as given; others are sorted and merged by the
-constructor.
+A point document's multiset gets its integer grid as it is read
+(``PointMultiset._from_read``), so the verifier computes no grid for a
+part read from a document.  Entries listed in strictly increasing
+order, as every written document lists them, are kept as given; others
+are sorted and merged by the constructor.
 
 ``dumps`` writes exactly the bytes of ``json.dumps(doc, sort_keys=True,
 indent=2)`` plus a newline (lowest-terms rationals, so equal objects
@@ -44,16 +42,13 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from math import lcm
-from operator import floordiv, mul
 from typing import Any
 
 from .ambient import AmbientSet, FiniteSet, Lattice, MixedLattice, RealSpace
 from .certificates import TverbergCertificate
 from .errors import InputError
-from .points import Point, PointMultiset, format_rational, rational, rational_terms
+from .points import Point, PointMultiset, format_rational, rational
 
 
 def dumps(doc: dict) -> str:
@@ -238,18 +233,14 @@ def multiset_to_doc(points: PointMultiset) -> dict:
 
 def multiset_from_doc(doc: Any, path: str = "") -> PointMultiset:
     """The multiset of a point document; path is where it sits inside
-    its document ("parts[0]"), empty for a document of its own.  Each
-    coordinate is read once into its value and its ints
-    (``rational_terms``), and the multiset gets its integer grid from
-    the ints (``PointMultiset.from_grid``)."""
+    its document ("parts[0]"), empty for a document of its own.  The
+    multiset gets its integer grid as it is read."""
     _typed(doc, dict, path or "a point document")
     prefix = path + "." if path else ""
     dim = _field(doc, "dim", int, prefix)
     if dim < 1:
         raise InputError(f"{_name(prefix, 'dim')} must be a positive integer, not {dim}")
     entries = []
-    numerators = []
-    denominators = []
     for pos, item in enumerate(_field(doc, "points", list, prefix)):
         if type(item) is not dict:
             _typed(item, dict, f"{prefix}points[{pos}]")
@@ -262,18 +253,10 @@ def multiset_from_doc(doc: Any, path: str = "") -> PointMultiset:
         if type(mult) is not int or mult < 1:
             where = f"{prefix}points[{pos}].mult"
             raise InputError(f"{where} must be a positive integer, not {_typed(mult, int, where)}")
-        p, nums, dens = zip(*[
-            rational_terms(c) if type(c) is str else _not_string(coords, f"{prefix}points[{pos}].coords")
-            for c in coords
-        ])
+        p = tuple([rational(c) if type(c) is str else _not_string(coords, f"{prefix}points[{pos}].coords")
+                   for c in coords])
         entries.append((p, mult))
-        numerators.append(nums)
-        denominators.append(dens)
-    scale = lcm(*chain.from_iterable(denominators))
-    if scale != 1:  # each numerator times scale // its denominator, dim to a point
-        factors = map(floordiv, repeat(scale), chain.from_iterable(denominators))
-        numerators = zip(*[map(mul, chain.from_iterable(numerators), factors)] * dim)
-    return PointMultiset.from_grid(entries, dim, scale, tuple(numerators))
+    return PointMultiset._from_read(entries, dim)
 
 
 def ambient_to_doc(ambient: AmbientSet) -> dict:

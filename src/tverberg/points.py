@@ -6,9 +6,9 @@ Conventions used throughout the library:
   lexicographically, hash, and unpack for free, which is exactly what the
   canonical orderings here need.  ``point()`` builds one from ints,
   rational strings, or Fractions.  ``rational()`` parses a string by
-  the document grammar ('a' or 'a/b') and reads its digits as ints
-  (``rational_terms``), never through a regular expression or
-  ``Fraction``'s own string parser.
+  the document grammar ('a' or 'a/b') and reads its digits as ints,
+  never through a regular expression or ``Fraction``'s own string
+  parser.
 
 * A ``PointMultiset`` stores entries ``(point, multiplicity)`` sorted
   lexicographically with equal points merged.  Two multisets built from
@@ -49,54 +49,34 @@ Rationalish = int | str | Fraction
 _first = itemgetter(0)
 
 
-# the terms of the integer strings "-256" .. "256", which most lattice
-# coordinates are, read once: a coordinate among them makes no Fraction
-_SMALL_INTEGERS = {str(n): (Fraction(n), n, 1) for n in range(-256, 257)}
-
-
-def rational_terms(value: str) -> tuple[Fraction, int, int]:
-    """(x, numerator, denominator) of the rational x that a string states
-    by the document grammar, the ints in lowest terms.
-
-    The grammar: an optional minus sign, ASCII digits, and optionally a
-    slash and a nonzero digit string.  Decimals, exponents, spaces,
-    underscores, plus signs and non-ASCII digits are refused, and so are
-    digit strings longer than the interpreter's int conversion limit
-    (``sys.get_int_max_str_digits``).  The digits are read as ints, with
-    no regular expression and not by ``Fraction``'s own string parser.
-    """
-    known = _SMALL_INTEGERS.get(value)
-    if known is not None:
-        return known
-    num, slash, den = value.partition("/")
-    digits = num[1:] if num[:1] == "-" else num
-    # isdigit() holds on ASCII text for 0-9 only
-    if not (value.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
-        raise InputError(f"bad rational string: {value!r}; expected 'a' or 'a/b'")
-    try:
-        if not slash:
-            n = int(num)
-            return Fraction(n), n, 1
-        n, d = int(num), int(den)
-    except ValueError:  # int() refuses digit strings over the interpreter's limit
-        raise InputError(
-            f"bad rational string of {len(value)} characters: a numerator or "
-            f"denominator may have at most {sys.get_int_max_str_digits()} digits"
-        ) from None
-    if not d:
-        raise InputError(f"bad rational string: {value!r} has a zero denominator")
-    x = Fraction(n, d)
-    return x, x.numerator, x.denominator
-
-
 def rational(value: Rationalish) -> Fraction:
     """Parse a rational from an int, a Fraction, or a string 'a' / 'a/b'.
 
-    Strings follow the document grammar exactly (``rational_terms``).
-    Bools are rejected.
+    Strings follow the document grammar exactly: an optional minus sign,
+    ASCII digits, and optionally a slash and a nonzero digit string.
+    Decimals, exponents, spaces, underscores, plus signs, non-ASCII
+    digits and bools are rejected.  A string the grammar accepts is read
+    as ints, numerator and denominator, and reduced by ``Fraction``;
+    digit strings longer than the interpreter's int conversion limit
+    (``sys.get_int_max_str_digits``) are refused.
     """
     if isinstance(value, str):
-        return rational_terms(value)[0]
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        # isdigit() holds on ASCII text for 0-9 only
+        if not (value.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
+            raise InputError(f"bad rational string: {value!r}; expected 'a' or 'a/b'")
+        try:
+            if not slash:
+                return Fraction(int(value))
+            return Fraction(int(num), int(den))
+        except ZeroDivisionError as exc:
+            raise InputError(f"bad rational string: {value!r} has a zero denominator") from exc
+        except ValueError:  # int() refuses digit strings over the interpreter's limit
+            raise InputError(
+                f"bad rational string of {len(value)} characters: a numerator or "
+                f"denominator may have at most {sys.get_int_max_str_digits()} digits"
+            ) from None
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -274,19 +254,13 @@ class PointMultiset:
         return self._canonical(entries, self.dim)
 
     @classmethod
-    def from_grid(
-        cls,
-        entries: Sequence[tuple[Point, int]],
-        dim: int,
-        scale: int,
-        points: tuple[tuple[int, ...], ...],
-    ) -> "PointMultiset":
-        """The multiset of entries (multiplicities >= 1) given with their
-        points on the integer grid: scale and the scaled points as
-        ``integer_coordinates`` states them.  Scaling by a positive int
-        keeps the order, so when the int points strictly increase the
-        entries are canonical and kept as given, with this grid; others
-        go through the constructor."""
+    def _from_read(cls, entries: Sequence[tuple[Point, int]], dim: int) -> "PointMultiset":
+        """The multiset of entries (multiplicities >= 1) read from a
+        document, with its integer grid (``integer_coordinates``)
+        computed from them.  Scaling by a positive int keeps the order,
+        so when the scaled points strictly increase the entries are
+        canonical and kept as given; others go through the constructor."""
+        scale, points = integer_points([p for p, _ in entries])
         if not all(map(lt, points, points[1:])):
             return cls(entries, dim=dim)
         out = cls._canonical(entries, dim)

@@ -27,7 +27,7 @@ from tverberg.oracle import (
     verify_no_partition,
 )
 from tverberg.planar import helly_number, plane_tverberg
-from tverberg.points import PointMultiset, point
+from tverberg.points import PointMultiset, integer_points, point
 from tverberg.product import double_witness, product_tverberg
 from tverberg.selection import fraction_selection, transversal_property_verify
 from tverberg.space3 import z3_tverberg
@@ -294,6 +294,10 @@ def test_criterion_11_mutation_rejection(capsys):
             assert not report.ok
             assert expected in report.failures
             # the written and read copy, with its parts' integer grids
-            # filled by the reader, gets the same report
+            # filled by the reader, gets the same report, and each grid
+            # is the one its part's points give
             copy = certificate_from_doc(loads(dumps(certificate_to_doc(mutated))))
             assert verify_certificate(copy, source) == report
+            for part in copy.parts:
+                scale, points = integer_points(part.support())
+                assert part.integer_coordinates() == (scale, tuple(zip(*points)), points)
