@@ -18,8 +18,9 @@ with the point's denominators.  A part that ``certify`` proved by
 integer points; the source's are computed and not kept.  An input with
 no place on an integer grid (a weight, a point or an entry coordinate
 that is not an int or a Fraction) gets a named clause like any other
-fault.  Indices, weights and point coordinates are tested by exact
-type, so a bool, which no document can state as a number, is refused.
+fault.  Indices, weights, point coordinates and the coordinates of
+every part entry are tested by exact type, so a bool, which no
+document can state as a number, is refused.
 
 ``check_partition_input`` states once the hypotheses of every driver:
 m >= 2, the ambient's dimension, every instance in the set, and the
@@ -28,7 +29,10 @@ it the parts it built and their common point; it writes each part's
 proof and calls ``assemble_certificate`` once, so each answer is built
 and verified once, whatever inner partitions the driver went through.
 Only the real brute force in ``product`` hands its joint LP weights to
-``assemble_certificate`` itself.
+``assemble_certificate`` itself.  ``median_cut`` is the median
+construction on a line by count, shared by ``median_certificate`` (the
+driver of Z^1 and of 1-D finite sets) and the Z^1 base of
+``product.product_tverberg``.
 
 Failures are reported as clause names so callers can tell what broke:
 
@@ -47,6 +51,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Sequence
 
 from .ambient import AmbientSet
@@ -134,6 +139,9 @@ def verify_certificate(
     misfits = [k for k, part in enumerate(cert.parts) if part.dim != source.dim]
     for k in misfits:
         fail("partition_mismatch", f"part {k} has dimension {cert.parts[k].dim}, source {source.dim}")
+    for k, part in enumerate(cert.parts):
+        if not all([_is_rational(x) for p, _ in part.entries for x in p]):
+            fail("partition_mismatch", f"part {k} has a coordinate that is not a rational")
     if not misfits and not _reassembles(cert.parts, source):
         fail("partition_mismatch", "parts do not reassemble the source multiset")
     for k, part in enumerate(cert.parts):
@@ -285,11 +293,21 @@ def line_gate(m: int) -> int:
     return 2 * m - 1
 
 
-def median_groups(n: int, t: int) -> list[Sequence[int]]:
-    """The median construction on n >= 2t-1 instances in order along a
-    line: the pairs [i, n-1-i] for i < t-1 and the middle run t-1 .. n-t
-    as a range, each holding instance t-1 in its hull."""
-    return [[i, n - 1 - i] for i in range(t - 1)] + [range(t - 1, n - t + 1)]
+def median_cut(points: PointMultiset, t: int) -> tuple[Point, list[tuple[int, int]], list[int]]:
+    """The median construction on n >= 2t-1 instances in lexicographic
+    order along a line, by count: instance t-1, the entries (a, b)
+    holding instances i and n-1-i for each i < t-1, and the count vector
+    (a count per entry) of the middle run t-1 .. n-t.  Each pair and the
+    run hold instance t-1 in their hulls.  Instance i is found by
+    bisecting the cumulative multiplicities, and the run is cut per
+    entry, so no instance is listed."""
+    ends = list(itertools.accumulate(mult for _, mult in points.entries))
+    n, at = ends[-1], partial(bisect_right, ends)
+    middle = [
+        max(0, min(end, n - t + 1) - max(end - mult, t - 1))
+        for end, (_, mult) in zip(ends, points.entries)
+    ]
+    return points.entries[at(t - 1)][0], [(at(i), at(n - 1 - i)) for i in range(t - 1)], middle
 
 
 def line_tverberg(
@@ -313,20 +331,11 @@ def line_tverberg(
 def median_certificate(
     points: PointMultiset, m: int, ambient: AmbientSet
 ) -> TverbergCertificate:
-    """The median groups of ``line_tverberg`` with their certificate, for
-    a caller that has already checked what it checks: m >= 2, at least
-    2m-1 collinear instances, every one of them in the ambient set.
-    Instance i is found by bisecting the cumulative multiplicities, and
-    the middle run is cut by count per entry, so no instance is listed."""
-    ends = list(itertools.accumulate(mult for _, mult in points.entries))
-
-    def instance(i: int) -> Point:
-        return points.entries[bisect_right(ends, i)][0]
-
-    *pairs, middle = median_groups(points.size, m)
-    parts = [PointMultiset.from_points(map(instance, pair), dim=points.dim) for pair in pairs]
-    parts.append(points.sub_multiset([
-        max(0, min(end, middle.stop) - max(end - mult, middle.start))
-        for end, (_, mult) in zip(ends, points.entries)
-    ]))
-    return certify(m, instance(m - 1), parts, ambient, points)
+    """The median groups of ``line_tverberg`` (``median_cut``) with their
+    certificate, for a caller that has already checked what it checks:
+    m >= 2, at least 2m-1 collinear instances, every one of them in the
+    ambient set."""
+    centre, pairs, middle = median_cut(points, m)
+    support = points.support()
+    parts = [PointMultiset([(support[a], 1), (support[b], 1)], dim=points.dim) for a, b in pairs]
+    return certify(m, centre, [*parts, points.sub_multiset(middle)], ambient, points)

@@ -34,10 +34,10 @@ candidates are int tuples, and only a witness becomes a Fraction point.
 
 ``exact_tverberg_number`` grows n until every n-point multiset over the
 set admits an m-partition.  Over a planar set the first n instances of
-its lower-bound witness are tried first, and cheap positive routes
-(multiplicity, the planar constructive driver) run before the full
-enumeration, so the budget is spent almost entirely on genuine
-refutations.
+its lower-bound witness, cut from its entries by count, are tried
+first, and cheap positive routes (multiplicity, the planar constructive
+driver) run before the full enumeration, so the budget is spent almost
+entirely on genuine refutations.
 """
 
 from __future__ import annotations
@@ -213,9 +213,9 @@ def exact_tverberg_number(
 
     Over a planar set, the first n instances of the hull-independent
     witness with every point m-1 times (``convex_lowerbound_witness``)
-    are tested first at each size n: when they refute, the remaining
-    multisets of that size are skipped.  Raises NotFound if no n up to
-    n_max works.
+    are tested first at each size n, cut from its entries by count: when
+    they refute, the remaining multisets of that size are skipped.
+    Raises NotFound if no n up to n_max works.
     """
     if m < 2:
         raise InputError("need m >= 2")
@@ -226,7 +226,8 @@ def exact_tverberg_number(
         if n < m:
             continue  # fewer points than parts never admits
         if hard is not None and hard.size >= n:
-            probe = PointMultiset.from_points(hard.instances()[:n], dim=ambient.dim)
+            starts = itertools.accumulate([mult for _, mult in hard.entries], initial=0)
+            probe = hard.sub_multiset([max(0, min(mult, n - s)) for s, (_, mult) in zip(starts, hard.entries)])
             if not _admits(probe, m, ambient, budget):
                 continue
         all_admit = True

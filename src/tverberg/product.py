@@ -15,7 +15,13 @@ where the classical Tverberg theorem applies: they split into m groups
 with a common real point.  Merging the base parts along those groups
 gives the final partition, and the common point is q extended by the
 fiber point; only that final partition is certified
-(``certificates.certify``).
+(``certificates.certify``).  Every part is a count vector over the
+source's entries, so no instance is listed: the median groups are cut
+by count (``certificates.median_cut``), a planar or spatial base part
+takes its count of each projected point from the lowest entries with
+that prefix not yet used up (``_split_counts``; equal prefixes are
+adjacent in lexicographic order), the fiber groups split the t lifted
+points by the same rule, and a final part sums its base parts' counts.
 
 ``real_partition`` is the real theorem by brute force: partition
 enumeration (``oracle.iter_partition_hulls``) plus an exact joint
@@ -56,7 +62,7 @@ from .certificates import (
     check_partition_input,
     line_gate,
     line_tverberg,
-    median_groups,
+    median_cut,
 )
 from .errors import (
     AssertionFailed,
@@ -242,25 +248,30 @@ def fiber_lift(
 _WHOLE = ConvexCoefficients([(0, Fraction(1))])
 
 
-def _match_instances(
-    values: list[Point], parts: Sequence[PointMultiset]
-) -> list[tuple[int, ...]]:
-    """Indices of values split into the parts: each part takes the lowest
-    unused indices of its points."""
-    pool: dict[Point, list[int]] = {}
-    for i, v in enumerate(values):
-        pool.setdefault(v, []).append(i)
-    groups: list[tuple[int, ...]] = []
+def _split_counts(
+    positions: Sequence[tuple[Point, int]], parts: Sequence[PointMultiset]
+) -> list[list[int]]:
+    """One count vector over the positions, (point, multiplicity) pairs,
+    per part: each part takes its count of a point from the lowest
+    positions holding that point that are not yet used up.  A part that
+    asks for more copies than remain is an internal fault
+    (AssertionFailed)."""
+    left = [mult for _, mult in positions]
+    where: dict[Point, list[int]] = {}
+    for i, (v, _) in enumerate(positions):
+        where.setdefault(v, []).append(i)
+    splits = []
     for part in parts:
-        chosen: list[int] = []
-        for v, mult in part.entries:
-            bucket = pool.get(v)
-            if bucket is None or len(bucket) < mult:
-                raise AssertionFailed("parts do not match the instances they split")
-            chosen.extend(bucket[:mult])
-            del bucket[:mult]
-        groups.append(tuple(sorted(chosen)))
-    return groups
+        counts = [0] * len(positions)
+        for v, need in part.entries:
+            for i in where.get(v, ()):
+                counts[i] = take = min(need, left[i])
+                left[i] -= take
+                need -= take
+            if need:
+                raise AssertionFailed("parts do not match the positions they split")
+        splits.append(counts)
+    return splits
 
 
 def product_tverberg(
@@ -270,51 +281,45 @@ def product_tverberg(
     bookkeeping that produced it.
 
     The size gate is the Z^j row's gate at the inflated count
-    t = (m-1)(k+1)+1.
+    t = (m-1)(k+1)+1.  Every part is a count vector over the entries,
+    so no instance is listed.
     """
     j, k = ambient.j, ambient.k
     if (Lattice, j) not in DRIVERS:
         raise UnsupportedAmbient("no base driver beyond Z^3")
     t = (m - 1) * (k + 1) + 1
     check_partition_input(points, m, ambient, DRIVERS[(Lattice, j)][0](t))
-    instances = points.instances()
     if j == 1:
-        # Instances come in lexicographic order, so their first coordinates
+        # Entries come in lexicographic order, so their first coordinates
         # are sorted and the median groups split the base without a search.
-        groups_idx = median_groups(points.size, t)
-        base_q: Point = instances[t - 1][:1]
+        centre, pairs, middle = median_cut(points, t)
+        base_q: Point = centre[:1]
+        width = range(len(points.entries))
+        base_counts = [[(e == a) + (e == b) for e in width] for a, b in pairs] + [middle]
     else:
         # The check above covers the base driver's: t >= 2, integer
         # projections, and the gate.  Only the final partition is certified.
-        proj_instances = [p[:j] for p in instances]
-        proj_ms = PointMultiset.from_points(proj_instances, dim=j)
+        projected = [(p[:j], mult) for p, mult in points.entries]
+        proj_ms = PointMultiset(projected, dim=j)
         if j == 2:
             base_q, base_parts = _radial_parts(proj_ms, t, Lattice(2))
         else:
             base_q, base_parts = _z3_parts(proj_ms, t)
-        groups_idx = _match_instances(proj_instances, base_parts)
+        base_counts = _split_counts(projected, base_parts)
 
-    lifted: list[Point] = []
-    for group in groups_idx:
-        part_ms = PointMultiset.from_points([instances[i] for i in group], dim=points.dim)
-        pt, _ = fiber_lift(part_ms, base_q)
-        lifted.append(pt)
-
+    lifted = [fiber_lift(points.sub_multiset(counts), base_q)[0] for counts in base_counts]
     fibers = [pt[j:] for pt in lifted]
-    fiber_ms = PointMultiset.from_points(fibers, dim=k)
-    fiber_parts, fiber_point, _ = real_partition(fiber_ms, m)
-    merged_groups = _match_instances(fibers, fiber_parts)
-
-    final_point = tuple(base_q) + tuple(fiber_point)
+    fiber_parts, fiber_point, _ = real_partition(PointMultiset.from_points(fibers, dim=k), m)
+    merged_groups = [
+        tuple([b for b, c in enumerate(counts) if c])
+        for counts in _split_counts([(f, 1) for f in fibers], fiber_parts)
+    ]
     parts = [
-        PointMultiset.from_points(
-            [instances[i] for b in group for i in groups_idx[b]], dim=points.dim
-        )
+        points.sub_multiset([sum(column) for column in zip(*[base_counts[b] for b in group])])
         for group in merged_groups
     ]
-    cert = certify(m, final_point, parts, ambient, points)
-    record = LiftRecord(base_q, tuple(lifted), tuple(merged_groups))
-    return cert, record
+    cert = certify(m, tuple(base_q) + tuple(fiber_point), parts, ambient, points)
+    return cert, LiftRecord(base_q, tuple(lifted), tuple(merged_groups))
 
 
 def double_witness(

@@ -17,7 +17,9 @@ remaining instance to the smallest group whose enlarged transversal
 family still verifies.  ``depth_partition_search`` splits a multiset
 into r groups of balanced sizes so that every ambient point of depth
 at least alpha*n keeps the transversal property, seeding with
-contiguous sectors around the deepest such point.
+contiguous sectors around the deepest such point.  Both list every
+instance, so both refuse a multiset of more than ``MAX_INSTANCES``
+instances with ``PreconditionViolated`` before any list is built.
 """
 
 from __future__ import annotations
@@ -42,6 +44,22 @@ from .geometry import in_hull
 from .linprog import rref
 from .planar import radial_order
 from .points import Point, PointMultiset, dot, integer_points, sub
+
+
+# The most instances a selection takes.  Both searches list every
+# instance (greedy growth offers each one to a group; the sector seeds
+# cut the list into chunks), and the greedy is already slow at a few
+# hundred, so a larger multiset is refused by name before a list grows
+# with its multiplicities, until selection works on runs of equal
+# instances.
+MAX_INSTANCES = 10**5
+
+
+def _check_size(points: PointMultiset) -> None:
+    if points.size > MAX_INSTANCES:
+        raise PreconditionViolated(
+            f"selection takes at most {MAX_INSTANCES} instances, got {points.size}"
+        )
 
 
 @dataclass(frozen=True)
@@ -235,6 +253,7 @@ def fraction_selection(
         raise DimensionMismatch("point dimension differs from the multiset")
     if min_size < 1:
         raise PreconditionViolated("groups must be nonempty")
+    _check_size(points)
     r = d + 1
     n = points.size
     if r * min_size > n:
@@ -330,6 +349,7 @@ def depth_partition_search(
         raise PreconditionViolated(f"cannot form {r} nonempty groups from {n} instances")
     if not (0 < alpha <= 1):
         raise PreconditionViolated("the depth fraction must lie in (0, 1]")
+    _check_size(points)
     lo, hi = n // (2 * r), -(-2 * n) // r
     deep = _deep_points(points, -(-alpha * n // 1))
     instances = points.instances()

@@ -520,3 +520,23 @@ def test_verifier_refuses_booleans_the_document_grammar_refuses():
     report = verify_certificate(by_point, source)
     assert report.failures == ("membership_mismatch",)
     assert report.details[-1] == "certified point has a coordinate that is not a rational"
+
+
+def test_verifier_refuses_boolean_entries_in_a_part():
+    """A part entry whose coordinate is a bool stands on the integer grid
+    as the int it equals, so it once reassembled a source holding that
+    int and verified, and the written certificate then failed to read.
+    Each part entry's coordinates are tested by exact type and such a
+    part is a partition_mismatch that names it."""
+    source = PointMultiset.from_points([point(0), point(1), point(2)])
+    half = Fraction(1, 2)
+    proofs = (((0, Fraction(1)),), ((0, half), (1, half)))
+
+    def certificate(first):
+        parts = (PointMultiset.from_points([first]), PointMultiset.from_points([point(0), point(2)]))
+        return TverbergCertificate(2, point(1), parts, proofs, Lattice(1))
+
+    assert verify_certificate(certificate((1,)), source).ok
+    report = verify_certificate(certificate((True,)), source)
+    assert report.failures == ("partition_mismatch",)
+    assert report.details == ("part 0 has a coordinate that is not a rational",)

@@ -929,6 +929,49 @@ def test_tverberg_of_huge_multiplicities_on_a_line_exits_0(monkeypatch, capsys, 
         assert (code, err) == (0, "") and json.loads(out)["ok"] is True
 
 
+def test_tverberg_of_huge_multiplicities_over_products_exits_0(monkeypatch, capsys, tmp_path):
+    """The product driver splits its base and fiber parts by count per
+    entry, so over Z^1 x R^1 and Z^3 x R^1 entries of multiplicity 10^12
+    expand into no list: ``tverberg`` answers, and the certificate
+    verifies against its point file."""
+    big = 10**12
+    source = tmp_path / "points.json"
+    for support, ambient, m, centre, sizes in (
+        (
+            [point(0, 0), point(0, 1), point(3, Fraction(1, 2)), point(5, 2)],
+            MixedLattice(1, 1), 3, ["0", "0"], [6, 2, 3 * big - 7],
+        ),
+        (
+            [point(0, 0, 0, 0), point(3, 0, 0, 1), point(0, 3, 0, 2), point(0, 0, 3, 3)],
+            MixedLattice(3, 1), 2, ["1", "1", "0", "1"], [6, 3 * big - 5],
+        ),
+    ):
+        text = dumps(point_file_to_doc(PointMultiset(zip(support, (big, big, big, 1)), dim=len(support[0])), ambient))
+        code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", str(m)], text)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["point"] == centre
+        assert [sum(e["mult"] for e in part["points"]) for part in doc["parts"]] == sizes
+        source.write_text(text)
+        code, out, err = run(monkeypatch, capsys, ["verify", "--source", str(source)], out)
+        assert (code, err) == (0, "") and json.loads(out)["ok"] is True
+
+
+def test_selection_of_huge_multiplicities_exits_2(monkeypatch, capsys):
+    """Selection lists every instance, so ``select`` and
+    ``partition-depth`` refuse a multiset above their instance cap by
+    name (exit 2) before any list is built."""
+    corners = [point(0, 0), point(3, 0), point(0, 3), point(1, 1)]
+    text = dumps(point_file_to_doc(PointMultiset(zip(corners, (10**12,) * 3 + (1,)), dim=2), Lattice(2)))
+    refusal = "tverberg: selection takes at most 100000 instances, got 3000000000001\n"
+    for argv in (
+        ["select"],
+        ["select", "--point", "1,1"],
+        ["partition-depth", "--alpha", "1/3", "--r", "3"],
+    ):
+        assert run(monkeypatch, capsys, argv, text) == (2, "", refusal)
+
+
 def test_ambient_dimension_over_the_int_limit_exits_2(monkeypatch, capsys):
     """An --ambient dimension longer than the interpreter's int conversion
     limit is refused by name (exit 2) in each explicit form, never a

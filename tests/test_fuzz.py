@@ -35,8 +35,9 @@ CASES = 3000
 HUGE = 10**12
 LIMIT = sys.get_int_max_str_digits()
 
-# The documents with a huge multiplicity that a command runs on: those
-# over Z^1 ("line"), whose driver cuts its parts by count, and the rest.
+# The documents with a huge multiplicity that a command runs on: point
+# files over Z^1 and Z^1 x R^1 ("line"), whose drivers cut their parts by
+# count, and the rest.
 ANY, LINE, NONE = ("line", "other"), ("line",), ()
 
 # (argv, the huge-multiplicity documents it runs on, runs on a long number)
@@ -48,8 +49,8 @@ POINT_FILE_COMMANDS = (
     (["refute", "--m", "2", "--budget", "2"], ANY, False),
     (["helly"], ANY, True),
     (["tvnumber", "--m", "2", "--n-max", "3", "--budget", "4"], ANY, True),
-    (["select", "--seeds", "3"], NONE, False),
-    (["partition-depth", "--alpha", "1/3", "--r", "2", "--budget", "3"], NONE, False),
+    (["select", "--seeds", "3"], ANY, False),
+    (["partition-depth", "--alpha", "1/3", "--r", "2", "--budget", "3"], ANY, False),
     (["witness", "double"], NONE, False),
     (["witness", "convex-lb", "--m", "2"], NONE, False),
 )
@@ -171,14 +172,18 @@ def _mutate_raw(rng: random.Random, text: str) -> tuple[bytes, bool]:
 
 def _huge(data: bytes) -> str | None:
     """None when a document holds no huge multiplicity, "line" when it
-    holds one and is a point file over Z^1, and "other" otherwise."""
+    holds one and is a point file over Z^1 or Z^1 x R^1, and "other"
+    otherwise."""
     try:
         doc = json.loads(data.decode(errors="surrogateescape"))
     except (ValueError, RecursionError):
         return None
     if not any(p[-1] == "mult" and type(v) is int and v > 1000 for p, v in _paths(doc)):
         return None
-    line = isinstance(doc, dict) and doc.get("dim") == 1 and doc.get("ambient") == {"d": 1, "kind": "Zd"}
+    line = isinstance(doc, dict) and (doc.get("dim"), doc.get("ambient")) in (
+        (1, {"d": 1, "kind": "Zd"}),
+        (2, {"j": 1, "k": 1, "kind": "ZjRk"}),
+    )
     return "line" if line else "other"
 
 

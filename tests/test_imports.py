@@ -74,3 +74,17 @@ def test_every_export_has_a_reader():
             named.update(re.findall(r"\w+", path.read_text(errors="ignore")))
     assert named, "perfbench/ not found"
     assert [name for name in tverberg.__all__ if name not in loaded | named] == []
+
+
+def test_only_selection_lists_instances():
+    """Every driver and oracle of the library works on counts over a
+    multiset's entries; ``PointMultiset.instances()``, which lists one
+    item per instance, is called only by the selection searches, which
+    refuse a multiset above their instance cap."""
+    callers = set()
+    for name in MODULES:
+        tree = ast.parse(pathlib.Path(tverberg.__path__[0], f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "instances":
+                callers.add(name)
+    assert callers == {"selection"}

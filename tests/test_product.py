@@ -25,6 +25,7 @@ from tverberg.product import (
 )
 
 from conftest import random_rational
+import product_oracle
 
 
 def _mixed_multiset(rng, n, j, k, box=6):
@@ -449,3 +450,64 @@ def test_fiber_shaped_outputs_are_pinned():
             cert = real_tverberg_bruteforce(pts, m)
         digest.update(documents.dumps(documents.certificate_to_doc(cert)).encode())
     assert digest.hexdigest() == "94e601fb69186cc5b359c5da0f38eb7ad121eda09b323fad52e8d155a43780b1"
+
+
+def _repeating_product_inputs():
+    """(points, m, ambient) over Z^j x R^k for j = 1, 2, 3 and k = 1, 2,
+    each at its gate or up to two instances above it: coordinates from
+    boxes of side 3 or 5 (the real ones halved at random), each drawn
+    point given 1 to 3 copies, so prefixes, whole points and lifted fiber
+    points repeat and a base part may take only some copies of an
+    entry."""
+    rng = random.Random(2210)
+    cases = []
+    for j, k, m, count in (
+        (1, 1, 2, 30), (1, 1, 3, 30), (1, 2, 2, 30), (1, 2, 3, 15),
+        (2, 1, 2, 30), (2, 1, 3, 30), (2, 2, 2, 30), (2, 2, 3, 15),
+        (3, 1, 2, 8), (3, 2, 2, 4),
+    ):
+        t = (m - 1) * (k + 1) + 1
+        for _ in range(count):
+            box, need = rng.choice((1, 2)), DRIVERS[(Lattice, j)][0](t) + rng.randint(0, 2)
+            counts: dict = {}
+            while sum(counts.values()) < need:
+                p = tuple(Fraction(rng.randint(-box, box)) for _ in range(j))
+                p += tuple(Fraction(rng.randint(-box, box), rng.choice((1, 2))) for _ in range(k))
+                counts[p] = counts.get(p, 0) + rng.randint(1, 3)
+            cases.append((PointMultiset(counts.items()), m, MixedLattice(j, k)))
+    return cases
+
+
+def test_product_splits_counts_as_the_instance_lists_did(monkeypatch):
+    """On seeded products whose prefixes, points and lifted fiber points
+    repeat, the driver that splits count vectors over the entries writes
+    the certificate document and the ``LiftRecord`` of the instance-list
+    construction it replaced (``tests/product_oracle.py``), byte for
+    byte; the corpus has base parts that take some copies of an entry
+    and fibers whose lifted points repeat."""
+    lifts = []
+
+    def recorded(part, prefix):
+        lifts.append(part)
+        return fiber_lift(part, prefix)
+
+    monkeypatch.setattr(product, "fiber_lift", recorded)
+    partial = repeated = 0
+    for pts, m, ambient in _repeating_product_inputs():
+        del lifts[:]
+        docs = []
+        for driver in (product_tverberg, product_oracle.product_tverberg):
+            cert, record = driver(pts, m, ambient)
+            docs.append(documents.dumps({
+                "certificate": documents.certificate_to_doc(cert),
+                "base_point": documents.point_to_doc(record.base_point),
+                "lifted": [documents.point_to_doc(p) for p in record.lifted],
+                "groups": [list(g) for g in record.groups],
+            }))
+        assert docs[0] == docs[1], (pts, m, ambient)
+        if ambient.j > 1:
+            whole = dict(pts.entries)
+            partial += any(mult < whole[p] for part in lifts for p, mult in part.entries)
+        fibers = [p[ambient.j:] for p in record.lifted]
+        repeated += len(set(fibers)) < len(fibers)
+    assert partial >= 80 and repeated >= 150, (partial, repeated)

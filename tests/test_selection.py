@@ -242,3 +242,20 @@ def test_depth_partition_guards():
         depth_partition_search(pts, Fraction(0), 3)
     with pytest.raises(PreconditionViolated):
         depth_partition_search(pts, Fraction(2), 3)
+
+
+def test_selections_refuse_multisets_above_the_cap(monkeypatch):
+    """Both searches list every instance, so a multiset of more than
+    ``MAX_INSTANCES`` instances is refused before any list is built, and
+    one at the cap is searched."""
+    monkeypatch.setattr(selection, "MAX_INSTANCES", 12)
+    doubled = PointMultiset(((p, 2) for p in _hexagon().support()), dim=2)
+    assert fraction_selection(doubled, point(0, 0), 2).verified
+    assert len(depth_partition_search(doubled, Fraction(5, 12), 3)) == 3
+    monkeypatch.setattr(PointMultiset, "instances", None)
+    above = doubled.add(point(2, 0))
+    refusal = "selection takes at most 12 instances, got 13"
+    with pytest.raises(PreconditionViolated, match=refusal):
+        fraction_selection(above, point(0, 0), 2)
+    with pytest.raises(PreconditionViolated, match=refusal):
+        depth_partition_search(above, Fraction(5, 12), 3)
