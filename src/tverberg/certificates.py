@@ -142,6 +142,8 @@ def verify_certificate(
     for k, part in enumerate(cert.parts):
         if not all([_is_rational(x) for p, _ in part.entries for x in p]):
             fail("partition_mismatch", f"part {k} has a coordinate that is not a rational")
+    if not all([_is_rational(x) for p, _ in source.entries for x in p]):
+        fail("partition_mismatch", "the source has a coordinate that is not a rational")
     if not misfits and not _reassembles(cert.parts, source):
         fail("partition_mismatch", "parts do not reassemble the source multiset")
     for k, part in enumerate(cert.parts):

@@ -36,8 +36,8 @@ candidates are int tuples, and only a witness becomes a Fraction point.
 set admits an m-partition.  Over a planar set the first n instances of
 its lower-bound witness, cut from its entries by count, are tried
 first, and cheap positive routes (multiplicity, the planar constructive
-driver) run before the full enumeration, so the budget is spent almost
-entirely on genuine refutations.
+driver from its gate on) run before the full enumeration, so the budget
+is spent almost entirely on genuine refutations.
 """
 
 from __future__ import annotations
@@ -51,11 +51,9 @@ from .errors import (
     DimensionMismatch,
     InputError,
     NotFound,
-    PreconditionViolated,
-    UnsupportedAmbient,
 )
 from .geometry import in_hull, iter_common_ambient_points, polytope_intersection_point
-from .planar import plane_tverberg
+from .planar import finite_gate, helly_number, plane_tverberg
 from .points import Point, PointMultiset
 from .witnesses import convex_lowerbound_witness
 
@@ -190,15 +188,13 @@ def _admits(
     m: int,
     ambient: FiniteSet,
     budget: int | None,
+    gate: int | None,
 ) -> bool:
     if any(mult >= m for _, mult in points.entries):
         return True
-    if ambient.dim == 2 and points.size >= 2:
-        try:
-            plane_tverberg(points, m, ambient)
-            return True
-        except (PreconditionViolated, NotFound, UnsupportedAmbient, DimensionMismatch):
-            pass
+    if gate is not None and points.size >= gate:  # the theorem promises a partition
+        plane_tverberg(points, m, ambient)
+        return True
     return search_partition(points, m, ambient, budget) is not None
 
 
@@ -222,18 +218,19 @@ def exact_tverberg_number(
     if n_max < 1:
         raise InputError("need n_max >= 1")
     hard = convex_lowerbound_witness(ambient, m) if ambient.dim == 2 else None
+    gate = finite_gate(helly_number(ambient).number, m) if ambient.dim == 2 else None
     for n in range(1, n_max + 1):
         if n < m:
             continue  # fewer points than parts never admits
         if hard is not None and hard.size >= n:
             starts = itertools.accumulate([mult for _, mult in hard.entries], initial=0)
             probe = hard.sub_multiset([max(0, min(mult, n - s)) for s, (_, mult) in zip(starts, hard.entries)])
-            if not _admits(probe, m, ambient, budget):
+            if not _admits(probe, m, ambient, budget, gate):
                 continue
         all_admit = True
         for combo in itertools.combinations_with_replacement(ambient.points, n):
             probe = PointMultiset.from_points(combo, dim=ambient.dim)
-            if not _admits(probe, m, ambient, budget):
+            if not _admits(probe, m, ambient, budget, gate):
                 all_admit = False
                 break
         if all_admit:

@@ -3,10 +3,15 @@
 The Z^2 driver finds an integer point p of half-space depth >= m, peels
 off copies of p sitting in the multiset, and labels the remaining
 instances in radial order around p so that every label class captures p
-in its hull.  Two labelings cover all remaining cases.  Each returns
-labels only: the driver builds the label classes from them and hands
-every part to ``certificates.certify``, which writes the proofs (a
-class that missed p would be an internal fault, exit 4):
+in its hull.  The order holds one run per entry: copies tie in
+direction and distance, so the instance order is the runs expanded.
+Two labelings cover all remaining cases.  Each writes its labels as
+segments (length, pattern), the pattern repeated over length sweep
+positions, and one walk (``_count_labels``) gives each run its count of
+every label, taking whole periods at once.  The driver cuts the label
+classes by those counts and hands every part to
+``certificates.certify``, which writes the proofs (a class that missed
+p would be an internal fault, exit 4):
 
 * ``tverberg_labeling`` (m >= 3): with n = qm + r, 0 <= r < q, and
   e = ceil(r/q), instances in clockwise order receive blocks 1..m
@@ -21,14 +26,13 @@ class that missed p would be an internal fault, exit 4):
   the doubled start 1,1,2,1,2,... (depth >= 3) or the arc-anchored
   2,1,1,2,1,2,... (depth exactly 2).
 
-The radial order is decided in ints: every instance's difference from
-the centre is taken on one integer grid for the instances and the
-centre (``points.integer_points``), so
-directions are gcd-reduced int vectors and squared distances are ints,
-and the clockwise sweep (``points.clockwise_key``) compares them by
-integer signs alone.  The sequence itself holds the rational instances.
-A shallow labeling's sweep from the witness boundary, which passes
-through the centre, is a rotation of the order (``_arc_positions``).
+The radial order is decided in ints: every entry's difference from the
+centre is taken on one integer grid for the entries and the centre
+(``points.integer_points``), so directions are gcd-reduced int vectors
+and squared distances are ints, and the clockwise sweep
+(``points.clockwise_key``) compares them by integer signs alone.  A
+shallow labeling's sweep from the witness boundary, which passes
+through the centre, is a rotation of the runs (``_arc_positions``).
 
 ``plane_tverberg`` picks its gate, ``z2_gate`` or, over a finite set,
 ``finite_gate`` at the set's Helly number, and hands it to
@@ -77,44 +81,24 @@ from .points import (
 
 @dataclass(frozen=True)
 class RadialOrder:
-    """Instances of a planar multiset in clockwise order around a center.
+    """A planar multiset in clockwise order around a center, one run per
+    entry: ``counts[k]`` copies of entry ``entry_indices[k]`` in primitive
+    direction ``directions[k]``.
 
-    The sweep starts at the lexicographically least primitive direction
-    present; instances on a common ray are ordered by distance.
-    ``directions`` holds the primitive direction of each position, and
-    ``entry_indices`` the index of each position's point among the
-    multiset's entries.
+    The sweep starts at the lexicographically least direction present;
+    runs on a common ray are ordered by distance.
     """
 
     center: Point
-    sequence: tuple[Point, ...]
     directions: tuple[tuple[int, int], ...]
     entry_indices: tuple[int, ...]
-
-
-def _instance_data(points: PointMultiset, grid: Sequence[tuple[int, ...]]):
-    """(direction, squared distance, instance, entry index) of every
-    instance, in instance order, on one integer grid for the multiset
-    and the centre: grid holds the entries and then the centre on it, so
-    every difference from the centre is an int vector, a positive
-    multiple of the rational one.  Its primitive form is the direction,
-    and its squared length ranks the instances of one ray as their
-    distances do."""
-    cx, cy = grid[-1]
-    data = []
-    for i, ((p, mult), (x, y)) in enumerate(zip(points.entries, grid)):
-        vx, vy = x - cx, y - cy
-        if vx == 0 and vy == 0:
-            raise PreconditionViolated("radial order needs the center outside the multiset")
-        g = gcd(vx, vy)
-        data.extend([((vx // g, vy // g), vx * vx + vy * vy, p, i)] * mult)
-    return data
+    counts: tuple[int, ...]
 
 
 def radial_order(
     points: PointMultiset, center: Point, grid: Sequence[tuple[int, ...]] | None = None
 ) -> RadialOrder:
-    """Clockwise radial order of all instances around the center.  grid,
+    """Clockwise radial order of the entries around the center.  grid,
     the entries and then the center on one integer grid (the lcm of all
     their denominators, ``points.integer_points``), is computed when not
     given."""
@@ -126,49 +110,81 @@ def radial_order(
         raise InputError("cannot order an empty multiset")
     if grid is None:
         _, grid = integer_points(points.support() + (center,))
-    data = _instance_data(points, grid)
-    start = min(d for d, _, _, _ in data)
-    data.sort(key=clockwise_key(start))
-    sequence = tuple(p for _, _, p, _ in data)
-    directions = tuple(d for d, _, _, _ in data)
-    return RadialOrder(center, sequence, directions, tuple(i for _, _, _, i in data))
+    # A difference on the grid is a positive multiple of the rational one.
+    cx, cy = grid[-1]
+    runs = []
+    for i, ((_, mult), (x, y)) in enumerate(zip(points.entries, grid)):
+        vx, vy = x - cx, y - cy
+        if vx == 0 and vy == 0:
+            raise PreconditionViolated("radial order needs the center outside the multiset")
+        g = gcd(vx, vy)
+        runs.append(((vx // g, vy // g), vx * vx + vy * vy, i, mult))
+    runs.sort(key=clockwise_key(min(r[0] for r in runs)))
+    directions, _, entry_indices, counts = zip(*runs)
+    return RadialOrder(center, directions, entry_indices, counts)
 
 
-def _arc_positions(order: RadialOrder, witness: DepthWitness) -> tuple[list[int], int]:
-    """Sequence positions re-swept clockwise from the witness boundary.
+def _arc_positions(order: RadialOrder, witness: DepthWitness) -> tuple[int, int]:
+    """The run a sweep from the witness boundary starts at, and the closed
+    complement arc's length in instances.
 
     The boundary of the witness half-plane passes through the center;
     sweeping clockwise from the entry ray w0 = (n_y, -n_x) lists the
-    closed complement arc first.  Returns the permutation of sequence
-    positions and the arc length l.
-
-    The sequence is already one clockwise turn, the instances of one ray
-    by distance, so the sweep from w0 is its rotation to the position
-    of least clockwise key from w0.  The boundary passes through the
-    center, so an instance is on the closed complement side exactly when
-    n . direction <= 0, in ints.
+    closed complement arc first.  The order is already one clockwise
+    turn, so the sweep from w0 is its rotation to the run of least
+    clockwise key from w0.  A run is on the closed complement side
+    exactly when n . direction <= 0, in ints.
     """
     nx, ny = witness.halfspace.normal
     key = clockwise_key((ny, -nx))
     directions = order.directions
-    n = len(directions)
-    start = min(range(n), key=lambda i: key((directions[i], i)))
-    perm = [*range(start, n), *range(start)]
-    on_arc = [nx * dx + ny * dy <= 0 for dx, dy in directions]
-    arc_len = sum(on_arc)
-    # The closed complement side occupies exactly the first arc_len slots.
-    for k, i in enumerate(perm):
-        if on_arc[i] != (k < arc_len):
-            raise AssertionFailed("arc extraction out of order")
-    return perm, arc_len
+    start = min(range(len(directions)), key=lambda k: key((directions[k], k)))
+    on_arc = [nx * dx + ny * dy <= 0 for dx, dy in directions[start:] + directions[:start]]
+    # The closed complement side occupies exactly the first runs swept.
+    if on_arc != sorted(on_arc, reverse=True):
+        raise AssertionFailed("arc extraction out of order")
+    counts = order.counts[start:] + order.counts[:start]
+    return start, sum(c for c, on in zip(counts, on_arc) if on)
+
+
+def _count_labels(
+    order: RadialOrder, start: int, segments: Sequence[tuple[int, tuple[int, ...]]], m: int
+) -> tuple[tuple[int, ...], ...]:
+    """Each run's count of labels 1..m when the sweep from run start is
+    labeled by the segments (length, pattern) in turn.  A run takes whole
+    periods of a segment at once and labels the rest one by one."""
+    counts = order.counts
+    if sum(length for length, _ in segments) != sum(counts):
+        raise AssertionFailed("labeling did not exhaust the sequence")
+    segments = iter(segments)
+    left = 0
+    # tallies[label][k], label 0 unused
+    tallies = [[0] * len(counts) for _ in range(m + 1)]
+    for k in [*range(start, len(counts)), *range(start)]:
+        c = counts[k]
+        while c:
+            while not left:
+                left, pattern = next(segments)
+                cycle, phase = pattern * 2, 0
+            take = c if c < left else left
+            periods, extra = divmod(take, len(pattern))
+            if periods:
+                for label in pattern:
+                    tallies[label][k] += periods
+            for label in cycle[phase : phase + extra]:
+                tallies[label][k] += 1
+            phase = (phase + extra) % len(pattern)
+            left -= take
+            c -= take
+    return tuple(zip(*tallies[1:]))
 
 
 def tverberg_labeling(
     order: RadialOrder, m: int, witness: DepthWitness
-) -> tuple[int, ...]:
-    """Labels 1..m for the ordered instances so every class hull holds the
+) -> tuple[tuple[int, ...], ...]:
+    """Each run's count of labels 1..m, so every class hull holds the
     center."""
-    n = len(order.sequence)
+    n = sum(order.counts)
     if m < 3:
         raise PreconditionViolated("circular labeling needs m >= 3")
     if n < 4 * m - 3:
@@ -183,79 +199,53 @@ def tverberg_labeling(
         raise AssertionFailed("n >= 4m-3 forces at least three full blocks")
     if e > -(-(m - 1) // 3):
         raise AssertionFailed("gap ceiling exceeded ceil((m-1)/3)")
-    labels = [0] * n
+    block = tuple(range(1, m + 1))
     if witness.depth >= m + e:
         # Deep: blocks 1..m with greedily front-packed gaps, any placement works.
-        gaps = []
-        left = rem
-        for _ in range(quot):
-            g = min(e, left)
-            gaps.append(g)
-            left -= g
-        pos = 0
-        for g in gaps:
-            for lab in range(1, m + 1):
-                labels[pos] = lab
-                pos += 1
-            for lab in range(1, g + 1):
-                labels[pos] = lab
-                pos += 1
-        if pos != n:
-            raise AssertionFailed("labeling did not exhaust the sequence")
+        full, part = divmod(rem, e) if e else (0, 0)
+        start = 0
+        segments = [
+            (full * (m + e), block + block[:e]),
+            (m + part if part else 0, block + block[:part]),
+            ((quot - full - (part > 0)) * m, block),
+        ]
     else:
         if rem == 0:
             raise AssertionFailed("zero remainder makes every deep threshold m")
-        perm, arc_len = _arc_positions(order, witness)
+        start, arc_len = _arc_positions(order, witness)
         if arc_len < 2 * m:
             raise AssertionFailed(
                 f"shallow arc has {arc_len} instances, expected at least {2 * m}"
             )
-        for k, i in enumerate(perm):
-            pos = k + 1
-            if pos <= m - rem:
-                labels[i] = rem + pos
-            elif pos <= m:
-                labels[i] = pos - (m - rem)
-            else:
-                labels[i] = (pos - m - 1) % m + 1
-    return tuple(labels)
+        segments = [(m, block[rem:] + block[:rem]), (n - m, block)]
+    return _count_labels(order, start, segments, m)
 
 
 def radon_labeling(
     order: RadialOrder, witness: DepthWitness
-) -> tuple[int, ...]:
-    """Two labels for the ordered instances so both class hulls hold the
+) -> tuple[tuple[int, ...], ...]:
+    """Each run's count of labels 1 and 2, so both class hulls hold the
     center."""
-    n = len(order.sequence)
+    n = sum(order.counts)
     if n < 6:
         raise PreconditionViolated(f"two-part labeling needs at least 6 instances, got {n}")
     if witness.point != order.center:
         raise PreconditionViolated("witness must be anchored at the ordering center")
     if witness.depth < 2:
         raise PreconditionViolated(f"center depth {witness.depth} below 2")
-    labels = [0] * n
+    start = 0
     if n % 2 == 0:
-        for i in range(n):
-            labels[i] = 1 if i % 2 == 0 else 2
+        segments = [(n, (1, 2))]
     elif witness.depth >= 3:
-        labels[0] = 1
-        labels[1] = 1
-        for i in range(2, n):
-            labels[i] = 2 if i % 2 == 0 else 1
+        segments = [(2, (1,)), (n - 2, (2, 1))]
     else:
-        perm, arc_len = _arc_positions(order, witness)
+        start, arc_len = _arc_positions(order, witness)
         if arc_len < n - 2:
             raise AssertionFailed(
                 "depth-2 witness must leave at most 2 instances strictly outside"
             )
-        head = (2, 1, 1, 2)
-        for k, i in enumerate(perm):
-            pos = k + 1
-            if pos <= 4:
-                labels[i] = head[pos - 1]
-            else:
-                labels[i] = 1 if pos % 2 == 1 else 2
-    return tuple(labels)
+        segments = [(4, (2, 1, 1, 2)), (n - 4, (1, 2))]
+    return _count_labels(order, start, segments, 2)
 
 
 def _radial_parts(
@@ -280,13 +270,11 @@ def _radial_parts(
     order = radial_order(rest, p, grid)
     witness = recounted_witness(p, rest, depth - mu, phi, (scale, grid))
     if target == 2:
-        labels = radon_labeling(order, witness)
+        tallies = radon_labeling(order, witness)
     else:
-        labels = tverberg_labeling(order, target, witness)
-    counts = [[0] * len(rest.entries) for _ in range(target)]
-    for i, label in zip(order.entry_indices, labels):
-        counts[label - 1][i] += 1
-    return p, [singleton_part(p) for _ in range(mu)] + [rest.sub_multiset(c) for c in counts]
+        tallies = tverberg_labeling(order, target, witness)
+    by_entry = [tally for _, tally in sorted(zip(order.entry_indices, tallies))]
+    return p, [singleton_part(p) for _ in range(mu)] + [rest.sub_multiset(c) for c in zip(*by_entry)]
 
 
 def z2_gate(m: int) -> int:

@@ -174,7 +174,10 @@ def _angular_stream(instances: list[Point], q: Point) -> list[Point]:
     rest = [p for p in instances if p != q]
     if not rest:
         return at_q
-    return at_q + list(radial_order(PointMultiset.from_points(rest, dim=2), q).sequence)
+    ms = PointMultiset.from_points(rest, dim=2)
+    order = radial_order(ms, q)
+    runs = zip(order.entry_indices, order.counts)
+    return at_q + [ms.entries[i][0] for i, c in runs for _ in range(c)]
 
 
 def _try_greedy(

@@ -1,16 +1,19 @@
-"""Reference radial-order data in ``fractions.Fraction`` arithmetic.
+"""Reference radial order and labelings, one record per instance.
 
-``_instance_data`` and ``_arc_positions`` are the library's previous
-bodies, kept verbatim as the reference for the ones that replaced
-them: they take each instance's difference from the centre, its
-primitive direction and its squared distance as Fractions.  The
-library takes them on the multiset's integer grid; the tests check
-that both give the same ``RadialOrder`` and the same arc permutations.
-``radial_order`` is the library's order built on the reference data,
-with each position's entry index looked up by its point.
-``primitive`` is the library's previous Fraction scaling of a
-direction, kept here so the reference shares no scaling code with the
-library.
+``_instance_data`` and ``_arc_positions`` take each instance's
+difference from the centre, its primitive direction and its squared
+distance as ``fractions.Fraction``s; the library takes them on the
+multiset's integer grid.  ``radial_order`` lists every instance of the
+multiset in clockwise order (an ``InstanceOrder``, the library's
+earlier ``RadialOrder``), with each position's entry index looked up by
+its point.  ``tverberg_labeling`` and ``radon_labeling`` are the
+library's earlier bodies, which give one label per instance; the
+library gives each run of equal instances its count of every label,
+from periodic segments.  The tests check that the library's runs are
+this order merged, that its arc rotation is this arc permutation
+merged, and that its label counts are these labels counted per run.
+``primitive`` is the library's earlier Fraction scaling of a direction,
+kept here so the reference shares no scaling code with the library.
 """
 
 from __future__ import annotations
@@ -19,10 +22,26 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
+from dataclasses import dataclass
+
 from tverberg.depth import DepthWitness
 from tverberg.errors import AssertionFailed, DimensionMismatch, InputError, PreconditionViolated
-from tverberg.planar import RadialOrder
 from tverberg.points import Point, PointMultiset, clockwise_key, sub
+
+
+@dataclass(frozen=True)
+class InstanceOrder:
+    """Instances of a planar multiset in clockwise order around a center.
+
+    ``directions`` holds the primitive direction of each position, and
+    ``entry_indices`` the index of each position's point among the
+    multiset's entries.
+    """
+
+    center: Point
+    sequence: tuple[Point, ...]
+    directions: tuple[tuple[int, int], ...]
+    entry_indices: tuple[int, ...]
 
 
 def primitive(vector: Sequence[Fraction | int]) -> tuple[int, ...]:
@@ -53,7 +72,7 @@ def _instance_data(points: PointMultiset, center: Point):
     return data
 
 
-def radial_order(points: PointMultiset, center: Point) -> RadialOrder:
+def radial_order(points: PointMultiset, center: Point) -> InstanceOrder:
     """Clockwise radial order of all instances around the center."""
     if points.dim != 2:
         raise DimensionMismatch("radial order is a planar notion")
@@ -67,10 +86,10 @@ def radial_order(points: PointMultiset, center: Point) -> RadialOrder:
     sequence = tuple(p for _, _, p in data)
     directions = tuple(d for d, _, _ in data)
     index = {p: i for i, (p, _) in enumerate(points.entries)}
-    return RadialOrder(center, sequence, directions, tuple(index[p] for p in sequence))
+    return InstanceOrder(center, sequence, directions, tuple(index[p] for p in sequence))
 
 
-def _arc_positions(order: RadialOrder, witness: DepthWitness) -> tuple[list[int], int]:
+def _arc_positions(order: InstanceOrder, witness: DepthWitness) -> tuple[list[int], int]:
     """Sequence positions re-swept clockwise from the witness boundary.
 
     The boundary of the witness half-plane passes through the center;
@@ -98,3 +117,96 @@ def _arc_positions(order: RadialOrder, witness: DepthWitness) -> tuple[list[int]
         if (val <= c) != (k < arc_len):
             raise AssertionFailed("arc extraction out of order")
     return perm, arc_len
+
+
+def tverberg_labeling(
+    order: InstanceOrder, m: int, witness: DepthWitness
+) -> tuple[int, ...]:
+    """Labels 1..m for the ordered instances so every class hull holds the
+    center."""
+    n = len(order.sequence)
+    if m < 3:
+        raise PreconditionViolated("circular labeling needs m >= 3")
+    if n < 4 * m - 3:
+        raise PreconditionViolated(f"need at least {4 * m - 3} instances, got {n}")
+    if witness.point != order.center:
+        raise PreconditionViolated("witness must be anchored at the ordering center")
+    if witness.depth < m:
+        raise PreconditionViolated(f"center depth {witness.depth} below target {m}")
+    quot, rem = divmod(n, m)
+    e = 0 if rem == 0 else -(-rem // quot)
+    if quot < 3:
+        raise AssertionFailed("n >= 4m-3 forces at least three full blocks")
+    if e > -(-(m - 1) // 3):
+        raise AssertionFailed("gap ceiling exceeded ceil((m-1)/3)")
+    labels = [0] * n
+    if witness.depth >= m + e:
+        # Deep: blocks 1..m with greedily front-packed gaps, any placement works.
+        gaps = []
+        left = rem
+        for _ in range(quot):
+            g = min(e, left)
+            gaps.append(g)
+            left -= g
+        pos = 0
+        for g in gaps:
+            for lab in range(1, m + 1):
+                labels[pos] = lab
+                pos += 1
+            for lab in range(1, g + 1):
+                labels[pos] = lab
+                pos += 1
+        if pos != n:
+            raise AssertionFailed("labeling did not exhaust the sequence")
+    else:
+        if rem == 0:
+            raise AssertionFailed("zero remainder makes every deep threshold m")
+        perm, arc_len = _arc_positions(order, witness)
+        if arc_len < 2 * m:
+            raise AssertionFailed(
+                f"shallow arc has {arc_len} instances, expected at least {2 * m}"
+            )
+        for k, i in enumerate(perm):
+            pos = k + 1
+            if pos <= m - rem:
+                labels[i] = rem + pos
+            elif pos <= m:
+                labels[i] = pos - (m - rem)
+            else:
+                labels[i] = (pos - m - 1) % m + 1
+    return tuple(labels)
+
+
+def radon_labeling(order: InstanceOrder, witness: DepthWitness) -> tuple[int, ...]:
+    """Two labels for the ordered instances so both class hulls hold the
+    center."""
+    n = len(order.sequence)
+    if n < 6:
+        raise PreconditionViolated(f"two-part labeling needs at least 6 instances, got {n}")
+    if witness.point != order.center:
+        raise PreconditionViolated("witness must be anchored at the ordering center")
+    if witness.depth < 2:
+        raise PreconditionViolated(f"center depth {witness.depth} below 2")
+    labels = [0] * n
+    if n % 2 == 0:
+        for i in range(n):
+            labels[i] = 1 if i % 2 == 0 else 2
+    elif witness.depth >= 3:
+        labels[0] = 1
+        labels[1] = 1
+        for i in range(2, n):
+            labels[i] = 2 if i % 2 == 0 else 1
+    else:
+        perm, arc_len = _arc_positions(order, witness)
+        if arc_len < n - 2:
+            raise AssertionFailed(
+                "depth-2 witness must leave at most 2 instances strictly outside"
+            )
+        head = (2, 1, 1, 2)
+        for k, i in enumerate(perm):
+            pos = k + 1
+            if pos <= 4:
+                labels[i] = head[pos - 1]
+            else:
+                labels[i] = 1 if pos % 2 == 1 else 2
+    return tuple(labels)

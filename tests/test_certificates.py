@@ -222,7 +222,8 @@ def test_an_empty_label_class_is_an_internal_fault(monkeypatch):
         [point(2, 0), point(1, 2), point(-1, 2), point(-2, 0), point(-1, -2), point(1, -2)]
     )
     monkeypatch.setattr(
-        "tverberg.planar.radon_labeling", lambda order, witness: (1,) * len(order.sequence)
+        "tverberg.planar.radon_labeling",
+        lambda order, witness: tuple((c, 0) for c in order.counts),
     )
     with pytest.raises(AssertionFailed, match=r"part 1 PointMultiset\[\] does not hold"):
         plane_tverberg(hexagon, 2, Lattice(2))
@@ -540,3 +541,17 @@ def test_verifier_refuses_boolean_entries_in_a_part():
     report = verify_certificate(certificate((True,)), source)
     assert report.failures == ("partition_mismatch",)
     assert report.details == ("part 0 has a coordinate that is not a rational",)
+
+
+def test_verifier_refuses_boolean_entries_in_the_source():
+    """A source entry whose coordinate is a bool stands on the integer
+    grid as the int it equals, so parts holding that int reassembled it.
+    The source's coordinates are tested by exact type too, and such a
+    source is a partition_mismatch that names the source."""
+    half = Fraction(1, 2)
+    parts = (PointMultiset.from_points([point(1)]), PointMultiset.from_points([point(0), point(2)]))
+    cert = TverbergCertificate(2, point(1), parts, (((0, Fraction(1)),), ((0, half), (1, half))), Lattice(1))
+    assert verify_certificate(cert, PointMultiset.from_points([point(0), point(1), point(2)])).ok
+    report = verify_certificate(cert, PointMultiset.from_points([(0,), (True,), (2,)]))
+    assert report.failures == ("partition_mismatch",)
+    assert report.details == ("the source has a coordinate that is not a rational",)

@@ -624,7 +624,8 @@ def test_a_label_class_missing_the_center_exits_4(monkeypatch, capsys):
     is an internal fault (certify's AssertionFailed), not a refused
     input."""
     monkeypatch.setattr(
-        "tverberg.planar.radon_labeling", lambda order, witness: (1,) * len(order.sequence)
+        "tverberg.planar.radon_labeling",
+        lambda order, witness: tuple((c, 0) for c in order.counts),
     )
     code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", "2"], _hexagon_doc())
     assert code == 4
@@ -947,6 +948,36 @@ def test_tverberg_of_huge_multiplicities_over_products_exits_0(monkeypatch, caps
         ),
     ):
         text = dumps(point_file_to_doc(PointMultiset(zip(support, (big, big, big, 1)), dim=len(support[0])), ambient))
+        code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", str(m)], text)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["point"] == centre
+        assert [sum(e["mult"] for e in part["points"]) for part in doc["parts"]] == sizes
+        source.write_text(text)
+        code, out, err = run(monkeypatch, capsys, ["verify", "--source", str(source)], out)
+        assert (code, err) == (0, "") and json.loads(out)["ok"] is True
+
+
+def test_tverberg_of_huge_multiplicities_on_the_radial_route_exits_0(monkeypatch, capsys, tmp_path):
+    """The radial route orders one run per entry and labels each run by
+    counts, so over Z^2, Z^2 x R^1 and a finite planar set of Helly
+    number 4 entries of multiplicity 10^12 expand into no list:
+    ``tverberg`` answers, and the certificate verifies against its point
+    file."""
+    big = 10**12
+    corners = [point(0, 0), point(3, 0), point(0, 3), point(1, 1)]
+    lifted = [point(0, 0, 0), point(3, 0, 1), point(0, 3, 2), point(1, 1, 3)]
+    grid = FiniteSet([point(x, y) for x in range(3) for y in range(3)], 2)
+    column = [(point(0, y), 1) for y in range(3)] + [(point(2, 0), big), (point(2, 2), big)]
+    source = tmp_path / "points.json"
+    for points, ambient, m, centre, sizes in (
+        (zip(corners, (big, big, big, 1)), Lattice(2), 3, ["1", "1"], [1] + [3 * big // 2] * 2),
+        (zip(corners, (big, big, big, 1)), Lattice(2), 5, ["1", "1"], [1] + [3 * big // 4] * 4),
+        (zip(lifted, (big, big, big, 1)), MixedLattice(2, 1), 2, ["1", "1", "1"], [3 * big // 2 + 1, 3 * big // 2]),
+        (column, grid, 3, ["1", "1"], [(2 * big + 3) // 3 + 1] * 2 + [(2 * big + 3) // 3]),
+    ):
+        ms = PointMultiset(points, dim=len(centre))
+        text = dumps(point_file_to_doc(ms, ambient))
         code, out, err = run(monkeypatch, capsys, ["tverberg", "--m", str(m)], text)
         assert (code, err) == (0, "")
         doc = json.loads(out)

@@ -36,16 +36,17 @@ HUGE = 10**12
 LIMIT = sys.get_int_max_str_digits()
 
 # The documents with a huge multiplicity that a command runs on: point
-# files over Z^1 and Z^1 x R^1 ("line"), whose drivers cut their parts by
-# count, and the rest.
-ANY, LINE, NONE = ("line", "other"), ("line",), ()
+# files over Z^1, Z^2, Z^3 and Z^1 x R^1 ("counted"), whose drivers cut
+# their parts by count, and the rest.  Over R^2 and finite sets the real
+# enumeration grows with the counts.
+ANY, COUNTED, NONE = ("counted", "other"), ("counted",), ()
 
 # (argv, the huge-multiplicity documents it runs on, runs on a long number)
 POINT_FILE_COMMANDS = (
     (["depth", "--point", "0,0"], ANY, True),
     (["centerpoint", "--m", "2"], ANY, False),
-    (["tverberg", "--m", "2"], LINE, False),
-    (["tverberg", "--m", "3"], LINE, False),
+    (["tverberg", "--m", "2"], COUNTED, False),
+    (["tverberg", "--m", "3"], COUNTED, False),
     (["refute", "--m", "2", "--budget", "2"], ANY, False),
     (["helly"], ANY, True),
     (["tvnumber", "--m", "2", "--n-max", "3", "--budget", "4"], ANY, True),
@@ -171,20 +172,22 @@ def _mutate_raw(rng: random.Random, text: str) -> tuple[bytes, bool]:
 
 
 def _huge(data: bytes) -> str | None:
-    """None when a document holds no huge multiplicity, "line" when it
-    holds one and is a point file over Z^1 or Z^1 x R^1, and "other"
-    otherwise."""
+    """None when a document holds no huge multiplicity, "counted" when it
+    holds one and is a point file over Z^1, Z^2, Z^3 or Z^1 x R^1, and
+    "other" otherwise."""
     try:
         doc = json.loads(data.decode(errors="surrogateescape"))
     except (ValueError, RecursionError):
         return None
     if not any(p[-1] == "mult" and type(v) is int and v > 1000 for p, v in _paths(doc)):
         return None
-    line = isinstance(doc, dict) and (doc.get("dim"), doc.get("ambient")) in (
+    counted = isinstance(doc, dict) and (doc.get("dim"), doc.get("ambient")) in (
         (1, {"d": 1, "kind": "Zd"}),
+        (2, {"d": 2, "kind": "Zd"}),
+        (3, {"d": 3, "kind": "Zd"}),
         (2, {"j": 1, "k": 1, "kind": "ZjRk"}),
     )
-    return "line" if line else "other"
+    return "counted" if counted else "other"
 
 
 def _utf8_file(data: bytes) -> bytes:

@@ -399,6 +399,23 @@ def test_exact_tverberg_number_square():
     assert exact_tverberg_number(square, 2, 8) == 5
 
 
+def test_exact_tverberg_number_raises_what_the_driver_raises_at_its_gate(monkeypatch):
+    """From the planar driver's size gate on the theorem promises a
+    partition, so a driver failure there surfaces instead of falling
+    through to the enumeration; below the gate the driver is not run."""
+    line = FiniteSet((point(0, 0), point(1, 0), point(2, 0)), 2)
+    sizes = []
+
+    def broken(points, m, ambient):
+        sizes.append(points.size)
+        raise NotFound("the driver found no partition")
+
+    monkeypatch.setattr(oracle, "plane_tverberg", broken)
+    with pytest.raises(NotFound, match="the driver found no partition"):
+        exact_tverberg_number(line, 3, 6)
+    assert sizes == [5]
+
+
 def test_exact_tverberg_number_not_found():
     square = FiniteSet(
         (point(0, 0), point(0, 1), point(1, 0), point(1, 1)), 2

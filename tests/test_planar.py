@@ -1,14 +1,21 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from tverberg.ambient import FiniteSet, Lattice
-from tverberg.certificates import verify_certificate
-from tverberg.depth import DepthWitness, halfspace_depth, integer_centerpoint
+from tverberg.certificates import peel_by_multiplicity, singleton_part, verify_certificate
+from tverberg.depth import (
+    DepthWitness,
+    first_deep_scan,
+    halfspace_depth,
+    integer_centerpoint,
+    recounted_witness,
+)
 from tverberg.errors import AssertionFailed, DimensionMismatch, PreconditionViolated
 from tverberg.geometry import hull_membership
 from tverberg import depth, documents, planar
@@ -33,12 +40,13 @@ def test_radial_order_shape(rng):
         center = point(20, 20)  # outside, so no instance coincides
         order = radial_order(pts, center)
         assert order.center == center
-        assert len(order.sequence) == pts.size
-        assert PointMultiset.from_points(list(order.sequence)) == pts
-        assert [pts.entries[i][0] for i in order.entry_indices] == list(order.sequence)
-        # sorted clockwise: consecutive direction pairs never swing
-        # counterclockwise past each other within a half-turn
-        assert len(order.directions) == pts.size
+        assert sum(order.counts) == pts.size
+        runs = [(pts.entries[i][0], c) for i, c in zip(order.entry_indices, order.counts)]
+        assert PointMultiset(runs, dim=2) == pts
+        # one run per entry, holding every copy of it
+        assert sorted(order.entry_indices) == list(range(len(pts.entries)))
+        assert [pts.entries[i][1] for i in order.entry_indices] == list(order.counts)
+        assert len(order.directions) == len(order.counts)
 
 
 def test_radial_order_rejects_center_instance():
@@ -47,12 +55,15 @@ def test_radial_order_rejects_center_instance():
         radial_order(pts, point(0, 0))
 
 
-def _check_center_in_every_class(order, labels, m):
-    for k in range(1, m + 1):
-        cls = [p for p, lab in zip(order.sequence, labels) if lab == k]
-        assert cls, f"label {k} never used"
-        hull = PointMultiset.from_points(cls)
-        assert hull_membership(order.center, hull) is not None, f"label {k}"
+def _check_center_in_every_class(points, order, tallies, m):
+    assert [sum(t) for t in tallies] == list(order.counts)
+    for k in range(m):
+        counts = [0] * len(points.entries)
+        for i, tally in zip(order.entry_indices, tallies):
+            counts[i] = tally[k]
+        cls = points.sub_multiset(counts)
+        assert cls.size, f"label {k + 1} never used"
+        assert hull_membership(order.center, cls) is not None, f"label {k + 1}"
 
 
 def test_tverberg_labeling_covers_center(rng):
@@ -69,8 +80,8 @@ def test_tverberg_labeling_covers_center(rng):
             continue
         order = radial_order(pts, center)
         witness = halfspace_depth(center, pts)
-        labels = tverberg_labeling(order, m, witness)
-        _check_center_in_every_class(order, labels, m)
+        tallies = tverberg_labeling(order, m, witness)
+        _check_center_in_every_class(pts, order, tallies, m)
         hits += 1
 
 
@@ -86,8 +97,8 @@ def test_radon_labeling_covers_center(rng):
             continue
         order = radial_order(pts, center)
         witness = halfspace_depth(center, pts)
-        labels = radon_labeling(order, witness)
-        _check_center_in_every_class(order, labels, 2)
+        tallies = radon_labeling(order, witness)
+        _check_center_in_every_class(pts, order, tallies, 2)
         hits += 1
 
 
@@ -295,14 +306,19 @@ def _radial_case(rng, i):
 
 
 def test_radial_order_matches_the_fraction_reference():
-    """The integer grid gives the reference's RadialOrder and the same
-    arc permutations, for the depth witness and for half-planes through
-    the centre in many directions; the centre as an instance is refused."""
+    """The integer grid gives the reference's instance order merged into
+    runs, and the same arc permutations merged into runs, for the depth
+    witness and for half-planes through the centre in many directions;
+    the centre as an instance is refused."""
     rng = random.Random(2718)
     for i in range(2000):
         pts, center = _radial_case(rng, i)
         order = radial_order(pts, center)
-        assert order == radial_oracle.radial_order(pts, center)
+        reference = radial_oracle.radial_order(pts, center)
+        positions = zip(reference.entry_indices, reference.directions)
+        runs = [(e, d, len(list(group))) for (e, d), group in itertools.groupby(positions)]
+        assert order.center == reference.center
+        assert list(zip(order.entry_indices, order.directions, order.counts)) == runs
         witnesses = [halfspace_depth(center, pts)]
         for _ in range(3):
             normal = (rng.randint(-3, 3), rng.randint(-3, 3))
@@ -311,14 +327,86 @@ def test_radial_order_matches_the_fraction_reference():
                 witnesses.append(DepthWitness(center, 0, HalfSpace(normal, offset)))
         for witness in witnesses:
             try:
-                expected = radial_oracle._arc_positions(order, witness)
+                perm, arc_len = radial_oracle._arc_positions(reference, witness)
             except AssertionFailed:
                 with pytest.raises(AssertionFailed):
                     planar._arc_positions(order, witness)
                 continue
-            assert planar._arc_positions(order, witness) == expected
+            start, length = planar._arc_positions(order, witness)
+            swept = [reference.entry_indices[k] for k in perm]
+            rotated = order.entry_indices[start:] + order.entry_indices[:start]
+            assert list(rotated) == [e for e, _ in itertools.groupby(swept)]
+            assert length == arc_len
         with pytest.raises(PreconditionViolated):
             radial_order(pts.add(center), center)
+
+
+def _reference_parts(pts, m):
+    """``_radial_parts`` with the reference's instance order and labels,
+    and the labeling's case: its shape of segments."""
+    p, depth, phi = first_deep_scan(pts, Lattice(2), m, want_witness=True)
+    direct = peel_by_multiplicity(pts, p, m)
+    if direct is not None:
+        return p, direct, None
+    mu = pts.multiplicity(p)
+    rest = pts.remove(p, mu) if mu else pts
+    target, n = m - mu, rest.size
+    witness = recounted_witness(p, rest, depth - mu, phi, integer_points(rest.support() + (p,)))
+    order = radial_oracle.radial_order(rest, p)
+    if target == 2:
+        labels = radial_oracle.radon_labeling(order, witness)
+        shape = "radon even" if n % 2 == 0 else "radon odd, deep" if witness.depth >= 3 else "radon odd, arc"
+    else:
+        labels = radial_oracle.tverberg_labeling(order, target, witness)
+        quot, rem = divmod(n, target)
+        e = -(-rem // quot)
+        if witness.depth < target + e:
+            shape = "shallow"
+        else:
+            shape = "deep, no gap" if rem == 0 else "deep, gaps of e" if rem % e == 0 else "deep, a short gap"
+    classes = [
+        PointMultiset.from_points([q for q, label in zip(order.sequence, labels) if label == k], dim=2)
+        for k in range(1, target + 1)
+    ]
+    return p, [singleton_part(p) for _ in range(mu)] + classes, shape
+
+
+def test_radial_parts_count_the_reference_labels(monkeypatch):
+    """The segments' counts per run give the parts that the reference's
+    per-instance labels give, on small boxes with multiplicities 1-4, in
+    every labeling case; some run spans more than one period."""
+    walk = planar._count_labels
+    long_runs = []
+
+    def spied(order, start, segments, m):
+        long_runs.append(max(order.counts) >= max(len(pattern) for _, pattern in segments))
+        return walk(order, start, segments, m)
+
+    monkeypatch.setattr(planar, "_count_labels", spied)
+    rng = random.Random(2424)
+    shapes = set()
+    for _ in range(400):
+        m = rng.choice([2, 2, 3, 4, 5, 7])
+        box = rng.choice([1, 2, 3])
+        wanted = planar.z2_gate(m) + rng.randint(0, 3)
+        counts = {}
+        while sum(counts.values()) < wanted:
+            counts[point(rng.randint(-box, box), rng.randint(-box, box))] = rng.randint(1, 4)
+        pts = PointMultiset([(q, c) for q, c in counts.items()], dim=2)
+        p, parts = planar._radial_parts(pts, m, Lattice(2))
+        q, expected, shape = _reference_parts(pts, m)
+        assert (p, parts) == (q, expected)
+        shapes.add(shape)
+    assert shapes >= {
+        "deep, no gap",
+        "deep, gaps of e",
+        "deep, a short gap",
+        "shallow",
+        "radon even",
+        "radon odd, deep",
+        "radon odd, arc",
+    }
+    assert any(long_runs)
 
 
 def test_radial_parts_put_rest_and_centre_on_one_grid_once(monkeypatch):
