@@ -114,10 +114,9 @@ def _reassembles(parts: Sequence[PointMultiset], source: PointMultiset) -> bool:
     return counts == dict(zip(points, [mult for _, mult in source.entries]))
 
 
-def _is_rational(x) -> bool:
-    """Whether x is an int or a Fraction by exact type: a bool, which
-    documents cannot state as a number, is not."""
-    return type(x) is Fraction or type(x) is int
+# The exact types of a rational value: a bool, which documents cannot
+# state as a number, is not one.
+_RATIONAL_TYPES = frozenset({Fraction, int})
 
 
 def verify_certificate(
@@ -140,16 +139,16 @@ def verify_certificate(
     for k in misfits:
         fail("partition_mismatch", f"part {k} has dimension {cert.parts[k].dim}, source {source.dim}")
     for k, part in enumerate(cert.parts):
-        if not all([_is_rational(x) for p, _ in part.entries for x in p]):
+        if not {type(x) for p, _ in part.entries for x in p} <= _RATIONAL_TYPES:
             fail("partition_mismatch", f"part {k} has a coordinate that is not a rational")
-    if not all([_is_rational(x) for p, _ in source.entries for x in p]):
+    if not {type(x) for p, _ in source.entries for x in p} <= _RATIONAL_TYPES:
         fail("partition_mismatch", "the source has a coordinate that is not a rational")
     if not misfits and not _reassembles(cert.parts, source):
         fail("partition_mismatch", "parts do not reassemble the source multiset")
     for k, part in enumerate(cert.parts):
         if not part.entries:
             fail("empty_part", f"part {k} is empty")
-    rational_point = all([_is_rational(x) for x in cert.point])
+    rational_point = {type(x) for x in cert.point} <= _RATIONAL_TYPES
     # the point's (numerator, denominator) per coordinate, when a proof can combine to it
     target = (
         [(x.numerator, x.denominator) for x in cert.point]
@@ -166,7 +165,7 @@ def verify_certificate(
                 fail("bad_coefficients", f"part {k}: weight index {idx} out of range")
                 bad = True
                 continue
-            if not _is_rational(w):
+            if type(w) not in _RATIONAL_TYPES:
                 fail("bad_coefficients", f"part {k}: weight {w!r} is not a rational")
                 bad = True
                 continue

@@ -20,7 +20,8 @@ difference vectors and l = dim span(V):
          once clockwise by integer cross-product signs, and the weight
          strictly clockwise of each direction is a contiguous run found
          by two pointers over the doubled order and summed by prefix
-         sums, so the level costs O(n log n);
+         sums, so the level costs O(n log n).  The sweep takes primitive,
+         distinct directions, each line's two rays told apart;
   l >= 3: over each (l-1)-subset of V with a one-dimensional orthogonal
           complement +-u0 in span(V), the strict count of u0 plus the
           recursive minimum over {v : u0.v = 0}.  u0 is the subset's
@@ -29,7 +30,17 @@ difference vectors and l = dim span(V):
           set.
 
 Working coordinates are the restriction to pivot columns of span(V), so
-integer inputs stay integer all the way down.  A witness functional is
+integer inputs stay integer all the way down.  ``_difference_profile``
+reduces each difference to a primitive direction with one gcd and
+merges equal ones, and when the pivots are every coordinate those
+directions go to the sweep as they are.  Only a restriction to fewer
+pivots, at the planar levels inside l >= 3 or on a flat support, can
+scale or merge directions, so only there are they reduced again.  The
+pivots are found once per query: in the plane by cross products with
+the first direction, elsewhere by one elimination (``pivot_columns``).
+A scan whose entries are affinely full-dimensional finds them once for
+all its candidates: the differences around any point then span every
+coordinate.  A witness functional is
 reassembled on the way up as N*u0 + u_inner with N large enough that
 u0's strict signs dominate.  Witnesses are stable because every level
 visits its candidates in one fixed order, u0 (sign made canonical, first
@@ -74,7 +85,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .ambient import AmbientSet, FiniteSet, Lattice
@@ -90,105 +101,68 @@ from .linprog import generalised_cross, pivot_columns
 from .points import HalfSpace, Point, PointMultiset, clockwise_key, cross2, integer_points
 
 
-def _dot_int(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+def _planar_min(
+    dirs: Sequence[tuple[int, ...]], weights: Sequence[int], abort_at: int | None
+) -> tuple[int, tuple[int, tuple[int, ...], int, int]]:
+    """The l = 2 level of ``_min_halfspace_count`` on primitive, distinct
+    directions, by one angular sweep.
 
-
-def _reduce_int(vec: Sequence[int]) -> tuple[int, ...]:
-    g = gcd(*vec)
-    return tuple(v // g for v in vec)
-
-
-def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
-    for v in vec:
-        if v != 0:
-            return vec if v > 0 else tuple(-x for x in vec)
-    return vec
-
-
-def _planar_candidates(
-    coords: list[tuple[int, ...]], weights: list[int]
-) -> Iterator[tuple[int, tuple[int, tuple[int, ...], int, int]]]:
-    """The enumeration's l = 2 candidates in its order, each counted in
-    O(1) after one angular sort.
-
-    For each line through some coords[i], in order of first appearance,
+    For each line through some dirs[i], in order of first appearance,
     its canonical normal u0 and then -u0 are scored by the weight
-    strictly on their side plus the lighter ray on the line.  The
-    directions strictly clockwise of a direction d form a contiguous run
-    after d in the clockwise order; two pointers over the doubled order
-    find each run and prefix sums weigh it.  Yields (count, (sign, u0,
-    pivot, inner sign)), from which ``_planar_min`` builds the functional.
+    strictly on their side plus the lighter ray on the line; the first
+    strictly smallest count wins, as in the enumeration.  The directions
+    strictly clockwise of a direction form a contiguous run after it in
+    the clockwise order; two pointers over the doubled order find each
+    run and prefix sums weigh it.  Returns (count, (sign, u0, pivot,
+    inner sign)), from which the caller builds the functional.
     """
-    prim = [_reduce_int(c) for c in coords]
-    merged: dict[tuple[int, ...], int] = {}
-    for d, w in zip(prim, weights):
-        merged[d] = merged.get(d, 0) + w
-    order = sorted(merged.items(), key=clockwise_key(prim[0]))
-    k = len(order)
-    dirs = [d for d, _ in order]
-    prefix = list(itertools.accumulate((w for _, w in order * 2), initial=0))
+    k = len(dirs)
+    ring = sorted(zip(dirs, range(k)), key=clockwise_key(dirs[0]))
+    ring_weights = [weights[i] for _, i in ring]
+    prefix = list(itertools.accumulate(ring_weights * 2, initial=0))
     total = prefix[k]
-    cw: dict[tuple[int, ...], int] = {}
-    back: dict[tuple[int, ...], int] = {}
+    # per input index: the weight strictly clockwise, and the index of the
+    # opposite direction (itself when absent)
+    cw = [0] * k
+    opposite = list(range(k))
+    doubled = ring * 2
     j = 1
-    for i, d in enumerate(dirs):
-        j = max(j, i + 1)
-        while j < i + k and cross2(d, dirs[j % k]) < 0:
+    for a, ((dx, dy), i) in enumerate(ring):
+        j = max(j, a + 1)
+        while j < a + k:
+            (ex, ey), o = doubled[j]
+            c = dx * ey - dy * ex  # cross2(d, e)
+            if c >= 0:
+                if c == 0:
+                    opposite[i] = o
+                break
             j += 1
-        cw[d] = prefix[j] - prefix[i + 1]
-        back[d] = order[j % k][1] if j < i + k and cross2(d, dirs[j % k]) == 0 else 0
+        cw[i] = prefix[j] - prefix[a + 1]
 
-    seen: set[tuple[int, ...]] = set()
-    for d in prim:
+    best, choice = total + 1, None
+    for i, d in enumerate(dirs):
+        o = opposite[i]
+        if o < i:  # the line was scored at the opposite direction
+            continue
+        ray, opp = weights[i], weights[o] if o != i else 0
+        ccw = total - ray - opp - cw[i]
         # u0 is the canonical sign of (-d1, d0), which is positive on
         # exactly the directions counter-clockwise of d
         if d[1] < 0 or (d[1] == 0 and d[0] > 0):
-            u0, ccw_first = (-d[1], d[0]), True
+            u0, first, second = (-d[1], d[0]), ccw, cw[i]
         else:
-            u0, ccw_first = (d[1], -d[0]), False
-        if u0 in seen:
-            continue
-        seen.add(u0)
-        ray, opp = merged[d], back[d]
-        ccw = total - ray - opp - cw[d]
+            u0, first, second = (d[1], -d[0]), cw[i], ccw
         # the inner level counts the line along its pivot coordinate and
         # keeps the lighter side, the positive one on a tie
         pivot = 0 if d[0] != 0 else 1
         along, against = (ray, opp) if d[pivot] > 0 else (opp, ray)
-        inner = min(along, against)
-        inner_sign = 1 if along <= against else -1
-        first, second = (ccw, cw[d]) if ccw_first else (cw[d], ccw)
-        yield first + inner, (1, u0, pivot, inner_sign)
-        yield second + inner, (-1, u0, pivot, inner_sign)
-
-
-def _planar_min(
-    coords: list[tuple[int, ...]],
-    weights: list[int],
-    abort_at: int | None,
-    want_witness: bool,
-) -> tuple[int, tuple[int, ...] | None]:
-    """The l = 2 level of ``_min_halfspace_count``, by an angular sweep.
-
-    The first strictly best candidate wins, as in the enumeration, and
-    its functional is assembled the same way, bound * (+-u0) plus the
-    inner functional, so count and functional equal the enumeration's.
-    """
-    candidates = _planar_candidates(coords, weights)
-    best, choice = next(candidates)
-    for count, cand in candidates:
-        if abort_at is not None and best <= abort_at:
-            break
-        if count < best:
-            best, choice = count, cand
-    if not want_witness:
-        return best, None
-    sgn, u0, pivot, inner_sign = choice
-    bound = 1 + max(abs(c[pivot]) for c in coords)
-    phi = [bound * sgn * x for x in u0]
-    phi[pivot] += inner_sign
-    return best, tuple(phi)
+        inner, inner_sign = (along, 1) if along <= against else (against, -1)
+        for count, sign in ((first + inner, 1), (second + inner, -1)):
+            if count < best:
+                best, choice = count, (sign, u0, pivot, inner_sign)
+                if abort_at is not None and best <= abort_at:
+                    return best, choice
+    return best, choice
 
 
 def _min_halfspace_count(
@@ -196,21 +170,33 @@ def _min_halfspace_count(
     weights: list[int],
     abort_at: int | None,
     want_witness: bool,
+    pivots: Sequence[int] | None = None,
 ) -> tuple[int, tuple[int, ...] | None]:
     """Minimum over nonzero u of the weighted count of v with u.v >= 0.
 
-    Returns (count, functional); the functional is in the coordinates of
-    the input vectors and attains the count, or None when not requested
-    (or when vecs is empty).  With abort_at set, the search stops once
-    the running minimum is <= abort_at; the returned count is then still
-    an upper bound achieved by an actual direction.
+    vecs are primitive and distinct, as ``_difference_profile`` gives
+    them.  Returns (count, functional); the functional is in the
+    coordinates of the input vectors and attains the count, or None when
+    not requested (or when vecs is empty).  With abort_at set, the search
+    stops once the running minimum is <= abort_at; the returned count is
+    then still an upper bound achieved by an actual direction.  pivots,
+    the pivot columns of span(vecs), are found when not given.
     """
     if not vecs:
         return 0, None
     dim = len(vecs[0])
-    pivots = pivot_columns(vecs, dim)
+    if pivots is None:
+        # in the plane the span shows in cross products with one vector
+        first = vecs[0]
+        if dim != 2:
+            pivots = pivot_columns(vecs, dim)
+        elif any(cross2(first, v) for v in vecs):
+            pivots = range(2)
+        else:
+            pivots = [0] if first[0] else [1]
     ell = len(pivots)
-    coords = [tuple(v[p] for p in pivots) for v in vecs]
+    restricted = ell < dim
+    coords = [tuple(v[p] for p in pivots) for v in vecs] if restricted else vecs
 
     best: int | None = None
     best_phi: tuple[int, ...] | None = None
@@ -219,7 +205,16 @@ def _min_halfspace_count(
         neg = sum(w for c, w in zip(coords, weights) if c[0] < 0)
         best, best_phi = (pos, (1,)) if pos <= neg else (neg, (-1,))
     elif ell == 2:
-        best, best_phi = _planar_min(coords, weights, abort_at, want_witness)
+        # a restriction can scale and merge directions: reduce them again
+        dirs, ws, _ = _primitive_profile(coords, weights) if restricted else (coords, weights, 0)
+        best, (sign, u0, pivot, inner_sign) = _planar_min(dirs, ws, abort_at)
+        if want_witness:
+            # bound * (+-u0) plus the inner functional, bound read off the
+            # coordinates before any reduction
+            bound = sign * (1 + max(abs(c[pivot]) for c in coords))
+            phi = [bound * x for x in u0]
+            phi[pivot] += inner_sign
+            best_phi = tuple(phi)
     else:
         seen: set[tuple[int, ...]] = set()
         done = False
@@ -227,7 +222,9 @@ def _min_halfspace_count(
             u0 = generalised_cross([coords[i] for i in subset], ell)
             if u0 is None:
                 continue
-            u0 = _canonical_sign(_reduce_int(u0))
+            # primitive, and canonical: first nonzero coordinate positive
+            g = gcd(*u0) if next(x for x in u0 if x) > 0 else -gcd(*u0)
+            u0 = tuple(x // g for x in u0)
             if u0 in seen:
                 continue
             seen.add(u0)
@@ -260,7 +257,7 @@ def _min_halfspace_count(
                         if inner_phi is None:
                             best_phi = u
                         else:
-                            bound = 1 + max(abs(_dot_int(inner_phi, c)) for c in coords)
+                            bound = 1 + max(abs(sum(map(mul, inner_phi, c))) for c in coords)
                             best_phi = tuple(
                                 bound * a + b for a, b in zip(u, inner_phi)
                             )
@@ -274,12 +271,31 @@ def _min_halfspace_count(
             # happen, since some ell-1 of them are linearly independent.
             raise AssertionFailed("no admissible direction found")
 
-    if best_phi is not None:
+    if best_phi is not None and restricted:
         lifted = [0] * dim
         for t, p in enumerate(pivots):
             lifted[p] = best_phi[t]
         best_phi = tuple(lifted)
     return best, best_phi
+
+
+def _primitive_profile(
+    vecs: Iterable[Sequence[int]], weights: Iterable[int]
+) -> tuple[list[tuple[int, ...]], list[int], int]:
+    """The primitive directions of the nonzero vectors, distinct in order of
+    first appearance with merged weights, and the weight of the zero
+    vectors; one gcd per vector."""
+    zero = 0
+    profile: dict[tuple[int, ...], int] = {}
+    for v, w in zip(vecs, weights):
+        g = gcd(*v)
+        if g == 0:
+            zero += w
+            continue
+        if g != 1:
+            v = tuple([x // g for x in v])
+        profile[v] = profile.get(v, 0) + w
+    return list(profile), list(profile.values()), zero
 
 
 def _difference_profile(
@@ -292,16 +308,8 @@ def _difference_profile(
     on one integer grid (``points.integer_points``).  Differences are
     reduced to primitive vectors, so the grid never shows in the result.
     """
-    at_origin = 0
-    profile: dict[tuple[int, ...], int] = {}
-    for p, (_, mult) in zip(grid, points.entries):
-        v = tuple(a - b for a, b in zip(p, origin))
-        if all(x == 0 for x in v):
-            at_origin += mult
-            continue
-        key = _reduce_int(v)
-        profile[key] = profile.get(key, 0) + mult
-    return list(profile), list(profile.values()), at_origin
+    differences = [tuple(map(sub, p, origin)) for p in grid]
+    return _primitive_profile(differences, [mult for _, mult in points.entries])
 
 
 @dataclass(frozen=True)
@@ -367,8 +375,8 @@ def recounted_witness(
     if phi is None:
         phi = tuple(1 if i == 0 else 0 for i in range(points.dim))
     scale, grid = on_grid if on_grid is not None else integer_points(points.support() + (q,))
-    level = _dot_int(phi, grid[-1])
-    check = sum(mult for p, (_, mult) in zip(grid, points.entries) if _dot_int(phi, p) >= level)
+    level = sum(map(mul, phi, grid[-1]))
+    check = sum(mult for p, (_, mult) in zip(grid, points.entries) if sum(map(mul, phi, p)) >= level)
     if check != depth:
         raise AssertionFailed(
             f"witness half-space counts {check} instances, claimed depth {depth}"
@@ -494,17 +502,22 @@ def _deeper_candidates(
     """
     grid, candidates = scan
     mult_at: dict[Point, int] = {p: mult for p, mult in points.entries}
+    dim = points.dim
+    # entries spanning every direction span it around any candidate too
+    spread = [[a - b for a, b in zip(p, grid[0])] for p in grid]
+    pivots = range(dim) if len(pivot_columns(spread, dim)) == dim else None
     best_depth = m - 1
     for cand, origin in candidates:
         vecs, ws, at_origin = _difference_profile(grid, points, origin)
         # an int candidate finds its Fraction twin: equal values hash alike
         if mult_at.get(cand, 0) != at_origin:
             raise AssertionFailed("multiplicity bookkeeping out of step")
-        count, phi = _min_halfspace_count(vecs, ws, best_depth - at_origin, want_witness)
+        count, phi = _min_halfspace_count(vecs, ws, best_depth - at_origin, want_witness, pivots)
         depth = at_origin + count
         if depth > best_depth:
             best_depth = depth
-            yield tuple(Fraction(v) for v in cand), depth, phi
+            # the l = 1 level answers a functional even when not asked
+            yield tuple(Fraction(v) for v in cand), depth, phi if want_witness else None
 
 
 def _last(found: Iterator[tuple[Point, int, tuple[int, ...] | None]]) -> Point | None:

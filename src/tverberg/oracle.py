@@ -151,11 +151,14 @@ def search_partition(
     # One membership verdict per (hull id, candidate); the part table
     # keeps every hull alive while the search runs, so no id is reused
     # while the verdicts are keyed by it.  Over Z^d the candidates are
-    # int tuples, which hash and compare without Fraction arithmetic.
-    verdicts: dict[tuple[int, tuple], bool] = {}
+    # int tuples, which hash and compare without Fraction arithmetic; a
+    # finite set's candidates are its own stored points, keyed by identity
+    # so that no Fraction is hashed.
+    verdicts: dict[tuple[int, tuple | int], bool] = {}
+    by_identity = isinstance(ambient, FiniteSet)
 
     def contains(p: tuple, hull: PointMultiset) -> bool:
-        key = (id(hull), p)
+        key = (id(hull), id(p) if by_identity else p)
         verdict = verdicts.get(key)
         if verdict is None:
             verdict = verdicts[key] = in_hull(p, hull)

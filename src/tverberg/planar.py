@@ -131,14 +131,24 @@ def _arc_positions(order: RadialOrder, witness: DepthWitness) -> tuple[int, int]
     The boundary of the witness half-plane passes through the center;
     sweeping clockwise from the entry ray w0 = (n_y, -n_x) lists the
     closed complement arc first.  The order is already one clockwise
-    turn, so the sweep from w0 is its rotation to the run of least
-    clockwise key from w0.  A run is on the closed complement side
-    exactly when n . direction <= 0, in ints.
+    turn, so the sweep from w0 is its rotation to the first run of least
+    clockwise key from w0 (``clockwise_key``), found in one pass of
+    integer cross and dot signs against w0.  A run is on the closed
+    complement side exactly when n . direction <= 0, in ints.
     """
     nx, ny = witness.halfspace.normal
-    key = clockwise_key((ny, -nx))
     directions = order.directions
-    start = min(range(len(directions)), key=lambda k: key((directions[k], k)))
+    start, least = 0, None
+    for k, (dx, dy) in enumerate(directions):
+        # the half-turn bucket of clockwise_key((ny, -nx)), whose cross
+        # product with d is n . d; inside a bucket d comes first when the
+        # least so far is clockwise of it
+        c = nx * dx + ny * dy
+        bucket = (1 if c < 0 else 3) if c else (0 if ny * dx - nx * dy > 0 else 2)
+        if least is None or bucket < least[0] or (
+            bucket == least[0] and dx * least[2] - dy * least[1] < 0
+        ):
+            start, least = k, (bucket, dx, dy)
     on_arc = [nx * dx + ny * dy <= 0 for dx, dy in directions[start:] + directions[:start]]
     # The closed complement side occupies exactly the first runs swept.
     if on_arc != sorted(on_arc, reverse=True):

@@ -144,6 +144,55 @@ def test_min_halfspace_count_matches_the_enumeration(rng):
     assert spanning_4d >= 10
 
 
+def _select_shaped_query(rng):
+    """A planar multiset of 5-30 points in [-6, 6]^2 and a query, as the
+    depth queries of the benchmark draw them, mixed with repeats, points
+    at q, rational queries and collinear supports."""
+    n = rng.randint(5, 30)
+    if rng.random() < 0.2:
+        q = tuple(Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3])) for _ in range(2))
+    else:
+        q = tuple(Fraction(rng.randint(-6, 6)) for _ in range(2))
+    if rng.random() < 0.2:  # collinear, through q or beside it
+        base = q if rng.random() < 0.5 else tuple(Fraction(rng.randint(-6, 6)) for _ in range(2))
+        v = rng.choice([(1, 0), (0, 1), (1, 2), (2, -1), (1, -1)])
+        raw = [tuple(b + t * c for b, c in zip(base, v)) for t in (rng.randint(-3, 3) for _ in range(n))]
+    else:
+        raw = [tuple(Fraction(rng.randint(-6, 6)) for _ in range(2)) for _ in range(n)]
+    raw += [rng.choice(raw) for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.3:
+        raw += [q] * rng.randint(1, 3)
+    return PointMultiset.from_points(raw, dim=2), q
+
+
+def test_planar_queries_match_the_enumeration():
+    """On select-shaped planar queries the sweep, fed the profile's
+    primitive directions as they are, returns the enumeration's count
+    and functional, and keeps the abort contract."""
+    rng = random.Random(0x5E1EC7)
+    collinear = 0
+    for _ in range(2000):
+        pts, q = _select_shaped_query(rng)
+        _, grid = integer_points(pts.support() + (q,))
+        vecs, ws, _ = _difference_profile(grid, pts, grid[-1])
+        if not vecs:
+            continue
+        collinear += len(pivot_columns(vecs, 2)) == 1
+        for want in (False, True):
+            expected = reference_min_count(vecs, ws, None, want)
+            assert _min_halfspace_count(vecs, ws, None, want) == expected
+        exact = expected[0]
+        abort_at = rng.randint(-1, exact + 1)
+        ref_count, _ = reference_min_count(vecs, ws, abort_at, False)
+        for want in (False, True):
+            count, _ = _min_halfspace_count(vecs, ws, abort_at, want)
+            assert (count <= abort_at) == (ref_count <= abort_at) == (exact <= abort_at)
+            assert count >= exact
+            if exact > abort_at:
+                assert count == ref_count == exact
+    assert collinear >= 100
+
+
 def test_witness_recount_guards_the_answer(monkeypatch):
     pts = PointMultiset.from_points(
         [point(0, 0), point(2, 0), point(0, 2), point(2, 2), point(1, 1)]
@@ -379,25 +428,74 @@ def _deep_scan_cases(rng):
     return cases
 
 
-def test_scan_depth_and_witness_equal_a_fresh_depth_query():
+def _assert_scan_equals_a_fresh_query(pts, amb, m):
     """The centre scan's depth is depth_value at its point, and its
     functional, less the point's copies, makes the witness that
-    halfspace_depth returns for the other instances."""
+    halfspace_depth returns for the other instances.  Returns the
+    point's multiplicity."""
+    p, depth, phi = first_deep_scan(pts, amb, m, want_witness=True)
+    assert (p, depth, None) == first_deep_scan(pts, amb, m)
+    assert depth == depth_value(p, pts) >= m
+    mu = pts.multiplicity(p)
+    if mu < pts.size:
+        rest = pts.remove(p, mu) if mu else pts
+        assert recounted_witness(p, rest, depth - mu, phi) == halfspace_depth(p, rest)
+    return mu
+
+
+def test_scan_depth_and_witness_equal_a_fresh_depth_query():
     rng = random.Random(36)
     with_copies = 0
     cases = _deep_scan_cases(rng)
     assert len(cases) >= 1000
     for pts, amb, m in cases:
-        p, depth, phi = first_deep_scan(pts, amb, m, want_witness=True)
-        assert (p, depth, None) == first_deep_scan(pts, amb, m)
-        assert depth == depth_value(p, pts) >= m
-        mu = pts.multiplicity(p)
-        with_copies += mu > 0
-        if mu == pts.size:
-            continue
-        rest = pts.remove(p, mu) if mu else pts
-        assert recounted_witness(p, rest, depth - mu, phi) == halfspace_depth(p, rest)
+        with_copies += _assert_scan_equals_a_fresh_query(pts, amb, m) > 0
     assert with_copies >= 100
+
+
+def _flat_lattice_multiset(rng, d):
+    """A multiset on a line of Z^2 or a plane of Z^3, with repeats, whose
+    scans find their pivots per candidate."""
+    base = [rng.randint(-3, 3) for _ in range(d)]
+    spans = [rng.choice([(1, 0), (0, 1), (1, 2), (2, -1), (1, -1)])] if d == 2 else [
+        rng.choice([(1, 0, 1), (0, 1, -1), (1, 1, 0), (2, -1, 1)]),
+        rng.choice([(0, 0, 1), (1, -1, 2), (0, 2, 1), (1, 0, -1)]),
+    ]
+    raw = []
+    for _ in range(rng.randint(4, 12)):
+        ts = [rng.randint(-2, 2) for _ in spans]
+        raw.append(tuple(Fraction(b + sum(t * v[c] for t, v in zip(ts, spans))) for c, b in enumerate(base)))
+    raw += [rng.choice(raw) for _ in range(rng.randint(0, 3))]
+    return PointMultiset.from_points(raw, dim=d)
+
+
+def test_flat_scans_equal_a_fresh_depth_query():
+    """On collinear Z^2 and coplanar Z^3 multisets, which restrict the
+    profile to fewer pivots than coordinates, the centre scan matches a
+    fresh depth query, and the deepest scan gives the deepest point of
+    its box, lexicographically first."""
+    rng = random.Random(0xF1A7)
+    scanned = {2: 0, 3: 0}
+    for _ in range(120):
+        d = rng.choice([2, 3])
+        pts = _flat_lattice_multiset(rng, d)
+        assert len(pivot_columns([[a - b for a, b in zip(p, pts.entries[0][0])] for p, _ in pts.entries], d)) < d
+        m = rng.randint(2, 3)
+        try:
+            c = integer_centerpoint(pts, m)
+        except CenterpointNotFound:
+            with pytest.raises(CenterpointNotFound):
+                first_deep_scan(pts, Lattice(d), m)
+            continue
+        scanned[d] += 1
+        _assert_scan_equals_a_fresh_query(pts, Lattice(d), m)
+        box = coordinate_order_statistics(pts, m)
+        deepest = max(
+            (depth_value(x, pts), tuple(-v for v in x))
+            for x in itertools.product(*(map(Fraction, range(lo, hi + 1)) for lo, hi in box))
+        )
+        assert (depth_value(c, pts), tuple(-v for v in c)) == deepest
+    assert min(scanned.values()) >= 30
 
 
 def _count_calls(monkeypatch, name):

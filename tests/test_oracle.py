@@ -17,8 +17,9 @@ from tverberg.oracle import (
     search_partition,
     verify_no_partition,
 )
+from tverberg.planar import helly_number
 from tverberg.points import PointMultiset, point
-from tverberg.witnesses import doignon_witness, onn_witness
+from tverberg.witnesses import convex_lowerbound_witness, doignon_witness, onn_witness
 
 
 def _count(counts, m):
@@ -228,6 +229,55 @@ def test_search_partition_decides_each_membership_once(monkeypatch):
     assert len(decided) == len(set(decided))
     assert set(decided) == reference
     assert scans == 966
+
+
+def test_search_partition_decides_each_finite_set_membership_once(monkeypatch):
+    """Over a finite set the verdicts are keyed by the set's own points:
+    each (part, set point) is decided once, and the decisions are the
+    reference's."""
+    ambient = FiniteSet(
+        tuple(point(x, y) for x, y in [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2), (1, 1), ("1/2", "3/2")]),
+        2,
+    )
+    points = convex_lowerbound_witness(ambient, 3)
+    decided = []
+    member = partition_oracle.member
+
+    def counted_reference(q, hull):
+        decided.append((q, hull.entries))
+        return member(q, hull)
+
+    monkeypatch.setattr(partition_oracle, "member", counted_reference)
+    assert partition_oracle.search_partition(points, 3, ambient) is None
+    reference = set(decided)
+    assert len(decided) > len(reference)
+    decided.clear()
+
+    def counted(q, hull):
+        decided.append((q, hull.entries))
+        return in_hull(q, hull)
+
+    monkeypatch.setattr(oracle, "in_hull", counted)
+    assert verify_no_partition(points, 3, ambient)
+    assert len(decided) == len(set(decided))
+    assert set(decided) == reference
+
+
+def test_exact_numbers_over_finite_sets_equal_the_reference(monkeypatch):
+    """Exact numbers at m = 3 on seeded 4-6-point sets, with the library's
+    search and then with the reference search in its place."""
+    rng = random.Random(0xE4AC7)
+    sets = []
+    for _ in range(5):
+        pts = set()
+        for _ in range(rng.randint(4, 6)):
+            pts.add(point(Fraction(rng.randint(-4, 4), 2), rng.randint(-2, 2)))
+        sets.append(FiniteSet(tuple(pts), 2))
+    caps = [2 * helly_number(s).number + 2 for s in sets]
+    got = [exact_tverberg_number(s, 3, cap, budget=200000) for s, cap in zip(sets, caps)]
+    monkeypatch.setattr(oracle, "search_partition", partition_oracle.search_partition)
+    assert got == [exact_tverberg_number(s, 3, cap, budget=200000) for s, cap in zip(sets, caps)]
+    assert len(set(got)) >= 2
 
 
 def test_search_partition_solves_one_system_per_non_entry_decision(monkeypatch):

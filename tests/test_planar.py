@@ -409,6 +409,38 @@ def test_radial_parts_count_the_reference_labels(monkeypatch):
     assert any(long_runs)
 
 
+def test_shallow_arc_start_and_length_equal_the_reference():
+    """On shallow labelings with multiplicities 1-4, the run the sweep
+    starts at is the run of the reference's first swept instance, and the
+    arc lengths agree."""
+    rng = random.Random(2525)
+    shallow = 0
+    for _ in range(600):
+        m = rng.choice([3, 4, 5, 7])
+        box = rng.choice([1, 2, 3])
+        counts = {}
+        while sum(counts.values()) < planar.z2_gate(m) + rng.randint(0, 3):
+            counts[point(rng.randint(-box, box), rng.randint(-box, box))] = rng.randint(1, 4)
+        pts = PointMultiset([(q, c) for q, c in counts.items()], dim=2)
+        p, depth_p, phi = first_deep_scan(pts, Lattice(2), m, want_witness=True)
+        if peel_by_multiplicity(pts, p, m) is not None:
+            continue
+        mu = pts.multiplicity(p)
+        rest = pts.remove(p, mu) if mu else pts
+        target, n = m - mu, rest.size
+        quot, rem = divmod(n, target)
+        witness = recounted_witness(p, rest, depth_p - mu, phi)
+        if target < 3 or rem == 0 or witness.depth >= target + -(-rem // quot):
+            continue
+        shallow += 1
+        reference = radial_oracle.radial_order(rest, p)
+        positions = zip(reference.entry_indices, reference.directions)
+        run_of = [k for k, (_, group) in enumerate(itertools.groupby(positions)) for _ in group]
+        perm, arc_len = radial_oracle._arc_positions(reference, witness)
+        assert planar._arc_positions(radial_order(rest, p), witness) == (run_of[perm[0]], arc_len)
+    assert shallow >= 50
+
+
 def test_radial_parts_put_rest_and_centre_on_one_grid_once(monkeypatch):
     """The radial order and the witness recount of ``_radial_parts`` read
     one integer grid of the remainder and the centre, computed once."""
