@@ -75,7 +75,9 @@ depth, and the functional of the search, when asked for, is the one an
 unthresholded query finds.  ``first_deep_scan`` hands both back with
 the point: the planar driver builds its labelling witness from them
 (``recounted_witness``) and the Z^3 driver reads its depth, so neither
-queries the depth of its centre again.
+queries the depth of its centre again.  The same per-candidate step, at
+the fixed threshold m - 1, tells a refutation which of its candidates
+are deep (``deep_filter``).
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .ambient import AmbientSet, FiniteSet, Lattice
 from .errors import (
@@ -487,6 +489,45 @@ def _finite_candidates(points: PointMultiset, ambient: FiniteSet) -> Candidates:
     return grid[:n], zip(ambient.points, grid[n:])
 
 
+def _depth_step(grid: Sequence[IntPoint], points: PointMultiset) -> Callable[..., tuple]:
+    """The per-candidate step of the scans and of ``deep_filter``, over the
+    entries on an integer grid (grid[i] is entry i): step(origin,
+    threshold, want_witness) is (copies, depth, functional) at grid point
+    origin, the depth exact above threshold and otherwise <= threshold."""
+    dim = points.dim
+    # entries spanning every direction span it around any candidate too
+    spread = [[a - b for a, b in zip(p, grid[0])] for p in grid]
+    pivots = range(dim) if len(pivot_columns(spread, dim)) == dim else None
+
+    def step(origin: IntPoint, threshold: int, want_witness: bool):
+        vecs, ws, at_origin = _difference_profile(grid, points, origin)
+        count, phi = _min_halfspace_count(vecs, ws, threshold - at_origin, want_witness, pivots)
+        return at_origin, at_origin + count, phi
+
+    return step
+
+
+def deep_filter(points: PointMultiset, m: int, ambient: Lattice | FiniteSet) -> Callable[[tuple], bool]:
+    """deep(p): whether p, an int tuple over Z^d or a stored point of a
+    finite set, has depth >= m in the multiset: deep without a query when
+    it holds >= m copies, else by the scans' step at threshold m - 1, all
+    on one integer grid of the entries and the set's points."""
+    finite = isinstance(ambient, FiniteSet)
+    if finite:
+        grid, pairs = _finite_candidates(points, ambient)
+        at = {id(s): g for s, g in pairs}
+    else:
+        scale, grid = integer_points(points.support())
+    heavy = {g for g, (_, mult) in zip(grid, points.entries) if mult >= m}
+    step = _depth_step(grid, points)
+
+    def deep(p: tuple) -> bool:
+        origin = at[id(p)] if finite else tuple([scale * x for x in p])
+        return origin in heavy or step(origin, m - 1, False)[1] >= m
+
+    return deep
+
+
 def _deeper_candidates(
     points: PointMultiset, scan: Candidates, m: int, want_witness: bool = False
 ) -> Iterator[tuple[Point, int, tuple[int, ...] | None]]:
@@ -502,18 +543,13 @@ def _deeper_candidates(
     """
     grid, candidates = scan
     mult_at: dict[Point, int] = {p: mult for p, mult in points.entries}
-    dim = points.dim
-    # entries spanning every direction span it around any candidate too
-    spread = [[a - b for a, b in zip(p, grid[0])] for p in grid]
-    pivots = range(dim) if len(pivot_columns(spread, dim)) == dim else None
+    step = _depth_step(grid, points)
     best_depth = m - 1
     for cand, origin in candidates:
-        vecs, ws, at_origin = _difference_profile(grid, points, origin)
+        at_origin, depth, phi = step(origin, best_depth, want_witness)
         # an int candidate finds its Fraction twin: equal values hash alike
         if mult_at.get(cand, 0) != at_origin:
             raise AssertionFailed("multiplicity bookkeeping out of step")
-        count, phi = _min_halfspace_count(vecs, ws, best_depth - at_origin, want_witness, pivots)
-        depth = at_origin + count
         if depth > best_depth:
             best_depth = depth
             # the l = 1 level answers a functional even when not asked

@@ -358,7 +358,9 @@ def iter_common_ambient_points(
     hull by ``contains(point, hull)``, by default ``in_hull``: an entry
     of the hull is in at once, any other candidate is one membership
     system, and no weights are built.  A caller that meets the same
-    hulls again can pass a test that remembers its verdicts.  Over Z^d
+    hulls again can pass a test that remembers its verdicts, and a
+    refutation's test first rejects candidates of depth < len(hulls) in
+    the whole multiset (``depth.deep_filter``).  Over Z^d
     the candidates are the int tuples of the integer box and
     ``contains`` gets them as they are; only a point that lies in every
     hull becomes a Fraction tuple.

@@ -24,12 +24,14 @@ canonical entries (``PointMultiset.sub_multiset``), and lives until the
 enumeration ends.  A hull rounds its bounding box to integer ranges the
 first time a scan asks (``PointMultiset.integer_ranges``) and keeps
 them, so over Z^d and Z^j x R^k each partition's candidate box is a few
-int comparisons.  Over Z^d and finite sets the search also decides each
-(candidate, part) membership once per call, however many partitions
-share the part, by ``in_hull``: an entry of the part is in at once, any
-other candidate is one system that builds no weights, read off the
-part's integer grid when its entries are affinely independent and
-otherwise one integer LP.  Z^d
+int comparisons.  Over Z^d and finite sets a point common to m
+disjoint parts has depth >= m in the multiset, so each candidate first
+gets one depth verdict per call (``depth.deep_filter``).  Each (deep
+candidate, part) membership is then decided once per call, however many
+partitions share the part, by ``in_hull``: an entry of the part is in
+at once, any other candidate is one system that builds no weights, read
+off the part's integer grid when its entries are affinely independent
+and otherwise one integer LP.  Every partition is still scanned.  Z^d
 candidates are int tuples, and only a witness becomes a Fraction point.
 
 ``exact_tverberg_number`` grows n until every n-point multiset over the
@@ -45,7 +47,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .ambient import AmbientSet, FiniteSet, RealSpace
+from .ambient import AmbientSet, FiniteSet, Lattice, RealSpace
+from .depth import deep_filter
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -156,9 +159,18 @@ def search_partition(
     # so that no Fraction is hashed.
     verdicts: dict[tuple[int, tuple | int], bool] = {}
     by_identity = isinstance(ambient, FiniteSet)
+    # Every closed half-space through a point common to m disjoint parts
+    # holds an instance of each, so a candidate of depth < m is out.
+    deep = deep_filter(points, m, ambient) if isinstance(ambient, (Lattice, FiniteSet)) else None
+    depths: dict[tuple | int, bool] = {}
 
     def contains(p: tuple, hull: PointMultiset) -> bool:
-        key = (id(hull), id(p) if by_identity else p)
+        at = id(p) if by_identity else p
+        if at not in depths:
+            depths[at] = deep(p)
+        if not depths[at]:
+            return False
+        key = (id(hull), at)
         verdict = verdicts.get(key)
         if verdict is None:
             verdict = verdicts[key] = in_hull(p, hull)

@@ -15,6 +15,7 @@ from tverberg.depth import (
     _difference_profile,
     _min_halfspace_count,
     _order_statistic_box,
+    deep_filter,
     depth_value,
     finite_set_centerpoint,
     first_deep_scan,
@@ -533,3 +534,73 @@ def test_drivers_compute_the_centre_depth_once(monkeypatch):
     cert = z3_tverberg(pts, 3)
     assert verify_certificate(cert, pts).ok
     assert witnessed == [] and len(queried) == 1
+
+
+def _deep_filter_cases(rng):
+    """Seeded (points, candidate, m, labels) for the deep filter: d = 1,
+    2, 3 on Z, 1/2 Z and 1/3 Z grids; general, collinear and coplanar
+    supports with repeated entries; candidates on an entry with fewer
+    than, exactly or more than m copies, on the grid and on Z^d."""
+    while True:
+        d, den, m = rng.choice([1, 2, 3]), rng.choice([1, 2, 3]), rng.randint(1, 4)
+        shapes = ["general", "collinear", "coplanar"][:d]
+        shape = rng.choice(shapes)
+        n = rng.randint(1, 6)
+
+        def value():
+            return Fraction(rng.randint(-2 * den, 2 * den), den)
+
+        # a collinear or coplanar support is a base point plus grid
+        # multiples of one or two small integer vectors
+        base = [rng.randint(-1, 1) for _ in range(d)]
+        spans = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(shapes.index(shape))]
+        pts = []
+        for _ in range(n):
+            if shape == "general":
+                pts.append(tuple(value() for _ in range(d)))
+            else:
+                ts = [value() for _ in spans]
+                pts.append(tuple(b + sum(t * u[c] for t, u in zip(ts, spans)) for c, b in enumerate(base)))
+        pts += rng.choices(pts, k=rng.randint(0, 3))
+        kind = rng.choice(["entry", "grid", "lattice"])
+        labels = {f"d={d}", f"den={den}", shape}
+        if kind == "entry":
+            cand = rng.choice(pts)
+            copies = max(1, m + rng.choice([-1, 0, 1]))
+            pts = [p for p in pts if p != cand] + [cand] * copies
+            labels.add("copies < m" if copies < m else "copies = m" if copies == m else "copies > m")
+        elif kind == "grid":
+            cand = tuple(value() for _ in range(d))
+        else:
+            cand = tuple(Fraction(rng.randint(-2, 2)) for _ in range(d))
+        yield PointMultiset.from_points(pts), cand, m, labels
+
+
+def test_deep_filter_agrees_with_the_oracle_depth():
+    """The refutation filter says deep exactly when the candidate's depth
+    is >= m, over Z^d for integral candidates and over a finite set for
+    any; the shared step under it gives the exact depth above the
+    threshold m - 1 and a count <= m - 1 below it."""
+    rng = random.Random(0xDEE9)
+    seen = set()
+    outcomes = set()
+    cases = itertools.islice(_deep_filter_cases(rng), 2400)
+    for points, cand, m, labels in cases:
+        want = oracle_depth(cand, points)
+        others = [tuple(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in cand) for _ in range(2)]
+        ambient = FiniteSet([cand] + others, len(cand))
+        stored = next(s for s in ambient.points if s == cand)
+        assert deep_filter(points, m, ambient)(stored) == (want >= m), (points.entries, cand, m)
+        if all(x.denominator == 1 for x in cand):
+            as_ints = tuple(int(x) for x in cand)
+            assert deep_filter(points, m, Lattice(len(cand)))(as_ints) == (want >= m), (points.entries, cand, m)
+        grid, pairs = depth_module._finite_candidates(points, ambient)
+        origin = next(g for s, g in pairs if s is stored)
+        copies, depth, _ = depth_module._depth_step(grid, points)(origin, m - 1, False)
+        assert copies == sum(mult for p, mult in points.entries if p == cand)
+        assert depth == want if want >= m else depth <= m - 1
+        seen |= labels
+        outcomes.add(want >= m)
+    assert outcomes == {True, False}
+    assert seen >= {"d=1", "d=2", "d=3", "den=1", "den=2", "den=3", "general", "collinear", "coplanar",
+                    "copies < m", "copies = m", "copies > m"}

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import partition_oracle
 import pytest
+from depth_oracles import oracle_depth
 
 from tverberg import geometry, oracle
 from tverberg.ambient import FiniteSet, Lattice, MixedLattice, RealSpace
@@ -132,8 +133,9 @@ def _random_rational(rng, box):
 
 
 def _search_instances(rng):
-    """Seeded (points, m, ambient, budget) over Z^2, Z^3, a finite set,
-    Z^1 x R^1 and R^2, some of them with budgets."""
+    """Seeded (points, m, ambient) over Z^2, Z^3, finite sets, Z^1 x R^1,
+    R^2 and Z^1, and with an entry of multiplicity m - 1 or m over Z^2
+    and finite sets."""
     finite = FiniteSet(
         tuple(point(x, y) for x, y in [(0, 0), (2, 0), (0, 2), (1, 1), (2, 2), (1, 0), (3, 1)]),
         2,
@@ -174,6 +176,21 @@ def _search_instances(rng):
     for _ in range(30):
         n, m = rng.choice([(4, 2), (5, 2), (6, 3), (7, 3)])
         yield PointMultiset.from_points(rng.choices(rational_set.points, k=n)), m, rational_set
+    # Z^1 on (1/2)Z and (1/3)Z
+    for _ in range(40):
+        n, m = rng.choice([(3, 2), (4, 2), (5, 3), (6, 3), (7, 4)])
+        yield PointMultiset.from_points([(_off_lattice(rng, 3),) for _ in range(n)]), m, Lattice(1)
+    # an entry of multiplicity m - 1 or m, on or off the lattice, which
+    # the depth filter passes without a query
+    for _ in range(40):
+        m, others = rng.choice([(3, 2), (3, 3), (3, 4), (4, 3)])
+        for ambient in (Lattice(2), finite, rational_set):
+            if isinstance(ambient, FiniteSet):
+                pts = rng.choices(ambient.points, k=others + 1)
+            else:
+                pts = [tuple(_off_lattice(rng, 2) for _ in range(2)) for _ in range(others + 1)]
+            pts += [pts[0]] * rng.choice([m - 2, m - 1])
+            yield PointMultiset.from_points(pts), m, ambient
 
 
 def _off_lattice(rng, box):
@@ -192,11 +209,27 @@ def test_search_partition_matches_reference():
         want = _outcome(partition_oracle.search_partition, points, m, ambient, budget)
         got = _outcome(search_partition, points, m, ambient, budget)
         assert got == want, (points.entries, m, ambient, budget)
-        outcomes.add("budget" if isinstance(want, tuple) and want[0] == "budget" else want is None)
-    assert outcomes == {"budget", True, False}
+        outcome = "budget" if isinstance(want, tuple) and want[0] == "budget" else want is None
+        outcomes.add((outcome, _kind(points, m, ambient)))
+    for kind in ("Z1", "multiplicity m - 1", "multiplicity m"):
+        assert {outcome for outcome, k in outcomes if k == kind} >= {True, False}, kind
+    assert {outcome for outcome, _ in outcomes} == {"budget", True, False}
 
 
-def test_search_partition_decides_each_membership_once(monkeypatch):
+def _kind(points, m, ambient):
+    """Z^1, or an entry of multiplicity m - 1 or m for m >= 3, or None."""
+    if ambient == Lattice(1):
+        return "Z1"
+    heavy = max(mult for _, mult in points.entries)
+    if m >= 3 and heavy in (m - 1, m):
+        return "multiplicity m" + " - 1" * (heavy == m - 1)
+    return None
+
+
+def _reference_decisions(monkeypatch, points, m, ambient):
+    """The number of the reference search's decisions, their distinct
+    (candidate, part) pairs, and the deep ones among those: the pairs
+    whose candidate has depth >= m."""
     decided = []
     member = partition_oracle.member
 
@@ -205,10 +238,16 @@ def test_search_partition_decides_each_membership_once(monkeypatch):
         return member(q, hull)
 
     monkeypatch.setattr(partition_oracle, "member", counted_reference)
-    assert partition_oracle.search_partition(doignon_witness(3), 3, Lattice(2)) is None
+    assert partition_oracle.search_partition(points, m, ambient) is None
+    monkeypatch.setattr(partition_oracle, "member", member)
     reference = set(decided)
-    assert len(decided) > len(reference)
-    decided.clear()
+    return len(decided), reference, {(q, part) for q, part in reference if oracle_depth(q, points) >= m}
+
+
+def _library_decisions(monkeypatch, points, m, ambient):
+    """The (candidate, part) pairs the library search decides by
+    ``in_hull``, in order, and the number of partitions it scans."""
+    decided = []
 
     def counted(q, hull):
         decided.append((q, hull.entries))
@@ -225,42 +264,43 @@ def test_search_partition_decides_each_membership_once(monkeypatch):
         return scan(*args)
 
     monkeypatch.setattr(oracle, "iter_common_ambient_points", counted_scan)
-    assert verify_no_partition(doignon_witness(3), 3, Lattice(2))
-    assert len(decided) == len(set(decided))
-    assert set(decided) == reference
-    assert scans == 966
+    assert verify_no_partition(points, m, ambient)
+    return decided, scans
+
+
+def test_search_partition_decides_each_membership_once(monkeypatch):
+    """A candidate shared by m disjoint parts has depth >= m, so the
+    library decides exactly the reference's memberships of deep
+    candidates, each once, and still scans every partition.  Every
+    Doignon m = 3 candidate is shallow, so none of its 966 partitions
+    decides a membership; the Onn m = 2 search decides 9."""
+    for points, m, size, scanned in [(doignon_witness(3), 3, 0, 966), (onn_witness(), 2, 9, 15)]:
+        calls, reference, deep = _reference_decisions(monkeypatch, points, m, Lattice(2))
+        decided, scans = _library_decisions(monkeypatch, points, m, Lattice(2))
+        assert calls >= len(reference) > len(deep)
+        assert len(decided) == len(set(decided)) == size
+        assert set(decided) == deep
+        assert scans == scanned
 
 
 def test_search_partition_decides_each_finite_set_membership_once(monkeypatch):
     """Over a finite set the verdicts are keyed by the set's own points:
-    each (part, set point) is decided once, and the decisions are the
-    reference's."""
+    each (part, deep set point) is decided once, and the decisions are
+    the reference's on the deep set points."""
     ambient = FiniteSet(
         tuple(point(x, y) for x, y in [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2), (1, 1), ("1/2", "3/2")]),
         2,
     )
-    points = convex_lowerbound_witness(ambient, 3)
-    decided = []
-    member = partition_oracle.member
-
-    def counted_reference(q, hull):
-        decided.append((q, hull.entries))
-        return member(q, hull)
-
-    monkeypatch.setattr(partition_oracle, "member", counted_reference)
-    assert partition_oracle.search_partition(points, 3, ambient) is None
-    reference = set(decided)
-    assert len(decided) > len(reference)
-    decided.clear()
-
-    def counted(q, hull):
-        decided.append((q, hull.entries))
-        return in_hull(q, hull)
-
-    monkeypatch.setattr(oracle, "in_hull", counted)
-    assert verify_no_partition(points, 3, ambient)
-    assert len(decided) == len(set(decided))
-    assert set(decided) == reference
+    box = FiniteSet(tuple(point(x, y) for x in range(4) for y in range(3)), 2)
+    for points, m, ambient, size in [
+        (convex_lowerbound_witness(ambient, 3), 3, ambient, 0),
+        (onn_witness(), 2, box, 22),
+    ]:
+        calls, reference, deep = _reference_decisions(monkeypatch, points, m, ambient)
+        decided, _ = _library_decisions(monkeypatch, points, m, ambient)
+        assert calls >= len(reference) > len(deep)
+        assert len(decided) == len(set(decided)) == size
+        assert set(decided) == deep
 
 
 def test_exact_numbers_over_finite_sets_equal_the_reference(monkeypatch):
@@ -284,13 +324,10 @@ def test_search_partition_solves_one_system_per_non_entry_decision(monkeypatch):
     # an entry of its part is in at once; every other distinct
     # (candidate, part) decision costs exactly one system: one forced
     # elimination when the part's entries are affinely independent (at
-    # most d+1 of them), else one LP
-    decided = []
-
-    def counted(q, hull):
-        decided.append((q, hull.entries))
-        return in_hull(q, hull)
-
+    # most d+1 of them), else one LP.  Only deep candidates are decided:
+    # the Onn m = 2 refutation decides 9 memberships, all forced, and an
+    # 8-point m = 3 refutation with two double entries decides 31, 7 of
+    # them by LP
     solves = forced = 0
     solve = geometry.solve_phase1
     force = geometry._forced_solution
@@ -306,14 +343,67 @@ def test_search_partition_solves_one_system_per_non_entry_decision(monkeypatch):
         forced += answer[0]
         return answer
 
-    monkeypatch.setattr(oracle, "in_hull", counted)
     monkeypatch.setattr(geometry, "solve_phase1", counted_solve)
     monkeypatch.setattr(geometry, "_forced_solution", counted_force)
-    assert verify_no_partition(doignon_witness(3), 3, Lattice(2))
-    entries = sum(1 for q, part in decided if any(p == q for p, _ in part))
-    assert (len(decided), entries) == (299, 72)
-    assert solves + forced == len(decided) - entries
-    assert (solves, forced) == (134, 93)
+    doubled = PointMultiset.from_points(
+        [point(-2, -1), point(0, -1), point(0, 1), point(1, -1), point(1, -1), point(2, 0), point(2, 2), point(2, 2)]
+    )
+    for points, m, counts in [(onn_witness(), 2, (9, 0, 0, 9)), (doubled, 3, (31, 0, 7, 24))]:
+        solves = forced = 0
+        decided, _ = _library_decisions(monkeypatch, points, m, Lattice(2))
+        entries = sum(1 for q, part in decided if any(p == q for p, _ in part))
+        assert solves + forced == len(decided) - entries
+        assert (len(decided), entries, solves, forced) == counts
+
+
+def _refutation_instances(rng):
+    """Refutation candidates: Doignon m = 3, Onn m = 2, the unit cube's
+    corners at m = 2 over Z^3, a convex lower-bound witness over a
+    finite set, and seeded Z^2, Z^3 and finite-set multisets."""
+    finite = FiniteSet(
+        tuple(point(x, y) for x, y in [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2), (1, 1), ("1/2", "3/2")]),
+        2,
+    )
+    cube = PointMultiset.from_points([point(*p) for p in itertools.product(range(2), repeat=3)])
+    yield "fixed", doignon_witness(3), 3, Lattice(2)
+    yield "fixed", onn_witness(), 2, Lattice(2)
+    yield "fixed", cube, 2, Lattice(3)
+    yield "fixed", convex_lowerbound_witness(finite, 3), 3, finite
+    for _ in range(40):
+        n, m = rng.choice([(4, 2), (5, 2), (6, 3), (7, 3)])
+        pts = [point(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+        yield "Z2", PointMultiset.from_points(pts), m, Lattice(2)
+    for _ in range(40):
+        n = rng.choice([4, 5, 6])
+        pts = [point(*(rng.randint(-1, 1) for _ in range(3))) for _ in range(n)]
+        yield "Z3", PointMultiset.from_points(pts), 2, Lattice(3)
+    for _ in range(40):
+        n, m = rng.choice([(4, 2), (5, 2), (6, 3), (7, 3)])
+        yield "finite", PointMultiset.from_points(rng.choices(finite.points, k=n)), m, finite
+
+
+def test_refutations_scan_every_partition(monkeypatch):
+    """Every refutation is an exhaustive enumeration: a search that
+    returns None calls ``iter_common_ambient_points`` once for each
+    partition that ``iter_multiset_partitions`` lists, however many
+    candidates the depth filter settles."""
+    scans = 0
+    scan = oracle.iter_common_ambient_points
+
+    def counted_scan(*args):
+        nonlocal scans
+        scans += 1
+        return scan(*args)
+
+    monkeypatch.setattr(oracle, "iter_common_ambient_points", counted_scan)
+    refuted = {}
+    for kind, points, m, ambient in _refutation_instances(random.Random(0x5CA7)):
+        scans = 0
+        if search_partition(points, m, ambient) is None:
+            assert scans == _count(tuple(mult for _, mult in points.entries), m), (points.entries, m)
+            refuted[kind] = refuted.get(kind, 0) + 1
+    assert refuted["fixed"] == 4
+    assert min(refuted["Z2"], refuted["Z3"], refuted["finite"]) >= 5, refuted
 
 
 def test_search_partition_rounds_each_part_once(monkeypatch):
