@@ -17,10 +17,10 @@ difference vectors and l = dim span(V):
          strict count of u0 plus the lighter of the two rays on the
          line, all read off one angular sweep (Rousseeuw & Ruts,
          "Bivariate location depth", 1996): the directions are sorted
-         once clockwise by integer cross-product signs, and the weight
-         strictly clockwise of each direction is a contiguous run found
-         by two pointers over the doubled order and summed by prefix
-         sums, so the level costs O(n log n).  The sweep takes primitive,
+         once clockwise by an int key (``points.clockwise_key``), and
+         the weight strictly clockwise of each direction is a contiguous
+         run found by two pointers over the doubled order and summed by
+         prefix sums, so the level costs O(n log n).  The sweep takes primitive,
          distinct directions, each line's two rays told apart;
   l >= 3: over each (l-1)-subset of V with a one-dimensional orthogonal
           complement +-u0 in span(V), the strict count of u0 plus the
@@ -35,19 +35,20 @@ reduces each difference to a primitive direction with one gcd and
 merges equal ones, and when the pivots are every coordinate those
 directions go to the sweep as they are.  Only a restriction to fewer
 pivots, at the planar levels inside l >= 3 or on a flat support, can
-scale or merge directions, so only there are they reduced again.  The
-pivots are found once per query: in the plane by cross products with
-the first direction, elsewhere by one elimination (``pivot_columns``).
-A scan whose entries are affinely full-dimensional finds them once for
-all its candidates: the differences around any point then span every
-coordinate.  A witness functional is
-reassembled on the way up as N*u0 + u_inner with N large enough that
-u0's strict signs dominate.  Witnesses are stable because every level
-visits its candidates in one fixed order, u0 (sign made canonical, first
-nonzero coordinate positive) before -u0, lines and subsets in the order
-of the difference profile, and keeps the first strictly smallest count;
-the sweep scores the candidates the l >= 2 enumeration used to visit in
-that same order, so it returns the same count and functional.
+scale or merge directions, so only there are they reduced again.  One
+rule finds the pivots (``_pivots``): in the plane cross products with
+the first direction, elsewhere one elimination (``pivot_columns``).  A
+query applies it once; a scan whose entries are affinely
+full-dimensional by that rule passes every coordinate as the pivots of
+all its candidates, since the differences around any point then span
+every coordinate.  A witness functional is reassembled on the way up as
+N*u0 + u_inner with N large enough that u0's strict signs dominate.
+Witnesses are stable because every level visits its candidates in one
+fixed order, u0 (sign made canonical, first nonzero coordinate
+positive) before -u0, lines and subsets in the order of the difference
+profile, and keeps the first strictly smallest count; the sweep scores
+the candidates the l >= 2 enumeration used to visit in that same order,
+so it returns the same count and functional.
 
 The centerpoint searches scan candidate points and reuse the recursion
 with an abort threshold: a scan candidate is abandoned as soon as some
@@ -55,8 +56,9 @@ half-space already caps its depth below the threshold.  Over Z^d the
 candidates are the integer points of the box between the m-th smallest
 and m-th largest instance value per coordinate, outside of which an
 axis half-space alone refutes depth m; over a finite ambient set they
-are its points.  One scan yields each candidate deeper than all earlier
-ones, starting from depth m, and serves two searches:
+are its points, on one integer grid with the entries (``_scan``).  One
+scan yields each candidate deeper than all earlier ones, starting from
+depth m, and serves two searches:
 
   deepest       ``integer_centerpoint`` and ``finite_set_centerpoint``
                 take the last candidate yielded, so the threshold rises
@@ -75,9 +77,10 @@ depth, and the functional of the search, when asked for, is the one an
 unthresholded query finds.  ``first_deep_scan`` hands both back with
 the point: the planar driver builds its labelling witness from them
 (``recounted_witness``) and the Z^3 driver reads its depth, so neither
-queries the depth of its centre again.  The same per-candidate step, at
-the fixed threshold m - 1, tells a refutation which of its candidates
-are deep (``deep_filter``).
+queries the depth of its centre again.  The same per-candidate step
+(``_depth_step``), at the fixed threshold m - 1, tells a refutation
+(``deep_filter``) and a depth partition (``selection._deep_points``)
+which of their candidates are deep.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ def _planar_min(
     inner sign)), from which the caller builds the functional.
     """
     k = len(dirs)
-    ring = sorted(zip(dirs, range(k)), key=clockwise_key(dirs[0]))
+    ring = sorted(zip(dirs, range(k)), key=clockwise_key(dirs[0], dirs))
     ring_weights = [weights[i] for _, i in ring]
     prefix = list(itertools.accumulate(ring_weights * 2, initial=0))
     total = prefix[k]
@@ -167,6 +170,16 @@ def _planar_min(
     return best, choice
 
 
+def _pivots(vecs: Sequence[Sequence[int]], dim: int) -> Sequence[int]:
+    """The pivot columns of span(vecs), vecs[0] nonzero: in the plane by
+    cross products with vecs[0], otherwise by ``pivot_columns``."""
+    if dim != 2:
+        return pivot_columns(vecs, dim)
+    if any(cross2(vecs[0], v) for v in vecs):
+        return range(2)
+    return [0] if vecs[0][0] else [1]
+
+
 def _min_halfspace_count(
     vecs: list[tuple[int, ...]],
     weights: list[int],
@@ -187,15 +200,7 @@ def _min_halfspace_count(
     if not vecs:
         return 0, None
     dim = len(vecs[0])
-    if pivots is None:
-        # in the plane the span shows in cross products with one vector
-        first = vecs[0]
-        if dim != 2:
-            pivots = pivot_columns(vecs, dim)
-        elif any(cross2(first, v) for v in vecs):
-            pivots = range(2)
-        else:
-            pivots = [0] if first[0] else [1]
+    pivots = _pivots(vecs, dim) if pivots is None else pivots
     ell = len(pivots)
     restricted = ell < dim
     coords = [tuple(v[p] for p in pivots) for v in vecs] if restricted else vecs
@@ -360,13 +365,13 @@ def recounted_witness(
     points: PointMultiset,
     depth: int,
     phi: tuple[int, ...] | None,
-    on_grid: tuple[int, Sequence[tuple[int, ...]]] | None = None,
+    on_grid: tuple[int, Sequence[tuple[int, ...]]],
 ) -> DepthWitness:
     """The witness of depth ``depth`` at q whose half-space has normal phi
     (e1 when None), after recounting it against every entry of the
-    multiset; raises AssertionFailed when the count differs.  on_grid,
-    (scale, grid) with grid the entries and then q at that scale
-    (``integer_points``), is computed when not given.
+    multiset; raises AssertionFailed when the count differs.  on_grid is
+    the caller's (scale, grid), grid the entries and then q at that scale
+    (``integer_points``).
 
     phi is a functional of the minimiser, read on any integer grid of the
     input: grids are positive multiples of it, and the boundary passes
@@ -376,7 +381,7 @@ def recounted_witness(
     """
     if phi is None:
         phi = tuple(1 if i == 0 else 0 for i in range(points.dim))
-    scale, grid = on_grid if on_grid is not None else integer_points(points.support() + (q,))
+    scale, grid = on_grid
     level = sum(map(mul, phi, grid[-1]))
     check = sum(mult for p, (_, mult) in zip(grid, points.entries) if sum(map(mul, phi, p)) >= level)
     if check != depth:
@@ -421,25 +426,6 @@ def _order_statistic_box(
     return box
 
 
-def _integer_box(
-    points: PointMultiset, m: int
-) -> tuple[list[tuple[int, int]], tuple[IntPoint, ...]]:
-    """(box, grid): the order-statistic box of an integral multiset for
-    depth target m, and the entries on their integer grid, which the
-    scan reads too."""
-    if m < 1:
-        raise PreconditionViolated("depth target must be at least 1")
-    if not points.entries:
-        raise InputError("cannot scan an empty multiset")
-    scale, grid = integer_points(points.support())
-    if scale != 1:
-        raise PreconditionViolated("integer centerpoint scan over non-integral instances")
-    box = _order_statistic_box(grid, points, m)
-    if box is None:
-        raise CenterpointNotFound(f"no integer point of depth {m}: order-statistic box is empty")
-    return box, grid
-
-
 def _centre_out_order(box: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
     """Integer points of the box by the L1 distance of 2x to lo + hi, then
     lexicographically, generated shell by shell.
@@ -474,13 +460,6 @@ def _centre_out_order(box: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
         yield from shell(0, radius)
 
 
-def _lattice_candidates(grid: Sequence[IntPoint], order: Iterable[IntPoint]) -> Candidates:
-    """The entries of an integral multiset on their integer grid (scale
-    1, from ``_integer_box``), and each box point of the order with
-    itself as its grid point."""
-    return grid, ((x, x) for x in order)
-
-
 def _finite_candidates(points: PointMultiset, ambient: FiniteSet) -> Candidates:
     """The entries and a finite set's points on one integer grid, and each
     set point with its grid point."""
@@ -489,15 +468,45 @@ def _finite_candidates(points: PointMultiset, ambient: FiniteSet) -> Candidates:
     return grid[:n], zip(ambient.points, grid[n:])
 
 
+def _scan(
+    points: PointMultiset,
+    ambient: AmbientSet,
+    m: int,
+    order: Callable[[list[tuple[int, int]]], Iterable[IntPoint]],
+) -> Candidates:
+    """The entries on an integer grid and each candidate of a scan for
+    depth m with its grid point: over Z^d the order-statistic box in
+    ``order`` (the instances must be integral, so each box point is its
+    own grid point), over a finite set its points in stored order."""
+    if not isinstance(ambient, (Lattice, FiniteSet)):
+        raise UnsupportedAmbient(f"no deep-point scan over {ambient.describe()}")
+    if ambient.dim != points.dim:
+        raise DimensionMismatch("ambient dimension differs from multiset dimension")
+    if m < 1:
+        raise PreconditionViolated("depth target must be at least 1")
+    if isinstance(ambient, FiniteSet):
+        return _finite_candidates(points, ambient)
+    if not points.entries:
+        raise InputError("cannot scan an empty multiset")
+    scale, grid = integer_points(points.support())
+    if scale != 1:
+        raise PreconditionViolated("integer centerpoint scan over non-integral instances")
+    box = _order_statistic_box(grid, points, m)
+    if box is None:
+        raise CenterpointNotFound(f"no integer point of depth {m}: order-statistic box is empty")
+    return grid, ((x, x) for x in order(box))
+
+
 def _depth_step(grid: Sequence[IntPoint], points: PointMultiset) -> Callable[..., tuple]:
     """The per-candidate step of the scans and of ``deep_filter``, over the
     entries on an integer grid (grid[i] is entry i): step(origin,
     threshold, want_witness) is (copies, depth, functional) at grid point
     origin, the depth exact above threshold and otherwise <= threshold."""
     dim = points.dim
-    # entries spanning every direction span it around any candidate too
-    spread = [[a - b for a, b in zip(p, grid[0])] for p in grid]
-    pivots = range(dim) if len(pivot_columns(spread, dim)) == dim else None
+    # entries spanning every direction span it around any candidate too;
+    # the entries are distinct, so no difference from the first is zero
+    spread = [tuple(map(sub, p, grid[0])) for p in grid[1:]]
+    pivots = range(dim) if spread and len(_pivots(spread, dim)) == dim else None
 
     def step(origin: IntPoint, threshold: int, want_witness: bool):
         vecs, ws, at_origin = _difference_profile(grid, points, origin)
@@ -535,11 +544,11 @@ def _deeper_candidates(
     with its depth and, when asked for, the minimiser's functional.
 
     ``scan`` is the entries' grid and the (candidate, grid point) pairs
-    of ``_lattice_candidates`` or ``_finite_candidates``.  A candidate is
-    abandoned as soon as some half-space caps its depth at the running
-    threshold, so a yielded candidate never hit the abort: its depth and
-    functional are those of an unthresholded search (``halfspace_depth``
-    over the entries other than its own copies, plus those copies).
+    of ``_scan``.  A candidate is abandoned as soon as some half-space
+    caps its depth at the running threshold, so a yielded candidate never
+    hit the abort: its depth and functional are those of an unthresholded
+    search (``halfspace_depth`` over the entries other than its own
+    copies, plus those copies).
     """
     grid, candidates = scan
     mult_at: dict[Point, int] = {p: mult for p, mult in points.entries}
@@ -556,18 +565,16 @@ def _deeper_candidates(
             yield tuple(Fraction(v) for v in cand), depth, phi if want_witness else None
 
 
-def _last(found: Iterator[tuple[Point, int, tuple[int, ...] | None]]) -> Point | None:
-    last = None
-    for last, _, _ in found:
+def _deepest(points: PointMultiset, ambient: AmbientSet, m: int, missing: str) -> Point:
+    """The last candidate ``_deeper_candidates`` yields, the box visited in
+    lexicographic order; raises CenterpointNotFound(missing) when none."""
+    scan = _scan(points, ambient, m, lambda box: itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
+    best = None
+    for best, _, _ in _deeper_candidates(points, scan, m):
         pass
-    return last
-
-
-def _finite_set_check(points: PointMultiset, ambient: FiniteSet, m: int) -> None:
-    if m < 1:
-        raise PreconditionViolated("depth target must be at least 1")
-    if ambient.dim != points.dim:
-        raise DimensionMismatch("ambient dimension differs from multiset dimension")
+    if best is None:
+        raise CenterpointNotFound(missing)
+    return best
 
 
 def integer_centerpoint(points: PointMultiset, m: int) -> Point:
@@ -577,21 +584,12 @@ def integer_centerpoint(points: PointMultiset, m: int) -> Point:
     coordinate; raises CenterpointNotFound when no integer point reaches
     depth m.  All instances must themselves be integral.
     """
-    box, grid = _integer_box(points, m)
-    lex_order = itertools.product(*(range(lo, hi + 1) for lo, hi in box))
-    best_point = _last(_deeper_candidates(points, _lattice_candidates(grid, lex_order), m))
-    if best_point is None:
-        raise CenterpointNotFound(f"no integer point of depth {m} in the scan box")
-    return best_point
+    return _deepest(points, Lattice(points.dim), m, f"no integer point of depth {m} in the scan box")
 
 
 def finite_set_centerpoint(points: PointMultiset, ambient: FiniteSet, m: int) -> Point:
     """Lexicographically first deepest ambient-set point of depth >= m."""
-    _finite_set_check(points, ambient, m)
-    best_point = _last(_deeper_candidates(points, _finite_candidates(points, ambient), m))
-    if best_point is None:
-        raise CenterpointNotFound(f"no ambient point of depth {m}")
-    return best_point
+    return _deepest(points, ambient, m, f"no ambient point of depth {m}")
 
 
 def first_deep_scan(
@@ -609,16 +607,7 @@ def first_deep_scan(
     functional's boundary; over the multiset less those copies the depth
     is depth - mu and ``recounted_witness`` turns the functional into
     its witness."""
-    if isinstance(ambient, Lattice):
-        if ambient.d != points.dim:
-            raise DimensionMismatch("ambient dimension differs from multiset dimension")
-        box, grid = _integer_box(points, m)
-        scan = _lattice_candidates(grid, _centre_out_order(box))
-    elif isinstance(ambient, FiniteSet):
-        _finite_set_check(points, ambient, m)
-        scan = _finite_candidates(points, ambient)
-    else:
-        raise UnsupportedAmbient(f"no deep-point scan over {ambient.describe()}")
+    scan = _scan(points, ambient, m, _centre_out_order)
     found = next(_deeper_candidates(points, scan, m, want_witness), None)
     if found is None:
         raise CenterpointNotFound(f"no point of {ambient.describe()} has depth {m}")

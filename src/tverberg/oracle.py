@@ -45,6 +45,7 @@ is spent almost entirely on genuine refutations.
 from __future__ import annotations
 
 import itertools
+from operator import is_
 from typing import Iterator, Sequence
 
 from .ambient import AmbientSet, FiniteSet, Lattice, RealSpace
@@ -225,8 +226,9 @@ def exact_tverberg_number(
     Over a planar set, the first n instances of the hull-independent
     witness with every point m-1 times (``convex_lowerbound_witness``)
     are tested first at each size n, cut from its entries by count: when
-    they refute, the remaining multisets of that size are skipped.
-    Raises NotFound if no n up to n_max works.
+    they refute, the remaining multisets of that size are skipped.  A
+    combination holding m copies of one point admits at once, so it
+    builds no multiset.  Raises NotFound if no n up to n_max works.
     """
     if m < 2:
         raise InputError("need m >= 2")
@@ -242,12 +244,11 @@ def exact_tverberg_number(
             probe = hard.sub_multiset([max(0, min(mult, n - s)) for s, (_, mult) in zip(starts, hard.entries)])
             if not _admits(probe, m, ambient, budget, gate):
                 continue
-        all_admit = True
-        for combo in itertools.combinations_with_replacement(ambient.points, n):
-            probe = PointMultiset.from_points(combo, dim=ambient.dim)
-            if not _admits(probe, m, ambient, budget, gate):
-                all_admit = False
-                break
-        if all_admit:
+        # copies of a set point sit side by side: m in a row admit
+        if all(
+            any(map(is_, combo, combo[m - 1 :]))
+            or _admits(PointMultiset.from_points(combo, dim=ambient.dim), m, ambient, budget, gate)
+            for combo in itertools.combinations_with_replacement(ambient.points, n)
+        ):
             return n
     raise NotFound(f"every n up to {n_max} admits a refuting multiset")

@@ -29,10 +29,10 @@ p would be an internal fault, exit 4):
 The radial order is decided in ints: every entry's difference from the
 centre is taken on one integer grid for the entries and the centre
 (``points.integer_points``), so directions are gcd-reduced int vectors
-and squared distances are ints, and the clockwise sweep
-(``points.clockwise_key``) compares them by integer signs alone.  A
-shallow labeling's sweep from the witness boundary, which passes
-through the centre, is a rotation of the runs (``_arc_positions``).
+and squared distances are ints, and the clockwise sweep sorts them by
+one int key (``points.clockwise_key``).  A shallow labeling's sweep
+from the witness boundary, through the centre, is a rotation of the
+runs to their least key from there (``_arc_positions``).
 
 ``plane_tverberg`` picks its gate, ``z2_gate`` or, over a finite set,
 ``finite_gate`` at the set's Helly number, and hands it to
@@ -119,7 +119,8 @@ def radial_order(
             raise PreconditionViolated("radial order needs the center outside the multiset")
         g = gcd(vx, vy)
         runs.append(((vx // g, vy // g), vx * vx + vy * vy, i, mult))
-    runs.sort(key=clockwise_key(min(r[0] for r in runs)))
+    directions = [r[0] for r in runs]
+    runs.sort(key=clockwise_key(min(directions), directions))
     directions, _, entry_indices, counts = zip(*runs)
     return RadialOrder(center, directions, entry_indices, counts)
 
@@ -132,23 +133,13 @@ def _arc_positions(order: RadialOrder, witness: DepthWitness) -> tuple[int, int]
     sweeping clockwise from the entry ray w0 = (n_y, -n_x) lists the
     closed complement arc first.  The order is already one clockwise
     turn, so the sweep from w0 is its rotation to the first run of least
-    clockwise key from w0 (``clockwise_key``), found in one pass of
-    integer cross and dot signs against w0.  A run is on the closed
-    complement side exactly when n . direction <= 0, in ints.
+    ``clockwise_key`` from w0.  A run is on the closed complement side
+    exactly when n . direction <= 0, in ints.
     """
     nx, ny = witness.halfspace.normal
     directions = order.directions
-    start, least = 0, None
-    for k, (dx, dy) in enumerate(directions):
-        # the half-turn bucket of clockwise_key((ny, -nx)), whose cross
-        # product with d is n . d; inside a bucket d comes first when the
-        # least so far is clockwise of it
-        c = nx * dx + ny * dy
-        bucket = (1 if c < 0 else 3) if c else (0 if ny * dx - nx * dy > 0 else 2)
-        if least is None or bucket < least[0] or (
-            bucket == least[0] and dx * least[2] - dy * least[1] < 0
-        ):
-            start, least = k, (bucket, dx, dy)
+    key = clockwise_key((ny, -nx), directions)
+    start = min(range(len(directions)), key=lambda k: key((directions[k], k)))
     on_arc = [nx * dx + ny * dy <= 0 for dx, dy in directions[start:] + directions[:start]]
     # The closed complement side occupies exactly the first runs swept.
     if on_arc != sorted(on_arc, reverse=True):

@@ -22,6 +22,10 @@ Conventions used throughout the library:
   multiset's integer coordinates: one Fraction per coordinate of the
   combined point.
 
+* ``clockwise_key`` orders integer directions clockwise by a plain int
+  tuple, which the planar depth sweep, the radial order and the
+  shallow arc start all sort by.
+
 * A ``HalfSpace`` is the closed set ``{x : normal . x >= offset}``.  The
   representation is normalized by a positive rational scaling so that the
   normal and offset are coprime integers; the sign is semantic (flipping
@@ -115,47 +119,29 @@ def cross2(u: Sequence, v: Sequence):
     return u[0] * v[1] - u[1] * v[0]
 
 
-class _ClockwiseKey:
-    """Sort key of one item: its half-turn bucket around the start, then
-    cross-product order inside the bucket, then rank."""
+def clockwise_key(start: tuple[int, int], directions: Iterable[tuple[int, int]]):
+    """Sort key factory for items (direction, rank, ...) with integer
+    directions among ``directions``: the clockwise sweep position from
+    ``start``, ties between equal or positively parallel directions
+    broken by rank.
 
-    __slots__ = ("bucket", "direction", "rank")
-
-    def __init__(self, bucket: int, direction: tuple[int, int], rank):
-        self.bucket = bucket
-        self.direction = direction
-        self.rank = rank
-
-    def __lt__(self, other: "_ClockwiseKey") -> bool:
-        if self.bucket != other.bucket:
-            return self.bucket < other.bucket
-        if self.direction != other.direction:
-            c = cross2(self.direction, other.direction)
-            if c != 0:
-                return c < 0
-        return self.rank < other.rank
-
-
-def clockwise_key(start: tuple[int, int]):
-    """Sort key factory for items (direction, rank, ...): the clockwise
-    sweep position of the integer direction from ``start``, ties between
-    equal or positively parallel directions broken by rank.
-
-    Bucket 0 is the ray of ``start``, 1 the open half-plane clockwise of
-    it, 2 the opposite ray and 3 the rest; inside the open half-planes
-    the cross product orders directions exactly, so the order is decided
-    by integer signs alone.
+    The key is (bucket, (K*a)//c, rank), with a = start.d, c = start x d
+    and K = max|c|^2 + 1.  Bucket 0 is the ray of ``start``, 1 the open
+    half-plane clockwise of it, 2 the opposite ray and 3 the rest (the
+    middle term 0 on the rays).  Inside a half-plane the clockwise angle
+    increases with a/c, and distinct ratios differ by at least
+    1/max|c|^2, so their floors at scale K order them exactly.
     """
+    sx, sy = start
+    scale = max([(sx * dy - sy * dx) ** 2 for dx, dy in directions], default=0) + 1
 
-    def key(item) -> _ClockwiseKey:
-        direction = item[0]
-        c = cross2(start, direction)
+    def key(item) -> tuple:
+        dx, dy = item[0]
+        c = sx * dy - sy * dx
+        a = sx * dx + sy * dy
         if c == 0:
-            s = start[0] * direction[0] + start[1] * direction[1]
-            bucket = 0 if s > 0 else 2
-        else:
-            bucket = 1 if c < 0 else 3
-        return _ClockwiseKey(bucket, direction, item[1])
+            return (0 if a > 0 else 2), 0, item[1]
+        return (1 if c < 0 else 3), scale * a // c, item[1]
 
     return key
 

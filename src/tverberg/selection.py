@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .depth import _order_statistic_box, depth_value
+from .depth import _depth_step, _order_statistic_box
 from .errors import (
     AssertionFailed,
     DimensionMismatch,
@@ -313,19 +313,22 @@ def _deep_points(points: PointMultiset, k: int) -> dict[Point, int]:
     The integer candidates are the points of the order-statistic box at
     k (``depth._order_statistic_box`` on the entries' integer grid,
     rounded inward): outside it an axis half-space holds fewer than k
-    instances, so the box does not grow with a far instance.
+    instances, so the box does not grow with a far instance.  Each
+    candidate takes the scans' step (``depth._depth_step``) at k - 1.
     """
     scale, grid = integer_points(points.support())
     box = _order_statistic_box(grid, points, k)
-    candidates: list[Point] = []
+    candidates: list[tuple[Point, tuple[int, ...]]] = []
     if box is not None:
         ranges = [range(-(-low // scale), high // scale + 1) for low, high in box]
-        candidates = [tuple(map(Fraction, x)) for x in itertools.product(*ranges)]
-    candidates.extend(p for p, _ in points.entries)
+        for x in itertools.product(*ranges):
+            candidates.append((tuple(map(Fraction, x)), tuple([scale * v for v in x])))
+    candidates.extend(zip(points.support(), grid))
+    step = _depth_step(grid, points)
     depth_of: dict[Point, int] = {}
-    for cand in candidates:
+    for cand, origin in candidates:
         if cand not in depth_of:
-            depth_of[cand] = depth_value(cand, points)
+            depth_of[cand] = step(origin, k - 1, False)[1]
     return {z: depth for z, depth in depth_of.items() if depth >= k}
 
 

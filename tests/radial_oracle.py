@@ -13,7 +13,10 @@ from periodic segments.  The tests check that the library's runs are
 this order merged, that its arc rotation is this arc permutation
 merged, and that its label counts are these labels counted per run.
 ``primitive`` is the library's earlier Fraction scaling of a direction,
-kept here so the reference shares no scaling code with the library.
+and ``clockwise_key`` the library's earlier sweep comparator, which
+decides each comparison by a half-turn bucket and a cross-product sign;
+both are kept here so the reference shares no scaling or ordering code
+with the library, whose ``points.clockwise_key`` is a plain int tuple.
 """
 
 from __future__ import annotations
@@ -26,7 +29,51 @@ from dataclasses import dataclass
 
 from tverberg.depth import DepthWitness
 from tverberg.errors import AssertionFailed, DimensionMismatch, InputError, PreconditionViolated
-from tverberg.points import Point, PointMultiset, clockwise_key, sub
+from tverberg.points import Point, PointMultiset, sub
+
+
+class _ClockwiseKey:
+    """Sort key of one item: its half-turn bucket around the start, then
+    cross-product order inside the bucket, then rank."""
+
+    __slots__ = ("bucket", "direction", "rank")
+
+    def __init__(self, bucket: int, direction: tuple[int, int], rank):
+        self.bucket = bucket
+        self.direction = direction
+        self.rank = rank
+
+    def __lt__(self, other: "_ClockwiseKey") -> bool:
+        if self.bucket != other.bucket:
+            return self.bucket < other.bucket
+        if self.direction != other.direction:
+            c = self.direction[0] * other.direction[1] - self.direction[1] * other.direction[0]
+            if c != 0:
+                return c < 0
+        return self.rank < other.rank
+
+
+def clockwise_key(start: tuple[int, int]):
+    """Sort key factory for items (direction, rank, ...): the clockwise
+    sweep position of the integer direction from ``start``, ties between
+    equal or positively parallel directions broken by rank.
+
+    Bucket 0 is the ray of ``start``, 1 the open half-plane clockwise of
+    it, 2 the opposite ray and 3 the rest; inside the open half-planes
+    the cross product orders directions exactly.
+    """
+
+    def key(item) -> _ClockwiseKey:
+        direction = item[0]
+        c = start[0] * direction[1] - start[1] * direction[0]
+        if c == 0:
+            s = start[0] * direction[0] + start[1] * direction[1]
+            bucket = 0 if s > 0 else 2
+        else:
+            bucket = 1 if c < 0 else 3
+        return _ClockwiseKey(bucket, direction, item[1])
+
+    return key
 
 
 @dataclass(frozen=True)

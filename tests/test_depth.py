@@ -440,7 +440,8 @@ def _assert_scan_equals_a_fresh_query(pts, amb, m):
     mu = pts.multiplicity(p)
     if mu < pts.size:
         rest = pts.remove(p, mu) if mu else pts
-        assert recounted_witness(p, rest, depth - mu, phi) == halfspace_depth(p, rest)
+        on_grid = integer_points(rest.support() + (p,))
+        assert recounted_witness(p, rest, depth - mu, phi, on_grid) == halfspace_depth(p, rest)
     return mu
 
 

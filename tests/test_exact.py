@@ -1,9 +1,13 @@
-"""No floats in any decision path: a syntax check of every library module.
+"""No floats in any decision path, and no hand-written orderings: a
+syntax check of every library module.
 
 Each module of the package is parsed and searched for the ways a float
 gets in: a float literal, the name ``float``, a float-valued ``math``
 function or constant, or a float-valued ``random`` draw.  No module
-has an exception.
+has an exception.  No library class defines an ordering method
+(``__lt__``, ``__le__``, ``__gt__``, ``__ge__``), so every sort key is a
+plain tuple of ints that ``sorted`` compares in C, not an object whose
+comparisons run in Python.
 """
 
 from __future__ import annotations
@@ -95,3 +99,57 @@ def test_check_finds_each_kind_of_float_use():
             "2", "3", "4", "5", "6", "7", "8", "9", "9", "10",
         ]
     assert float_uses("from math import gcd, lcm\nn = math.floor(7 // 2)\n", "points") == []
+
+
+ORDERINGS = {"__lt__", "__le__", "__gt__", "__ge__"}
+
+
+def ordering_methods(source: str) -> list[str]:
+    """One line per ordering method a class of the source defines, as
+    'line: Class.method', and per class a decorator asks to order
+    (``dataclass(order=True)``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for deco in node.decorator_list:
+                if isinstance(deco, ast.Call) and any(
+                    kw.arg == "order" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+                    for kw in deco.keywords
+                ):
+                    found.append(f"{deco.lineno}: {node.name} order=True")
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name in ORDERINGS:
+                    found.append(f"{item.lineno}: {node.name}.{item.name}")
+                elif isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id in ORDERINGS for t in item.targets
+                ):
+                    found.append(f"{item.lineno}: {node.name}.{item.targets[0].id}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_module_defines_no_ordering_method(path):
+    assert ordering_methods(path.read_text()) == []
+
+
+def test_check_finds_each_ordering_method():
+    source = "\n".join(
+        [
+            "class Key:",
+            "    def __lt__(self, other): return True",
+            "    def __le__(self, other): return True",
+            "    __gt__ = __lt__",
+            "    def __ge__(self, other): return True",
+            "    def __eq__(self, other): return True",
+            "def __lt__(a, b): return a",
+            "@dataclass(frozen=True, order=True)",
+            "class Row:",
+            "    x: int",
+            "@dataclass(order=False)",
+            "class Plain:",
+            "    x: int",
+        ]
+    )
+    assert ordering_methods(source) == [
+        "2: Key.__lt__", "3: Key.__le__", "4: Key.__gt__", "5: Key.__ge__", "8: Row order=True",
+    ]

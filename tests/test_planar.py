@@ -20,6 +20,7 @@ from tverberg.errors import AssertionFailed, DimensionMismatch, PreconditionViol
 from tverberg.geometry import hull_membership
 from tverberg import depth, documents, planar
 from tverberg.planar import (
+    RadialOrder,
     finite_gate,
     helly3_tverberg,
     helly_number,
@@ -28,7 +29,7 @@ from tverberg.planar import (
     radon_labeling,
     tverberg_labeling,
 )
-from tverberg.points import HalfSpace, PointMultiset, integer_points, point
+from tverberg.points import HalfSpace, PointMultiset, clockwise_key, integer_points, point
 
 import radial_oracle
 from conftest import random_lattice_multiset, random_rational
@@ -341,6 +342,72 @@ def test_radial_order_matches_the_fraction_reference():
             radial_order(pts.add(center), center)
 
 
+def _sweep_directions(rng):
+    """A start and integer directions for one sweep: coordinates up to 3,
+    10^6 or near 10^30, with repeats, positive multiples and negations
+    of earlier directions and of the start, and near neighbours of
+    earlier directions, whose sweep keys differ by little."""
+
+    def fresh():
+        kind = rng.randrange(4)
+        if kind == 0:
+            base = 10**30
+            return tuple(rng.choice([-1, 1]) * (base + rng.randint(-9, 9)) for _ in range(2))
+        bound = (3, 1000, 10**6)[kind - 1]
+        return (rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+    start = (0, 0)
+    while start == (0, 0):
+        start = fresh()
+    directions = []
+    for _ in range(rng.randint(1, 24)):
+        kind = rng.randrange(7)
+        source = rng.choice(directions) if directions and kind < 3 else start
+        if kind in (0, 3):
+            d = tuple(rng.randint(1, 4) * x for x in source)
+        elif kind in (1, 4):
+            d = tuple(-rng.randint(1, 4) * x for x in source)
+        elif kind == 2:
+            d = tuple(x + rng.randint(-1, 1) for x in source)
+        else:
+            d = fresh()
+        if d != (0, 0):
+            directions.append(d)
+    return start, directions or [start]
+
+
+def test_int_clockwise_key_sorts_like_the_comparator():
+    """``points.clockwise_key`` sorts items (direction, rank, tag) exactly
+    as the reference comparator does, ties and their stable order
+    included, over 2,400 seeded direction sets with parallel and
+    opposite rays, directions on the start ray and coordinates near
+    10^30; and ``_arc_positions`` starts at the reference's first run
+    from the witness boundary and counts the closed side as it does."""
+    rng = random.Random(2027)
+    for _ in range(2400):
+        start, directions = _sweep_directions(rng)
+        items = [(d, rng.randint(0, 3), tag) for tag, d in enumerate(directions)]
+        want = sorted(items, key=radial_oracle.clockwise_key(start))
+        assert sorted(items, key=clockwise_key(start, directions)) == want
+        # a clockwise order of runs from the least direction, and a
+        # witness boundary along a direction of the set or anywhere
+        ring = sorted(
+            [(d, k) for k, d in enumerate(directions)],
+            key=radial_oracle.clockwise_key(min(directions)),
+        )
+        ordered = tuple(d for d, _ in ring)
+        counts = tuple(rng.randint(1, 3) for _ in ordered)
+        order = RadialOrder(point(0, 0), ordered, tuple(k for _, k in ring), counts)
+        along = rng.choice(directions)
+        normal = (-along[1], along[0]) if rng.randrange(2) else _sweep_directions(rng)[0]
+        witness = DepthWitness(point(0, 0), 0, HalfSpace.from_integers(normal, 0))
+        nx, ny = witness.halfspace.normal
+        reference = radial_oracle.clockwise_key((ny, -nx))
+        first = min(range(len(ordered)), key=lambda k: reference((ordered[k], k)))
+        arc = sum(c for (dx, dy), c in zip(ordered, counts) if nx * dx + ny * dy <= 0)
+        assert planar._arc_positions(order, witness) == (first, arc)
+
+
 def _reference_parts(pts, m):
     """``_radial_parts`` with the reference's instance order and labels,
     and the labeling's case: its shape of segments."""
@@ -429,7 +496,7 @@ def test_shallow_arc_start_and_length_equal_the_reference():
         rest = pts.remove(p, mu) if mu else pts
         target, n = m - mu, rest.size
         quot, rem = divmod(n, target)
-        witness = recounted_witness(p, rest, depth_p - mu, phi)
+        witness = recounted_witness(p, rest, depth_p - mu, phi, integer_points(rest.support() + (p,)))
         if target < 3 or rem == 0 or witness.depth >= target + -(-rem // quot):
             continue
         shallow += 1

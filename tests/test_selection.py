@@ -206,17 +206,24 @@ def test_deep_points_equal_the_bounding_box_scan():
 
 def test_deep_points_ignore_a_far_instance(monkeypatch):
     """One instance far out on the axis does not grow the scan: on the
-    doubled hexagon plus (far, 0) at alpha = 1/3 the depth calls stay
-    fixed as far grows (the bounding-box scan made 30, 515 and 5,015 for
-    far = 3, 100 and 1000), and so does the answer: no grouping within
-    the budget keeps every deep point covered."""
+    doubled hexagon plus (far, 0) at alpha = 1/3 the calls of the shared
+    depth step stay fixed as far grows (the bounding-box scan made 30,
+    515 and 5,015 depth queries for far = 3, 100 and 1000), and so does
+    the answer: no grouping within the budget keeps every deep point
+    covered."""
     calls = []
+    shared = selection._depth_step
 
-    def counted(q, points):
-        calls.append(q)
-        return depth_value(q, points)
+    def counted(grid, points):
+        step = shared(grid, points)
 
-    monkeypatch.setattr(selection, "depth_value", counted)
+        def counted_step(origin, threshold, want_witness):
+            calls.append(origin)
+            return step(origin, threshold, want_witness)
+
+        return counted_step
+
+    monkeypatch.setattr(selection, "_depth_step", counted)
     counts = []
     for far in (3, 100, 1000, 10 ** 6):
         pts = PointMultiset(((p, 2) for p in _hexagon().support()), dim=2).add(point(far, 0))
