@@ -333,14 +333,19 @@ def _integer_box(hulls: Sequence[PointMultiset], k: int) -> list[range] | None:
     integer range runs from the ceiling of the low end to the floor of
     the high end.  Ceiling and floor are monotone, so they commute with
     min and max: ceil(max_h min_p x) = max_h min_p ceil(x), and likewise
-    for floor.  So each hull's rounded ranges (``integer_ranges``, kept
-    by the hull) meet by int comparisons alone.
+    for floor.  So the hulls' rounded ranges (``integer_ranges``, kept
+    by each hull or given it by a partition search's part table) meet
+    by int comparisons alone, coordinate by coordinate.
     """
-    lows, highs = zip(*[h.integer_ranges() for h in hulls])
+    bounds = [h.integer_ranges() for h in hulls]
     ranges: list[range] = []
-    # zip transposes the per-hull tuples to per-coordinate ones, and
-    # range(k) stops the walk after the first k coordinates
-    for _, lo, hi in zip(range(k), map(max, zip(*lows)), map(min, zip(*highs))):
+    for c in range(k):
+        lo, hi = bounds[0][0][c], bounds[0][1][c]
+        for lows, highs in bounds:
+            if lows[c] > lo:
+                lo = lows[c]
+            if highs[c] < hi:
+                hi = highs[c]
         if lo > hi:
             return None
         ranges.append(range(lo, hi + 1))
@@ -354,32 +359,38 @@ def iter_common_ambient_points(
 ) -> Iterator[Point]:
     """Lazily yield ambient-set points lying in every hull, in canonical order.
 
-    Over Z^d and finite sets each candidate point is tested against each
-    hull by ``contains(point, hull)``, by default ``in_hull``: an entry
-    of the hull is in at once, any other candidate is one membership
-    system, and no weights are built.  A caller that meets the same
-    hulls again can pass a test that remembers its verdicts, and a
-    refutation's test first rejects candidates of depth < len(hulls) in
-    the whole multiset (``depth.deep_filter``).  Over Z^d
-    the candidates are the int tuples of the integer box and
-    ``contains`` gets them as they are; only a point that lies in every
-    hull becomes a Fraction tuple.
-    Z^j x R^k solves the joint system per integer prefix and does not
-    use it.
+    Over Z^d and finite sets each candidate point is tested against the
+    hulls in turn by ``contains(point, hull)``, by default ``in_hull``,
+    until one rejects it: an entry of the hull is in at once, any other
+    candidate is one membership system, and no weights are built.  A
+    caller that meets the same hulls again can pass a test that
+    remembers its verdicts, and a refutation's test first rejects
+    candidates of depth < len(hulls) in the whole multiset
+    (``depth.deep_filter``).  Over Z^d the candidates are the int tuples
+    of the integer box (``_integer_box``, from each hull's kept ranges)
+    and ``contains`` gets them as they are; only a point that lies in
+    every hull becomes a Fraction tuple.  Z^j x R^k solves the joint
+    system per integer prefix and does not use it.
     """
     if not hulls:
         raise InputError("need at least one hull")
     d = hulls[0].dim
     if ambient.dim != d:
         raise DimensionMismatch("ambient dimension differs from hull dimension")
-    if any(h.dim != d for h in hulls):
-        raise DimensionMismatch("hulls of mixed dimension")
+    empty = False
     for h in hulls:
+        if h.dim != d:
+            raise DimensionMismatch("hulls of mixed dimension")
         if not h.entries:
-            return
+            empty = True
+    if empty:
+        return
     if isinstance(ambient, FiniteSet):
         for s in ambient.points:
-            if all(contains(s, h) for h in hulls):
+            for h in hulls:
+                if not contains(s, h):
+                    break
+            else:
                 yield s
         return
     if isinstance(ambient, Lattice):
@@ -387,7 +398,10 @@ def iter_common_ambient_points(
         if box is None:
             return
         for cand in itertools.product(*box):
-            if all(contains(cand, h) for h in hulls):
+            for h in hulls:
+                if not contains(cand, h):
+                    break
+            else:
                 yield tuple(map(Fraction, cand))
         return
     if isinstance(ambient, MixedLattice):

@@ -18,15 +18,19 @@ enumeration.
 ``iter_partition_hulls`` keeps one part table per enumeration, for
 ``search_partition`` and ``product.real_partition`` (the real brute
 force, the fiber step of ``product_tverberg`` and planar's He <= 3
-route): each
-distinct part's hull is built once, straight from the multiset's
-canonical entries (``PointMultiset.sub_multiset``), and lives until the
-enumeration ends.  A hull rounds its bounding box to integer ranges the
-first time a scan asks (``PointMultiset.integer_ranges``) and keeps
-them, so over Z^d and Z^j x R^k each partition's candidate box is a few
-int comparisons.  Over Z^d and finite sets a point common to m
-disjoint parts has depth >= m in the multiset, so each candidate first
-gets one depth verdict per call (``depth.deep_filter``).  Each (deep
+route): each distinct part's hull is built once, straight from the
+multiset's canonical entries (``PointMultiset.sub_multiset``), and
+lives until the enumeration ends.  A search over Z^d or Z^j x R^k,
+whose scans read integer boxes, rounds the entries once, up and down
+per coordinate, and gives each new part its integer ranges
+(``PointMultiset.integer_ranges``) as the least ceiling and greatest
+floor over the entries it holds, so a part builds no integer grid for
+its box and each partition's box is a few int comparisons; the R^d
+enumerations round nothing.  Over Z^d and finite sets a point common
+to m disjoint parts has depth >= m in the multiset
+(``depth.deep_filter``): a Z^d candidate gets one depth verdict per
+call, and a finite set is asked once per point up front and scanned
+over its deep points only, the stored objects themselves.  Each (deep
 candidate, part) membership is then decided once per call, however many
 partitions share the part, by ``in_hull``: an entry of the part is in
 at once, any other candidate is one system that builds no weights, read
@@ -45,10 +49,12 @@ is spent almost entirely on genuine refutations.
 from __future__ import annotations
 
 import itertools
+from functools import cache
+from math import ceil, floor
 from operator import is_
 from typing import Iterator, Sequence
 
-from .ambient import AmbientSet, FiniteSet, Lattice, RealSpace
+from .ambient import AmbientSet, FiniteSet, Lattice, MixedLattice, RealSpace
 from .depth import deep_filter
 from .errors import (
     BudgetExceeded,
@@ -131,12 +137,30 @@ def iter_partition_hulls(
     """The part hulls of every m-partition, in the order of
     ``iter_multiset_partitions``, from one part table that builds each
     distinct part's hull once and keeps it until the iteration ends."""
+    return _partition_hulls(points, m, False)
+
+
+def _rounded_entries(points: PointMultiset) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each entry's coordinates rounded up and rounded down, in ints."""
+    return [(tuple(map(ceil, p)), tuple(map(floor, p))) for p, _ in points.entries]
+
+
+def _partition_hulls(
+    points: PointMultiset, m: int, rounded: bool
+) -> Iterator[tuple[PointMultiset, ...]]:
+    """``iter_partition_hulls``; when rounded, the entries are rounded
+    once and each new part is given its integer ranges, the least
+    ceiling and the greatest floor over the entries it holds."""
+    rounding = _rounded_entries(points) if rounded else None
     table: dict[CountVector, PointMultiset] = {}
-    for parts in iter_multiset_partitions(tuple(mult for _, mult in points.entries), m):
+    for parts in iter_multiset_partitions(tuple([mult for _, mult in points.entries]), m):
         for vec in parts:
             if vec not in table:
-                table[vec] = points.sub_multiset(vec)
-        yield tuple(table[vec] for vec in parts)
+                part = table[vec] = points.sub_multiset(vec)
+                if rounding is not None:
+                    ceilings, floors = zip(*[rounding[i] for i, c in enumerate(vec) if c])
+                    part._keep_ranges((tuple(map(min, zip(*ceilings))), tuple(map(max, zip(*floors)))))
+        yield tuple([table[vec] for vec in parts])
 
 
 def search_partition(
@@ -157,32 +181,43 @@ def search_partition(
     # while the verdicts are keyed by it.  Over Z^d the candidates are
     # int tuples, which hash and compare without Fraction arithmetic; a
     # finite set's candidates are its own stored points, keyed by identity
-    # so that no Fraction is hashed.
+    # so that no verdict hashes a Fraction.
     verdicts: dict[tuple[int, tuple | int], bool] = {}
-    by_identity = isinstance(ambient, FiniteSet)
-    # Every closed half-space through a point common to m disjoint parts
-    # holds an instance of each, so a candidate of depth < m is out.
-    deep = deep_filter(points, m, ambient) if isinstance(ambient, (Lattice, FiniteSet)) else None
-    depths: dict[tuple | int, bool] = {}
 
-    def contains(p: tuple, hull: PointMultiset) -> bool:
-        at = id(p) if by_identity else p
-        if at not in depths:
-            depths[at] = deep(p)
-        if not depths[at]:
-            return False
+    def member(p: tuple, hull: PointMultiset, at: tuple | int) -> bool:
         key = (id(hull), at)
         verdict = verdicts.get(key)
         if verdict is None:
             verdict = verdicts[key] = in_hull(p, hull)
         return verdict
 
+    # Every closed half-space through a point common to m disjoint parts
+    # holds an instance of each, so a candidate of depth < m is out.
+    if isinstance(ambient, FiniteSet):
+        # the deep points are the set's own objects, so the identity keys
+        # and the witness stay the set's
+        deep = deep_filter(points, m, ambient)
+        ambient = FiniteSet([s for s in ambient.points if deep(s)], ambient.dim)
+
+        def contains(p: tuple, hull: PointMultiset) -> bool:
+            return member(p, hull, id(p))
+
+    elif isinstance(ambient, Lattice):
+        deep = cache(deep_filter(points, m, ambient))  # one verdict per candidate
+
+        def contains(p: tuple, hull: PointMultiset) -> bool:
+            return deep(p) and member(p, hull, p)
+
+    else:
+        contains = in_hull  # never called: Z^j x R^k solves per prefix, R^d per partition
+
+    real = isinstance(ambient, RealSpace)
     checked = 0
-    for hulls in iter_partition_hulls(points, m):
+    for hulls in _partition_hulls(points, m, isinstance(ambient, (Lattice, MixedLattice))):
         if budget is not None and checked >= budget:
             raise BudgetExceeded(f"partition budget {budget} exhausted", remaining=1)
         checked += 1
-        if isinstance(ambient, RealSpace):
+        if real:
             found = polytope_intersection_point(hulls)
             witness = None if found is None else found[0]
         else:

@@ -283,9 +283,11 @@ class PointMultiset:
     def integer_ranges(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(lows, highs): per coordinate, the ceiling of the least and the
         floor of the greatest entry coordinate, so the integers of the
-        bounding box run from lows[c] to highs[c].  Read off the integer
-        coordinates; defined for nonempty multisets; computed on first use
-        and kept."""
+        bounding box run from lows[c] to highs[c].  Defined for nonempty
+        multisets and kept.  A part of a partition search is given them
+        from its entries' rounded coordinates (``_keep_ranges``); any
+        other multiset reads them off its integer coordinates on first
+        use."""
         try:
             return self._ranges
         except AttributeError:
@@ -295,8 +297,12 @@ class PointMultiset:
             tuple([-(-min(column) // scale) for column in columns]),
             tuple([max(column) // scale for column in columns]),
         )
-        object.__setattr__(self, "_ranges", ranges)
+        self._keep_ranges(ranges)
         return ranges
+
+    def _keep_ranges(self, ranges: tuple[tuple[int, ...], tuple[int, ...]]) -> None:
+        """Keep ranges as the answer of ``integer_ranges``."""
+        object.__setattr__(self, "_ranges", ranges)
 
     def instances(self) -> list[Point]:
         """Instance list in canonical order (entry order, copies adjacent)."""

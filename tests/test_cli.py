@@ -15,6 +15,7 @@ from tverberg import documents
 from tverberg.cli import main
 from tverberg.documents import dumps, point_file_from_doc, point_file_to_doc
 from tverberg.errors import AssertionFailed
+from tverberg.oracle import iter_multiset_partitions
 from tverberg.points import PointMultiset, point
 
 
@@ -583,6 +584,19 @@ def test_budget_exit_code(monkeypatch, capsys):
     )
     assert code == 3
     assert err
+
+
+def test_refute_of_a_huge_multiplicity_spends_its_budget(monkeypatch, capsys):
+    """The enumeration is lazy in the multiplicities: with an entry of
+    multiplicity 10^12, ``refute --m 2 --budget 2`` checks two partitions
+    and stops at the third, exit 3, and the first partition of such a
+    count vector comes at once."""
+    assert next(iter_multiset_partitions((10**12, 1, 1), 2)) == ((10**12, 1, 0), (0, 0, 1))
+    corners = [point(0, 0), point(3, 0), point(0, 3)]
+    doc = dumps(point_file_to_doc(PointMultiset(zip(corners, (10**12, 1, 1)), dim=2), Lattice(2)))
+    assert run(monkeypatch, capsys, ["refute", "--m", "2", "--budget", "2"], doc) == (
+        3, "", "tverberg: partition budget 2 exhausted\n"
+    )
 
 
 def test_usage_errors(monkeypatch, capsys):

@@ -19,6 +19,7 @@ from tverberg.oracle import (
     verify_no_partition,
 )
 from tverberg.planar import helly_number
+from tverberg.product import double_witness
 from tverberg.points import PointMultiset, point
 from tverberg.witnesses import convex_lowerbound_witness, doignon_witness, onn_witness
 
@@ -119,6 +120,19 @@ def test_pruned_enumeration_matches_reference_with_multiplicity_three():
     for counts in [(3,), (3, 3), (3, 1, 2), (1, 3, 0, 3), (3, 2, 1, 1), (2, 3, 3)]:
         for m in range(1, 6):
             _same_partitions(counts, m)
+
+
+def test_pruned_enumeration_matches_reference_on_longer_vectors():
+    """Seeded count vectors of 6-9 entries with counts 0-3, at m = 2-5,
+    past the exhaustive check's 5 entries: the same partitions in the
+    same order, up to the first 20,000 of each."""
+    rng = random.Random(0x0DE6)
+    cap = 20000
+    for _ in range(8):
+        counts = tuple(rng.randint(0, 3) for _ in range(rng.randint(6, 9)))
+        m = rng.randint(2, 5)
+        want = list(itertools.islice(partition_oracle.iter_multiset_partitions(counts, m), cap))
+        assert list(itertools.islice(iter_multiset_partitions(counts, m), cap)) == want, (counts, m)
 
 
 def _outcome(search, points, m, ambient, budget):
@@ -407,15 +421,36 @@ def test_refutations_scan_every_partition(monkeypatch):
 
 
 def test_search_partition_rounds_each_part_once(monkeypatch):
-    computed = []
-    ranges = PointMultiset.integer_ranges
+    """The entries are rounded once per search, each distinct part is
+    given its integer ranges once, from them, and no part builds an
+    integer grid that no membership reads: every Doignon m = 3
+    candidate is shallow."""
+    rounded = 0
+    rounding = oracle._rounded_entries
 
-    def counted(self):
-        if not hasattr(self, "_ranges"):
-            computed.append(self.entries)
-        return ranges(self)
+    def counted_rounding(points):
+        nonlocal rounded
+        rounded += 1
+        return rounding(points)
 
-    monkeypatch.setattr(PointMultiset, "integer_ranges", counted)
+    monkeypatch.setattr(oracle, "_rounded_entries", counted_rounding)
+    given = []
+    keep = PointMultiset._keep_ranges
+
+    def counted_keep(self, ranges):
+        given.append(self.entries)
+        return keep(self, ranges)
+
+    monkeypatch.setattr(PointMultiset, "_keep_ranges", counted_keep)
+    grids = 0
+    grid = PointMultiset.integer_coordinates
+
+    def counted_grid(self):
+        nonlocal grids
+        grids += 1
+        return grid(self)
+
+    monkeypatch.setattr(PointMultiset, "integer_coordinates", counted_grid)
     scans = 0
     scan = oracle.iter_common_ambient_points
 
@@ -426,9 +461,57 @@ def test_search_partition_rounds_each_part_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "iter_common_ambient_points", counted_scan)
     assert verify_no_partition(doignon_witness(3), 3, Lattice(2))
-    assert scans == 966
+    assert (rounded, scans, grids) == (1, 966, 0)
     parts = {vec for partition in iter_multiset_partitions((1,) * 8, 3) for vec in partition}
-    assert len(computed) == len(set(computed)) == len(parts)
+    assert len(given) == len(set(given)) == len(parts) == 246
+
+
+def _fresh_ranges(part):
+    """The ranges a multiset reads off its own integer coordinates."""
+    return PointMultiset(part.entries, dim=part.dim).integer_ranges()
+
+
+def test_table_ranges_equal_the_parts_own():
+    """A part's ranges, given by the part table from its entries'
+    rounded coordinates, are those it reads off its own grid: seeded
+    parts on Z^2, Z^3, (1/2)Z, (1/3)Z and their planes, and the parts of
+    the doubled Z^1 x R^1 witness."""
+    rng = random.Random(0x2A6E)
+    cases = []
+    for den, d in [(1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2)]:
+        for _ in range(6):
+            pts = [tuple(Fraction(rng.randint(-7, 7), den) for _ in range(d)) for _ in range(rng.randint(3, 6))]
+            cases.append((PointMultiset.from_points(pts), rng.randint(2, 3)))
+    doubled, _ = double_witness(PointMultiset.from_points([point(0), point(1)]), RealSpace(1))
+    cases.append((doubled, 2))
+    parts = 0
+    for points, m in cases:
+        for hulls in oracle._partition_hulls(points, m, True):
+            for part in hulls:
+                assert part._ranges == _fresh_ranges(part), (points.entries, part.entries)
+                parts += 1
+    assert parts > 1000
+
+
+def test_finite_set_witnesses_are_the_sets_own_points():
+    """A finite-set search scans the set's deep points, the stored
+    objects themselves, so its witness is one of them."""
+    rng = random.Random(0xF17E)
+    grid = FiniteSet(tuple(point(x, y) for x in range(3) for y in range(3)), 2)
+    rational_set = FiniteSet(
+        tuple(point(x, y) for x, y in [(0, 0), ("1/2", 0), (0, "1/3"), ("1/2", "1/3"), ("3/2", "2/3"), (1, 1)]),
+        2,
+    )
+    found = 0
+    for _ in range(40):
+        ambient = rng.choice([grid, rational_set])
+        points = PointMultiset.from_points(rng.choices(ambient.points, k=rng.randint(4, 7)))
+        answer = search_partition(points, rng.randint(2, 3), ambient)
+        if answer is not None:
+            witness = answer[1]
+            assert any(witness is s for s in ambient.points), witness
+            found += 1
+    assert found >= 10
 
 
 def test_witnesses_are_fraction_points():

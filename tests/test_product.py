@@ -10,7 +10,7 @@ from tverberg.ambient import FiniteSet, Lattice, MixedLattice, RealSpace
 from tverberg import certificates, documents
 from tverberg.certificates import verify_certificate
 from tverberg.errors import Infeasible, PreconditionViolated, UnsupportedAmbient
-from tverberg import product
+from tverberg import oracle, product
 from tverberg.geometry import convex_system, hull_membership, polytope_intersection_point
 from tverberg.oracle import iter_partition_hulls, verify_no_partition
 from tverberg.points import PointMultiset, point
@@ -260,6 +260,33 @@ def _enumerated_partition(points, m):
         if found is not None:
             return hulls, found[0], found[1]
     raise AssertionError("no partition admitted a common point")
+
+
+def test_real_enumerations_round_nothing(monkeypatch):
+    """Only a scan over Z^d or Z^j x R^k reads integer ranges, so the
+    R^d enumerations of ``real_partition`` and
+    ``real_tverberg_bruteforce`` round no entry and give no part ranges."""
+    rounded = []
+    rounding, keep = oracle._rounded_entries, PointMultiset._keep_ranges
+
+    def counted_rounding(points):
+        rounded.append(points)
+        return rounding(points)
+
+    def counted_keep(self, ranges):
+        rounded.append(self)
+        return keep(self, ranges)
+
+    monkeypatch.setattr(oracle, "_rounded_entries", counted_rounding)
+    monkeypatch.setattr(PointMultiset, "_keep_ranges", counted_keep)
+    rng = random.Random(0x0A1)
+    for d, m, n in [(1, 2, 4), (2, 2, 5), (2, 3, 7), (3, 2, 6)]:
+        points = PointMultiset.from_points([tuple(random_rational(rng, 4) for _ in range(d)) for _ in range(n)])
+        parts, _, _ = real_partition(points, m)
+        cert = real_tverberg_bruteforce(points, m)
+        assert verify_certificate(cert, points).ok
+        assert not any(hasattr(part, "_ranges") for part in parts + tuple(cert.parts))
+    assert rounded == []
 
 
 def _radon_inputs():
